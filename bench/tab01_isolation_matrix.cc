@@ -2,7 +2,7 @@
  * @file
  * Table I — Isolation mechanisms for the scratchpad, with the
  * qualitative sharing columns backed by measured numbers from the
- * time-shared scheduler: a periodic high-priority (secure) inference
+ * one-core scheduler: a periodic high-priority (secure) inference
  * preempts a long background task on one core. Utilization is the
  * systolic array's busy fraction; performance is the background
  * task's completion versus sNPU; SLA is the worst latency of the
@@ -10,11 +10,12 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.hh"
-#include "core/scheduler.hh"
 #include "core/systems.hh"
 #include "json_writer.hh"
+#include "serve/core_scheduler.hh"
 
 using namespace snpu;
 using namespace snpu::bench;
@@ -22,18 +23,25 @@ using namespace snpu::bench;
 namespace
 {
 
-SchedScenario
+/** Background BERT at tick 0 plus eight periodic YOLO-Lite frames,
+ *  both pinned to core 0. */
+std::vector<ExecStream>
 scenario()
 {
-    SchedScenario s;
-    s.background = NpuTask::fromModel(ModelId::bert, World::normal, 0);
-    s.background.model = s.background.model.scaled(8);
-    s.periodic =
+    ExecStream background;
+    background.task = NpuTask::fromModel(ModelId::bert, World::normal, 0);
+    background.task.model = background.task.model.scaled(8);
+    background.arrivals = {0};
+    background.pinned_core = 0;
+
+    ExecStream periodic;
+    periodic.task =
         NpuTask::fromModel(ModelId::yololite, World::secure, 10);
-    s.periodic.model = s.periodic.model.scaled(8);
-    s.period = 800000;
-    s.instances = 8;
-    return s;
+    periodic.task.model = periodic.task.model.scaled(8);
+    for (Tick i = 0; i < 8; ++i)
+        periodic.arrivals.push_back(i * 800000);
+    periodic.pinned_core = 0;
+    return {background, periodic};
 }
 
 } // namespace
@@ -68,22 +76,22 @@ main(int argc, char **argv)
     Tick ref_latency = 0;
     {
         auto soc = buildSoc(SystemKind::snpu);
-        TimeSharedScheduler sched(*soc, SchedPolicy::id_based);
-        SchedResult res = sched.run(scenario());
+        NCoreScheduler sched(*soc, SchedPolicy::id_based);
+        NSchedResult res = sched.run(scenario());
         if (!res.ok()) {
             std::printf("ERROR: %s\n", res.error().c_str());
             return 1;
         }
-        ref_completion = res.background_completion;
-        ref_latency = res.worst_latency;
+        ref_completion = res.streams[0].completion;
+        ref_latency = res.streams[1].worst_latency;
     }
 
     Table table({"mechanism", "temporal", "spatial", "utilization",
                  "perf (vs sNPU)", "SLA (worst latency vs sNPU)"});
     for (const Row &row : rows) {
         auto soc = buildSoc(SystemKind::snpu);
-        TimeSharedScheduler sched(*soc, row.policy, 8);
-        SchedResult res = sched.run(scenario());
+        NCoreScheduler sched(*soc, row.policy, 1, 8);
+        NSchedResult res = sched.run(scenario());
         if (!res.ok()) {
             std::printf("ERROR %s: %s\n", row.name,
                         res.error().c_str());
@@ -92,9 +100,8 @@ main(int argc, char **argv)
         table.row({row.name, row.temporal, row.spatial,
                    num(res.utilization * 100.0, 1) + "%",
                    num(static_cast<double>(ref_completion) /
-                       static_cast<double>(
-                           res.background_completion)),
-                   num(static_cast<double>(res.worst_latency) /
+                       static_cast<double>(res.streams[0].completion)),
+                   num(static_cast<double>(res.streams[1].worst_latency) /
                        static_cast<double>(ref_latency))});
     }
     table.print();

@@ -15,28 +15,34 @@
 #include <cstdio>
 
 #include "core/attacks.hh"
-#include "core/scheduler.hh"
 #include "core/systems.hh"
+#include "serve/core_scheduler.hh"
 
 using namespace snpu;
 
 int
 main()
 {
-    SchedScenario scenario;
-    scenario.background =
+    // Background task at tick 0, periodic frames every 300k cycles;
+    // both pinned to core 0.
+    ExecStream background;
+    background.task =
         NpuTask::fromModel(ModelId::mobilenet, World::normal, 0);
-    scenario.background.model = scenario.background.model.scaled(8);
-    scenario.periodic =
-        NpuTask::fromModel(ModelId::yololite, World::secure, 10);
-    scenario.periodic.model = scenario.periodic.model.scaled(8);
-    scenario.period = 300000;
-    scenario.instances = 5;
+    background.task.model = background.task.model.scaled(8);
+    background.arrivals = {0};
+    background.pinned_core = 0;
+
+    ExecStream periodic;
+    periodic.task = NpuTask::fromModel(ModelId::yololite, World::secure, 10);
+    periodic.task.model = periodic.task.model.scaled(8);
+    for (Tick i = 0; i < 5; ++i)
+        periodic.arrivals.push_back(i * 300000);
+    periodic.pinned_core = 0;
 
     std::printf("two tenants on one core: secure %s (periodic) + "
                 "normal %s (background)\n\n",
-                scenario.periodic.name.c_str(),
-                scenario.background.name.c_str());
+                periodic.task.name.c_str(),
+                background.task.name.c_str());
 
     std::printf("%-24s %12s %14s %16s %12s\n", "policy", "makespan",
                 "bg completion", "worst latency", "flush cyc");
@@ -44,8 +50,8 @@ main()
          {SchedPolicy::flush_fine, SchedPolicy::flush_coarse,
           SchedPolicy::partition, SchedPolicy::id_based}) {
         auto soc = buildSoc(SystemKind::snpu);
-        TimeSharedScheduler sched(*soc, policy, 8);
-        SchedResult res = sched.run(scenario);
+        NCoreScheduler sched(*soc, policy, 1, 8);
+        NSchedResult res = sched.run({background, periodic});
         if (!res.ok()) {
             std::printf("%s failed: %s\n", schedPolicyName(policy),
                         res.error().c_str());
@@ -55,9 +61,9 @@ main()
                     schedPolicyName(policy),
                     static_cast<unsigned long long>(res.makespan),
                     static_cast<unsigned long long>(
-                        res.background_completion),
+                        res.streams[0].completion),
                     static_cast<unsigned long long>(
-                        res.worst_latency),
+                        res.streams[1].worst_latency),
                     static_cast<unsigned long long>(
                         res.flush_overhead));
     }

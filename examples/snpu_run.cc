@@ -37,7 +37,6 @@
 #include <fstream>
 #include <iostream>
 
-#include "core/scheduler.hh"
 #include "core/systems.hh"
 #include "core/task_runner.hh"
 #include "sim/config.hh"

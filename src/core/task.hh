@@ -22,7 +22,7 @@ namespace snpu
 
 /**
  * Shared base of every end-to-end execution outcome (single run,
- * schedule, concurrent pair, pipeline, serving window). Gives all of
+ * schedule, pipeline, serving window, fleet). Gives all of
  * them one shape — a Status plus the total simulated cycles — so
  * layered tooling can report any of them uniformly.
  *

@@ -37,10 +37,8 @@ CryptoBackend::CryptoBackend(stats::Group *stats,
                              CryptoBackendParams params)
     : ProtectionBackend("crypto", stats), params(params),
       regions(params.regions),
-      counter_cache(params.counter_cache_entries)
+      counters(params.counter_cache_entries)
 {
-    if (params.counter_cache_entries == 0)
-        fatal("crypto backend counter cache needs at least one entry");
     if (params.regions == 0)
         fatal("crypto backend needs at least one keyed region");
     if (params.mac_bytes_per_cycle <= 0 ||
@@ -108,27 +106,15 @@ CryptoBackend::translate(Tick when, Addr vaddr, std::uint32_t bytes,
 Tick
 CryptoBackend::counterLookup(Addr page)
 {
-    CounterEntry *victim = &counter_cache[0];
-    for (auto &entry : counter_cache) {
-        if (entry.valid && entry.page == page) {
-            entry.lru = ++lru_clock;
-            ++n_counter_hits;
-            if (cstats)
-                ++cstats->counter_hits;
-            return 0;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid && entry.lru < victim->lru) {
-            victim = &entry;
-        }
+    if (counters.lookup(page)) {
+        ++n_counter_hits;
+        if (cstats)
+            ++cstats->counter_hits;
+        return 0;
     }
     ++n_counter_misses;
     if (cstats)
         ++cstats->counter_misses;
-    victim->valid = true;
-    victim->page = page;
-    victim->lru = ++lru_clock;
     return params.counter_miss_penalty;
 }
 

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "dma/access_control.hh"
+#include "mem/counter_cache.hh"
 #include "tee/sha256.hh"
 
 namespace snpu
@@ -109,11 +110,7 @@ class CryptoBackend : public ProtectionBackend
     Status endContext(bool from_secure) override;
 
     /** Counter-cache contents are the only hidden timing state. */
-    void canonicalizeTiming() override
-    {
-        for (auto &entry : counter_cache)
-            entry.valid = false;
-    }
+    void canonicalizeTiming() override { counters.invalidateAll(); }
 
     std::uint64_t timingFingerprint() const override;
 
@@ -144,13 +141,6 @@ class CryptoBackend : public ProtectionBackend
         Digest tag{};
     };
 
-    struct CounterEntry
-    {
-        bool valid = false;
-        Addr page = 0;
-        std::uint64_t lru = 0;
-    };
-
     const KeyedRegion *findRegion(Addr addr,
                                   std::uint32_t bytes) const;
     /** Counter-cache lookup for @p page; returns the miss penalty. */
@@ -158,8 +148,7 @@ class CryptoBackend : public ProtectionBackend
 
     CryptoBackendParams params;
     std::vector<KeyedRegion> regions;
-    std::vector<CounterEntry> counter_cache;
-    std::uint64_t lru_clock = 0;
+    CounterCache counters;
     std::uint64_t n_counter_hits = 0;
     std::uint64_t n_counter_misses = 0;
     std::uint64_t n_version_bumps = 0;

@@ -1,20 +1,16 @@
 #include "mem/mem_crypto.hh"
 
-#include "sim/logging.hh"
-
 namespace snpu
 {
 
 MemCryptoEngine::MemCryptoEngine(stats::Group &stats,
                                  MemCryptoParams params)
     : params(params),
-      cache(params.counter_cache_entries),
+      counters(params.counter_cache_entries),
       hits(stats, "mee_counter_hits", "counter cache hits"),
       misses(stats, "mee_counter_misses", "counter cache misses"),
       blocks(stats, "mee_blocks", "lines through the AES engine")
 {
-    if (params.enabled && params.counter_cache_entries == 0)
-        fatal("counter cache needs at least one entry");
 }
 
 Tick
@@ -24,24 +20,11 @@ MemCryptoEngine::accessPenalty(Addr paddr)
         return 0;
     ++blocks;
 
-    const Addr page = paddr / page_bytes;
-    CounterEntry *victim = &cache[0];
-    for (auto &entry : cache) {
-        if (entry.valid && entry.page == page) {
-            entry.lru = ++clock;
-            ++hits;
-            return params.engine_latency;
-        }
-        if (!entry.valid) {
-            victim = &entry;
-        } else if (victim->valid && entry.lru < victim->lru) {
-            victim = &entry;
-        }
+    if (counters.lookup(paddr / page_bytes)) {
+        ++hits;
+        return params.engine_latency;
     }
     ++misses;
-    victim->valid = true;
-    victim->page = page;
-    victim->lru = ++clock;
     return params.engine_latency + params.counter_miss_penalty;
 }
 

@@ -8,8 +8,8 @@
  *
  * Timing model: data leaving/entering DRAM passes a pipelined AES
  * engine (fixed latency, full throughput). Counter blocks are cached
- * per page in a small counter cache; a miss costs one extra DRAM
- * access to fetch the counter line. Integrity uses the NPU-friendly
+ * per page in a small counter cache (mem/counter_cache.hh); a miss
+ * costs one extra DRAM access to fetch the counter line. Integrity uses the NPU-friendly
  * tree-less scheme of TNPU (per-region versioning), so no
  * tree-walk traffic is modeled.
  *
@@ -23,8 +23,8 @@
 #define SNPU_MEM_MEM_CRYPTO_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "mem/counter_cache.hh"
 #include "mem/mem_types.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -59,11 +59,7 @@ class MemCryptoEngine
     Tick accessPenalty(Addr paddr);
 
     /** Drop all cached counter lines (timing canonicalization). */
-    void resetTiming()
-    {
-        for (auto &entry : cache)
-            entry.valid = false;
-    }
+    void resetTiming() { counters.invalidateAll(); }
 
     std::uint64_t counterHits() const
     {
@@ -75,16 +71,8 @@ class MemCryptoEngine
     }
 
   private:
-    struct CounterEntry
-    {
-        bool valid = false;
-        Addr page = 0;
-        std::uint64_t lru = 0;
-    };
-
     MemCryptoParams params;
-    std::vector<CounterEntry> cache;
-    std::uint64_t clock = 0;
+    CounterCache counters;
 
     stats::Scalar hits;
     stats::Scalar misses;

@@ -351,7 +351,7 @@ NpuCore::execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
 
 ExecResult
 NpuCore::run(Tick start, const NpuProgram &program,
-             const ExecOptions &opts, ExecState *state)
+             const ExecOptions &opts)
 {
     ++programs_run;
     ExecResult res;
@@ -372,11 +372,6 @@ NpuCore::run(Tick start, const NpuProgram &program,
     Tick dma_t = start;     // DMA pipeline cursor
     Tick dma_ready = start; // completion of the latest load
     Tick mac_t = start;     // systolic pipeline cursor
-    if (state) {
-        dma_t = std::max(dma_t, state->dma_t);
-        dma_ready = std::max(dma_ready, state->dma_ready);
-        mac_t = std::max(mac_t, state->mac_t);
-    }
 
     std::size_t next_tile = 0;
     std::size_t next_layer = 0;
@@ -466,8 +461,6 @@ NpuCore::run(Tick start, const NpuProgram &program,
 
         if (!ok) {
             res.end = std::max(dma_t, mac_t);
-            if (state)
-                *state = ExecState{dma_t, dma_ready, mac_t};
             return res;
         }
 
@@ -515,8 +508,6 @@ NpuCore::run(Tick start, const NpuProgram &program,
     }
 
     res.end = std::max(dma_t, mac_t);
-    if (state)
-        *state = ExecState{dma_t, dma_ready, mac_t};
 
     // End-to-end output integrity check: if a wordline was silently
     // corrupted while this program ran, the result retires on time

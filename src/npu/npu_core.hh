@@ -62,19 +62,6 @@ struct ExecOptions
     NocMode noc = NocMode::unauthorized;
 };
 
-/**
- * Persistent pipeline state for split program execution: callers
- * that run one logical program as several run() calls (e.g. the
- * concurrent tenant runner interleaving at tile granularity) pass
- * the same ExecState so the DMA/compute overlap survives the
- * boundaries.
- */
-struct ExecState
-{
-    Tick dma_t = 0;      //!< DMA pipeline cursor
-    Tick dma_ready = 0;  //!< completion of the latest load
-    Tick mac_t = 0;      //!< systolic pipeline cursor
-};
 
 /** Outcome of running one program. */
 struct ExecResult
@@ -140,14 +127,9 @@ class NpuCore
      */
     void armFaults(FaultInjector *inj);
 
-    /**
-     * Execute @p program starting at @p start. When @p state is
-     * non-null the pipeline cursors resume from it and are written
-     * back, preserving load/compute overlap across split programs.
-     */
+    /** Execute @p program starting at @p start. */
     ExecResult run(Tick start, const NpuProgram &program,
-                   const ExecOptions &opts = {},
-                   ExecState *state = nullptr);
+                   const ExecOptions &opts = {});
 
     const NpuCoreParams &coreParams() const { return params; }
 

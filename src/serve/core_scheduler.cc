@@ -143,6 +143,22 @@ constexpr Tick hang_grace = 50000;
 
 } // namespace
 
+const char *
+schedPolicyName(SchedPolicy policy)
+{
+    switch (policy) {
+      case SchedPolicy::flush_fine:
+        return "flush-fine";
+      case SchedPolicy::flush_coarse:
+        return "flush-coarse";
+      case SchedPolicy::partition:
+        return "partition";
+      case SchedPolicy::id_based:
+        return "id-based";
+    }
+    return "?";
+}
+
 NCoreScheduler::NCoreScheduler(Soc &soc, SchedPolicy policy,
                                std::uint32_t num_cores,
                                std::uint32_t coarse_interval)

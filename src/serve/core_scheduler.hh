@@ -1,10 +1,11 @@
 /**
  * @file
- * Generalized N-core, N-stream NPU scheduler. This supersedes the
- * 1-core / 2-task TimeSharedScheduler (which now delegates here):
- * any number of request streams — each an NpuTask plus an explicit
- * list of arrival ticks — are served across an arbitrary set of
- * tiles under one of the four isolation policies of Table I.
+ * N-core, N-stream NPU scheduler: any number of request streams —
+ * each an NpuTask plus an explicit list of arrival ticks — are served
+ * across an arbitrary set of tiles under one of the four isolation
+ * policies of Table I. Table I itself is the one-core case: a
+ * background stream and a periodic high-priority stream, both pinned
+ * to core 0.
  *
  * Scheduling happens at op-kernel (layer-segment) boundaries. What
  * changes across policies is the context-switch cost and the
@@ -23,8 +24,10 @@
  * there, but every tile picks new work from the shared backlog, so
  * load balances at request granularity. Tiles interleave in
  * earliest-clock-first order so DRAM/L2 contention between them
- * emerges from the shared memory model (same approach as the
- * concurrent pair runner).
+ * emerges from the shared memory model. Interleaving at segment
+ * granularity is approximate — within one segment a tile sees the
+ * memory queues as its rivals left them — but the earliest-clock-
+ * first order bounds the skew to one segment.
  *
  * The serving engine (serve/server.hh) layers admission control and
  * NPU-Monitor costs on top through the hook interface.
@@ -38,13 +41,23 @@
 #include <string>
 #include <vector>
 
-#include "core/scheduler.hh"
 #include "core/soc.hh"
 #include "core/task.hh"
 #include "sim/trace.hh"
 
 namespace snpu
 {
+
+/** Isolation policy applied at scheduling time. */
+enum class SchedPolicy : std::uint8_t
+{
+    flush_fine,      //!< flush + switch at every segment boundary
+    flush_coarse,    //!< switch (and flush) only every N segments
+    partition,       //!< static scratchpad split, no flushes
+    id_based,        //!< sNPU: no flushes, full capacity
+};
+
+const char *schedPolicyName(SchedPolicy policy);
 
 /** One request stream: a task plus the ticks requests arrive at. */
 struct ExecStream

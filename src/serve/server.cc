@@ -710,8 +710,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
         return sched_no_retry;
     };
     hooks.token_dispatch = [&](std::uint32_t s, std::uint32_t i,
-                               std::uint32_t token,
-                               Tick now) -> TokenVerdict {
+                               std::uint32_t, Tick now) -> TokenVerdict {
         TokenVerdict verdict;
         // Like dispatch_check, the monitor's allocator fault site is
         // probed here — per token, where a real per-token allocation

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the time-shared scheduler: the Table I comparison of
+ * Tests for the one-core schedule behind Table I: the comparison of
  * isolation mechanisms under multi-tasking — a periodic
- * high-priority task preempting a long background task.
+ * high-priority task preempting a long background task, both pinned
+ * to core 0 of the N-core scheduler. Stream 0 is the background
+ * task, stream 1 the periodic one.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/scheduler.hh"
 #include "core/systems.hh"
+#include "serve/core_scheduler.hh"
 #include "sim/logging.hh"
 
 namespace snpu
@@ -16,29 +18,41 @@ namespace snpu
 namespace
 {
 
-SchedScenario
-scenario()
-{
-    SchedScenario s;
-    s.background = NpuTask::fromModel(ModelId::bert, World::normal, 0);
-    s.background.model = s.background.model.scaled(8);
-    s.periodic =
-        NpuTask::fromModel(ModelId::yololite, World::secure, 10);
-    s.periodic.model = s.periodic.model.scaled(8);
-    s.period = 800000;
-    s.instances = 8;
-    return s;
-}
-
-SchedResult
+NSchedResult
 runPolicy(SchedPolicy policy, std::uint32_t coarse = 5)
 {
+    ExecStream background;
+    background.task = NpuTask::fromModel(ModelId::bert, World::normal, 0);
+    background.task.model = background.task.model.scaled(8);
+    background.arrivals = {0};
+    background.pinned_core = 0;
+
+    ExecStream periodic;
+    periodic.task =
+        NpuTask::fromModel(ModelId::yololite, World::secure, 10);
+    periodic.task.model = periodic.task.model.scaled(8);
+    for (Tick i = 0; i < 8; ++i)
+        periodic.arrivals.push_back(i * 800000);
+    periodic.pinned_core = 0;
+
     auto soc = buildSoc(SystemKind::snpu);
-    TimeSharedScheduler sched(*soc, policy, coarse);
-    SchedResult res = sched.run(scenario());
+    NCoreScheduler sched(*soc, policy, 1, coarse);
+    NSchedResult res = sched.run({background, periodic});
     EXPECT_TRUE(res.ok()) << schedPolicyName(policy) << ": "
-                        << res.error();
+                          << res.error();
     return res;
+}
+
+Tick
+backgroundCompletion(const NSchedResult &res)
+{
+    return res.streams[0].completion;
+}
+
+Tick
+worstLatency(const NSchedResult &res)
+{
+    return res.streams[1].worst_latency;
 }
 
 TEST(Scheduler, AllPoliciesComplete)
@@ -46,11 +60,11 @@ TEST(Scheduler, AllPoliciesComplete)
     for (SchedPolicy policy :
          {SchedPolicy::flush_fine, SchedPolicy::flush_coarse,
           SchedPolicy::partition, SchedPolicy::id_based}) {
-        SchedResult res = runPolicy(policy);
+        NSchedResult res = runPolicy(policy);
         ASSERT_TRUE(res.ok());
         EXPECT_GT(res.makespan, 0u);
-        EXPECT_GT(res.background_completion, 0u);
-        EXPECT_GT(res.worst_latency, 0u);
+        EXPECT_GT(backgroundCompletion(res), 0u);
+        EXPECT_GT(worstLatency(res), 0u);
         EXPECT_GT(res.utilization, 0.0);
         EXPECT_LE(res.utilization, 1.0);
     }
@@ -58,8 +72,8 @@ TEST(Scheduler, AllPoliciesComplete)
 
 TEST(Scheduler, FineFlushPaysOverheadIdBasedDoesNot)
 {
-    SchedResult fine = runPolicy(SchedPolicy::flush_fine);
-    SchedResult idb = runPolicy(SchedPolicy::id_based);
+    NSchedResult fine = runPolicy(SchedPolicy::flush_fine);
+    NSchedResult idb = runPolicy(SchedPolicy::id_based);
     EXPECT_GT(fine.flush_overhead, 0u);
     EXPECT_EQ(idb.flush_overhead, 0u);
     EXPECT_GT(fine.makespan, idb.makespan);
@@ -67,34 +81,34 @@ TEST(Scheduler, FineFlushPaysOverheadIdBasedDoesNot)
 
 TEST(Scheduler, CoarseFlushHurtsSlaButCostsLessThanFine)
 {
-    SchedResult coarse = runPolicy(SchedPolicy::flush_coarse, 8);
-    SchedResult fine = runPolicy(SchedPolicy::flush_fine);
-    SchedResult idb = runPolicy(SchedPolicy::id_based);
+    NSchedResult coarse = runPolicy(SchedPolicy::flush_coarse, 8);
+    NSchedResult fine = runPolicy(SchedPolicy::flush_fine);
+    NSchedResult idb = runPolicy(SchedPolicy::id_based);
 
     // The high-priority task waits behind the amortization window
     // (Table I: coarse flush = poor SLA)...
-    EXPECT_GT(coarse.worst_latency, idb.worst_latency);
-    EXPECT_GT(coarse.worst_latency, fine.worst_latency);
+    EXPECT_GT(worstLatency(coarse), worstLatency(idb));
+    EXPECT_GT(worstLatency(coarse), worstLatency(fine));
     // ...in exchange for fewer flushes than fine-grained switching.
     EXPECT_LT(coarse.flush_overhead, fine.flush_overhead);
 }
 
 TEST(Scheduler, IdBasedSlaMatchesFineFlushWithoutItsCost)
 {
-    SchedResult fine = runPolicy(SchedPolicy::flush_fine);
-    SchedResult idb = runPolicy(SchedPolicy::id_based);
+    NSchedResult fine = runPolicy(SchedPolicy::flush_fine);
+    NSchedResult idb = runPolicy(SchedPolicy::id_based);
     // Both switch eagerly; sNPU just does not pay for it. Allow a
     // few percent of scheduling-alignment jitter.
-    EXPECT_LE(idb.worst_latency, fine.worst_latency * 105 / 100);
+    EXPECT_LE(worstLatency(idb), worstLatency(fine) * 105 / 100);
 }
 
 TEST(Scheduler, PartitionSlowerThanIdBasedForCapacitySensitiveNets)
 {
     // The BERT background is scratchpad-capacity sensitive: half
     // the rows means more weight reloads (the Fig 15 effect).
-    SchedResult part = runPolicy(SchedPolicy::partition);
-    SchedResult idb = runPolicy(SchedPolicy::id_based);
-    EXPECT_GT(part.background_completion, idb.background_completion);
+    NSchedResult part = runPolicy(SchedPolicy::partition);
+    NSchedResult idb = runPolicy(SchedPolicy::id_based);
+    EXPECT_GT(backgroundCompletion(part), backgroundCompletion(idb));
     EXPECT_LT(part.utilization, idb.utilization + 1e-9);
 }
 
@@ -102,9 +116,9 @@ TEST(Scheduler, UtilizationOrdering)
 {
     // sNPU keeps the core doing useful MACs the largest fraction of
     // the time among the secure policies.
-    SchedResult fine = runPolicy(SchedPolicy::flush_fine);
-    SchedResult part = runPolicy(SchedPolicy::partition);
-    SchedResult idb = runPolicy(SchedPolicy::id_based);
+    NSchedResult fine = runPolicy(SchedPolicy::flush_fine);
+    NSchedResult part = runPolicy(SchedPolicy::partition);
+    NSchedResult idb = runPolicy(SchedPolicy::id_based);
     EXPECT_GE(idb.utilization, fine.utilization);
     EXPECT_GE(idb.utilization, part.utilization);
 }
@@ -112,9 +126,8 @@ TEST(Scheduler, UtilizationOrdering)
 TEST(Scheduler, ZeroCoarseIntervalIsFatal)
 {
     auto soc = buildSoc(SystemKind::snpu);
-    EXPECT_THROW(
-        TimeSharedScheduler(*soc, SchedPolicy::flush_coarse, 0),
-        FatalError);
+    EXPECT_THROW(NCoreScheduler(*soc, SchedPolicy::flush_coarse, 1, 0),
+                 FatalError);
 }
 
 } // namespace

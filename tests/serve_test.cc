@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
-#include "core/scheduler.hh"
 #include "core/systems.hh"
+#include "core/task_runner.hh"
 #include "serve/arrivals.hh"
 #include "serve/core_scheduler.hh"
 #include "serve/server.hh"
@@ -31,56 +32,89 @@ smallTask(ModelId id, World world = World::normal, int priority = 0)
 // --- N-core scheduler ----------------------------------------------
 
 /**
- * With N = 1 the generalized scheduler must reproduce the
- * TimeSharedScheduler bit for bit under every policy: TSS is now a
- * thin adapter over it, so the two runs below take the same path —
- * but through two independently built SoCs, so any hidden state
- * would break the equality.
+ * Run @p a pinned to tile 0 and @p b pinned to tile 1, one request
+ * each, under a two-way static partition: both tiles share the SoC's
+ * DRAM and L2, so contention emerges from the shared memory model.
+ * Models are scaled by 8 rather than 64 so the pair overlaps long
+ * enough for contention to show.
  */
-TEST(NCoreScheduler, SingleCoreReproducesTimeShared)
+NSchedResult
+runPinnedPair(Soc &soc, ModelId a, World world_a, ModelId b,
+              World world_b)
 {
-    SchedScenario scen;
-    scen.background = smallTask(ModelId::resnet, World::normal, 0);
-    scen.periodic = smallTask(ModelId::mobilenet, World::normal, 5);
-    scen.period = 100000;
-    scen.instances = 4;
-
-    for (SchedPolicy policy :
-         {SchedPolicy::flush_fine, SchedPolicy::flush_coarse,
-          SchedPolicy::partition, SchedPolicy::id_based}) {
-        auto tss_soc = buildSoc(SystemKind::snpu);
-        TimeSharedScheduler tss(*tss_soc, policy, 3);
-        SchedResult ref = tss.run(scen);
-        ASSERT_TRUE(ref.ok()) << ref.error();
-
-        ExecStream background;
-        background.task = scen.background;
-        background.arrivals = {0};
-        background.pinned_core = 0;
-        ExecStream periodic;
-        periodic.task = scen.periodic;
-        for (std::uint32_t i = 0; i < scen.instances; ++i)
-            periodic.arrivals.push_back(static_cast<Tick>(i) *
-                                        scen.period);
-        periodic.pinned_core = 0;
-
-        auto n_soc = buildSoc(SystemKind::snpu);
-        NCoreScheduler sched(*n_soc, policy, 1, 3);
-        NSchedResult res = sched.run({background, periodic});
-        ASSERT_TRUE(res.ok()) << res.error();
-
-        EXPECT_EQ(res.makespan, ref.makespan)
-            << schedPolicyName(policy);
-        EXPECT_EQ(res.flush_overhead, ref.flush_overhead)
-            << schedPolicyName(policy);
-        EXPECT_EQ(res.streams[0].completion, ref.background_completion)
-            << schedPolicyName(policy);
-        EXPECT_EQ(res.streams[1].worst_latency, ref.worst_latency)
-            << schedPolicyName(policy);
-        EXPECT_DOUBLE_EQ(res.streams[1].mean_latency,
-                         ref.mean_latency)
-            << schedPolicyName(policy);
+    std::vector<ExecStream> streams(2);
+    const ModelId models[] = {a, b};
+    const World worlds[] = {world_a, world_b};
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        streams[s].task = NpuTask::fromModel(models[s], worlds[s]);
+        streams[s].task.model = streams[s].task.model.scaled(8);
+        streams[s].arrivals = {0};
+        streams[s].pinned_core = static_cast<std::int32_t>(s);
     }
+    NCoreScheduler sched(soc, SchedPolicy::partition, 2);
+    return sched.run(streams);
+}
+
+/** Both streams of a pinned pair run to completion, and the makespan
+ *  is the later of the two. */
+TEST(NCoreScheduler, PinnedPairBothComplete)
+{
+    auto soc = buildSoc(SystemKind::snpu);
+    NSchedResult res =
+        runPinnedPair(*soc, ModelId::yololite, World::secure,
+                      ModelId::mobilenet, World::normal);
+    ASSERT_TRUE(res.ok()) << res.error();
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(res.streams[s].completed, 1u);
+        EXPECT_GT(res.streams[s].completion, 0u);
+    }
+    EXPECT_EQ(res.makespan, std::max(res.streams[0].completion,
+                                     res.streams[1].completion));
+}
+
+/** Shared DRAM: each stream of a pinned pair finishes later than it
+ *  does alone at the same scratchpad budget. */
+TEST(NCoreScheduler, PinnedPairContentionSlowsBothVersusSolo)
+{
+    auto soc = buildSoc(SystemKind::snpu);
+    const std::uint32_t half_rows =
+        soc->npu().core(0).scratchpad().rows() / 2;
+    NSchedResult res =
+        runPinnedPair(*soc, ModelId::googlenet, World::normal,
+                      ModelId::resnet, World::normal);
+    ASSERT_TRUE(res.ok()) << res.error();
+
+    const ModelId models[] = {ModelId::googlenet, ModelId::resnet};
+    for (std::uint32_t s = 0; s < 2; ++s) {
+        EXPECT_EQ(res.streams[s].completed, 1u);
+        auto solo_soc = buildSoc(SystemKind::snpu);
+        TaskRunner runner(*solo_soc);
+        NpuTask task = NpuTask::fromModel(models[s], World::normal);
+        task.model = task.model.scaled(8);
+        RunOptions opts;
+        opts.spad_rows_override = half_rows;
+        RunResult solo = runner.run(task, opts);
+        ASSERT_TRUE(solo.ok()) << solo.error();
+        EXPECT_GT(res.streams[s].completion, solo.cycles)
+            << task.name;
+    }
+    EXPECT_EQ(res.makespan, std::max(res.streams[0].completion,
+                                     res.streams[1].completion));
+}
+
+/** A secure tenant next to a normal one: the tiles' protection
+ *  contexts and the memory partition see no stray access. */
+TEST(NCoreScheduler, PinnedCrossWorldPairTriggersNoViolations)
+{
+    auto soc = buildSoc(SystemKind::snpu);
+    NSchedResult res = runPinnedPair(*soc, ModelId::bert, World::secure,
+                                     ModelId::yololite, World::normal);
+    ASSERT_TRUE(res.ok()) << res.error();
+    EXPECT_EQ(res.streams[0].completed, 1u);
+    EXPECT_EQ(res.streams[1].completed, 1u);
+    EXPECT_EQ(soc->mem().partitionViolations(), 0u);
+    EXPECT_EQ(soc->protection(0).denyCount(), 0u);
+    EXPECT_EQ(soc->protection(1).denyCount(), 0u);
 }
 
 std::vector<ExecStream>

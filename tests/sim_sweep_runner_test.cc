@@ -19,23 +19,19 @@ namespace
 {
 
 /**
- * A miniature simulation: drains a per-job event chain and mixes the
- * job's private RNG stream into a digest. Exercises both context
- * members, so any cross-thread contamination changes the result.
+ * A miniature simulation: mixes a job-dependent number of draws from
+ * the private RNG stream into a digest seeded by the job's seed.
+ * Exercises both context members, so any cross-thread contamination
+ * changes the result.
  */
 std::uint64_t
 simulate(SweepContext &ctx)
 {
     std::uint64_t digest = ctx.seed();
-    EventQueue &eq = ctx.events();
-    for (int i = 0; i < 32; ++i) {
-        eq.scheduleIn(1 + ctx.rng().below(64), [&digest, &ctx, i] {
-            digest = digest * 6364136223846793005ULL +
-                     ctx.rng().next() + static_cast<std::uint64_t>(i);
-        });
-    }
-    eq.run();
-    return digest ^ eq.now();
+    const std::uint64_t steps = 16 + ctx.rng().below(32);
+    for (std::uint64_t i = 0; i < steps; ++i)
+        digest = digest * 6364136223846793005ULL + ctx.rng().next() + i;
+    return digest;
 }
 
 std::vector<SweepOutcome<std::uint64_t>>
@@ -164,21 +160,23 @@ TEST(SweepRunner, MorePoolReuseThanThreads)
     }
 }
 
-TEST(SweepRunner, ContextQueueStartsFresh)
+TEST(SweepRunner, ContextRngStartsFresh)
 {
+    // Every job's RNG begins at its own seed, however many jobs its
+    // worker ran before it.
     SweepRunner runner(SweepOptions{2});
     std::vector<std::function<std::uint64_t(SweepContext &)>> jobs;
     for (int i = 0; i < 6; ++i) {
         jobs.push_back([](SweepContext &ctx) {
-            EXPECT_EQ(ctx.events().now(), 0u);
-            EXPECT_EQ(ctx.events().executed(), 0u);
-            EXPECT_EQ(ctx.events().pending(), 0u);
-            ctx.events().scheduleIn(5, [] {});
-            return ctx.events().run();
+            Rng fresh(ctx.seed());
+            for (int k = 0; k < 4; ++k)
+                EXPECT_EQ(ctx.rng().next(), fresh.next());
+            return ctx.seed();
         });
     }
-    for (const auto &o : runner.map<std::uint64_t>(jobs))
-        EXPECT_EQ(o.value, 5u);
+    const auto out = runner.map<std::uint64_t>(jobs);
+    for (std::size_t i = 1; i < out.size(); ++i)
+        EXPECT_NE(out[i].value, out[i - 1].value) << "job " << i;
 }
 
 TEST(SweepThreadCount, ExplicitWinsOverEnvironment)
