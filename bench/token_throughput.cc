@@ -306,8 +306,8 @@ main(int argc, char **argv)
 
     // Warm-replay parity: the same cached window twice in a row.
     // The second run's decode steps replay from core/timing_cache
-    // (the KV-allocation charge is hook-applied outside the
-    // memoized bracket), so the registries must agree byte for
+    // (the KV-allocation charge is paid by the token transition,
+    // outside the memoized bracket), so the registries must agree byte for
     // byte.
     std::string parity = "skipped";
     if (TimingCache::enabled()) {

@@ -122,24 +122,568 @@ compileSegments(Soc &soc, const NpuTask &task, std::uint32_t rows,
     return it->second;
 }
 
-/** One request instance's scheduling state. */
-struct Request
-{
-    std::uint32_t stream = 0;
-    std::uint32_t instance = 0;
-    Tick arrival = 0;
-    std::size_t next_seg = 0;
-    std::int32_t core = -1; //!< tile it was dispatched to; -1 = none
-    Tick ready = 0;         //!< earliest dispatchable tick (retries)
-    std::uint32_t attempts = 0;
-    /** Generation phase: 0 = prefill, t >= 1 = decode step t. */
-    std::uint32_t token = 0;
-    /** token_dispatch already charged for the current step. */
-    bool token_paid = false;
-};
-
 /** Watchdog grace for hung requests on deadline-free streams. */
 constexpr Tick hang_grace = 50000;
+
+constexpr std::size_t no_request = ~std::size_t{0};
+
+/** The lifecycle edges RequestState documents. */
+bool
+legalEdge(RequestState from, RequestState to)
+{
+    using S = RequestState;
+    switch (from) {
+      case S::arriving:
+        return to == S::queued || to == S::rejected;
+      case S::queued:
+        return to == S::running || to == S::queued || to == S::failed;
+      case S::running:
+        return to == S::done || to == S::queued || to == S::failed;
+      default:
+        return false;
+    }
+}
+
+/** One tile's scheduling state. */
+struct Tile
+{
+    Tick clock = 0;
+    /** False once nothing can ever run here again. */
+    bool active = true;
+    /** Stream whose context the tile holds; -1 = none. */
+    int running = -1;
+    std::uint32_t segs_since_switch = 0;
+    /** Requests bound to this tile, in dispatch order. */
+    std::vector<std::size_t> inprog;
+    bool executed = false;
+};
+
+/**
+ * One scheduling window: the request records, the tiles, and one
+ * member function per request transition. Each transition moves the
+ * record, updates the stream outcome and the trace, then calls the
+ * lifecycle.
+ */
+class Schedule
+{
+  public:
+    Schedule(Soc &soc, SchedPolicy policy, std::uint32_t num_cores,
+             std::uint32_t coarse_interval,
+             const std::vector<CompiledStream> &compiled,
+             const std::vector<ExecStream> &streams,
+             RequestLifecycle *lifecycle, Tracer &tracer,
+             const std::string &trace_name, NSchedResult &result)
+        : soc(soc), policy(policy), coarse_interval(coarse_interval),
+          compiled(compiled), lc(lifecycle ? *lifecycle : bare),
+          recovers(lifecycle), tracer(tracer), trace_name(trace_name),
+          result(result), memo(soc),
+          save_base(soc.mem().map().npuArena(World::normal).base +
+                    (16u << 20)),
+          tiles(num_cores), latency_sum(streams.size(), 0)
+    {
+        // All request instances, in global admission (arrival) order.
+        for (std::uint32_t s = 0; s < streams.size(); ++s) {
+            for (std::uint32_t i = 0; i < streams[s].arrivals.size();
+                 ++i) {
+                Request req;
+                req.stream = s;
+                req.instance = i;
+                req.arrival = req.ready = streams[s].arrivals[i];
+                requests.push_back(req);
+            }
+        }
+        std::stable_sort(requests.begin(), requests.end(),
+                         [](const Request &a, const Request &b) {
+                             return a.arrival < b.arrival;
+                         });
+        open = requests.size();
+    }
+
+    /** Drive every request to a terminal state; a non-ok status
+     *  aborts the schedule. */
+    Status
+    run()
+    {
+        while (open > 0) {
+            // The tile furthest behind in simulated time acts next,
+            // so the shared memory system advances roughly in time
+            // order.
+            std::uint32_t core = 0;
+            Tick best = no_tick;
+            for (std::uint32_t c = 0; c < tiles.size(); ++c) {
+                if (tiles[c].active && tiles[c].clock < best) {
+                    best = tiles[c].clock;
+                    core = c;
+                }
+            }
+            if (best == no_tick)
+                return Status::internal(
+                    "all tiles idle with requests outstanding");
+
+            admitUpTo(tiles[core].clock);
+            const std::size_t idx = pick(core);
+            if (idx == no_request) {
+                idle(core);
+                continue;
+            }
+            Request &req = requests[idx];
+            if (expired(core, idx))
+                continue;
+            if (req.core < 0 && !dispatch(core, idx))
+                continue;
+            contextSwitch(core, req.stream);
+            if (req.token > 0 && req.next_seg == 0 &&
+                !beginToken(core, idx))
+                continue;
+
+            Status abort = execute(core, idx);
+            if (!abort.isOk())
+                return abort;
+        }
+        return Status::ok();
+    }
+
+    /** Fill the whole-schedule figures once run() succeeded. */
+    void
+    summarize()
+    {
+        std::uint32_t used_cores = 0;
+        for (const Tile &tile : tiles)
+            used_cores += tile.executed ? 1 : 0;
+        for (std::size_t s = 0; s < result.streams.size(); ++s) {
+            StreamOutcome &out = result.streams[s];
+            out.mean_latency =
+                out.completed ? static_cast<double>(latency_sum[s]) /
+                                    out.completed
+                              : 0.0;
+        }
+        const double peak =
+            static_cast<double>(soc.params().systolic_dim) *
+            static_cast<double>(soc.params().systolic_dim);
+        result.cycles = result.makespan;
+        result.utilization =
+            result.makespan && used_cores
+                ? static_cast<double>(useful_macs) /
+                      (peak * static_cast<double>(used_cores) *
+                       static_cast<double>(result.makespan))
+                : 0.0;
+    }
+
+  private:
+    void
+    moveTo(Request &req, RequestState to)
+    {
+        if (!legalEdge(req.state, to)) {
+            panic("request ", req.stream, "#", req.instance,
+                  ": illegal state transition ", int(req.state),
+                  " -> ", int(to));
+        }
+        req.state = to;
+    }
+
+    /** Whether @p core may serve stream @p s. */
+    bool
+    serves(std::uint32_t core, std::uint32_t s) const
+    {
+        const std::int32_t pin = compiled[s].pinned_core;
+        return pin < 0 || static_cast<std::uint32_t>(pin) == core;
+    }
+
+    /** arriving -> queued | rejected, for every arrival up to @p now. */
+    void
+    admitUpTo(Tick now)
+    {
+        for (; admit_idx < requests.size() &&
+               requests[admit_idx].arrival <= now;
+             ++admit_idx) {
+            Request &req = requests[admit_idx];
+            if (lc.admit(req)) {
+                moveTo(req, RequestState::queued);
+                waiting.push_back(admit_idx);
+            } else {
+                moveTo(req, RequestState::rejected);
+                ++result.streams[req.stream].rejected;
+                --open;
+            }
+        }
+    }
+
+    /**
+     * The watchdogs. A request found past its deadline at a
+     * scheduling point fails instead of running; so does a request
+     * still queued past its queue deadline, counted from when it last
+     * became dispatchable (so retries restart the clock), instead of
+     * waiting unboundedly behind a quarantined or hung tenant.
+     */
+    bool
+    expired(std::uint32_t core, std::size_t idx)
+    {
+        const Request &req = requests[idx];
+        const CompiledStream &st = compiled[req.stream];
+        const Tick now = tiles[core].clock;
+        if (st.deadline > 0 && now > req.arrival + st.deadline) {
+            fail(core, idx,
+                 Status::timeout("deadline expired before segment "
+                                 "dispatch"));
+            return true;
+        }
+        if (req.core < 0 && st.queue_deadline > 0 &&
+            now > req.ready + st.queue_deadline) {
+            fail(core, idx,
+                 Status::timeout("admission-queue wait exceeded the "
+                                 "queue deadline"));
+            return true;
+        }
+        return false;
+    }
+
+    /** queued -> running on @p core; false when the dispatch charge
+     *  failed the attempt. */
+    bool
+    dispatch(std::uint32_t core, std::size_t idx)
+    {
+        Request &req = requests[idx];
+        Tile &tile = tiles[core];
+        moveTo(req, RequestState::running);
+        req.core = static_cast<int>(core);
+        waiting.erase(std::find(waiting.begin(), waiting.end(), idx));
+        tile.inprog.push_back(idx);
+        tracer.emit(tile.clock, TraceCategory::sched, trace_name,
+                    "dispatch: stream ", req.stream, " instance ",
+                    req.instance, " -> tile ", core);
+        req.dispatched = tile.clock;
+        Charge charge = lc.dispatch(req, tile.clock);
+        tile.clock += charge.cycles;
+        result.dispatch_overhead += charge.cycles;
+        req.exec_start = tile.clock;
+        if (charge.status.isOk())
+            return true;
+        fail(core, idx, std::move(charge.status));
+        return false;
+    }
+
+    /** A decode step begins: its KV block is allocated (and
+     *  charged) before its first segment. */
+    bool
+    beginToken(std::uint32_t core, std::size_t idx)
+    {
+        Request &req = requests[idx];
+        Tile &tile = tiles[core];
+        Charge charge = lc.beginToken(req, tile.clock);
+        tile.clock += charge.cycles;
+        result.token_alloc_overhead += charge.cycles;
+        if (charge.status.isOk())
+            return true;
+        fail(core, idx, std::move(charge.status));
+        return false;
+    }
+
+    /**
+     * Run the request's next segment on @p core, then retire the
+     * phase if that was its last segment. A failed segment fails the
+     * attempt; without a lifecycle it aborts the schedule instead,
+     * and the returned status says why.
+     */
+    Status
+    execute(std::uint32_t core, std::size_t idx)
+    {
+        Request &req = requests[idx];
+        Tile &tile = tiles[core];
+        const CompiledStream &st = compiled[req.stream];
+        const SegmentSet &code =
+            req.token == 0
+                ? *st.code
+                : *st.decode_code[st.step_shape[req.token - 1]];
+        ExecOptions eo;
+        eo.noc = NocMode::unauthorized;
+        ExecResult exec =
+            memo.run(core, tile.clock, code.segments[req.next_seg], eo,
+                     st.win_base, st.win_bytes + (1u << 20))
+                .exec;
+        if (!exec.ok()) {
+            if (!recovers)
+                return exec.status;
+            if (exec.status.code() == StatusCode::timeout) {
+                // Hung task: the core never retires the program. The
+                // watchdog discovers it at the deadline (or after a
+                // fixed grace period) — wall-clock is lost either way.
+                const Tick found = st.deadline > 0
+                                       ? req.arrival + st.deadline
+                                       : tile.clock + hang_grace;
+                tile.clock = std::max(tile.clock, found);
+            }
+            fail(core, idx, exec.status);
+            return Status::ok();
+        }
+        tile.clock = exec.end;
+        tile.executed = true;
+        useful_macs += code.segments[req.next_seg].ideal_macs;
+        ++tile.segs_since_switch;
+        if (++req.next_seg == code.segments.size())
+            retirePhase(core, idx);
+        return Status::ok();
+    }
+
+    /** The prefill or one decode step retired: the request stays
+     *  bound to its tile for the next token, competing at token
+     *  granularity with every other tenant, or completes. */
+    void
+    retirePhase(std::uint32_t core, std::size_t idx)
+    {
+        Request &req = requests[idx];
+        const CompiledStream &st = compiled[req.stream];
+        if (st.decode_tokens > 0) {
+            lc.retire(req, tiles[core].clock);
+            if (req.token > 0)
+                ++result.streams[req.stream].tokens;
+            if (req.token < st.decode_tokens) {
+                ++req.token;
+                req.next_seg = 0;
+                return;
+            }
+        }
+        complete(core, idx);
+    }
+
+    /** running -> done. */
+    void
+    complete(std::uint32_t core, std::size_t idx)
+    {
+        Request &req = requests[idx];
+        Tile &tile = tiles[core];
+        const Tick now = tile.clock;
+        moveTo(req, RequestState::done);
+        tile.inprog.erase(
+            std::find(tile.inprog.begin(), tile.inprog.end(), idx));
+        StreamOutcome &out = result.streams[req.stream];
+        out.completion = std::max(out.completion, now);
+        const Tick latency = now - req.arrival;
+        out.worst_latency = std::max(out.worst_latency, latency);
+        out.queue_cycles += req.dispatched - req.arrival;
+        out.exec_cycles += now - req.exec_start;
+        latency_sum[req.stream] += latency;
+        ++out.completed;
+        result.makespan = std::max(result.makespan, now);
+        tracer.emit(now, TraceCategory::sched, trace_name, "stream ",
+                    req.stream, " instance ", req.instance,
+                    " completed on tile ", core, ", latency ", latency);
+        lc.complete(req, now);
+        --open;
+    }
+
+    /**
+     * One attempt failed on @p core: queued | running -> queued
+     * (retry) | failed. Scrub the tile (no residue of the faulted
+     * context may survive into the next tenant's slot), unbind the
+     * request, and let the lifecycle decide on a retry.
+     */
+    void
+    fail(std::uint32_t core, std::size_t idx, Status why)
+    {
+        Request &req = requests[idx];
+        const CompiledStream &st = compiled[req.stream];
+        Tile &tile = tiles[core];
+
+        auto wit = std::find(waiting.begin(), waiting.end(), idx);
+        if (wit != waiting.end())
+            waiting.erase(wit);
+        auto iit =
+            std::find(tile.inprog.begin(), tile.inprog.end(), idx);
+        if (iit != tile.inprog.end())
+            tile.inprog.erase(iit);
+
+        if (req.core >= 0) {
+            // Post-fault hygiene: zero the rows the faulted context
+            // could have touched and tear its protection context down
+            // (windows revoked, TLB flushed, region keys retired)
+            // before any other tenant reuses the slot. Charged at one
+            // cycle per scrubbed wordline.
+            const Tick t0 = tile.clock;
+            soc.npu().core(core).scratchpad().secureReset(
+                0, st.live_rows, true);
+            soc.protection(core).endContext(true);
+            tile.clock += st.live_rows;
+            result.recovery_overhead += tile.clock - t0;
+            tile.running = -1;
+            tile.segs_since_switch = 0;
+        }
+        req.core = -1;
+        req.next_seg = 0;
+        // A retry restarts the whole generation: prefill again, KV
+        // blocks for the faulted attempt were revoked by the scrub.
+        req.token = 0;
+        ++req.attempts;
+
+        StreamOutcome &out = result.streams[req.stream];
+        const Tick retry_at = lc.fail(req, tile.clock, why);
+        if (retry_at == sched_no_retry) {
+            moveTo(req, RequestState::failed);
+            ++out.failed;
+            if (why.code() == StatusCode::timeout)
+                ++out.timeouts;
+            --open;
+            tracer.emit(tile.clock, TraceCategory::sched, trace_name,
+                        "stream ", req.stream, " instance ",
+                        req.instance, " failed terminally after ",
+                        req.attempts, " attempt(s): ", why.message());
+        } else {
+            moveTo(req, RequestState::queued);
+            ++out.retries;
+            ++req.retries;
+            req.ready = std::max(tile.clock, retry_at);
+            waiting.push_back(idx);
+            tracer.emit(tile.clock, TraceCategory::sched, trace_name,
+                        "stream ", req.stream, " instance ",
+                        req.instance, " attempt ", req.attempts,
+                        " failed (", why.message(), "), retry at ",
+                        req.ready);
+        }
+    }
+
+    /**
+     * The request @p core runs next, or no_request. Candidates are
+     * the tile's in-flight requests plus every ready queued request
+     * it may take. The highest stream priority wins; then, for
+     * continuous batching, a decode step over a fresh context and
+     * the fewest generated tokens (so token progress round-robins
+     * across tenants); then requests in flight on this tile, the
+     * earliest arrival, and submission order.
+     */
+    std::size_t
+    pick(std::uint32_t core) const
+    {
+        const Tile &tile = tiles[core];
+        std::vector<std::size_t> cands = tile.inprog;
+        for (std::size_t w : waiting) {
+            if (requests[w].ready <= tile.clock &&
+                serves(core, requests[w].stream))
+                cands.push_back(w);
+        }
+        if (cands.empty())
+            return no_request;
+
+        // Coarse flushing amortizes switches: stick with the running
+        // tenant while it still has runnable work and the
+        // amortization window is open.
+        if (policy == SchedPolicy::flush_coarse && tile.running >= 0 &&
+            tile.segs_since_switch < coarse_interval) {
+            std::vector<std::size_t> same;
+            for (std::size_t c : cands) {
+                if (static_cast<int>(requests[c].stream) ==
+                    tile.running)
+                    same.push_back(c);
+            }
+            if (!same.empty())
+                cands = std::move(same);
+        }
+
+        std::size_t pick = cands.front();
+        for (std::size_t c : cands) {
+            const Request &a = requests[c];
+            const Request &b = requests[pick];
+            const int pa = compiled[a.stream].priority;
+            const int pb = compiled[b.stream].priority;
+            bool better;
+            if (pa != pb)
+                better = pa > pb;
+            else if ((a.token > 0) != (b.token > 0))
+                better = a.token > 0;
+            else if (a.token > 0 && a.token != b.token)
+                better = a.token < b.token;
+            else if ((a.core == int(core)) != (b.core == int(core)))
+                better = a.core == int(core);
+            else
+                better = a.arrival < b.arrival;
+            if (better)
+                pick = c;
+        }
+        return pick;
+    }
+
+    /** Nothing to run: sleep until the next arrival or retry-ready
+     *  time this tile could serve, or retire the tile for good. */
+    void
+    idle(std::uint32_t core)
+    {
+        Tile &tile = tiles[core];
+        Tick wake = no_tick;
+        for (std::size_t i = admit_idx; i < requests.size(); ++i) {
+            if (serves(core, requests[i].stream)) {
+                wake = requests[i].arrival;
+                break;
+            }
+        }
+        for (std::size_t w : waiting) {
+            if (serves(core, requests[w].stream))
+                wake = std::min(wake, requests[w].ready);
+        }
+        if (wake == no_tick)
+            tile.active = false;
+        else
+            tile.clock = std::max(tile.clock, wake);
+    }
+
+    void
+    contextSwitch(std::uint32_t core, std::uint32_t to)
+    {
+        Tile &tile = tiles[core];
+        if (tile.running == static_cast<int>(to))
+            return;
+        if (tile.running >= 0 && (policy == SchedPolicy::flush_fine ||
+                                  policy == SchedPolicy::flush_coarse)) {
+            const CompiledStream &prev =
+                compiled[static_cast<std::size_t>(tile.running)];
+            constexpr Tick resume_penalty = 200;
+            const Addr save_area =
+                save_base + static_cast<Addr>(core) * (1u << 20);
+            const Tick t0 = tile.clock;
+            // The displaced context streams back from DRAM on the
+            // same path, and the switch waits for it: save and
+            // restore both sit on the preempting request's critical
+            // path.
+            tile.clock = memo.contextFlush(core, tile.clock,
+                                           prev.live_rows, save_area);
+            tile.clock += resume_penalty;
+            result.flush_overhead += tile.clock - t0;
+        }
+        tile.running = static_cast<int>(to);
+        tile.segs_since_switch = 0;
+        const CompiledStream &next = compiled[to];
+        soc.npu().setCoreWorld(core, next.world, true);
+        soc.protection(core).beginContext(
+            ProtectionContext{next.win_base, next.win_base,
+                              next.win_bytes + (1u << 20), next.world},
+            true);
+        tracer.emit(tile.clock, TraceCategory::sched, trace_name,
+                    "tile ", core, " now running stream ", to);
+    }
+
+    Soc &soc;
+    const SchedPolicy policy;
+    const std::uint32_t coarse_interval;
+    const std::vector<CompiledStream> &compiled;
+    RequestLifecycle bare;
+    RequestLifecycle &lc;
+    /** A lifecycle decides retries; without one, the first execution
+     *  failure aborts the schedule. */
+    const bool recovers;
+    Tracer &tracer;
+    const std::string &trace_name;
+    NSchedResult &result;
+    // Every segment execution and context flush goes through the
+    // memoizing front end: identical (segment, tile state) pairs
+    // replay a recorded execution instead of re-simulating it.
+    MemoizedExec memo;
+    const Addr save_base;
+
+    std::vector<Tile> tiles;
+    std::vector<Request> requests;
+    std::size_t admit_idx = 0;        //!< next request to admit
+    std::vector<std::size_t> waiting; //!< queued, in queue order
+    std::size_t open = 0;             //!< not yet terminal
+    std::uint64_t useful_macs = 0;
+    std::vector<std::uint64_t> latency_sum;
+};
 
 } // namespace
 
@@ -175,7 +719,7 @@ NCoreScheduler::NCoreScheduler(Soc &soc, SchedPolicy policy,
 
 NSchedResult
 NCoreScheduler::run(const std::vector<ExecStream> &streams,
-                    const SchedHooks &hooks)
+                    RequestLifecycle *lifecycle)
 {
     NSchedResult result;
     result.streams.resize(streams.size());
@@ -270,449 +814,14 @@ NCoreScheduler::run(const std::vector<ExecStream> &streams,
                 "stream pinned to a core outside the schedule");
             return result;
         }
-        result.streams[s].completions.assign(
-            streams[s].arrivals.size(), 0);
     }
 
-    // Every segment execution and context flush goes through the
-    // memoizing front end: identical (segment, tile state) pairs
-    // replay a recorded execution instead of re-simulating it.
-    MemoizedExec memo(soc);
-
-    auto provision = [&](const CompiledStream &st, std::uint32_t core) {
-        soc.protection(core).beginContext(
-            ProtectionContext{st.win_base, st.win_base,
-                              st.win_bytes + (1u << 20), st.world},
-            true);
-    };
-
-    // All request instances, in global admission (arrival) order.
-    std::vector<Request> requests;
-    for (std::uint32_t s = 0; s < nstreams; ++s) {
-        for (std::uint32_t i = 0;
-             i < streams[s].arrivals.size(); ++i) {
-            requests.push_back(
-                Request{s, i, streams[s].arrivals[i], 0, -1,
-                        streams[s].arrivals[i], 0});
-        }
-    }
-    std::stable_sort(requests.begin(), requests.end(),
-                     [](const Request &a, const Request &b) {
-                         return a.arrival < b.arrival;
-                     });
-
-    // Per-tile state.
-    std::vector<Tick> clock(num_cores, 0);
-    std::vector<bool> active(num_cores, true);
-    std::vector<int> running(num_cores, -1); //!< stream identity
-    std::vector<std::uint32_t> segs_since_switch(num_cores, 0);
-    std::vector<std::vector<std::size_t>> inprog(num_cores);
-    std::vector<bool> executed(num_cores, false);
-
-    std::size_t admit_idx = 0;          // next request to admit
-    std::vector<std::size_t> waiting;   // admitted, not dispatched
-    std::size_t open = requests.size(); // not yet completed/rejected
-
-    std::uint64_t useful_macs = 0;
-    std::vector<std::uint64_t> latency_sum(nstreams, 0);
-
-    const Addr save_base = arena.base + (16u << 20);
-    const double peak =
-        static_cast<double>(soc.params().systolic_dim) *
-        static_cast<double>(soc.params().systolic_dim);
-
-    auto admitUpTo = [&](Tick now) {
-        while (admit_idx < requests.size() &&
-               requests[admit_idx].arrival <= now) {
-            Request &req = requests[admit_idx];
-            const bool take =
-                !hooks.admit ||
-                hooks.admit(req.stream, req.instance, req.arrival);
-            if (take) {
-                waiting.push_back(admit_idx);
-            } else {
-                ++result.streams[req.stream].rejected;
-                --open;
-            }
-            ++admit_idx;
-        }
-    };
-
-    auto contextSwitch = [&](std::uint32_t core, std::uint32_t to) {
-        if (running[core] == static_cast<int>(to))
-            return;
-        if (running[core] >= 0 &&
-            (policy == SchedPolicy::flush_fine ||
-             policy == SchedPolicy::flush_coarse)) {
-            const CompiledStream &prev =
-                compiled[static_cast<std::size_t>(running[core])];
-            constexpr Tick resume_penalty = 200;
-            const Addr save_area =
-                save_base + static_cast<Addr>(core) * (1u << 20);
-            const Tick t0 = clock[core];
-            // The displaced context streams back from DRAM on the
-            // same path, and the switch waits for it: save and
-            // restore both sit on the preempting request's critical
-            // path.
-            clock[core] = memo.contextFlush(
-                core, clock[core], prev.live_rows, save_area);
-            clock[core] += resume_penalty;
-            result.flush_overhead += clock[core] - t0;
-        }
-        running[core] = static_cast<int>(to);
-        segs_since_switch[core] = 0;
-        const CompiledStream &next = compiled[to];
-        soc.npu().setCoreWorld(core, next.world, true);
-        provision(next, core);
-        tracer.emit(clock[core], TraceCategory::sched, trace_name,
-                    "tile ", core, " now running stream ", to);
-    };
-
-    // One request attempt failed on @p core. Scrub the tile (no
-    // residue of the faulted context may survive into the next
-    // tenant's slot), unbind the request, and ask the fail hook
-    // whether to retry it. Without a hook the failure is terminal.
-    auto failRequest = [&](std::uint32_t core, std::size_t pick,
-                           Status why) {
-        Request &req = requests[pick];
-        const CompiledStream &st = compiled[req.stream];
-
-        auto wit = std::find(waiting.begin(), waiting.end(), pick);
-        if (wit != waiting.end())
-            waiting.erase(wit);
-        auto iit = std::find(inprog[core].begin(), inprog[core].end(),
-                             pick);
-        if (iit != inprog[core].end())
-            inprog[core].erase(iit);
-
-        if (req.core >= 0) {
-            // Post-fault hygiene: zero the rows the faulted context
-            // could have touched and tear its protection context
-            // down (windows revoked, TLB flushed, region keys
-            // retired) before any other tenant reuses the slot.
-            // Charged at one cycle per scrubbed wordline.
-            const Tick t0 = clock[core];
-            NpuCore &tile = soc.npu().core(core);
-            tile.scratchpad().secureReset(0, st.live_rows, true);
-            soc.protection(core).endContext(true);
-            clock[core] += st.live_rows;
-            result.recovery_overhead += clock[core] - t0;
-            running[core] = -1;
-            segs_since_switch[core] = 0;
-        }
-        req.core = -1;
-        req.next_seg = 0;
-        // A retry restarts the whole generation: prefill again, KV
-        // blocks for the faulted attempt were revoked by the scrub.
-        req.token = 0;
-        req.token_paid = false;
-        ++req.attempts;
-
-        StreamOutcome &out = result.streams[req.stream];
-        Tick retry_at = sched_no_retry;
-        if (hooks.fail) {
-            retry_at = hooks.fail(req.stream, req.instance,
-                                  clock[core], why, req.attempts);
-        }
-        if (retry_at == sched_no_retry) {
-            ++out.failed;
-            if (why.code() == StatusCode::timeout)
-                ++out.timeouts;
-            --open;
-            tracer.emit(clock[core], TraceCategory::sched, trace_name,
-                        "stream ", req.stream, " instance ",
-                        req.instance, " failed terminally after ",
-                        req.attempts, " attempt(s): ", why.message());
-        } else {
-            ++out.retries;
-            req.ready = std::max(clock[core], retry_at);
-            waiting.push_back(pick);
-            tracer.emit(clock[core], TraceCategory::sched, trace_name,
-                        "stream ", req.stream, " instance ",
-                        req.instance, " attempt ", req.attempts,
-                        " failed (", why.message(),
-                        "), retry at ", req.ready);
-        }
-    };
-
-    while (open > 0) {
-        // The tile furthest behind in simulated time acts next, so
-        // the shared memory system advances roughly in time order.
-        std::uint32_t core = 0;
-        Tick best = no_tick;
-        for (std::uint32_t c = 0; c < num_cores; ++c) {
-            if (active[c] && clock[c] < best) {
-                best = clock[c];
-                core = c;
-            }
-        }
-        if (best == no_tick) {
-            result.status = Status::internal(
-                "all tiles idle with requests outstanding");
-            return result;
-        }
-
-        admitUpTo(clock[core]);
-
-        // Candidates: this tile's in-flight requests plus any
-        // waiting request it may take.
-        std::vector<std::size_t> cands = inprog[core];
-        for (std::size_t w : waiting) {
-            if (requests[w].ready > clock[core])
-                continue; // backed-off retry, not ready yet
-            const std::int32_t pin =
-                compiled[requests[w].stream].pinned_core;
-            if (pin < 0 || static_cast<std::uint32_t>(pin) == core)
-                cands.push_back(w);
-        }
-
-        if (cands.empty()) {
-            // Idle until the next arrival or retry-ready time this
-            // tile could serve.
-            Tick wake = no_tick;
-            for (std::size_t i = admit_idx; i < requests.size();
-                 ++i) {
-                const std::int32_t pin =
-                    compiled[requests[i].stream].pinned_core;
-                if (pin < 0 ||
-                    static_cast<std::uint32_t>(pin) == core) {
-                    wake = requests[i].arrival;
-                    break;
-                }
-            }
-            for (std::size_t w : waiting) {
-                const std::int32_t pin =
-                    compiled[requests[w].stream].pinned_core;
-                if (pin < 0 ||
-                    static_cast<std::uint32_t>(pin) == core)
-                    wake = std::min(wake, requests[w].ready);
-            }
-            if (wake == no_tick) {
-                active[core] = false;
-            } else {
-                clock[core] = std::max(clock[core], wake);
-            }
-            continue;
-        }
-
-        // Coarse flushing amortizes switches: stick with the
-        // running tenant while it still has runnable work and the
-        // amortization window is open.
-        if (policy == SchedPolicy::flush_coarse &&
-            running[core] >= 0 &&
-            segs_since_switch[core] < coarse_interval) {
-            std::vector<std::size_t> same;
-            for (std::size_t c : cands) {
-                if (static_cast<int>(requests[c].stream) ==
-                    running[core])
-                    same.push_back(c);
-            }
-            if (!same.empty())
-                cands = std::move(same);
-        }
-
-        // Priority-aware pick: highest stream priority first, then
-        // requests already in flight on this tile, then earliest
-        // arrival, then submission order.
-        std::size_t pick = cands.front();
-        for (std::size_t c : cands) {
-            if (c == pick)
-                continue;
-            const Request &a = requests[c];
-            const Request &b = requests[pick];
-            const int pa = compiled[a.stream].priority;
-            const int pb = compiled[b.stream].priority;
-            const bool fa = a.core == static_cast<int>(core);
-            const bool fb = b.core == static_cast<int>(core);
-            bool better;
-            if (pa != pb) {
-                better = pa > pb;
-            } else {
-                // Continuous batching: a decode step in flight beats
-                // a fresh context, and among decode candidates the
-                // tenant with the fewest generated tokens goes first
-                // so token progress round-robins across tenants.
-                const bool da = a.token > 0;
-                const bool db = b.token > 0;
-                if (da != db)
-                    better = da;
-                else if (da && a.token != b.token)
-                    better = a.token < b.token;
-                else
-                    better = fa != fb ? fa : a.arrival < b.arrival;
-            }
-            if (better)
-                pick = c;
-        }
-
-        Request &req = requests[pick];
-        const Tick req_deadline = compiled[req.stream].deadline;
-
-        // Deadline watchdog: a request found past its deadline at a
-        // scheduling point is failed, not run.
-        if (req_deadline > 0 &&
-            clock[core] > req.arrival + req_deadline) {
-            failRequest(core, pick,
-                        Status::timeout("deadline expired before "
-                                        "segment dispatch"));
-            continue;
-        }
-
-        // Admission-queue-wait watchdog: a request still undispatched
-        // past its queue deadline (counted from when it last became
-        // dispatchable, so retries restart the clock) fails instead
-        // of waiting unboundedly behind a quarantined or hung tenant.
-        const Tick q_deadline = compiled[req.stream].queue_deadline;
-        if (req.core < 0 && q_deadline > 0 &&
-            clock[core] > req.ready + q_deadline) {
-            failRequest(core, pick,
-                        Status::timeout("admission-queue wait "
-                                        "exceeded the queue "
-                                        "deadline"));
-            continue;
-        }
-
-        if (req.core < 0) {
-            // Dispatch: bind to this tile, pay the monitor path.
-            req.core = static_cast<int>(core);
-            waiting.erase(std::find(waiting.begin(), waiting.end(),
-                                    pick));
-            inprog[core].push_back(pick);
-            tracer.emit(clock[core], TraceCategory::sched, trace_name,
-                        "dispatch: stream ", req.stream, " instance ",
-                        req.instance, " -> tile ", core);
-            if (hooks.dispatch) {
-                const Tick extra =
-                    hooks.dispatch(req.stream, req.instance,
-                                   clock[core]);
-                clock[core] += extra;
-                result.dispatch_overhead += extra;
-            }
-            if (hooks.dispatch_check) {
-                Status verdict = hooks.dispatch_check(
-                    req.stream, req.instance, clock[core]);
-                if (!verdict.isOk()) {
-                    failRequest(core, pick, std::move(verdict));
-                    continue;
-                }
-            }
-        }
-
-        contextSwitch(core, req.stream);
-
-        const CompiledStream &st = compiled[req.stream];
-        const SegmentSet &code =
-            req.token == 0
-                ? *st.code
-                : *st.decode_code[st.step_shape[req.token - 1]];
-
-        // Per-token secure-memory path: the KV block for this decode
-        // step is allocated (and charged) before its first segment.
-        if (req.token > 0 && req.next_seg == 0 && !req.token_paid) {
-            req.token_paid = true;
-            if (hooks.token_dispatch) {
-                TokenVerdict verdict = hooks.token_dispatch(
-                    req.stream, req.instance, req.token - 1,
-                    clock[core]);
-                clock[core] += verdict.cycles;
-                result.token_alloc_overhead += verdict.cycles;
-                if (!verdict.status.isOk()) {
-                    failRequest(core, pick, std::move(verdict.status));
-                    continue;
-                }
-            }
-        }
-
-        ExecOptions eo;
-        eo.noc = NocMode::unauthorized;
-        ExecResult exec =
-            memo.run(core, clock[core], code.segments[req.next_seg],
-                     eo, st.win_base, st.win_bytes + (1u << 20))
-                .exec;
-        if (!exec.ok()) {
-            if (!hooks.fail) {
-                // Legacy contract: without a recovery hook the first
-                // execution failure aborts the whole schedule.
-                result.status = exec.status;
-                return result;
-            }
-            if (exec.status.code() == StatusCode::timeout) {
-                // Hung task: the core never retires the program. The
-                // watchdog discovers it at the deadline (or after a
-                // fixed grace period) — wall-clock is lost either way.
-                const Tick found =
-                    req_deadline > 0 ? req.arrival + req_deadline
-                                     : clock[core] + hang_grace;
-                clock[core] = std::max(clock[core], found);
-            }
-            failRequest(core, pick, exec.status);
-            continue;
-        }
-        clock[core] = exec.end;
-        executed[core] = true;
-        useful_macs += code.segments[req.next_seg].ideal_macs;
-        ++segs_since_switch[core];
-        ++req.next_seg;
-
-        if (req.next_seg == code.segments.size()) {
-            // Phase boundary: the prefill or one decode step retired.
-            if (st.decode_tokens > 0) {
-                if (hooks.token)
-                    hooks.token(req.stream, req.instance, req.token,
-                                clock[core]);
-                if (req.token > 0)
-                    ++result.streams[req.stream].tokens;
-                if (req.token < st.decode_tokens) {
-                    // Re-enqueue for the next token: the request
-                    // stays bound to this tile and competes at token
-                    // granularity with every other tenant.
-                    ++req.token;
-                    req.next_seg = 0;
-                    req.token_paid = false;
-                    continue;
-                }
-            }
-            inprog[core].erase(std::find(inprog[core].begin(),
-                                         inprog[core].end(), pick));
-            StreamOutcome &out = result.streams[req.stream];
-            out.completions[req.instance] = clock[core];
-            out.completion = std::max(out.completion, clock[core]);
-            const Tick latency = clock[core] - req.arrival;
-            out.worst_latency = std::max(out.worst_latency, latency);
-            latency_sum[req.stream] += latency;
-            ++out.completed;
-            result.makespan = std::max(result.makespan, clock[core]);
-            tracer.emit(clock[core], TraceCategory::sched, trace_name,
-                        "stream ", req.stream, " instance ",
-                        req.instance, " completed on tile ", core,
-                        ", latency ", latency);
-            if (hooks.complete)
-                hooks.complete(req.stream, req.instance,
-                               clock[core]);
-            --open;
-        }
-    }
-
-    std::uint32_t used_cores = 0;
-    for (std::uint32_t c = 0; c < num_cores; ++c)
-        used_cores += executed[c] ? 1 : 0;
-
-    for (std::uint32_t s = 0; s < nstreams; ++s) {
-        StreamOutcome &out = result.streams[s];
-        out.mean_latency =
-            out.completed ? static_cast<double>(latency_sum[s]) /
-                                out.completed
-                          : 0.0;
-    }
-
-    result.status = Status::ok();
-    result.cycles = result.makespan;
-    result.utilization =
-        result.makespan && used_cores
-            ? static_cast<double>(useful_macs) /
-                  (peak * static_cast<double>(used_cores) *
-                   static_cast<double>(result.makespan))
-            : 0.0;
+    Schedule schedule(soc, policy, num_cores, coarse_interval,
+                      compiled, streams, lifecycle, tracer, trace_name,
+                      result);
+    result.status = schedule.run();
+    if (result.ok())
+        schedule.summarize();
     return result;
 }
 

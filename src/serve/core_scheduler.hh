@@ -29,15 +29,19 @@
  * memory queues as its rivals left them — but the earliest-clock-
  * first order bounds the skew to one segment.
  *
- * The serving engine (serve/server.hh) layers admission control and
- * NPU-Monitor costs on top through the hook interface.
+ * Each request is one Request record moving through a typed
+ * lifecycle (RequestState); every transition is one function in the
+ * scheduler, which updates the record, the stream outcome and the
+ * trace, then calls the matching RequestLifecycle method. The
+ * serving engine (serve/server.hh) layers admission control,
+ * NPU-Monitor costs and recovery on top through that interface.
  */
 
 #ifndef SNPU_SERVE_CORE_SCHEDULER_HH
 #define SNPU_SERVE_CORE_SCHEDULER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,87 +102,109 @@ struct ExecStream
     std::vector<std::uint32_t> decode_step_shape;
 };
 
-/** Outcome of a per-token dispatch hook (KV allocation path). */
-struct TokenVerdict
+/**
+ * Where a request is in its lifecycle. The edges are
+ *
+ *   arriving -> queued | rejected              (admit)
+ *   queued   -> running                        (dispatch)
+ *   running  -> running                        (next token)
+ *   running  -> done                           (complete)
+ *   queued | running -> queued | failed        (fail: retry or not)
+ *
+ * and the scheduler refuses any other.
+ */
+enum class RequestState : std::uint8_t
 {
-    Status status = Status::ok();
-    /** Cycles charged to the tile before the step runs. */
-    Tick cycles = 0;
+    arriving,  //!< not yet seen by admission
+    queued,    //!< admitted (or backing off a retry), no tile yet
+    running,   //!< bound to a tile, executing its current phase
+    done,      //!< completed
+    failed,    //!< failed terminally, after any retries
+    rejected,  //!< refused at admission
 };
 
 /**
- * Scheduling lifecycle hooks (all optional). The serving engine uses
- * them to bound admission queues, route secure requests through the
- * NPU Monitor's task queue, and observe completions.
+ * One request instance: the single record of its scheduling state
+ * and span ticks. The scheduler owns it and moves it through its
+ * states; a RequestLifecycle sees it read-only at every transition.
  */
-struct SchedHooks
+struct Request
 {
-    /** Called at a request's arrival; return false to reject it. */
-    std::function<bool(std::uint32_t stream, std::uint32_t instance,
-                       Tick now)>
-        admit;
-    /**
-     * Called when a request is dispatched to a tile; the returned
-     * cycle count (e.g. monitor verification + context programming)
-     * is charged to the tile before the request runs.
-     */
-    std::function<Tick(std::uint32_t stream, std::uint32_t instance,
-                       Tick now)>
-        dispatch;
-    /** Called when a request completes. */
-    std::function<void(std::uint32_t stream, std::uint32_t instance,
-                       Tick now)>
-        complete;
-    /**
-     * Called right after dispatch binding; a non-ok Status fails the
-     * request before it executes. The serving engine routes monitor
-     * verification/allocation outcomes through this.
-     */
-    std::function<Status(std::uint32_t stream, std::uint32_t instance,
-                         Tick now)>
-        dispatch_check;
-    /**
-     * Called when a request attempt fails (execution error, expired
-     * deadline, hang). @p attempts counts attempts so far (>= 1).
-     * Return the earliest tick the request may be retried at, or
-     * sched_no_retry to fail it terminally. Without this hook the
-     * scheduler keeps its legacy behaviour: the first execution
-     * failure aborts the whole run.
-     */
-    std::function<Tick(std::uint32_t stream, std::uint32_t instance,
-                       Tick now, const Status &why,
-                       std::uint32_t attempts)>
-        fail;
-    /**
-     * Called before decode step @p token (0-based) of a generating
-     * request runs — the per-token secure-memory path. The returned
-     * cycles (KV-block allocation) are charged to the tile and
-     * accounted in token_alloc_overhead; a non-ok status fails the
-     * request (the fail hook then decides on a retry, which restarts
-     * the whole generation).
-     */
-    std::function<TokenVerdict(std::uint32_t stream,
-                               std::uint32_t instance,
-                               std::uint32_t token, Tick now)>
-        token_dispatch;
-    /**
-     * Called when a generation phase retires: token 0 is the prefill
-     * (its tick is the stream's time to first token), token t >= 1 is
-     * decode step t.
-     */
-    std::function<void(std::uint32_t stream, std::uint32_t instance,
-                       std::uint32_t token, Tick now)>
-        token;
+    std::uint32_t stream = 0;
+    std::uint32_t instance = 0;
+    Tick arrival = 0;
+    RequestState state = RequestState::arriving;
+    /** Tile the request is bound to; -1 while queued. */
+    std::int32_t core = -1;
+    /** Earliest dispatchable tick: the arrival, then retry-ready. */
+    Tick ready = 0;
+    /** Failed attempts so far. */
+    std::uint32_t attempts = 0;
+    /** Retries granted so far. */
+    std::uint32_t retries = 0;
+    /** Generation phase: 0 = prefill, t >= 1 = decode step t. */
+    std::uint32_t token = 0;
+    /** Next segment of the current phase. */
+    std::size_t next_seg = 0;
+    /** Latest attempt's dispatch tick, before any dispatch charge. */
+    Tick dispatched = 0;
+    /** Latest attempt's execution start, after the dispatch charge. */
+    Tick exec_start = 0;
 };
 
-/** Sentinel returned by SchedHooks::fail: do not retry. */
+/** Cycles a transition charges to the tile, and whether the request
+ *  may go on; a non-ok status fails the attempt. */
+struct Charge
+{
+    Status status = Status::ok();
+    Tick cycles = 0;
+};
+
+/** RequestLifecycle::fail's answer for a terminal failure. */
 constexpr Tick sched_no_retry = ~Tick{0};
+
+/**
+ * The serving layer's half of each request transition, one method
+ * per transition. The serving engine uses it to bound admission
+ * queues, route secure requests through the NPU Monitor, allocate
+ * KV blocks per token and decide retries. The defaults admit
+ * everything, charge nothing and fail terminally.
+ */
+class RequestLifecycle
+{
+  public:
+    virtual ~RequestLifecycle() = default;
+
+    /** At the request's arrival: false rejects it. */
+    virtual bool admit(const Request &) { return true; }
+    /**
+     * Bound to a tile at @p now (req.core is set). The charge (e.g.
+     * monitor verification and context programming) is paid on the
+     * tile's clock before the request runs.
+     */
+    virtual Charge dispatch(const Request &, Tick) { return {}; }
+    /** Before decode step req.token runs: the per-token KV charge,
+     *  accounted in token_alloc_overhead. */
+    virtual Charge beginToken(const Request &, Tick) { return {}; }
+    /** A generation phase retired: req.token 0 is the prefill (time
+     *  to first token), t >= 1 is decode step t. */
+    virtual void retire(const Request &, Tick) {}
+    /** The request completed at @p now. */
+    virtual void complete(const Request &, Tick) {}
+    /**
+     * An attempt failed (req.attempts counts it; the tile is already
+     * scrubbed). Return the earliest retry tick, or sched_no_retry
+     * to fail the request terminally.
+     */
+    virtual Tick fail(const Request &, Tick, const Status &)
+    {
+        return sched_no_retry;
+    }
+};
 
 /** Per-stream schedule outcome. */
 struct StreamOutcome
 {
-    /** Completion tick per instance; 0 = rejected or never ran. */
-    std::vector<Tick> completions;
     /** Completion tick of the stream's last finished instance. */
     Tick completion = 0;
     Tick worst_latency = 0;
@@ -187,12 +213,16 @@ struct StreamOutcome
     std::uint32_t rejected = 0;
     /** Requests that failed terminally (after any retries). */
     std::uint32_t failed = 0;
-    /** Retry attempts granted by the fail hook. */
+    /** Retry attempts granted by the lifecycle's fail transition. */
     std::uint32_t retries = 0;
     /** Terminal failures whose Status was StatusCode::timeout. */
     std::uint32_t timeouts = 0;
     /** Decode steps retired (generating streams only). */
     std::uint64_t tokens = 0;
+    /** Span sums over completed requests: arrival to last dispatch,
+     *  and last execution start to completion. */
+    Tick queue_cycles = 0;
+    Tick exec_cycles = 0;
 };
 
 /** Whole-schedule outcome across all streams and tiles. */
@@ -204,12 +234,12 @@ struct NSchedResult : ExecOutcome
     double utilization = 0.0;
     /** Cycles spent on context save/restore. */
     Tick flush_overhead = 0;
-    /** Cycles charged through the dispatch hook (monitor path). */
+    /** Cycles charged at dispatch (monitor path). */
     Tick dispatch_overhead = 0;
     /** Cycles spent on post-fault hygiene (scrub + window revoke). */
     Tick recovery_overhead = 0;
-    /** Cycles charged through the token_dispatch hook (per-token
-     *  KV allocation on the monitor path). */
+    /** Cycles charged at token begin (per-token KV allocation on
+     *  the monitor path). */
     Tick token_alloc_overhead = 0;
     std::vector<StreamOutcome> streams;
 };
@@ -223,13 +253,16 @@ class NCoreScheduler
                    std::uint32_t coarse_interval = 5);
 
     /**
-     * Serve every stream to completion (or rejection). When the SoC
-     * has a trace sink attached, scheduling decisions (dispatch,
-     * context switch, fail/retry, completion) emit as "sched" under
-     * TraceCategory::sched for the duration of the run.
+     * Serve every stream to completion (or rejection), calling
+     * @p lifecycle at every request transition. Without a lifecycle
+     * every request is admitted and the first execution failure
+     * aborts the whole run; with one, the lifecycle decides retries.
+     * When the SoC has a trace sink attached, scheduling decisions
+     * (dispatch, context switch, fail/retry, completion) emit as
+     * "sched" under TraceCategory::sched for the duration of the run.
      */
     NSchedResult run(const std::vector<ExecStream> &streams,
-                     const SchedHooks &hooks = {});
+                     RequestLifecycle *lifecycle = nullptr);
 
   private:
     Soc &soc;

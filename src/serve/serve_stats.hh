@@ -37,7 +37,7 @@ struct TenantStats
     stats::Scalar retries;
     /** Terminal failures caused by an expired deadline or a hang. */
     stats::Scalar timeouts;
-    /** Failed attempts observed (every fail-hook invocation). */
+    /** Failed attempts observed (every fail transition). */
     stats::Scalar faults_observed;
     /** Circuit-breaker trips (may exceed 1 with a cool-down). */
     stats::Scalar quarantines;

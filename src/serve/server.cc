@@ -1,7 +1,6 @@
 #include "serve/server.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -11,6 +10,7 @@
 #include "core/timing_cache.hh"
 #include "sim/hashing.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "tee/attestation.hh"
 #include "tee/monitor/npu_monitor.hh"
 #include "tee/secure_boot.hh"
@@ -41,7 +41,701 @@ monitorLaunchCost(const SecureTask &task)
            context_setter_cycles;
 }
 
+/**
+ * The validated SecureTask template of secure tenant slot @p slot:
+ * the program the verifier would measure and a ciphertext sized like
+ * the tenant's weights. Each admitted secure request submits a copy
+ * into the monitor's queue. Construction (compile, measure, encrypt)
+ * is a pure function of (model, tenant slot, SoC configuration) —
+ * the monitor's sealed key is a per-config constant — so sweeps
+ * share one template across points through a process-wide cache.
+ */
+std::shared_ptr<const SecureTask>
+secureTemplate(Soc &soc, const NpuTask &task, std::uint32_t slot)
+{
+    static std::mutex mu;
+    static std::unordered_map<std::uint64_t,
+                              std::shared_ptr<const SecureTask>>
+        cache;
+    std::uint64_t key = fnv_offset;
+    key = hashMix(key, socConfigFingerprint(soc.params()));
+    key = hashMix(key, modelFingerprint(task.model));
+    key = hashMix(key, std::uint64_t(slot));
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = cache.find(key);
+        if (it != cache.end())
+            return it->second;
+    }
+
+    auto tpl = std::make_shared<SecureTask>();
+    tpl->program = TaskRunner(soc).compile(task);
+    tpl->expected_measurement = CodeVerifier::measure(tpl->program);
+    tpl->topology = NocTopology{1, 1};
+    tpl->proposed_cores = {0};
+
+    std::vector<std::uint8_t> weights(std::min<std::uint64_t>(
+        task.model.weightBytes(), 64u << 10));
+    for (std::size_t i = 0; i < weights.size(); ++i)
+        weights[i] = static_cast<std::uint8_t>(i * 131 + slot);
+    AesBlock iv{};
+    iv[0] = static_cast<std::uint8_t>(slot + 1);
+    Digest mac{};
+    tpl->encrypted_model =
+        soc.monitor().verifier().encryptModel(weights, iv, mac);
+    tpl->model_mac = mac;
+    tpl->model_iv = iv;
+
+    std::lock_guard<std::mutex> lock(mu);
+    auto [it, inserted] = cache.emplace(key, std::move(tpl));
+    return it->second;
+}
+
+/**
+ * Transient by construction: an injected transfer error, a
+ * corrupted-output retry, or a momentarily full allocator. Denials,
+ * failed verification and expired deadlines are terminal — retrying
+ * cannot change the verdict.
+ */
+bool
+retryable(StatusCode c)
+{
+    return c == StatusCode::fault_injected ||
+           c == StatusCode::degraded ||
+           c == StatusCode::resource_exhausted;
+}
+
 } // namespace
+
+/**
+ * One serving window, as the scheduler's RequestLifecycle: one record
+ * per tenant and per request, and one method per request transition.
+ * Each transition updates the records, the tenant's stats and the
+ * serve trace together.
+ */
+class SnpuServer::Window : public RequestLifecycle
+{
+  public:
+    Window(SnpuServer &srv, const std::vector<TenantSpec> &specs,
+           const std::vector<ExecStream> &streams);
+
+    bool admit(const Request &req) override;
+    Charge dispatch(const Request &req, Tick now) override;
+    Charge beginToken(const Request &req, Tick now) override;
+    void retire(const Request &req, Tick now) override;
+    void complete(const Request &req, Tick now) override;
+    Tick fail(const Request &req, Tick now, const Status &why) override;
+
+    /** Fill the per-tenant reports of a finished schedule. */
+    void report(const NSchedResult &nres, ServeResult &result);
+
+  private:
+    /**
+     * Measured-boot attestation at admission. The quote exchange is
+     * functional — real HMAC over the monitor's real measurement
+     * register, verified against the golden measurement recomputed
+     * tenant-side — and its outcome is fixed before serving starts:
+     * a platform's integrity does not change mid-window. What stays
+     * on the serving timeline is the cost (the handshake's SHA
+     * cycles, charged at the tenant's first secure dispatch) and the
+     * failure modes (denial at admission; injected timeouts through
+     * FaultSite::attest at dispatch).
+     */
+    enum class Attest : std::uint8_t
+    {
+        off,          //!< normal world or attestation disabled
+        pending,      //!< quote verified; handshake not yet charged
+        established,  //!< session key held, handshake paid
+        denied,       //!< quote rejected; admission refuses
+    };
+
+    /**
+     * Per-tenant circuit breaker. closed admits normally; open fails
+     * fast at admission; once the cool-down elapses the next arrival
+     * becomes a half-open trial — its success closes the breaker
+     * again (re-admission), its failure re-trips a full cool-down.
+     * Without a cool-down (quarantine_cooldown == 0) an open breaker
+     * never cools: the legacy quarantine-forever behaviour.
+     */
+    enum class Breaker : std::uint8_t
+    {
+        closed,
+        open,
+        half_open,
+    };
+
+    /** One request's serving resources and recorded outcome. */
+    struct ServeRequest
+    {
+        /** Id in the monitor's secure task queue; 0 = not queued. */
+        std::uint64_t monitor_task = 0;
+        /** KV blocks held: the prefill block plus one per token.
+         *  Frees happen at monitor-side retirement, off the tile
+         *  clock. */
+        std::vector<Addr> kv;
+        /** Retirement tick of the previous phase. */
+        Tick last_token = 0;
+        /** Previous decorrelated-jitter delay; 0 = none yet. */
+        Tick backoff = 0;
+        /** Terminal outcome (ServerConfig::record_requests only). */
+        RequestOutcome outcome;
+    };
+
+    /** One tenant's admission, breaker and attestation state. */
+    struct Tenant
+    {
+        const TenantSpec *spec = nullptr;
+        TenantStats *stats = nullptr;
+        std::shared_ptr<const SecureTask> tpl;
+        std::uint32_t depth = 0;
+        std::uint32_t peak = 0;
+        /** Consecutive failed attempts; a success resets it. */
+        std::uint32_t consecutive = 0;
+        Breaker breaker = Breaker::closed;
+        Tick open_until = 0;
+        /** Instance of the half-open trial request; -1 = none. */
+        std::int64_t trial = -1;
+        Attest attest = Attest::off;
+        Tick attest_cost = 0;
+        std::vector<ServeRequest> requests;
+    };
+
+    Tenant &tenant(const Request &req) { return tenants[req.stream]; }
+    ServeRequest &record(const Request &req)
+    {
+        return tenants[req.stream].requests[req.instance];
+    }
+
+    void attest(std::uint32_t s);
+    bool reject(const Request &req, StatusCode code, const char *why);
+    Status checkLaunch(const Request &req, Tick now);
+    /** Return the request's KV blocks to the pool. */
+    void releaseKv(ServeRequest &r);
+    /** Retire the request from the monitor queue as @p state. */
+    void retireFromMonitor(ServeRequest &r, SecureTaskState state);
+    /** Record the terminal outcome (ServerConfig::record_requests). */
+    void finish(const Request &req, Tick now, StatusCode code);
+    Tick backoff(ServeRequest &r, std::uint32_t attempts);
+    void trip(Tenant &t, Tick now);
+
+    template <typename... Args>
+    void trace(Tick now, const Request &req, Args &&...args)
+    {
+        srv.tracer.emit(now, TraceCategory::serve, srv.trace_name,
+                        "request ", tenant(req).spec->name, "#",
+                        req.instance, std::forward<Args>(args)...);
+    }
+
+    SnpuServer &srv;
+    Soc &soc;
+    const ServerConfig &cfg;
+    std::vector<Tenant> tenants;
+    /** Decorrelated-jitter draws: one server-local Rng, so the draw
+     *  order is a pure function of the serving window (each sweep
+     *  job owns its server, keeping sweeps byte-identical at any job
+     *  count). */
+    Rng retry_rng;
+};
+
+SnpuServer::Window::Window(SnpuServer &srv,
+                           const std::vector<TenantSpec> &specs,
+                           const std::vector<ExecStream> &streams)
+    : srv(srv), soc(srv.soc), cfg(srv.cfg), tenants(specs.size()),
+      retry_rng(srv.cfg.jitter_seed)
+{
+    for (std::uint32_t s = 0; s < tenants.size(); ++s) {
+        Tenant &t = tenants[s];
+        t.spec = &specs[s];
+        t.stats = &srv.stats_.tenant(s);
+        t.requests.resize(specs[s].arrivals.size());
+        if (specs[s].task.world == World::secure)
+            t.tpl = secureTemplate(soc, streams[s].task, s);
+    }
+    for (std::uint32_t s = 0; s < tenants.size(); ++s) {
+        if (cfg.attestation && tenants[s].tpl)
+            attest(s);
+    }
+}
+
+void
+SnpuServer::Window::attest(std::uint32_t s)
+{
+    Tenant &t = tenants[s];
+    AttestTiming timing;
+    timing.mac_bytes_per_cycle = soc.params().crypto_mac_bytes_per_cycle;
+    // The model image the monitor attests is the encrypted bundle it
+    // will verify at launch; the tenant knows the same bytes (it
+    // provisioned them), so both sides can name the digest
+    // independently.
+    const Digest model_digest = Sha256::hash(t.tpl->encrypted_model);
+    const Digest golden =
+        BootChain::extend(soc.goldenBootMeasurement(), model_digest);
+    AttestVerifier verifier(soc.monitor().attestKey(), golden);
+    const AttestNonce nonce =
+        attestNonceFromSeed(hashMix(cfg.attest_seed, std::uint64_t(s)));
+    const AttestQuote quote =
+        soc.monitor().attestQuote(model_digest, nonce);
+    const Status st = verifier.verify(quote, nonce);
+    t.attest_cost = timing.handshakeCycles(t.tpl->encrypted_model.size());
+    if (st.isOk()) {
+        t.attest = Attest::pending;
+    } else {
+        t.attest = Attest::denied;
+        srv.tracer.emit(0, TraceCategory::serve, srv.trace_name,
+                        "tenant ", t.spec->name,
+                        " attestation denied: ", st.message());
+    }
+}
+
+bool
+SnpuServer::Window::reject(const Request &req, StatusCode code,
+                           const char *why)
+{
+    ++tenant(req).stats->rejected;
+    finish(req, req.arrival, code);
+    trace(req.arrival, req, " rejected at admission: ", why);
+    return false;
+}
+
+bool
+SnpuServer::Window::admit(const Request &req)
+{
+    Tenant &t = tenant(req);
+    t.stats->queue_depth.sample(t.depth);
+    if (t.attest == Attest::denied) {
+        // The platform failed attestation: every request of the
+        // tenant is refused before it can spend NPU, monitor or queue
+        // resources. Terminal, not retryable — the measurement cannot
+        // improve by asking again.
+        if (t.stats->attest_denied)
+            ++*t.stats->attest_denied;
+        return reject(req, StatusCode::verification_failed,
+                      "attestation denied");
+    }
+    if (t.breaker != Breaker::closed) {
+        // A cooled open breaker lets this arrival become the
+        // half-open trial (decided below, once it clears the capacity
+        // checks); otherwise fail fast at admission, spending no NPU
+        // or monitor resources on this tenant.
+        const bool cooled = t.breaker == Breaker::open &&
+                            cfg.quarantine_cooldown > 0 &&
+                            req.arrival >= t.open_until;
+        if (!cooled)
+            return reject(req, StatusCode::resource_exhausted,
+                          "quarantined");
+    }
+    if (t.depth >= t.spec->queue_capacity)
+        return reject(req, StatusCode::resource_exhausted, "queue full");
+    if (t.tpl) {
+        const std::uint64_t id = soc.monitor().submit(*t.tpl);
+        if (id == 0) // monitor queue overflow
+            return reject(req, StatusCode::resource_exhausted,
+                          "monitor queue full");
+        record(req).monitor_task = id;
+    }
+    if (t.breaker == Breaker::open) {
+        // Cooled down and admitted: this is the trial request.
+        t.breaker = Breaker::half_open;
+        t.trial = static_cast<std::int64_t>(req.instance);
+        ++t.stats->breaker_probes;
+        trace(req.arrival, req, " admitted as half-open breaker trial");
+    }
+    ++t.depth;
+    t.peak = std::max(t.peak, t.depth);
+    trace(req.arrival, req, " admitted, queue depth ", t.depth);
+    return true;
+}
+
+Charge
+SnpuServer::Window::dispatch(const Request &req, Tick now)
+{
+    Tenant &t = tenant(req);
+    ServeRequest &r = record(req);
+    Charge charge;
+    Status kv = Status::ok();
+    if (t.spec->decode_tokens > 0 && srv.kv_pool) {
+        // Prefill KV: the prompt's K/V rows in one block. A failure
+        // fails the attempt once the dispatch charge is paid.
+        const Addr bytes = static_cast<Addr>(t.spec->decoder.prompt) *
+                           t.spec->decoder.kvBytesPerToken();
+        AllocOutcome out = srv.kv_pool->alloc(bytes);
+        t.stats->kv_alloc_cycles += static_cast<double>(out.cycles);
+        charge.cycles += out.cycles;
+        if (out.addr == 0) {
+            kv = Status::resourceExhausted(
+                "monitor: prefill KV allocation failed");
+        } else {
+            r.kv.push_back(out.addr);
+        }
+    }
+    if (r.monitor_task == 0) {
+        // Normal world: no monitor on the path.
+        trace(now, req, " dispatched (no monitor charge)");
+    } else {
+        SecureTask *task = soc.monitor().queue().find(r.monitor_task);
+        if (task != nullptr)
+            task->state = SecureTaskState::loaded;
+        if (t.attest == Attest::pending) {
+            // The tenant's first secure dispatch carries the
+            // attestation handshake on the dispatching tile's clock.
+            // The state stays pending until the launch check passes:
+            // an injected quote timeout there fails the attempt, and
+            // the retry re-runs (re-pays) the exchange.
+            if (t.stats->attest_cycles)
+                *t.stats->attest_cycles +=
+                    static_cast<double>(t.attest_cost);
+            if (t.stats->attest_handshakes)
+                ++*t.stats->attest_handshakes;
+            charge.cycles += t.attest_cost;
+            trace(now, req, " carries attestation handshake, ",
+                  t.attest_cost, " cycles");
+        }
+        const Tick monitor_cost = monitorLaunchCost(*t.tpl);
+        t.stats->monitor_cycles += static_cast<double>(monitor_cost);
+        trace(now, req, " dispatched, monitor charge ", monitor_cost,
+              " cycles");
+        charge.cycles += monitor_cost;
+    }
+
+    const Tick start = now + charge.cycles;
+    trace(start, req, " exec start");
+    charge.status = kv.isOk() ? checkLaunch(req, start) : kv;
+    return charge;
+}
+
+/**
+ * The checks a real monitor launch makes once the charge is paid:
+ * the attestation exchange, then code verification and secure
+ * allocation. The serving path models the launch as a cost, so the
+ * monitor's own fault sites are probed here.
+ */
+Status
+SnpuServer::Window::checkLaunch(const Request &req, Tick now)
+{
+    Tenant &t = tenant(req);
+    FaultInjector *inj = srv.injector.get();
+    if (t.attest == Attest::pending) {
+        if (inj && inj->shouldInject(FaultSite::attest, now)) {
+            // A lost challenge or quote: retryable (says nothing about
+            // platform integrity), and the retry pays the handshake
+            // again because the exchange restarts.
+            return Status::faultInjected(
+                "attestation: quote exchange timed out (injected)");
+        }
+        t.attest = Attest::established;
+        srv.tracer.emit(now, TraceCategory::serve, srv.trace_name,
+                        "tenant ", t.spec->name,
+                        " attested: session key established");
+    }
+    if (!inj || !t.tpl)
+        return Status::ok();
+    if (inj->shouldInject(FaultSite::monitor_verify, now)) {
+        return Status::verificationFailed(
+            "monitor: code measurement mismatch (injected)");
+    }
+    if (inj->shouldInject(FaultSite::monitor_alloc, now)) {
+        return Status::resourceExhausted(
+            "monitor: secure memory exhausted (injected)");
+    }
+    return Status::ok();
+}
+
+Charge
+SnpuServer::Window::beginToken(const Request &req, Tick now)
+{
+    Tenant &t = tenant(req);
+    Charge charge;
+    // Like the launch check, the monitor's allocator fault site is
+    // probed here — per token, where a real per-token allocation
+    // would fail.
+    FaultInjector *inj = srv.injector.get();
+    if (inj && t.tpl && inj->shouldInject(FaultSite::monitor_alloc, now)) {
+        charge.status = Status::resourceExhausted(
+            "monitor: KV allocation failed (injected)");
+        return charge;
+    }
+    if (!srv.kv_pool)
+        return charge;
+    AllocOutcome out = srv.kv_pool->alloc(t.spec->decoder.kvBytesPerToken());
+    charge.cycles = out.cycles;
+    t.stats->kv_alloc_cycles += static_cast<double>(out.cycles);
+    if (out.addr == 0) {
+        charge.status =
+            Status::resourceExhausted("monitor: KV pool exhausted");
+        return charge;
+    }
+    record(req).kv.push_back(out.addr);
+    return charge;
+}
+
+void
+SnpuServer::Window::retire(const Request &req, Tick now)
+{
+    Tenant &t = tenant(req);
+    ServeRequest &r = record(req);
+    if (cfg.record_requests) {
+        if (req.token == 0)
+            r.outcome.prefill_done = now;
+        else
+            r.outcome.token_ticks.push_back(now);
+    }
+    if (req.token == 0) {
+        t.stats->ttft.sample(static_cast<double>(now - req.arrival));
+        trace(now, req, " first token, ttft ", now - req.arrival,
+              " cycles");
+    } else {
+        ++t.stats->tokens;
+        t.stats->token_latency.sample(
+            static_cast<double>(now - r.last_token));
+    }
+    r.last_token = now;
+}
+
+void
+SnpuServer::Window::complete(const Request &req, Tick now)
+{
+    Tenant &t = tenant(req);
+    ServeRequest &r = record(req);
+    releaseKv(r);
+    ++t.stats->completed;
+    t.stats->latency.sample(static_cast<double>(now - req.arrival));
+    if (t.depth > 0)
+        --t.depth;
+    t.consecutive = 0; // a success closes the breaker window
+    if (t.breaker == Breaker::half_open &&
+        t.trial == static_cast<std::int64_t>(req.instance)) {
+        // The trial succeeded: close the breaker, re-admitting the
+        // tenant.
+        t.breaker = Breaker::closed;
+        t.trial = -1;
+        ++t.stats->breaker_readmits;
+        srv.tracer.emit(now, TraceCategory::serve, srv.trace_name,
+                        "tenant ", t.spec->name,
+                        " breaker closed: half-open trial succeeded");
+    }
+    retireFromMonitor(r, SecureTaskState::completed);
+    finish(req, now, StatusCode::ok);
+    trace(now, req, " completed, latency ", now - req.arrival,
+          " cycles, ", req.retries, " retries");
+}
+
+Tick
+SnpuServer::Window::fail(const Request &req, Tick now, const Status &why)
+{
+    Tenant &t = tenant(req);
+    ServeRequest &r = record(req);
+    ++t.stats->faults_observed;
+    const bool is_trial =
+        t.trial == static_cast<std::int64_t>(req.instance);
+    const bool tripped = cfg.quarantine_threshold > 0 &&
+                         ++t.consecutive >= cfg.quarantine_threshold;
+    // A failed attempt abandons its generation: its KV blocks go back
+    // to the pool (a retry re-allocates from prefill).
+    releaseKv(r);
+    if (!is_trial && t.breaker == Breaker::closed && !tripped &&
+        retryable(why.code()) && req.attempts <= cfg.max_retries) {
+        ++t.stats->retries;
+        const Tick retry_at = now + backoff(r, req.attempts);
+        if (cfg.record_requests) {
+            // A retry restarts the generation from prefill.
+            r.outcome.prefill_done = 0;
+            r.outcome.token_ticks.clear();
+        }
+        trace(now, req, " attempt ", req.attempts, " failed (",
+              why.message(), "), retry at ", retry_at);
+        return retry_at;
+    }
+    // Terminal: release the tenant's slot and monitor entry.
+    ++t.stats->failed;
+    if (why.code() == StatusCode::timeout)
+        ++t.stats->timeouts;
+    if (t.depth > 0)
+        --t.depth;
+    retireFromMonitor(r, SecureTaskState::rejected);
+    finish(req, now, why.code());
+    if (is_trial) {
+        // The half-open trial failed: re-trip a full cool-down.
+        t.trial = -1;
+        trip(t, now);
+        srv.tracer.emit(now, TraceCategory::serve, srv.trace_name,
+                        "tenant ", t.spec->name,
+                        " breaker re-tripped: half-open trial failed");
+    } else if (tripped && t.breaker == Breaker::closed) {
+        trip(t, now);
+    }
+    if (srv.kv_pool && t.spec->decode_tokens > 0) {
+        // Post-fault scrub hygiene: revoke every idle pooled slab so
+        // the faulted context's KV bytes are re-zeroed by the monitor
+        // before any reuse.
+        srv.kv_pool->flush();
+    }
+    trace(now, req, " failed terminally after ", req.attempts,
+          " attempt(s): ", why.message());
+    return sched_no_retry;
+}
+
+void
+SnpuServer::Window::trip(Tenant &t, Tick now)
+{
+    t.breaker = Breaker::open;
+    t.open_until = now + cfg.quarantine_cooldown;
+    t.consecutive = 0;
+    ++t.stats->quarantines;
+}
+
+/**
+ * The delay before retry attempt @p attempts + 1. With jitter,
+ * decorrelated: base + U[0, min(cap, 3*prev) - base), so colliding
+ * retries spread out instead of re-colliding on the deterministic
+ * base << (attempts-1) schedule.
+ */
+Tick
+SnpuServer::Window::backoff(ServeRequest &r, std::uint32_t attempts)
+{
+    if (!cfg.retry_jitter)
+        return cfg.retry_backoff << (attempts - 1);
+    const Tick base = cfg.retry_backoff ? cfg.retry_backoff : 1;
+    const Tick cap = base << 6;
+    const Tick prev = r.backoff ? r.backoff : base;
+    const Tick hi =
+        std::min<Tick>(cap, std::max<Tick>(base + 1, 3 * prev));
+    r.backoff =
+        base + (hi > base ? retry_rng.next() % (hi - base) : 0);
+    return r.backoff;
+}
+
+void
+SnpuServer::Window::releaseKv(ServeRequest &r)
+{
+    for (Addr block : r.kv)
+        srv.kv_pool->free(block);
+    r.kv.clear();
+}
+
+void
+SnpuServer::Window::retireFromMonitor(ServeRequest &r,
+                                      SecureTaskState state)
+{
+    if (r.monitor_task == 0)
+        return;
+    SecureTask *task = soc.monitor().queue().find(r.monitor_task);
+    if (task != nullptr)
+        task->state = state;
+    soc.monitor().queue().retire();
+}
+
+void
+SnpuServer::Window::finish(const Request &req, Tick now, StatusCode code)
+{
+    if (!cfg.record_requests)
+        return;
+    RequestOutcome &o = record(req).outcome;
+    o.arrival = req.arrival;
+    o.finished = now;
+    o.final = code;
+    o.rejected = req.state == RequestState::arriving;
+    o.retries = req.retries;
+}
+
+void
+SnpuServer::Window::report(const NSchedResult &nres, ServeResult &result)
+{
+    auto pct = [](const stats::Histogram &h, double q) {
+        return static_cast<Tick>(h.percentile(q));
+    };
+    result.tenants.resize(tenants.size());
+    bool any_clipped = false;
+    for (std::uint32_t s = 0; s < tenants.size(); ++s) {
+        Tenant &t = tenants[s];
+        const StreamOutcome &out = nres.streams[s];
+        const TenantStats &ts = *t.stats;
+        TenantReport &rep = result.tenants[s];
+        rep.name = t.spec->name;
+        rep.completed = out.completed;
+        rep.rejected = out.rejected;
+        rep.throughput =
+            result.makespan
+                ? static_cast<double>(out.completed) * 1.0e6 /
+                      static_cast<double>(result.makespan)
+                : 0.0;
+        rep.p50 = pct(ts.latency, 0.50);
+        rep.p95 = pct(ts.latency, 0.95);
+        rep.p99 = pct(ts.latency, 0.99);
+        rep.worst_latency = out.worst_latency;
+        rep.mean_latency = out.mean_latency;
+        rep.monitor_cycles =
+            static_cast<Tick>(ts.monitor_cycles.value());
+        rep.peak_queue_depth = t.peak;
+        if (cfg.attestation) {
+            auto value = [](const std::unique_ptr<stats::Scalar> &v) {
+                return v ? v->value() : 0.0;
+            };
+            rep.attest_cycles = static_cast<Tick>(value(ts.attest_cycles));
+            rep.attest_handshakes = static_cast<std::uint32_t>(
+                value(ts.attest_handshakes));
+            rep.attest_denied =
+                static_cast<std::uint32_t>(value(ts.attest_denied));
+            rep.attested = t.attest == Attest::established;
+            result.attest_overhead += rep.attest_cycles;
+        }
+        rep.failed = out.failed;
+        rep.retries = out.retries;
+        rep.timeouts = out.timeouts;
+        rep.faults_observed =
+            static_cast<std::uint32_t>(ts.faults_observed.value());
+        rep.quarantined = t.breaker != Breaker::closed;
+        rep.breaker_trips =
+            static_cast<std::uint32_t>(ts.quarantines.value());
+        rep.breaker_probes =
+            static_cast<std::uint32_t>(ts.breaker_probes.value());
+        rep.breaker_readmissions =
+            static_cast<std::uint32_t>(ts.breaker_readmits.value());
+        if (cfg.record_requests) {
+            for (ServeRequest &r : t.requests)
+                rep.requests.push_back(std::move(r.outcome));
+        }
+        rep.tokens = out.tokens;
+        rep.kv_alloc_cycles =
+            static_cast<Tick>(ts.kv_alloc_cycles.value());
+        if (t.spec->decode_tokens > 0) {
+            rep.ttft_p50 = pct(ts.ttft, 0.50);
+            rep.ttft_p95 = pct(ts.ttft, 0.95);
+            rep.ttft_p99 = pct(ts.ttft, 0.99);
+            rep.token_p50 = pct(ts.token_latency, 0.50);
+            rep.token_p95 = pct(ts.token_latency, 0.95);
+            rep.token_p99 = pct(ts.token_latency, 0.99);
+        }
+
+        // Span summary over completed requests: admission->dispatch
+        // wait and exec-start->completion cycles.
+        rep.spans = out.completed;
+        if (out.completed) {
+            rep.mean_queue_cycles =
+                static_cast<double>(out.queue_cycles) / out.completed;
+            rep.mean_exec_cycles =
+                static_cast<double>(out.exec_cycles) / out.completed;
+        }
+
+        // Tail-fidelity accounting: percentile() clamps at the
+        // histogram bound once samples overflow, so say so instead
+        // of reporting a silently saturated p99.
+        rep.latency_overflow = ts.latency.overflow();
+        rep.latency_overflow_frac =
+            ts.latency.count()
+                ? static_cast<double>(rep.latency_overflow) /
+                      static_cast<double>(ts.latency.count())
+                : 0.0;
+        rep.p99_clipped = rep.latency_overflow > 0 &&
+                          rep.latency_overflow_frac >= 0.01;
+        any_clipped |= rep.latency_overflow > 0;
+    }
+    if (any_clipped) {
+        warn("serve: latency samples overflowed the histogram range "
+             "(", cfg.latency_hist_max, " cycles); reported tail "
+             "percentiles clamp at that bound — raise "
+             "ServerConfig::latency_hist_max");
+    }
+}
 
 SnpuServer::SnpuServer(Soc &soc, ServerConfig cfg)
     : soc(soc), cfg(cfg), stats_(soc.stats())
@@ -100,6 +794,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
     }
 
     bool any_secure = false;
+    bool any_gen = false;
     for (const TenantSpec &t : tenants) {
         if (t.arrivals.empty()) {
             result.status = Status::invalidArgument(
@@ -107,6 +802,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
             return result;
         }
         any_secure |= t.task.world == World::secure;
+        any_gen |= t.decode_tokens > 0;
     }
     if (any_secure && !soc.hasMonitor()) {
         result.status = Status::invalidArgument(
@@ -114,7 +810,6 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
         return result;
     }
 
-    const auto ntenants = static_cast<std::uint32_t>(tenants.size());
     for (const TenantSpec &t : tenants)
         stats_.add(t.name, cfg.latency_hist_max,
                    cfg.latency_hist_buckets, cfg.token_hist_max,
@@ -124,9 +819,6 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
     // pool is the monitor's own (secure arena); otherwise a
     // server-local pool over an unused slice of the normal arena
     // (below the scheduler's save areas at base + 16 MiB).
-    bool any_gen = false;
-    for (const TenantSpec &t : tenants)
-        any_gen |= t.decode_tokens > 0;
     if (any_gen) {
         if (soc.hasMonitor()) {
             kv_pool = &soc.monitor().kvPool();
@@ -144,7 +836,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
     }
 
     std::vector<ExecStream> streams;
-    streams.reserve(ntenants);
+    streams.reserve(tenants.size());
     for (const TenantSpec &t : tenants) {
         ExecStream stream;
         stream.task = t.task;
@@ -164,120 +856,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
         streams.push_back(std::move(stream));
     }
 
-    // One validated SecureTask template per secure tenant: the
-    // program the verifier would measure and a ciphertext sized like
-    // the tenant's weights. Each admitted secure request submits a
-    // copy into the monitor's queue. Template construction (compile,
-    // measure, encrypt) is a pure function of (model, tenant slot,
-    // SoC configuration) — the monitor's sealed key is a per-config
-    // constant — so sweeps share one template across points through a
-    // process-wide cache.
-    std::vector<std::shared_ptr<const SecureTask>> templates(ntenants);
-    if (any_secure) {
-        static std::mutex tpl_mu;
-        static std::unordered_map<std::uint64_t,
-                                  std::shared_ptr<const SecureTask>>
-            tpl_cache;
-        const std::uint64_t soc_fp = socConfigFingerprint(soc.params());
-        TaskRunner runner(soc);
-        for (std::uint32_t s = 0; s < ntenants; ++s) {
-            if (tenants[s].task.world != World::secure)
-                continue;
-            std::uint64_t key = fnv_offset;
-            key = hashMix(key, soc_fp);
-            key = hashMix(key,
-                          modelFingerprint(streams[s].task.model));
-            key = hashMix(key, std::uint64_t(s));
-            {
-                std::lock_guard<std::mutex> lock(tpl_mu);
-                auto it = tpl_cache.find(key);
-                if (it != tpl_cache.end()) {
-                    templates[s] = it->second;
-                    continue;
-                }
-            }
-
-            auto tpl = std::make_shared<SecureTask>();
-            tpl->program = runner.compile(streams[s].task);
-            tpl->expected_measurement =
-                CodeVerifier::measure(tpl->program);
-            tpl->topology = NocTopology{1, 1};
-            tpl->proposed_cores = {0};
-
-            std::vector<std::uint8_t> weights(
-                std::min<std::uint64_t>(
-                    streams[s].task.model.weightBytes(), 64u << 10));
-            for (std::size_t i = 0; i < weights.size(); ++i)
-                weights[i] = static_cast<std::uint8_t>(i * 131 + s);
-            AesBlock iv{};
-            iv[0] = static_cast<std::uint8_t>(s + 1);
-            Digest mac{};
-            tpl->encrypted_model =
-                soc.monitor().verifier().encryptModel(weights, iv,
-                                                      mac);
-            tpl->model_mac = mac;
-            tpl->model_iv = iv;
-
-            std::lock_guard<std::mutex> lock(tpl_mu);
-            auto [it, inserted] = tpl_cache.emplace(key, std::move(tpl));
-            templates[s] = it->second;
-        }
-    }
-
-    // Measured-boot attestation at admission. The quote exchange is
-    // functional — real HMAC over the monitor's real measurement
-    // register, verified against the golden measurement recomputed
-    // tenant-side — and its outcome is fixed before serving starts:
-    // a platform's integrity does not change mid-window. What stays
-    // on the serving timeline is the cost (the handshake's SHA
-    // cycles, charged at the tenant's first secure dispatch) and the
-    // failure modes (denial at admission; injected timeouts through
-    // FaultSite::attest at dispatch_check).
-    enum class Attest : std::uint8_t
-    {
-        off,          //!< normal world or attestation disabled
-        pending,      //!< quote verified; handshake not yet charged
-        established,  //!< session key held, handshake paid
-        denied,       //!< quote rejected; admission refuses
-    };
-    std::vector<Attest> attest(ntenants, Attest::off);
-    std::vector<Tick> attest_cost(ntenants, 0);
-    std::vector<Digest> session_keys(ntenants);
-    if (cfg.attestation && any_secure) {
-        AttestTiming timing;
-        timing.mac_bytes_per_cycle =
-            soc.params().crypto_mac_bytes_per_cycle;
-        for (std::uint32_t s = 0; s < ntenants; ++s) {
-            if (tenants[s].task.world != World::secure)
-                continue;
-            // The model image the monitor attests is the encrypted
-            // bundle it will verify at launch; the tenant knows the
-            // same bytes (it provisioned them), so both sides can
-            // name the digest independently.
-            const Digest model_digest =
-                Sha256::hash(templates[s]->encrypted_model);
-            const Digest golden = BootChain::extend(
-                soc.goldenBootMeasurement(), model_digest);
-            AttestVerifier verifier(soc.monitor().attestKey(),
-                                    golden);
-            const AttestNonce nonce = attestNonceFromSeed(
-                hashMix(cfg.attest_seed, std::uint64_t(s)));
-            const AttestQuote quote =
-                soc.monitor().attestQuote(model_digest, nonce);
-            const Status st = verifier.verify(quote, nonce);
-            attest_cost[s] = timing.handshakeCycles(
-                templates[s]->encrypted_model.size());
-            if (st.isOk()) {
-                attest[s] = Attest::pending;
-                session_keys[s] = verifier.sessionKey();
-            } else {
-                attest[s] = Attest::denied;
-                tracer.emit(0, TraceCategory::serve, trace_name,
-                            "tenant ", tenants[s].name,
-                            " attestation denied: ", st.message());
-            }
-        }
-    }
+    Window window(*this, tenants, streams);
 
     // Fault injection is opt-in: without it no injector exists and
     // every hook site in the stack stays a null-pointer check.
@@ -286,483 +865,9 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
         soc.armFaults(injector.get());
     }
 
-    std::vector<std::uint32_t> depth(ntenants, 0);
-    std::vector<std::uint32_t> peak(ntenants, 0);
-    std::vector<std::uint32_t> consecutive(ntenants, 0);
-
-    // Per-tenant circuit breaker. closed admits normally; open fails
-    // fast at admission; once the cool-down elapses the next arrival
-    // becomes a half-open trial — its success closes the breaker
-    // again (re-admission), its failure re-trips a full cool-down.
-    // Without a cool-down (quarantine_cooldown == 0) an open breaker
-    // never cools: the legacy quarantine-forever behaviour.
-    enum class Breaker { closed, open, half_open };
-    std::vector<Breaker> breaker(ntenants, Breaker::closed);
-    std::vector<Tick> open_until(ntenants, 0);
-    std::vector<std::int64_t> trial(ntenants, -1);
-
-    // Decorrelated-jitter retry state: the previous delay per
-    // in-flight request, and one server-local Rng so the draw order
-    // is a pure function of the serving window (each sweep job owns
-    // its server, keeping sweeps byte-identical at any job count).
-    Rng retry_rng(cfg.jitter_seed);
-    std::map<std::pair<std::uint32_t, std::uint32_t>, Tick>
-        retry_prev;
-
-    // Per-request terminal outcomes, for the fleet controller's
-    // causality cutoffs. Sized up front; arrival is the only field
-    // with a meaning before the request terminates.
-    std::vector<std::vector<RequestOutcome>> recs;
-    if (cfg.record_requests) {
-        recs.resize(ntenants);
-        for (std::uint32_t s = 0; s < ntenants; ++s) {
-            recs[s].resize(tenants[s].arrivals.size());
-            for (std::size_t i = 0; i < recs[s].size(); ++i)
-                recs[s][i].arrival = tenants[s].arrivals[i];
-        }
-    }
-    auto recordReject = [&](std::uint32_t s, std::uint32_t i,
-                            Tick now, StatusCode code) {
-        if (!cfg.record_requests)
-            return;
-        RequestOutcome &r = recs[s][i];
-        r.rejected = true;
-        r.final = code;
-        r.finished = now;
-    };
-
-    // Per-request span state, tracked unconditionally: the span
-    // summaries in TenantReport must exist with no sink attached.
-    struct Span
-    {
-        Tick admitted = 0;
-        Tick dispatched = 0;  //!< last dispatch (pre-monitor charge)
-        Tick exec_start = 0;  //!< last exec start (post charge)
-        Tick completed = 0;
-        std::uint32_t retries = 0;
-        bool done = false;
-    };
-    std::vector<std::vector<Span>> spans(ntenants);
-    for (std::uint32_t s = 0; s < ntenants; ++s)
-        spans[s].assign(tenants[s].arrivals.size(), Span{});
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t>
-        queued; // (tenant, instance) -> monitor task id
-
-    // A secure request leaves the monitor queue when it terminally
-    // fails, exactly as on completion.
-    auto dropFromMonitor = [&](std::uint32_t s, std::uint32_t i) {
-        const auto it = queued.find({s, i});
-        if (it == queued.end())
-            return;
-        SecureTask *task = soc.monitor().queue().find(it->second);
-        if (task != nullptr)
-            task->state = SecureTaskState::rejected;
-        soc.monitor().queue().retire();
-        queued.erase(it);
-    };
-
-    // Per-request KV ledger: the prefill block plus one block per
-    // generated token. Frees happen at monitor-side retirement, off
-    // the tile clock.
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::vector<Addr>>
-        kv_held;
-    std::map<std::pair<std::uint32_t, std::uint32_t>, Status>
-        kv_defer; // prefill KV allocation failed at dispatch
-    std::map<std::pair<std::uint32_t, std::uint32_t>, Tick>
-        last_token;
-
-    auto releaseKv = [&](std::uint32_t s, std::uint32_t i) {
-        const auto it = kv_held.find({s, i});
-        if (it != kv_held.end()) {
-            for (Addr block : it->second)
-                kv_pool->free(block);
-            kv_held.erase(it);
-        }
-        last_token.erase({s, i});
-    };
-
-    SchedHooks hooks;
-    hooks.admit = [&](std::uint32_t s, std::uint32_t i, Tick now) {
-        TenantStats &ts = stats_.tenant(s);
-        ts.queue_depth.sample(depth[s]);
-        if (attest[s] == Attest::denied) {
-            // The platform failed attestation: every request of the
-            // tenant is refused before it can spend NPU, monitor or
-            // queue resources. Terminal, not retryable — the
-            // measurement cannot improve by asking again.
-            ++ts.rejected;
-            if (ts.attest_denied)
-                ++*ts.attest_denied;
-            recordReject(s, i, now, StatusCode::verification_failed);
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "request ", tenants[s].name, "#", i,
-                        " rejected at admission: attestation denied");
-            return false;
-        }
-        if (breaker[s] != Breaker::closed) {
-            // A cooled open breaker lets this arrival become the
-            // half-open trial (decided below, once it clears the
-            // capacity checks); otherwise fail fast at admission,
-            // spending no NPU or monitor resources on this tenant.
-            const bool cooled = breaker[s] == Breaker::open &&
-                                cfg.quarantine_cooldown > 0 &&
-                                now >= open_until[s];
-            if (!cooled) {
-                ++ts.rejected;
-                recordReject(s, i, now,
-                             StatusCode::resource_exhausted);
-                tracer.emit(now, TraceCategory::serve, trace_name,
-                            "request ", tenants[s].name, "#", i,
-                            " rejected at admission: quarantined");
-                return false;
-            }
-        }
-        if (depth[s] >= tenants[s].queue_capacity) {
-            ++ts.rejected;
-            recordReject(s, i, now, StatusCode::resource_exhausted);
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "request ", tenants[s].name, "#", i,
-                        " rejected at admission: queue full");
-            return false;
-        }
-        if (tenants[s].task.world == World::secure) {
-            const std::uint64_t id =
-                soc.monitor().submit(*templates[s]);
-            if (id == 0) { // monitor queue overflow
-                ++ts.rejected;
-                recordReject(s, i, now,
-                             StatusCode::resource_exhausted);
-                tracer.emit(now, TraceCategory::serve, trace_name,
-                            "request ", tenants[s].name, "#", i,
-                            " rejected at admission: monitor queue "
-                            "full");
-                return false;
-            }
-            queued[{s, i}] = id;
-        }
-        if (breaker[s] == Breaker::open) {
-            // Cooled down and admitted: this is the trial request.
-            breaker[s] = Breaker::half_open;
-            trial[s] = static_cast<std::int64_t>(i);
-            ++ts.breaker_probes;
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "request ", tenants[s].name, "#", i,
-                        " admitted as half-open breaker trial");
-        }
-        ++depth[s];
-        peak[s] = std::max(peak[s], depth[s]);
-        spans[s][i].admitted = now;
-        tracer.emit(now, TraceCategory::serve, trace_name,
-                    "request ", tenants[s].name, "#", i,
-                    " admitted, queue depth ", depth[s]);
-        return true;
-    };
-    hooks.dispatch = [&](std::uint32_t s, std::uint32_t i,
-                         Tick now) -> Tick {
-        spans[s][i].dispatched = now;
-        Tick cost = 0;
-        if (tenants[s].decode_tokens > 0 && kv_pool) {
-            // Prefill KV: the prompt's K/V rows in one block. A
-            // failure can only surface through dispatch_check, so
-            // park the verdict there.
-            const Addr bytes =
-                static_cast<Addr>(tenants[s].decoder.prompt) *
-                tenants[s].decoder.kvBytesPerToken();
-            AllocOutcome out = kv_pool->alloc(bytes);
-            stats_.tenant(s).kv_alloc_cycles +=
-                static_cast<double>(out.cycles);
-            cost += out.cycles;
-            if (out.addr == 0) {
-                kv_defer[{s, i}] = Status::resourceExhausted(
-                    "monitor: prefill KV allocation failed");
-            } else {
-                kv_held[{s, i}].push_back(out.addr);
-            }
-        }
-        const auto it = queued.find({s, i});
-        if (it == queued.end()) {
-            // Normal world: no monitor on the path.
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "request ", tenants[s].name, "#", i,
-                        " dispatched (no monitor charge)");
-            return cost;
-        }
-        SecureTask *task = soc.monitor().queue().find(it->second);
-        if (task != nullptr)
-            task->state = SecureTaskState::loaded;
-        if (attest[s] == Attest::pending) {
-            // The tenant's first secure dispatch carries the
-            // attestation handshake on the dispatching tile's
-            // clock. The state stays pending until dispatch_check
-            // passes: an injected quote timeout there fails the
-            // attempt, and the retry re-runs (re-pays) the
-            // exchange.
-            TenantStats &ts = stats_.tenant(s);
-            if (ts.attest_cycles)
-                *ts.attest_cycles +=
-                    static_cast<double>(attest_cost[s]);
-            if (ts.attest_handshakes)
-                ++*ts.attest_handshakes;
-            cost += attest_cost[s];
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "request ", tenants[s].name, "#", i,
-                        " carries attestation handshake, ",
-                        attest_cost[s], " cycles");
-        }
-        const Tick monitor_cost = monitorLaunchCost(*templates[s]);
-        stats_.tenant(s).monitor_cycles +=
-            static_cast<double>(monitor_cost);
-        tracer.emit(now, TraceCategory::serve, trace_name,
-                    "request ", tenants[s].name, "#", i,
-                    " dispatched, monitor charge ", monitor_cost,
-                    " cycles");
-        return cost + monitor_cost;
-    };
-    hooks.complete = [&](std::uint32_t s, std::uint32_t i, Tick now) {
-        TenantStats &ts = stats_.tenant(s);
-        if (kv_pool)
-            releaseKv(s, i);
-        ++ts.completed;
-        ts.latency.sample(static_cast<double>(
-            now - tenants[s].arrivals[i]));
-        if (depth[s] > 0)
-            --depth[s];
-        consecutive[s] = 0; // a success closes the breaker window
-        retry_prev.erase({s, i});
-        if (breaker[s] == Breaker::half_open &&
-            trial[s] == static_cast<std::int64_t>(i)) {
-            // The trial succeeded: close the breaker, re-admitting
-            // the tenant.
-            breaker[s] = Breaker::closed;
-            trial[s] = -1;
-            ++ts.breaker_readmits;
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "tenant ", tenants[s].name,
-                        " breaker closed: half-open trial succeeded");
-        }
-        const auto it = queued.find({s, i});
-        if (it != queued.end()) {
-            SecureTask *task =
-                soc.monitor().queue().find(it->second);
-            if (task != nullptr)
-                task->state = SecureTaskState::completed;
-            soc.monitor().queue().retire();
-            queued.erase(it);
-        }
-        Span &span = spans[s][i];
-        span.completed = now;
-        span.done = true;
-        if (cfg.record_requests) {
-            RequestOutcome &r = recs[s][i];
-            r.finished = now;
-            r.final = StatusCode::ok;
-            r.retries = span.retries;
-        }
-        tracer.emit(now, TraceCategory::serve, trace_name,
-                    "request ", tenants[s].name, "#", i,
-                    " completed, latency ",
-                    now - tenants[s].arrivals[i], " cycles, ",
-                    span.retries, " retries");
-    };
-    hooks.dispatch_check = [&](std::uint32_t s, std::uint32_t i,
-                               Tick now) -> Status {
-        spans[s][i].exec_start = now;
-        tracer.emit(now, TraceCategory::serve, trace_name,
-                    "request ", tenants[s].name, "#", i,
-                    " exec start");
-        const auto dit = kv_defer.find({s, i});
-        if (dit != kv_defer.end()) {
-            Status why = dit->second;
-            kv_defer.erase(dit);
-            return why;
-        }
-        if (attest[s] == Attest::pending) {
-            if (injector &&
-                injector->shouldInject(FaultSite::attest, now)) {
-                // A lost challenge or quote: retryable (says nothing
-                // about platform integrity), and the retry pays the
-                // handshake again because the exchange restarts.
-                return Status::faultInjected(
-                    "attestation: quote exchange timed out "
-                    "(injected)");
-            }
-            attest[s] = Attest::established;
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "tenant ", tenants[s].name,
-                        " attested: session key established");
-        }
-        // The serving path models the monitor launch as a cost, so
-        // the monitor's own fault sites are probed here, where a
-        // real launchNext() would verify and allocate.
-        if (!injector || tenants[s].task.world != World::secure)
-            return Status::ok();
-        if (injector->shouldInject(FaultSite::monitor_verify, now)) {
-            return Status::verificationFailed(
-                "monitor: code measurement mismatch (injected)");
-        }
-        if (injector->shouldInject(FaultSite::monitor_alloc, now)) {
-            return Status::resourceExhausted(
-                "monitor: secure memory exhausted (injected)");
-        }
-        return Status::ok();
-    };
-    auto retryable = [](StatusCode c) {
-        // Transient by construction: an injected transfer error, a
-        // corrupted-output retry, or a momentarily full allocator.
-        // Denials, failed verification and expired deadlines are
-        // terminal — retrying cannot change the verdict.
-        return c == StatusCode::fault_injected ||
-               c == StatusCode::degraded ||
-               c == StatusCode::resource_exhausted;
-    };
-    hooks.fail = [&](std::uint32_t s, std::uint32_t i, Tick now,
-                     const Status &why,
-                     std::uint32_t attempts) -> Tick {
-        TenantStats &ts = stats_.tenant(s);
-        ++ts.faults_observed;
-        const bool is_trial =
-            trial[s] == static_cast<std::int64_t>(i);
-        const bool tripped =
-            cfg.quarantine_threshold > 0 &&
-            ++consecutive[s] >= cfg.quarantine_threshold;
-        // A failed attempt abandons its generation: its KV blocks go
-        // back to the pool (a retry re-allocates from prefill).
-        if (kv_pool)
-            releaseKv(s, i);
-        if (!is_trial && breaker[s] == Breaker::closed && !tripped &&
-            retryable(why.code()) && attempts <= cfg.max_retries) {
-            ++ts.retries;
-            ++spans[s][i].retries;
-            Tick delay;
-            if (cfg.retry_jitter) {
-                // Decorrelated jitter: base + U[0, min(cap, 3*prev)
-                // - base), so colliding retries spread out instead
-                // of re-colliding on the deterministic schedule.
-                const Tick base =
-                    cfg.retry_backoff ? cfg.retry_backoff : 1;
-                const Tick cap = base << 6;
-                const auto pit = retry_prev.find({s, i});
-                const Tick prev =
-                    pit == retry_prev.end() ? base : pit->second;
-                const Tick hi = std::min<Tick>(
-                    cap, std::max<Tick>(base + 1, 3 * prev));
-                delay = base +
-                        (hi > base ? retry_rng.next() % (hi - base)
-                                   : 0);
-                retry_prev[{s, i}] = delay;
-            } else {
-                delay = cfg.retry_backoff << (attempts - 1);
-            }
-            const Tick retry_at = now + delay;
-            if (cfg.record_requests) {
-                // A retry restarts the generation from prefill.
-                recs[s][i].prefill_done = 0;
-                recs[s][i].token_ticks.clear();
-            }
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "request ", tenants[s].name, "#", i,
-                        " attempt ", attempts, " failed (",
-                        why.message(), "), retry at ", retry_at);
-            return retry_at;
-        }
-        // Terminal: release the tenant's slot and monitor entry.
-        ++ts.failed;
-        if (why.code() == StatusCode::timeout)
-            ++ts.timeouts;
-        if (depth[s] > 0)
-            --depth[s];
-        dropFromMonitor(s, i);
-        retry_prev.erase({s, i});
-        if (cfg.record_requests) {
-            RequestOutcome &r = recs[s][i];
-            r.finished = now;
-            r.final = why.code();
-            r.retries = spans[s][i].retries;
-        }
-        if (is_trial) {
-            // The half-open trial failed: re-trip a full cool-down.
-            trial[s] = -1;
-            breaker[s] = Breaker::open;
-            open_until[s] = now + cfg.quarantine_cooldown;
-            consecutive[s] = 0;
-            ++ts.quarantines;
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "tenant ", tenants[s].name,
-                        " breaker re-tripped: half-open trial "
-                        "failed");
-        } else if (tripped && breaker[s] == Breaker::closed) {
-            breaker[s] = Breaker::open;
-            open_until[s] = now + cfg.quarantine_cooldown;
-            consecutive[s] = 0;
-            ++ts.quarantines;
-        }
-        if (kv_pool && tenants[s].decode_tokens > 0) {
-            // Post-fault scrub hygiene: revoke every idle pooled
-            // slab so the faulted context's KV bytes are re-zeroed
-            // by the monitor before any reuse.
-            kv_pool->flush();
-        }
-        tracer.emit(now, TraceCategory::serve, trace_name,
-                    "request ", tenants[s].name, "#", i,
-                    " failed terminally after ", attempts,
-                    " attempt(s): ", why.message());
-        return sched_no_retry;
-    };
-    hooks.token_dispatch = [&](std::uint32_t s, std::uint32_t i,
-                               std::uint32_t, Tick now) -> TokenVerdict {
-        TokenVerdict verdict;
-        // Like dispatch_check, the monitor's allocator fault site is
-        // probed here — per token, where a real per-token allocation
-        // would fail.
-        if (injector && tenants[s].task.world == World::secure &&
-            injector->shouldInject(FaultSite::monitor_alloc, now)) {
-            verdict.status = Status::resourceExhausted(
-                "monitor: KV allocation failed (injected)");
-            return verdict;
-        }
-        if (!kv_pool)
-            return verdict;
-        AllocOutcome out =
-            kv_pool->alloc(tenants[s].decoder.kvBytesPerToken());
-        verdict.cycles = out.cycles;
-        stats_.tenant(s).kv_alloc_cycles +=
-            static_cast<double>(out.cycles);
-        if (out.addr == 0) {
-            verdict.status = Status::resourceExhausted(
-                "monitor: KV pool exhausted");
-            return verdict;
-        }
-        kv_held[{s, i}].push_back(out.addr);
-        return verdict;
-    };
-    hooks.token = [&](std::uint32_t s, std::uint32_t i,
-                      std::uint32_t token, Tick now) {
-        TenantStats &ts = stats_.tenant(s);
-        if (cfg.record_requests) {
-            if (token == 0)
-                recs[s][i].prefill_done = now;
-            else
-                recs[s][i].token_ticks.push_back(now);
-        }
-        if (token == 0) {
-            ts.ttft.sample(
-                static_cast<double>(now - tenants[s].arrivals[i]));
-            tracer.emit(now, TraceCategory::serve, trace_name,
-                        "request ", tenants[s].name, "#", i,
-                        " first token, ttft ",
-                        now - tenants[s].arrivals[i], " cycles");
-        } else {
-            ++ts.tokens;
-            ts.token_latency.sample(
-                static_cast<double>(now - last_token[{s, i}]));
-        }
-        last_token[{s, i}] = now;
-    };
-
     NCoreScheduler sched(soc, cfg.policy, cfg.num_cores,
                          cfg.coarse_interval);
-    NSchedResult nres = sched.run(streams, hooks);
+    NSchedResult nres = sched.run(streams, &window);
 
     // Leave the SoC clean: the injector dies with this server.
     if (injector)
@@ -779,114 +884,7 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
     result.monitor_overhead = nres.dispatch_overhead;
     result.recovery_overhead = nres.recovery_overhead;
     result.token_alloc_overhead = nres.token_alloc_overhead;
-
-    result.tenants.resize(ntenants);
-    bool any_clipped = false;
-    for (std::uint32_t s = 0; s < ntenants; ++s) {
-        const StreamOutcome &out = nres.streams[s];
-        const TenantStats &ts = stats_.tenant(s);
-        TenantReport &rep = result.tenants[s];
-        rep.name = tenants[s].name;
-        rep.completed = out.completed;
-        rep.rejected = out.rejected;
-        rep.throughput =
-            result.makespan
-                ? static_cast<double>(out.completed) * 1.0e6 /
-                      static_cast<double>(result.makespan)
-                : 0.0;
-        rep.p50 = static_cast<Tick>(ts.latency.percentile(0.50));
-        rep.p95 = static_cast<Tick>(ts.latency.percentile(0.95));
-        rep.p99 = static_cast<Tick>(ts.latency.percentile(0.99));
-        rep.worst_latency = out.worst_latency;
-        rep.mean_latency = out.mean_latency;
-        rep.monitor_cycles =
-            static_cast<Tick>(ts.monitor_cycles.value());
-        rep.peak_queue_depth = peak[s];
-        if (cfg.attestation) {
-            rep.attest_cycles =
-                ts.attest_cycles
-                    ? static_cast<Tick>(ts.attest_cycles->value())
-                    : 0;
-            rep.attest_handshakes =
-                ts.attest_handshakes
-                    ? static_cast<std::uint32_t>(
-                          ts.attest_handshakes->value())
-                    : 0;
-            rep.attest_denied =
-                ts.attest_denied ? static_cast<std::uint32_t>(
-                                       ts.attest_denied->value())
-                                 : 0;
-            rep.attested = attest[s] == Attest::established;
-            result.attest_overhead += rep.attest_cycles;
-        }
-        rep.failed = out.failed;
-        rep.retries = out.retries;
-        rep.timeouts = out.timeouts;
-        rep.faults_observed =
-            static_cast<std::uint32_t>(ts.faults_observed.value());
-        rep.quarantined = breaker[s] != Breaker::closed;
-        rep.breaker_trips =
-            static_cast<std::uint32_t>(ts.quarantines.value());
-        rep.breaker_probes =
-            static_cast<std::uint32_t>(ts.breaker_probes.value());
-        rep.breaker_readmissions =
-            static_cast<std::uint32_t>(ts.breaker_readmits.value());
-        if (cfg.record_requests)
-            rep.requests = std::move(recs[s]);
-        rep.tokens = out.tokens;
-        rep.kv_alloc_cycles =
-            static_cast<Tick>(ts.kv_alloc_cycles.value());
-        if (tenants[s].decode_tokens > 0) {
-            rep.ttft_p50 = static_cast<Tick>(ts.ttft.percentile(0.50));
-            rep.ttft_p95 = static_cast<Tick>(ts.ttft.percentile(0.95));
-            rep.ttft_p99 = static_cast<Tick>(ts.ttft.percentile(0.99));
-            rep.token_p50 =
-                static_cast<Tick>(ts.token_latency.percentile(0.50));
-            rep.token_p95 =
-                static_cast<Tick>(ts.token_latency.percentile(0.95));
-            rep.token_p99 =
-                static_cast<Tick>(ts.token_latency.percentile(0.99));
-        }
-
-        // Span summary: admission->dispatch wait and exec cycles,
-        // over requests that completed.
-        std::uint64_t nspans = 0;
-        double queue_sum = 0.0;
-        double exec_sum = 0.0;
-        for (const Span &span : spans[s]) {
-            if (!span.done)
-                continue;
-            ++nspans;
-            queue_sum +=
-                static_cast<double>(span.dispatched - span.admitted);
-            exec_sum +=
-                static_cast<double>(span.completed - span.exec_start);
-        }
-        rep.spans = static_cast<std::uint32_t>(nspans);
-        rep.mean_queue_cycles =
-            nspans ? queue_sum / static_cast<double>(nspans) : 0.0;
-        rep.mean_exec_cycles =
-            nspans ? exec_sum / static_cast<double>(nspans) : 0.0;
-
-        // Tail-fidelity accounting: percentile() clamps at the
-        // histogram bound once samples overflow, so say so instead
-        // of reporting a silently saturated p99.
-        rep.latency_overflow = ts.latency.overflow();
-        rep.latency_overflow_frac =
-            ts.latency.count()
-                ? static_cast<double>(rep.latency_overflow) /
-                      static_cast<double>(ts.latency.count())
-                : 0.0;
-        rep.p99_clipped = rep.latency_overflow > 0 &&
-                          rep.latency_overflow_frac >= 0.01;
-        any_clipped |= rep.latency_overflow > 0;
-    }
-    if (any_clipped) {
-        warn("serve: latency samples overflowed the histogram range "
-             "(", cfg.latency_hist_max, " cycles); reported tail "
-             "percentiles clamp at that bound — raise "
-             "ServerConfig::latency_hist_max");
-    }
+    window.report(nres, result);
     return result;
 }
 

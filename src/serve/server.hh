@@ -335,6 +335,9 @@ class SnpuServer
                                         const NpuTask &task);
 
   private:
+    /** One serving window's request transitions (server.cc). */
+    class Window;
+
     Soc &soc;
     ServerConfig cfg;
     ServeStats stats_;
