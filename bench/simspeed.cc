@@ -23,6 +23,7 @@
 #include "json_writer.hh"
 
 #include "core/systems.hh"
+#include "core/task_runner.hh"
 #include "core/timing_cache.hh"
 #include "dma/dma_engine.hh"
 #include "guarder/guarder.hh"
@@ -408,6 +409,41 @@ BM_ServeWindowDecode(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 2 * 2 * 8);
 }
 BENCHMARK(BM_ServeWindowDecode);
+
+// ---------------------------------------------------------------
+// Paper-figure macro-benchmarks
+// ---------------------------------------------------------------
+
+/**
+ * One Fig 15 point end to end, as fig15_partition_vs_id runs it: a
+ * cold buildSoc() plus TaskRunner::run() of googlenet at scale 2
+ * with half of the 16384-row scratchpad (the 0.5 static split) at
+ * 8 GB/s. Timing-only and off the timing cache, so it tracks the
+ * figure path (compile, scratchpad checks, DMA, L2) rather than one
+ * kernel. One "item" is one simulated cycle.
+ */
+void
+BM_PaperPointFig15(benchmark::State &state)
+{
+    std::int64_t cycles = 0;
+    for (auto _ : state) {
+        SystemOverrides o;
+        o.model_scale = 2;
+        o.dram_gbps = 8.0;
+        auto soc = buildSoc(SystemKind::normal_npu, o);
+        TaskRunner runner(*soc);
+        NpuTask task = NpuTask::fromModel(ModelId::googlenet);
+        task.model = task.model.scaled(2);
+        RunOptions opts;
+        opts.spad_rows_override = 8192;
+        RunResult res = runner.run(task, opts);
+        if (!res.ok())
+            state.SkipWithError(res.error().c_str());
+        cycles += static_cast<std::int64_t>(res.cycles);
+    }
+    state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_PaperPointFig15)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------
 // JSON emission

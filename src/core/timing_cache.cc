@@ -83,10 +83,8 @@ namespace
 void
 replayIds(Scratchpad &spad, const std::vector<Scratchpad::WrittenRange> &ranges)
 {
-    for (const Scratchpad::WrittenRange &r : ranges) {
-        for (std::uint32_t i = 0; i < r.count; ++i)
-            spad.rawSetId(r.first + i, r.world);
-    }
+    for (const Scratchpad::WrittenRange &r : ranges)
+        spad.setIdRange(r.first, r.count, r.world);
 }
 
 } // namespace
@@ -250,8 +248,7 @@ MemoizedExec::contextFlush(std::uint32_t core, Tick start,
                 entry->flush_save_area, spad.rawRow(0),
                 static_cast<std::size_t>(rows) * spad.rowBytes());
         }
-        for (std::uint32_t r = 0; r < rows; ++r)
-            spad.rawSetId(r, World::normal);
+        spad.setIdRange(0, rows, World::normal);
         capture.apply(entry->deltas);
         dram.rebase(start + backlog + entry->dram_busy);
         return start + backlog + entry->rel_end;

@@ -98,6 +98,18 @@ NpuCore::fail(ExecResult &res, const std::string &why, StatusCode code)
     tracer.emit(0, TraceCategory::security, trace_name, why);
 }
 
+bool
+NpuCore::commitRanges(std::span<const RowRange> ranges)
+{
+    for (const RowRange &r : ranges) {
+        if (!r.pad.rangeAllowed(world, r.first, r.count, r.is_write))
+            return false;
+    }
+    for (const RowRange &r : ranges)
+        r.pad.commitRange(world, r.first, r.count, r.is_write);
+    return true;
+}
+
 std::size_t
 NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
                        std::size_t batch_stop, Tick &dma_t,
@@ -149,7 +161,15 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
         return 0;
     }
 
-    for (std::size_t i = 0; i < group.size(); ++i) {
+    bool ranged = false;
+    if (params.timing_only) {
+        std::vector<RowRange> ranges;
+        ranges.reserve(group.size());
+        for (const Instr *in : group)
+            ranges.push_back({*spad, in->spad_row, in->rows, true});
+        ranged = commitRanges(ranges);
+    }
+    for (std::size_t i = 0; !ranged && i < group.size(); ++i) {
         const Instr &in = *group[i];
         for (std::uint32_t r = 0; r < in.rows; ++r) {
             const std::uint8_t *src =
@@ -181,15 +201,18 @@ NpuCore::execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
     const std::uint32_t dim = systolic.dim();
     std::vector<std::uint8_t> out;
     std::vector<std::uint8_t> *buf_ptr = nullptr;
-    std::vector<std::uint8_t> acc_row(params.acc_row_bytes);
+    std::vector<std::uint8_t> acc_row;
 
     if (!params.timing_only) {
         out.resize(static_cast<std::size_t>(in.rows) *
                    params.spad_row_bytes);
         buf_ptr = &out;
+        acc_row.resize(params.acc_row_bytes);
     }
 
-    for (std::uint32_t r = 0; r < in.rows; ++r) {
+    const RowRange ranges[] = {{*acc, in.spad_row, in.rows, false}};
+    const bool ranged = params.timing_only && commitRanges(ranges);
+    for (std::uint32_t r = 0; !ranged && r < in.rows; ++r) {
         SpadStatus st = acc->read(
             world, in.spad_row + r,
             params.timing_only ? nullptr : acc_row.data());
@@ -241,11 +264,15 @@ NpuCore::execPreload(const Instr &in, ExecResult &res)
 {
     const std::uint32_t dim = systolic.dim();
     std::vector<std::int8_t> tile;
-    if (!params.timing_only)
+    std::vector<std::uint8_t> row;
+    if (!params.timing_only) {
         tile.resize(static_cast<std::size_t>(dim) * dim);
+        row.resize(params.spad_row_bytes);
+    }
 
-    std::vector<std::uint8_t> row(params.spad_row_bytes);
-    for (std::uint32_t r = 0; r < dim; ++r) {
+    const RowRange ranges[] = {{*spad, in.spad_row, dim, false}};
+    const bool ranged = params.timing_only && commitRanges(ranges);
+    for (std::uint32_t r = 0; !ranged && r < dim; ++r) {
         SpadStatus st = spad->read(
             world, in.spad_row + r,
             params.timing_only ? nullptr : row.data());
@@ -270,10 +297,20 @@ NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
     const std::uint32_t dim = systolic.dim();
     const std::uint32_t k = in.k ? in.k : dim;
 
-    std::vector<std::uint8_t> a_row(params.spad_row_bytes);
-    std::vector<std::uint8_t> acc_row(params.acc_row_bytes);
+    std::vector<std::uint8_t> a_row;
+    std::vector<std::uint8_t> acc_row;
+    if (!params.timing_only) {
+        a_row.resize(params.spad_row_bytes);
+        acc_row.resize(params.acc_row_bytes);
+    }
 
-    for (std::uint32_t r = 0; r < in.rows; ++r) {
+    const RowRange ranges[] = {
+        {*spad, in.spad_row, in.rows, false},
+        {*acc, in.spad_row2, in.accumulate ? in.rows : 0, false},
+        {*acc, in.spad_row2, in.rows, true},
+    };
+    const bool ranged = params.timing_only && commitRanges(ranges);
+    for (std::uint32_t r = 0; !ranged && r < in.rows; ++r) {
         SpadStatus st = spad->read(
             world, in.spad_row + r,
             params.timing_only ? nullptr : a_row.data());

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "dma/dma_engine.hh"
@@ -134,6 +135,24 @@ class NpuCore
     const NpuCoreParams &coreParams() const { return params; }
 
   private:
+    /** One contiguous run of rows an instruction reads or writes. */
+    struct RowRange
+    {
+        Scratchpad &pad;
+        std::uint32_t first;
+        std::uint32_t count;
+        bool is_write;
+    };
+
+    /**
+     * Timing-only fast path: when every range is allowed, commit
+     * them all (one ID check per range, as the hardware compares an
+     * access's wordlines in parallel) and return true. Otherwise
+     * change nothing and return false; the caller then runs its
+     * per-row loop, which reports the first denied row exactly.
+     */
+    bool commitRanges(std::span<const RowRange> ranges);
+
     /**
      * Execute a group of consecutive load instructions as parallel
      * DMA channel streams. The batch never extends past instruction

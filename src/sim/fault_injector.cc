@@ -1,5 +1,7 @@
 #include "sim/fault_injector.hh"
 
+#include "sim/logging.hh"
+
 namespace snpu
 {
 
@@ -45,12 +47,23 @@ FaultInjector::FaultInjector(FaultPlan plan)
     : _plan(std::move(plan)), rng(_plan.seed),
       fires_per_spec(_plan.faults.size(), 0)
 {
+    for (const FaultSpec &spec : _plan.faults)
+        targeted[static_cast<std::size_t>(spec.site)] = true;
 }
 
 std::uint64_t
 FaultInjector::occurrences(FaultSite site) const
 {
     return counts[static_cast<std::size_t>(site)];
+}
+
+void
+FaultInjector::skip(FaultSite site, std::uint64_t n)
+{
+    if (targets(site))
+        panic("FaultInjector::skip: site ", faultSiteName(site),
+              " is armed");
+    counts[static_cast<std::size_t>(site)] += n;
 }
 
 void

@@ -155,6 +155,21 @@ class FaultInjector
     /** Occurrences probed so far at @p site (fired or not). */
     std::uint64_t occurrences(FaultSite site) const;
 
+    /** Whether any spec of the plan arms @p site. */
+    bool targets(FaultSite site) const
+    {
+        return targeted[static_cast<std::size_t>(site)];
+    }
+
+    /**
+     * Count @p n occurrences of a site the plan does not target, as
+     * @p n shouldInject() calls would: none of them can fire or draw
+     * from the Rng. Lets a batched access (e.g. a scratchpad range)
+     * keep occurrences() exact without probing row by row. Panics
+     * if the plan targets @p site.
+     */
+    void skip(FaultSite site, std::uint64_t n);
+
     /** Every fault that fired, in firing order. */
     const std::vector<FaultRecord> &fired() const { return log; }
 
@@ -170,6 +185,7 @@ class FaultInjector
     FaultPlan _plan;
     Rng rng;
     std::array<std::uint64_t, fault_site_count> counts{};
+    std::array<bool, fault_site_count> targeted{};
     std::vector<std::uint32_t> fires_per_spec;
     std::vector<FaultRecord> log;
 };

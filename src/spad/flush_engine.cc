@@ -48,15 +48,16 @@ FlushEngine::stream(Tick when, std::uint32_t rows, Addr area, MemOp op,
             fatal("flush engine denied by the world partition");
         done = std::max(done, res.done);
         t += 1; // one row issued per cycle
-
-        // Functional movement of the context bytes.
-        if (op == MemOp::write) {
-            mem.data().write(req.paddr, spad.rawRow(row), row_bytes);
-        } else {
-            mem.data().read(req.paddr, spad.rawRow(row), row_bytes);
-        }
-        bytes_moved += row_bytes;
     }
+
+    // Functional movement of the context bytes: the rows are
+    // contiguous in both the scratchpad and the save area.
+    const std::size_t bytes = static_cast<std::size_t>(rows) * row_bytes;
+    if (rows > 0 && op == MemOp::write)
+        mem.data().write(area, spad.rawRow(0), bytes);
+    else if (rows > 0)
+        mem.data().read(area, spad.rawRow(0), bytes);
+    bytes_moved += bytes;
     return std::max(done, t);
 }
 
@@ -67,11 +68,13 @@ FlushEngine::flush(Tick when, std::uint32_t live_rows, Addr save_area,
     live_rows = std::min(live_rows, spad.rows());
     ++flush_count;
     Tick done = stream(when, live_rows, save_area, MemOp::write, world);
-    // Scrub the saved rows so nothing leaks to the next task.
-    for (std::uint32_t row = 0; row < live_rows; ++row) {
-        std::memset(spad.rawRow(row), 0, spad.rowBytes());
-        spad.rawSetId(row, World::normal);
+    // Scrub the saved rows so nothing leaks to the next task. An
+    // unallocated data array holds only zeros already.
+    if (spad.holdsData()) {
+        std::memset(spad.rawRow(0), 0,
+                    static_cast<std::size_t>(live_rows) * spad.rowBytes());
     }
+    spad.setIdRange(0, live_rows, World::normal);
     return done;
 }
 
@@ -89,11 +92,10 @@ FlushEngine::restoreFunctional(std::uint32_t live_rows, Addr save_area)
 {
     live_rows = std::min(live_rows, spad.rows());
     ++restore_count;
-    const std::uint32_t row_bytes = spad.rowBytes();
-    for (std::uint32_t row = 0; row < live_rows; ++row) {
-        mem.data().read(save_area +
-                            static_cast<Addr>(row) * row_bytes,
-                        spad.rawRow(row), row_bytes);
+    if (live_rows > 0) {
+        mem.data().read(save_area, spad.rawRow(0),
+                        static_cast<std::size_t>(live_rows) *
+                            spad.rowBytes());
     }
 }
 

@@ -10,7 +10,6 @@ namespace snpu
 
 Scratchpad::Scratchpad(stats::Group &stats, SpadParams params)
     : params(params),
-      data(static_cast<std::size_t>(params.rows) * params.row_bytes, 0),
       id_state(params.rows, World::normal),
       reads(stats, "spad_reads", "scratchpad row reads"),
       writes(stats, "spad_writes", "scratchpad row writes"),
@@ -45,6 +44,21 @@ Scratchpad::partitionAllows(World w, std::uint32_t row) const
     return row >= params.partition_boundary;
 }
 
+bool
+Scratchpad::rowsInRange(std::uint32_t first, std::uint32_t count) const
+{
+    return first <= params.rows && count <= params.rows - first;
+}
+
+std::uint8_t *
+Scratchpad::ensureData()
+{
+    if (data.empty())
+        data.assign(static_cast<std::size_t>(params.rows) * params.row_bytes,
+                    0);
+    return data.data();
+}
+
 SpadStatus
 Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
 {
@@ -65,7 +79,7 @@ Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
         if (faults->shouldInject(FaultSite::spad_bit_flip, 0)) {
             // Flip the low bit of the row's first byte in place:
             // the corruption persists and is silent to the reader.
-            data[static_cast<std::size_t>(row) * params.row_bytes] ^= 1;
+            ensureData()[std::size_t{row} * params.row_bytes] ^= 1;
             ++corrupted;
             tracer.emit(0, TraceCategory::fault, trace_name,
                         "injected bit flip in row ", row);
@@ -115,7 +129,9 @@ Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
         break;
     }
 
-    if (dst) {
+    if (dst && data.empty()) {
+        std::memset(dst, 0, params.row_bytes);
+    } else if (dst) {
         std::memcpy(dst,
                     data.data() +
                         static_cast<std::size_t>(row) * params.row_bytes,
@@ -170,11 +186,81 @@ Scratchpad::write(World writer, std::uint32_t row, const std::uint8_t *src)
 
     recordWrite(row);
     if (src) {
-        std::memcpy(data.data() +
+        std::memcpy(ensureData() +
                         static_cast<std::size_t>(row) * params.row_bytes,
                     src, params.row_bytes);
     }
     return SpadStatus::ok;
+}
+
+bool
+Scratchpad::rangeAllowed(World world, std::uint32_t first,
+                         std::uint32_t count, bool is_write) const
+{
+    if (!rowsInRange(first, count))
+        return false;
+    if (!is_write && faults &&
+        (faults->targets(FaultSite::spad_id_mismatch) ||
+         faults->targets(FaultSite::spad_bit_flip))) {
+        return false;
+    }
+    if (count == 0)
+        return true;
+
+    const auto ids = id_state.begin() + first;
+    switch (params.mode) {
+      case IsolationMode::none:
+        return true;
+      case IsolationMode::partition:
+        // Each world owns one contiguous side of the boundary.
+        return partitionAllows(world, first) &&
+               partitionAllows(world, first + count - 1);
+      case IsolationMode::id_based:
+        if (params.scope == SpadScope::local) {
+            // Forced writes always pass; reads need every ID to match.
+            return is_write ||
+                   std::all_of(ids, ids + count,
+                               [world](World w) { return w == world; });
+        }
+        // Global: only a normal-world access is ever denied, by any
+        // secure line in range.
+        return world == World::secure ||
+               std::find(ids, ids + count, World::secure) == ids + count;
+    }
+    return false;
+}
+
+void
+Scratchpad::commitRange(World world, std::uint32_t first,
+                        std::uint32_t count, bool is_write)
+{
+    if (is_write) {
+        writes += count;
+    } else {
+        reads += count;
+        if (faults) {
+            faults->skip(FaultSite::spad_id_mismatch, count);
+            faults->skip(FaultSite::spad_bit_flip, count);
+        }
+    }
+
+    // Local writes force the writer's ID; under the global rule any
+    // approved secure access claims its lines. Nothing else moves IDs.
+    const bool local = params.scope == SpadScope::local;
+    if (params.mode == IsolationMode::id_based &&
+        (local ? is_write : world == World::secure)) {
+        const auto ids = id_state.begin() + first;
+        id_flips += count - std::count(ids, ids + count, world);
+        if (!is_write && recording) {
+            for (std::uint32_t row = first; row < first + count; ++row) {
+                if (id_state[row] != world)
+                    recordWrite(row); // secure read claims the line
+            }
+        }
+        std::fill(ids, ids + count, world);
+    }
+    if (is_write)
+        recordRange(first, count);
 }
 
 bool
@@ -188,22 +274,21 @@ Scratchpad::secureReset(std::uint32_t first, std::uint32_t count,
                     "context");
         return false;
     }
-    if (first + count > params.rows || first + count < first)
+    if (!rowsInRange(first, count))
         return false;
     tracer.emit(0, TraceCategory::spad, trace_name,
                 "secure reset: scrubbed rows [", first, ", ",
                 first + count, ")");
-    for (std::uint32_t row = first; row < first + count; ++row) {
-        recordWrite(row);
-        if (id_state[row] == World::secure) {
-            id_state[row] = World::normal;
-            ++id_flips;
-        }
-        // Resetting also scrubs the payload: the secret must not
-        // survive the ownership change.
+    recordRange(first, count);
+    const auto ids = id_state.begin() + first;
+    id_flips += std::count(ids, ids + count, World::secure);
+    std::fill(ids, ids + count, World::normal);
+    // Resetting also scrubs the payload: the secret must not survive
+    // the ownership change. An unallocated array holds only zeros.
+    if (holdsData()) {
         std::memset(data.data() +
-                        static_cast<std::size_t>(row) * params.row_bytes,
-                    0, params.row_bytes);
+                        static_cast<std::size_t>(first) * params.row_bytes,
+                    0, static_cast<std::size_t>(count) * params.row_bytes);
     }
     return true;
 }
@@ -239,24 +324,16 @@ Scratchpad::rawRow(std::uint32_t row)
 {
     if (row >= params.rows)
         panic("rawRow: row out of range");
-    return data.data() + static_cast<std::size_t>(row) * params.row_bytes;
-}
-
-const std::uint8_t *
-Scratchpad::rawRow(std::uint32_t row) const
-{
-    if (row >= params.rows)
-        panic("rawRow: row out of range");
-    return data.data() + static_cast<std::size_t>(row) * params.row_bytes;
+    return ensureData() + static_cast<std::size_t>(row) * params.row_bytes;
 }
 
 void
-Scratchpad::rawSetId(std::uint32_t row, World w)
+Scratchpad::setIdRange(std::uint32_t first, std::uint32_t count, World w)
 {
-    if (row >= params.rows)
-        panic("rawSetId: row out of range");
-    id_state[row] = w;
-    recordWrite(row);
+    if (!rowsInRange(first, count))
+        panic("setIdRange: rows out of range");
+    std::fill_n(id_state.begin() + first, count, w);
+    recordRange(first, count);
 }
 
 void

@@ -91,6 +91,27 @@ class Scratchpad
                      const std::uint8_t *src);
 
     /**
+     * Whether @p count row reads (or writes) by @p world starting at
+     * @p first would all succeed: every row in range, none denied by
+     * the isolation rule, and — for reads — no armed fault plan
+     * targeting a scratchpad site (those must be probed row by row).
+     * The hardware compares a whole access's wordline IDs in
+     * parallel; this is that check, with no side effects.
+     */
+    bool rangeAllowed(World world, std::uint32_t first,
+                      std::uint32_t count, bool is_write) const;
+
+    /**
+     * Perform the @p count data-free row accesses rangeAllowed()
+     * approved, with exactly the effects of @p count read(…, nullptr)
+     * / write(…, nullptr) calls: access, ID-flip and fault-occurrence
+     * counts, ID transitions (including a secure global read claiming
+     * its lines) and the write record.
+     */
+    void commitRange(World world, std::uint32_t first,
+                     std::uint32_t count, bool is_write);
+
+    /**
      * Secure instruction: reset rows [first, first+count) from secure
      * to non-secure, zeroing their contents. Rejected unless issued
      * from the secure context.
@@ -120,11 +141,19 @@ class Scratchpad
 
     /**
      * Raw, check-free access for the flush engine and loaders that
-     * operate with hardware privilege.
+     * operate with hardware privilege. The first call allocates the
+     * (zeroed) data array, as do a write that carries data and an
+     * injected bit flip; until then reads return zeros, so a
+     * timing-only pad never holds its payload bytes. Rows are
+     * contiguous: rawRow(r) + rowBytes() == rawRow(r + 1).
      */
     std::uint8_t *rawRow(std::uint32_t row);
-    const std::uint8_t *rawRow(std::uint32_t row) const;
-    void rawSetId(std::uint32_t row, World w);
+
+    /** Whether the data array has been allocated yet. */
+    bool holdsData() const { return !data.empty(); }
+
+    /** Set rows [first, first+count) to ID @p w, check-free. */
+    void setIdRange(std::uint32_t first, std::uint32_t count, World w);
 
     /** The whole per-row ID image (layer-timing cache key input). */
     const std::vector<World> &idImage() const { return id_state; }
@@ -142,7 +171,7 @@ class Scratchpad
      * touches from here to endWriteRecord() is remembered (one
      * branch per access while armed, nothing when disarmed). The
      * layer-timing cache uses this to capture the ID-image effect of
-     * a memoized op so a hit can replay it with rawSetId().
+     * a memoized op so a hit can replay it with setIdRange().
      */
     void beginWriteRecord();
 
@@ -178,6 +207,8 @@ class Scratchpad
 
   private:
     bool partitionAllows(World w, std::uint32_t row) const;
+    bool rowsInRange(std::uint32_t first, std::uint32_t count) const;
+    std::uint8_t *ensureData();
     void recordWrite(std::uint32_t row)
     {
         if (recording && !write_mark[row]) {
@@ -185,9 +216,16 @@ class Scratchpad
             written_rows.push_back(row);
         }
     }
+    void recordRange(std::uint32_t first, std::uint32_t count)
+    {
+        if (recording) {
+            for (std::uint32_t row = first; row < first + count; ++row)
+                recordWrite(row);
+        }
+    }
 
     SpadParams params;
-    std::vector<std::uint8_t> data;   // rows * row_bytes
+    std::vector<std::uint8_t> data;   // rows * row_bytes, or empty
     std::vector<World> id_state;      // per row
     bool recording = false;
     std::vector<std::uint8_t> write_mark; // lazily sized to rows
