@@ -21,6 +21,7 @@
 #include "bench_util.hh"
 #include "core/systems.hh"
 #include "json_writer.hh"
+#include "sim/args.hh"
 
 using namespace snpu;
 using namespace snpu::bench;

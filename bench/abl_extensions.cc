@@ -17,6 +17,7 @@
 #include "core/area_model.hh"
 #include "core/systems.hh"
 #include "json_writer.hh"
+#include "sim/args.hh"
 
 using namespace snpu;
 using namespace snpu::bench;

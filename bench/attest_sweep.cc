@@ -38,6 +38,7 @@
 #include "json_writer.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
+#include "sim/args.hh"
 #include "sim/random.hh"
 #include "sim/sweep_runner.hh"
 #include "workload/model_zoo.hh"
@@ -136,7 +137,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("attest_sweep")
+    ArgSpec("attest_sweep")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&seed)

@@ -1,186 +1,21 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction binaries: aligned
- * table printing and common experiment plumbing.
+ * Shared helpers for the figure/table reproduction binaries: banners,
+ * aligned tables and number formatting. Command lines are parsed by
+ * ArgSpec (sim/args.hh).
  */
 
 #ifndef SNPU_BENCH_BENCH_UTIL_HH
 #define SNPU_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 namespace snpu::bench
 {
-
-/**
- * Declarative CLI parsing shared by every bench binary. A bench
- * declares the options it understands — usually via the common
- * helpers (json/jobs/protection/seed) so the flags are spelled
- * identically everywhere — then calls parse(). An argument matching
- * no declared key prints the supported list to stderr and exits 2,
- * uniformly, instead of the previous mix of silently-ignored and
- * per-bench ad-hoc scanning. A bench that fronts another parser
- * (simspeed forwards to google-benchmark) enables passthrough(),
- * which collects unmatched arguments for forwarding instead of
- * rejecting them.
- */
-class ArgSpec
-{
-  public:
-    explicit ArgSpec(std::string bench) : bench_(std::move(bench)) {}
-
-    /** Declare `KEY=VALUE`, storing VALUE into @p out. */
-    ArgSpec &
-    option(std::string key, std::string help, std::string *out)
-    {
-        opts_.push_back({std::move(key), std::move(help), out,
-                         nullptr, nullptr});
-        return *this;
-    }
-
-    /** Declare `KEY=N` (decimal unsigned), storing N into @p out. */
-    ArgSpec &
-    option(std::string key, std::string help, unsigned *out)
-    {
-        opts_.push_back({std::move(key), std::move(help), nullptr,
-                         out, nullptr});
-        return *this;
-    }
-
-    /** Declare `KEY=N` (decimal uint64), storing N into @p out. */
-    ArgSpec &
-    option(std::string key, std::string help, std::uint64_t *out)
-    {
-        opts_.push_back({std::move(key), std::move(help), nullptr,
-                         nullptr, out});
-        return *this;
-    }
-
-    /** `--json=FILE`: machine-readable results next to stdout. */
-    ArgSpec &
-    json(std::string *out)
-    {
-        return option("--json",
-                      "also write machine-readable results to FILE",
-                      out);
-    }
-
-    /** `--jobs=N`: sweep worker threads (0 = hardware default). */
-    ArgSpec &
-    jobs(unsigned *out)
-    {
-        return option("--jobs",
-                      "sweep worker threads (0 = one per core)", out);
-    }
-
-    /** `--protection=NAME`: restrict to one protection backend. */
-    ArgSpec &
-    protection(std::string *out)
-    {
-        return option(
-            "--protection",
-            "run only the named protection backend "
-            "(passthrough|iommu|guarder|crypto)",
-            out);
-    }
-
-    /** `--seed=N`: override the experiment's arrival/plan seed. */
-    ArgSpec &
-    seed(std::uint64_t *out)
-    {
-        return option("--seed",
-                      "override the experiment's base RNG seed", out);
-    }
-
-    /** Forward unmatched arguments instead of rejecting them. */
-    ArgSpec &
-    passthrough(std::string note)
-    {
-        passthrough_ = true;
-        passthrough_note_ = std::move(note);
-        return *this;
-    }
-
-    /**
-     * Parse @p argv. Declared options are consumed; anything else
-     * exits 2 with the supported list (or, under passthrough, is
-     * returned for forwarding — argv[0] leads the returned vector).
-     */
-    std::vector<char *>
-    parse(int argc, char **argv) const
-    {
-        std::vector<char *> rest;
-        rest.push_back(argv[0]);
-        for (int i = 1; i < argc; ++i) {
-            if (!consume(argv[i])) {
-                if (passthrough_) {
-                    rest.push_back(argv[i]);
-                    continue;
-                }
-                std::fprintf(stderr, "%s: unknown argument '%s'\n",
-                             bench_.c_str(), argv[i]);
-                usage();
-                std::exit(2);
-            }
-        }
-        return rest;
-    }
-
-  private:
-    struct Opt
-    {
-        std::string key;
-        std::string help;
-        std::string *str_out;
-        unsigned *uint_out;
-        std::uint64_t *u64_out;
-    };
-
-    bool
-    consume(const char *arg) const
-    {
-        for (const Opt &o : opts_) {
-            const std::size_t n = o.key.size();
-            if (std::strncmp(arg, o.key.c_str(), n) != 0 ||
-                arg[n] != '=') {
-                continue;
-            }
-            const char *v = arg + n + 1;
-            if (o.str_out)
-                *o.str_out = v;
-            else if (o.uint_out)
-                *o.uint_out = static_cast<unsigned>(
-                    std::strtoul(v, nullptr, 10));
-            else if (o.u64_out)
-                *o.u64_out = std::strtoull(v, nullptr, 10);
-            return true;
-        }
-        return false;
-    }
-
-    void
-    usage() const
-    {
-        std::fprintf(stderr, "supported arguments:\n");
-        for (const Opt &o : opts_) {
-            std::fprintf(stderr, "  %s=%s\n      %s\n",
-                         o.key.c_str(),
-                         o.str_out ? "VALUE" : "N", o.help.c_str());
-        }
-        if (passthrough_)
-            std::fprintf(stderr, "  %s\n", passthrough_note_.c_str());
-    }
-
-    std::string bench_;
-    std::vector<Opt> opts_;
-    bool passthrough_ = false;
-    std::string passthrough_note_;
-};
 
 /** Print a banner naming the experiment being regenerated. */
 inline void

@@ -31,6 +31,7 @@
 #include "json_writer.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
+#include "sim/args.hh"
 #include "sim/fault_injector.hh"
 #include "sim/random.hh"
 #include "sim/sweep_runner.hh"
@@ -139,7 +140,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("fault_sweep")
+    ArgSpec("fault_sweep")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&arrival_seed)

@@ -35,6 +35,7 @@
 #include "core/systems.hh"
 #include "dma/protection_registry.hh"
 #include "json_writer.hh"
+#include "sim/args.hh"
 #include "sim/sweep_runner.hh"
 
 using namespace snpu;

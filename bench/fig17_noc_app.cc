@@ -11,6 +11,7 @@
 #include "core/systems.hh"
 #include "core/task_runner.hh"
 #include "json_writer.hh"
+#include "sim/args.hh"
 
 using namespace snpu;
 using namespace snpu::bench;

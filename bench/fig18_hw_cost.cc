@@ -11,6 +11,7 @@
 #include "bench_util.hh"
 #include "core/area_model.hh"
 #include "json_writer.hh"
+#include "sim/args.hh"
 
 using namespace snpu;
 using namespace snpu::bench;

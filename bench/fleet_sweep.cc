@@ -32,6 +32,7 @@
 #include "json_writer.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
+#include "sim/args.hh"
 #include "sim/fault_injector.hh"
 #include "sim/hashing.hh"
 #include "sim/random.hh"
@@ -194,7 +195,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("fleet_sweep")
+    ArgSpec("fleet_sweep")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&arrival_seed)

@@ -2,7 +2,7 @@
  * @file
  * Machine-readable output for the bench binaries: a small streaming
  * JSON writer behind the shared `--json=FILE` convention (declared
- * through ArgSpec::json in bench_util.hh). Every bench keeps its
+ * through ArgSpec::json in sim/args.hh). Every bench keeps its
  * human-readable stdout untouched and, when the flag is given,
  * additionally writes one JSON document mirroring the printed tables
  * and headline metrics. The "wrote ..." note goes to stderr so

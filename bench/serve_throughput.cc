@@ -47,6 +47,7 @@
 #include "json_writer.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
+#include "sim/args.hh"
 #include "sim/random.hh"
 #include "sim/sweep_runner.hh"
 #include "workload/model_zoo.hh"
@@ -133,7 +134,7 @@ main(int argc, char **argv)
 {
     unsigned jobs = 0;
     std::string json_path;
-    bench::ArgSpec("serve_throughput")
+    ArgSpec("serve_throughput")
         .json(&json_path)
         .jobs(&jobs)
         .seed(&seed)

@@ -34,6 +34,7 @@
 #include "npu/systolic_model.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
+#include "sim/args.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "spad/scratchpad.hh"
@@ -607,7 +608,7 @@ main(int argc, char **argv)
     std::string json_path = "BENCH_simspeed.json";
     std::string label = "current";
     std::vector<char *> keep =
-        snpu::bench::ArgSpec("simspeed")
+        snpu::ArgSpec("simspeed")
             .json(&json_path)
             .option("--label", "label for the appended run record",
                     &label)

@@ -16,6 +16,7 @@
 #include "core/systems.hh"
 #include "json_writer.hh"
 #include "serve/core_scheduler.hh"
+#include "sim/args.hh"
 
 using namespace snpu;
 using namespace snpu::bench;

@@ -10,6 +10,7 @@
 #include "bench_util.hh"
 #include "core/soc.hh"
 #include "json_writer.hh"
+#include "sim/args.hh"
 
 using namespace snpu;
 using namespace snpu::bench;

@@ -46,11 +46,11 @@
 #include "dma/protection_registry.hh"
 #include "json_writer.hh"
 #include "serve/server.hh"
+#include "sim/args.hh"
 #include "sim/sweep_runner.hh"
 #include "workload/model_zoo.hh"
 
 using namespace snpu;
-using bench::ArgSpec;
 using bench::banner;
 using bench::big;
 using bench::JsonReport;

@@ -10,24 +10,8 @@
  * Usage:
  *   snpu_fleet [key=value ...]
  *
- * Keys (defaults in parentheses):
- *   socs=<n>                          (8)
- *   cores=<tiles per SoC>             (2)
- *   requests=<per tenant>             (8)
- *   load=<fraction of ideal capacity> (0.4)
- *   kill=<per-heartbeat crash odds>   (0.002)
- *     hangs ride at kill/4 and cordons at kill/8.
- *   mfail=<migration handshake failure odds> (0.08)
- *   failover=0|1                      (1)
- *   decode=0|1  every 4th+1 tenant generates tokens (1)
- *   secure=0|1  every 4th tenant secure (1)
- *   attest=0|1  measured-boot attestation at admission, plus a
- *         re-attestation of the target SoC before each migration (0)
- *   scale=<divisor for model dims>    (256)
- *   seed=<rng seed>                   (1)
- *   stats=0|1  dump the fleet stat group (0)
- *   stats_json=<file>  JSON dump of the fleet group (off)
- *   soc_stats=0|1  capture each SoC's stat tree (0)
+ * The keys and their defaults are declared in main(); an unknown key,
+ * or a value that does not parse, prints them and exits 2.
  *
  * Examples:
  *   snpu_fleet socs=16 kill=0.003
@@ -45,7 +29,7 @@
 #include "fleet/fleet_controller.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
-#include "sim/config.hh"
+#include "sim/args.hh"
 #include "sim/hashing.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -56,35 +40,50 @@ using namespace snpu;
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        try {
-            cfg.parseArg(argv[i]);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "%s\nsee the header comment for "
-                                 "usage\n",
-                         e.what());
-            return 2;
-        }
-    }
-
-    const auto socs =
-        static_cast<std::uint32_t>(cfg.getInt("socs", 8));
-    const auto ncores =
-        static_cast<std::uint32_t>(cfg.getInt("cores", 2));
-    const auto requests =
-        static_cast<std::uint32_t>(cfg.getInt("requests", 8));
-    const double load = cfg.getDouble("load", 0.4);
-    const double kill = cfg.getDouble("kill", 0.002);
-    const double mfail = cfg.getDouble("mfail", 0.08);
-    const bool failover = cfg.getBool("failover", true);
-    const bool decode = cfg.getBool("decode", true);
-    const bool secure = cfg.getBool("secure", true);
-    const bool attest = cfg.getBool("attest", false);
-    const auto scale =
-        static_cast<std::uint32_t>(cfg.getInt("scale", 256));
-    const auto seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
+    unsigned socs = 8;
+    unsigned ncores = 2;
+    unsigned requests = 8;
+    double load = 0.4;
+    double kill = 0.002;
+    double mfail = 0.08;
+    bool failover = true;
+    bool decode = true;
+    bool secure = true;
+    bool attest = false;
+    unsigned scale = 256;
+    std::uint64_t seed = 1;
+    bool stats = false;
+    std::string stats_json;
+    bool soc_stats = false;
+    ArgSpec("snpu_fleet")
+        .option("socs", "SoCs in the fleet (8)", &socs)
+        .option("cores", "tiles per SoC (2)", &ncores)
+        .option("requests", "requests per tenant (8)", &requests)
+        .option("load", "fraction of ideal capacity (0.4)", &load)
+        .option("kill",
+                "per-heartbeat crash odds; hangs ride at kill/4 and "
+                "cordons at kill/8 (0.002)",
+                &kill)
+        .option("mfail", "migration handshake failure odds (0.08)",
+                &mfail)
+        .option("failover", "migrate tenants off failed SoCs (1)",
+                &failover)
+        .option("decode", "every 4th+1 tenant generates tokens (1)",
+                &decode)
+        .option("secure", "every 4th tenant secure (1)", &secure)
+        .option("attest",
+                "measured-boot attestation at admission, plus a "
+                "re-attestation of the target SoC before each "
+                "migration (0)",
+                &attest)
+        .option("scale", "divisor for model dims (256)", &scale)
+        .option("seed", "rng seed (1)", &seed)
+        .option("stats", "dump the fleet stat group (0)", &stats)
+        .option("stats_json", "JSON dump of the fleet group to FILE (off)",
+                &stats_json)
+        .option("soc_stats", "capture each SoC's stat tree (0)",
+                &soc_stats)
+        .parse(argc, argv);
     if (socs == 0) {
         std::fprintf(stderr, "socs= must be positive\n");
         return 2;
@@ -161,7 +160,7 @@ main(int argc, char **argv)
     fc.breaker_cooldown = static_cast<Tick>(2.0 * service);
     fc.latency_hist_max = 64.0 * service;
     fc.latency_hist_buckets = 2048;
-    fc.capture_soc_stats = cfg.getBool("soc_stats", false);
+    fc.capture_soc_stats = soc_stats;
 
     std::printf("fleet: %u SoCs x %u tiles, load=%.2f, "
                 "kill=%.4f/heartbeat, mfail=%.2f, failover=%s, "
@@ -224,12 +223,11 @@ main(int argc, char **argv)
         static_cast<unsigned long long>(res.ttft_p99),
         static_cast<unsigned long long>(res.makespan));
 
-    if (cfg.getBool("stats", false)) {
+    if (stats) {
         std::ostringstream os;
         fleet.fleetStats().group.dump(os);
         std::fputs(os.str().c_str(), stdout);
     }
-    const std::string stats_json = cfg.getString("stats_json", "");
     if (!stats_json.empty()) {
         std::ofstream os(stats_json);
         if (!os) {

@@ -5,27 +5,8 @@
  * Usage:
  *   snpu_run [key=value ...]
  *
- * Keys (defaults in parentheses):
- *   model=googlenet|alexnet|yololite|mobilenet|resnet|bert (resnet)
- *   system=normal|trustzone|snpu            (snpu)
- *   protection=<backend name>               (system default)
- *     any registered backend: passthrough|iommu|guarder|crypto
- *   world=normal|secure                     (normal)
- *   iotlb=<entries>                         (32, trustzone only)
- *   walk_cache=0|1                          (0)
- *   dma_channels=<n>                        (16)
- *   flush=none|tile|layer|layer5            (none)
- *   isolation=none|partition|id             (system default)
- *   partition_frac=<0..1>                   (0.5)
- *   encryption=0|1                          (0)
- *   scale=<divisor for M dims>              (1)
- *   cores=<n>  pipeline across n tiles      (1)
- *   noc=software|unauthorized|peephole      (peephole)
- *   stats=0|1  dump the full stat group     (0)
- *   stats_json=<file>  JSON stat dump       (off)
- *   trace_file=<file>  record a trace       (off)
- *   trace=<cats>  comma list: instr,dma,sec,noc,sched,guarder,
- *         spad,monitor,fault,serve,all      (instr,sec)
+ * The keys and their defaults are declared in main(); an unknown key,
+ * or a value that does not parse, prints them and exits 2.
  *
  * Examples:
  *   snpu_run model=bert system=trustzone iotlb=4
@@ -39,7 +20,7 @@
 
 #include "core/systems.hh"
 #include "core/task_runner.hh"
-#include "sim/config.hh"
+#include "sim/args.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -50,20 +31,58 @@ using namespace snpu;
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        try {
-            cfg.parseArg(argv[i]);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "%s\nsee the header comment for "
-                                 "usage\n",
-                         e.what());
-            return 2;
-        }
-    }
+    std::string model = "resnet";
+    std::string system_name = "snpu";
+    std::string protection;
+    std::string world = "normal";
+    std::string flush_name = "none";
+    std::string isolation;
+    std::string noc_name = "peephole";
+    std::string stats_json;
+    std::string trace_file;
+    std::string trace = "instr,sec";
+    // The knobs below default alike on every system.
+    SocParams knobs;
+    unsigned scale = 1;
+    unsigned cores = 1;
+    bool stats = false;
+    ArgSpec("snpu_run")
+        .option("model",
+                "googlenet|alexnet|yololite|mobilenet|resnet|bert "
+                "(resnet)",
+                &model)
+        .option("system", "normal|trustzone|snpu (snpu)", &system_name)
+        .option("protection",
+                "any registered backend: passthrough|iommu|guarder|"
+                "crypto (system default)",
+                &protection)
+        .option("world", "normal|secure (normal)", &world)
+        .option("iotlb", "IOTLB entries (32, trustzone only)",
+                &knobs.iotlb_entries)
+        .option("walk_cache", "IOMMU walk cache (0)",
+                &knobs.iommu_walk_cache)
+        .option("dma_channels", "DMA channels (16)", &knobs.dma_channels)
+        .option("flush", "none|tile|layer|layer5 (none)", &flush_name)
+        .option("isolation", "none|partition|id (system default)",
+                &isolation)
+        .option("partition_frac", "secure scratchpad share, 0..1 (0.5)",
+                &knobs.partition_secure_frac)
+        .option("encryption", "DRAM memory encryption (0)",
+                &knobs.memory_encryption)
+        .option("scale", "divisor for M dims (1)", &scale)
+        .option("cores", "pipeline across n tiles (1)", &cores)
+        .option("noc", "software|unauthorized|peephole (peephole)",
+                &noc_name)
+        .option("stats", "dump the full stat group (0)", &stats)
+        .option("stats_json", "JSON stat dump to FILE (off)", &stats_json)
+        .option("trace_file", "record a trace to FILE (off)", &trace_file)
+        .option("trace",
+                "comma list: instr,dma,sec,noc,sched,guarder,spad,"
+                "monitor,fault,serve,all (instr,sec)",
+                &trace)
+        .parse(argc, argv);
 
     // System selection.
-    const std::string system_name = cfg.getString("system", "snpu");
     SystemKind kind;
     if (system_name == "normal")
         kind = SystemKind::normal_npu;
@@ -80,15 +99,6 @@ main(int argc, char **argv)
     SocParams params = makeSystem(kind);
 
     // Protection backend override, validated against the registry.
-    // The access_control= alias completed its deprecation cycle
-    // (DESIGN.md §3f): reject it with the migration hint instead of
-    // silently ignoring a key that used to select the backend.
-    if (!cfg.getString("access_control", "").empty()) {
-        std::fprintf(stderr, "snpu_run: access_control= was removed; "
-                             "use protection=\n");
-        return 2;
-    }
-    std::string protection = cfg.getString("protection", "");
     if (!protection.empty()) {
         ProtectionRegistry &reg = ProtectionRegistry::global();
         if (!reg.known(protection)) {
@@ -109,13 +119,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    params.iotlb_entries = static_cast<std::uint32_t>(
-        cfg.getInt("iotlb", params.iotlb_entries));
-    params.iommu_walk_cache = cfg.getBool("walk_cache", false);
-    params.dma_channels = static_cast<std::uint32_t>(
-        cfg.getInt("dma_channels", params.dma_channels));
-    params.memory_encryption = cfg.getBool("encryption", false);
-    const std::string isolation = cfg.getString("isolation", "");
+    params.iotlb_entries = knobs.iotlb_entries;
+    params.iommu_walk_cache = knobs.iommu_walk_cache;
+    params.dma_channels = knobs.dma_channels;
+    params.memory_encryption = knobs.memory_encryption;
     if (isolation == "none")
         params.spad_isolation = IsolationMode::none;
     else if (isolation == "partition")
@@ -127,11 +134,9 @@ main(int argc, char **argv)
                      isolation.c_str());
         return 2;
     }
-    params.partition_secure_frac =
-        cfg.getDouble("partition_frac", params.partition_secure_frac);
+    params.partition_secure_frac = knobs.partition_secure_frac;
 
     FlushGranularity flush = FlushGranularity::none;
-    const std::string flush_name = cfg.getString("flush", "none");
     if (flush_name == "tile")
         flush = FlushGranularity::tile;
     else if (flush_name == "layer")
@@ -145,7 +150,6 @@ main(int argc, char **argv)
     }
 
     NocMode noc = NocMode::peephole;
-    const std::string noc_name = cfg.getString("noc", "peephole");
     if (noc_name == "software")
         noc = NocMode::software;
     else if (noc_name == "unauthorized")
@@ -157,11 +161,8 @@ main(int argc, char **argv)
 
     // Task selection.
     NpuTask task = NpuTask::fromModel(
-        modelByName(cfg.getString("model", "resnet")),
-        cfg.getString("world", "normal") == "secure" ? World::secure
-                                                     : World::normal);
-    const auto scale =
-        static_cast<std::uint32_t>(cfg.getInt("scale", 1));
+        modelByName(model),
+        world == "secure" ? World::secure : World::normal);
     if (scale > 1)
         task.model = task.model.scaled(scale);
 
@@ -170,11 +171,9 @@ main(int argc, char **argv)
 
     // Optional execution trace.
     std::unique_ptr<FileTraceSink> trace_sink;
-    const std::string trace_file = cfg.getString("trace_file", "");
     if (!trace_file.empty()) {
         std::uint32_t mask = 0;
-        std::string cats = cfg.getString("trace", "instr,sec");
-        cats += ',';
+        const std::string cats = trace + ',';
         std::string token;
         for (char ch : cats) {
             if (ch != ',') {
@@ -222,8 +221,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     task.model.weightBytes()));
 
-    const auto cores =
-        static_cast<std::uint32_t>(cfg.getInt("cores", 1));
     if (cores > 1) {
         std::vector<std::uint32_t> ids;
         for (std::uint32_t i = 0; i < cores; ++i)
@@ -264,9 +261,8 @@ main(int argc, char **argv)
                         res.flush_cycles));
     }
 
-    if (cfg.getBool("stats", false))
+    if (stats)
         soc.stats().dump(std::cout);
-    const std::string stats_json = cfg.getString("stats_json", "");
     if (!stats_json.empty()) {
         std::ofstream os(stats_json);
         if (!os) {

@@ -9,32 +9,8 @@
  * Usage:
  *   snpu_serve [key=value ...]
  *
- * Keys (defaults in parentheses):
- *   tenants=<n>                       (4)
- *   models=<name,name,...>  tenant t runs models[t % k]
- *                                     (the whole zoo, in order)
- *   cores=<n>                         (2)
- *   load=<fraction of ideal capacity> (0.7)
- *   isolation=fine|coarse|partition|id (id)
- *   protection=<backend name>         (guarder)
- *     any registered backend. Non-guarder backends serve without
- *     the NPU Monitor, so secure= then defaults to 0.
- *   requests=<per tenant>             (16)
- *   secure=<first k tenants secure>   (tenants/2)
- *   capacity=<admission queue depth>  (8)
- *   scale=<divisor for M dims>        (16)
- *   seed=<rng seed>                   (1)
- *   attest=0|1  secure tenants must pass a measured-boot
- *         attestation handshake at admission (guarder only) (0)
- *   corrupt_boot=<stage>  tamper a boot stage before bring-up:
- *         rom-loader | trusted-firmware | teeos+npu-monitor (off)
- *   corrupt_byte=<n>  image byte the tamper flips (0)
- *   coarse_interval=<segments>        (5)
- *   stats=0|1  dump the full stat group (0)
- *   stats_json=<file>  JSON stat dump   (off)
- *   trace_file=<file>  record serve-path spans and scheduling
- *         decisions (serve+sched+monitor categories) (off)
- *   spans=0|1  per-tenant span summary  (0)
+ * The keys and their defaults are declared in main(); an unknown key,
+ * or a value that does not parse, prints them and exits 2.
  *
  * Examples:
  *   snpu_serve tenants=4 cores=4 load=0.7 isolation=id
@@ -50,7 +26,7 @@
 #include "core/systems.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
-#include "sim/config.hh"
+#include "sim/args.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/trace.hh"
@@ -80,38 +56,71 @@ policyByName(const std::string &name)
 int
 main(int argc, char **argv)
 {
-    Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        try {
-            cfg.parseArg(argv[i]);
-        } catch (const FatalError &e) {
-            std::fprintf(stderr, "%s\nsee the header comment for "
-                                 "usage\n",
-                         e.what());
-            return 2;
-        }
-    }
-
-    const auto ntenants =
-        static_cast<std::uint32_t>(cfg.getInt("tenants", 4));
-    const auto ncores =
-        static_cast<std::uint32_t>(cfg.getInt("cores", 2));
-    const double load = cfg.getDouble("load", 0.7);
-    const std::string isolation = cfg.getString("isolation", "id");
-    const auto requests =
-        static_cast<std::uint32_t>(cfg.getInt("requests", 16));
+    // secure= defaults by policy: its default depends on tenants=
+    // and protection=, so it is resolved after parsing.
+    constexpr unsigned secure_by_policy = ~0u;
+    unsigned ntenants = 4;
+    std::string models;
+    unsigned ncores = 2;
+    double load = 0.7;
+    std::string isolation = "id";
+    std::string protection = "guarder";
+    unsigned requests = 16;
+    unsigned secure = secure_by_policy;
+    unsigned capacity = 8;
+    unsigned scale = 16;
+    std::uint64_t seed = 1;
+    bool attest = false;
+    std::string corrupt_boot;
+    unsigned corrupt_byte = 0;
+    unsigned coarse_interval = 5;
+    bool stats = false;
+    std::string stats_json;
+    std::string trace_file;
+    bool spans = false;
+    ArgSpec("snpu_serve")
+        .option("tenants", "tenants to serve (4)", &ntenants)
+        .option("models",
+                "name,name,...: tenant t runs models[t % k] "
+                "(the whole zoo, in order)",
+                &models)
+        .option("cores", "tiles (2)", &ncores)
+        .option("load", "fraction of ideal capacity (0.7)", &load)
+        .option("isolation", "fine|coarse|partition|id (id)", &isolation)
+        .option("protection", "any registered backend (guarder)",
+                &protection)
+        .option("requests", "requests per tenant (16)", &requests)
+        .option("secure",
+                "the first k tenants run secure (tenants/2 under the "
+                "guarder, else 0)",
+                &secure)
+        .option("capacity", "admission queue depth (8)", &capacity)
+        .option("scale", "divisor for M dims (16)", &scale)
+        .option("seed", "rng seed (1)", &seed)
+        .option("attest",
+                "secure tenants must pass a measured-boot attestation "
+                "handshake at admission, guarder only (0)",
+                &attest)
+        .option("corrupt_boot",
+                "tamper a boot stage before bring-up: rom-loader | "
+                "trusted-firmware | teeos+npu-monitor (off)",
+                &corrupt_boot)
+        .option("corrupt_byte", "image byte the tamper flips (0)",
+                &corrupt_byte)
+        .option("coarse_interval", "segments between coarse flushes (5)",
+                &coarse_interval)
+        .option("stats", "dump the full stat group (0)", &stats)
+        .option("stats_json", "JSON stat dump to FILE (off)", &stats_json)
+        .option("trace_file",
+                "record serve-path spans and scheduling decisions "
+                "(serve+sched+monitor categories) to FILE (off)",
+                &trace_file)
+        .option("spans", "per-tenant span summary (0)", &spans)
+        .parse(argc, argv);
 
     // Protection backend selection. Secure tenants need the NPU
     // Monitor, which only the guarder system carries, so non-guarder
-    // runs default secure=0. The access_control= alias completed its
-    // deprecation cycle (DESIGN.md §3f): reject it with the
-    // migration hint instead of silently ignoring it.
-    if (!cfg.getString("access_control", "").empty()) {
-        std::fprintf(stderr, "snpu_serve: access_control= was "
-                             "removed; use protection=\n");
-        return 2;
-    }
-    std::string protection = cfg.getString("protection", "guarder");
+    // runs default secure=0.
     ProtectionRegistry &reg = ProtectionRegistry::global();
     if (!reg.known(protection)) {
         std::fprintf(stderr,
@@ -121,20 +130,13 @@ main(int argc, char **argv)
         return 2;
     }
     const bool guarded = protection == "guarder";
-    const auto secure = static_cast<std::uint32_t>(
-        cfg.getInt("secure", guarded ? ntenants / 2 : 0));
+    if (secure == secure_by_policy)
+        secure = guarded ? ntenants / 2 : 0;
     if (!guarded && secure > 0) {
         std::fprintf(stderr, "secure tenants need the NPU Monitor "
                              "(protection=guarder)\n");
         return 2;
     }
-    const auto capacity =
-        static_cast<std::uint32_t>(cfg.getInt("capacity", 8));
-    const auto scale =
-        static_cast<std::uint32_t>(cfg.getInt("scale", 16));
-    const auto seed =
-        static_cast<std::uint64_t>(cfg.getInt("seed", 1));
-    const bool attest = cfg.getBool("attest", false);
     if (attest && !guarded) {
         std::fprintf(stderr, "attestation quotes come from the NPU "
                              "Monitor (protection=guarder)\n");
@@ -144,8 +146,7 @@ main(int argc, char **argv)
     ServerConfig server_cfg;
     server_cfg.policy = policyByName(isolation);
     server_cfg.num_cores = ncores;
-    server_cfg.coarse_interval = static_cast<std::uint32_t>(
-        cfg.getInt("coarse_interval", 5));
+    server_cfg.coarse_interval = coarse_interval;
     server_cfg.attestation = attest;
 
     // The guarder serves on the full sNPU system (with the monitor);
@@ -156,9 +157,8 @@ main(int argc, char **argv)
                                  ? SystemKind::trustzone_npu
                                  : SystemKind::normal_npu);
     soc_params.protection = protection;
-    soc_params.boot_corrupt_stage = cfg.getString("corrupt_boot", "");
-    soc_params.boot_corrupt_byte = static_cast<std::uint32_t>(
-        cfg.getInt("corrupt_byte", 0));
+    soc_params.boot_corrupt_stage = corrupt_boot;
+    soc_params.boot_corrupt_byte = corrupt_byte;
     Soc soc(soc_params);
     if (soc.hasMonitor() && !soc.bootReport().ok) {
         std::printf("measured boot HALTED at stage '%s' — the "
@@ -171,13 +171,12 @@ main(int argc, char **argv)
     // offered load is calibrated against the mean ideal service
     // time across the tenant mix.
     std::vector<ModelId> zoo;
-    std::string names = cfg.getString("models", "");
-    while (!names.empty()) {
-        const std::size_t comma = names.find(',');
-        zoo.push_back(modelByName(names.substr(0, comma)));
-        names = comma == std::string::npos
-                    ? std::string()
-                    : names.substr(comma + 1);
+    while (!models.empty()) {
+        const std::size_t comma = models.find(',');
+        zoo.push_back(modelByName(models.substr(0, comma)));
+        models = comma == std::string::npos
+                     ? std::string()
+                     : models.substr(comma + 1);
     }
     if (zoo.empty())
         zoo = allModels();
@@ -224,7 +223,6 @@ main(int argc, char **argv)
     // Optional serve-path trace: request spans, scheduling
     // decisions and monitor activity.
     std::unique_ptr<FileTraceSink> trace_sink;
-    const std::string trace_file = cfg.getString("trace_file", "");
     if (!trace_file.empty()) {
         const std::uint32_t mask = traceMask(TraceCategory::serve) |
                                    traceMask(TraceCategory::sched) |
@@ -283,7 +281,7 @@ main(int argc, char **argv)
                         res.attest_overhead));
     }
 
-    if (cfg.getBool("spans", false)) {
+    if (spans) {
         std::printf("\n%-14s %6s %12s %12s %9s %8s\n", "tenant",
                     "spans", "mean queue", "mean exec", "overflow",
                     "clipped");
@@ -297,12 +295,11 @@ main(int argc, char **argv)
         }
     }
 
-    if (cfg.getBool("stats", false)) {
+    if (stats) {
         std::ostringstream os;
         soc.stats().dump(os);
         std::fputs(os.str().c_str(), stdout);
     }
-    const std::string stats_json = cfg.getString("stats_json", "");
     if (!stats_json.empty()) {
         std::ofstream os(stats_json);
         if (!os) {

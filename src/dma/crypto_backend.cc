@@ -13,22 +13,13 @@ namespace snpu
 struct CryptoBackend::CryptoStats
 {
     explicit CryptoStats(stats::Group &g)
-        : counter_hits(g, "crypto_counter_hits",
-                       "counter cache hits"),
-          counter_misses(g, "crypto_counter_misses",
-                         "counter cache misses (extra DRAM fetch)"),
-          aes_blocks(g, "crypto_aes_blocks",
-                     "64-byte lines through the AES pipeline"),
-          mac_cycles(g, "crypto_mac_cycles",
+        : mac_cycles(g, "crypto_mac_cycles",
                      "cycles charged to the HMAC unit"),
           version_bumps(g, "crypto_version_bumps",
                         "region version increments (write transfers)")
     {
     }
 
-    stats::Scalar counter_hits;
-    stats::Scalar counter_misses;
-    stats::Scalar aes_blocks;
     stats::Scalar mac_cycles;
     stats::Scalar version_bumps;
 };
@@ -37,7 +28,11 @@ CryptoBackend::CryptoBackend(stats::Group *stats,
                              CryptoBackendParams params)
     : ProtectionBackend("crypto", stats), params(params),
       regions(params.regions),
-      counters(params.counter_cache_entries)
+      timing(params, stats,
+             {"crypto_counter_hits", "crypto_counter_misses",
+              "counter cache misses (extra DRAM fetch)",
+              "crypto_aes_blocks",
+              "64-byte lines through the AES pipeline"})
 {
     if (params.regions == 0)
         fatal("crypto backend needs at least one keyed region");
@@ -51,10 +46,10 @@ CryptoBackend::CryptoBackend(stats::Group *stats,
 
 CryptoBackend::~CryptoBackend() = default;
 
-const CryptoBackend::KeyedRegion *
-CryptoBackend::findRegion(Addr addr, std::uint32_t bytes) const
+CryptoBackend::KeyedRegion *
+CryptoBackend::findRegion(Addr addr, std::uint32_t bytes)
 {
-    for (const auto &r : regions) {
+    for (auto &r : regions) {
         if (r.valid && addr >= r.base &&
             addr - r.base + bytes <= r.size) {
             return &r;
@@ -104,21 +99,6 @@ CryptoBackend::translate(Tick when, Addr vaddr, std::uint32_t bytes,
 }
 
 Tick
-CryptoBackend::counterLookup(Addr page)
-{
-    if (counters.lookup(page)) {
-        ++n_counter_hits;
-        if (cstats)
-            ++cstats->counter_hits;
-        return 0;
-    }
-    ++n_counter_misses;
-    if (cstats)
-        ++cstats->counter_misses;
-    return params.counter_miss_penalty;
-}
-
-Tick
 CryptoBackend::transferOverhead(Tick when, Addr paddr,
                                 std::uint32_t bytes, MemOp op)
 {
@@ -126,20 +106,9 @@ CryptoBackend::transferOverhead(Tick when, Addr paddr,
     if (bytes == 0)
         return 0;
 
-    const std::uint64_t blocks = (bytes + 63) / 64;
-    if (cstats)
-        cstats->aes_blocks += static_cast<double>(blocks);
-
-    // Counter fetches: one cached counter line per 4 KiB page.
-    Tick stall = 0;
-    const Addr first_page = paddr / page_bytes;
-    const Addr last_page = (paddr + bytes - 1) / page_bytes;
-    for (Addr page = first_page; page <= last_page; ++page)
-        stall += counterLookup(page);
-
-    // Pipelined AES: fill latency once; throughput matches the DMA
-    // stream, so no per-block cost beyond the fill.
-    stall += params.engine_latency;
+    // Pipelined AES fill plus the counter-line fetches; throughput
+    // matches the DMA stream, so no per-block cost beyond the fill.
+    Tick stall = timing.charge(paddr, bytes);
 
     // MAC: the SHA unit absorbs the stream in parallel with the
     // packet issue. Its lower throughput surfaces as the difference,
@@ -159,15 +128,11 @@ CryptoBackend::transferOverhead(Tick when, Addr paddr,
 
     // Per-region versioning: a write re-keys the data it covers.
     if (op == MemOp::write) {
-        for (auto &r : regions) {
-            if (r.valid && paddr >= r.base &&
-                paddr - r.base + bytes <= r.size) {
-                ++r.version;
-                ++n_version_bumps;
-                if (cstats)
-                    ++cstats->version_bumps;
-                break;
-            }
+        if (KeyedRegion *region = findRegion(paddr, bytes)) {
+            ++region->version;
+            ++n_version_bumps;
+            if (cstats)
+                ++cstats->version_bumps;
         }
     }
     return stall;

@@ -7,9 +7,9 @@
  * comes from keys and per-region versions rather than from denied
  * accesses.
  *
- * Timing model, lifted from the DRAM-side engine in
- * mem/mem_crypto.hh and charged per DMA transfer instead of per
- * line:
+ * Timing model: the counter-mode rule of mem/counter_cache.hh, the
+ * one the DRAM-side engine (mem/mem_crypto.hh) charges per line,
+ * charged here per DMA transfer:
  *
  *  - a pipelined AES engine adds a fixed fill latency once per
  *    transfer (full throughput once primed);
@@ -46,14 +46,8 @@ namespace snpu
 {
 
 /** Crypto backend geometry and latencies. */
-struct CryptoBackendParams
+struct CryptoBackendParams : CounterModeParams
 {
-    /** Pipelined AES fill latency, charged once per transfer. */
-    Tick engine_latency = 12;
-    /** Counter cache entries (one per 4 KiB page). */
-    std::uint32_t counter_cache_entries = 64;
-    /** Cost of fetching a missing counter line from DRAM. */
-    Tick counter_miss_penalty = 110;
     /** HMAC finalize latency (tag generation/verification). */
     Tick mac_latency = 40;
     /** SHA-256 unit throughput absorbing the packet stream. */
@@ -110,7 +104,7 @@ class CryptoBackend : public ProtectionBackend
     Status endContext(bool from_secure) override;
 
     /** Counter-cache contents are the only hidden timing state. */
-    void canonicalizeTiming() override { counters.invalidateAll(); }
+    void canonicalizeTiming() override { timing.invalidateAll(); }
 
     std::uint64_t timingFingerprint() const override;
 
@@ -119,13 +113,9 @@ class CryptoBackend : public ProtectionBackend
     std::uint64_t contextFingerprint(Addr va_base,
                                      Addr bytes) override;
 
-    std::uint64_t counterHits() const { return n_counter_hits; }
-    std::uint64_t counterMisses() const { return n_counter_misses; }
+    std::uint64_t counterHits() const { return timing.hits(); }
+    std::uint64_t counterMisses() const { return timing.misses(); }
     std::uint64_t versionBumps() const { return n_version_bumps; }
-    std::uint32_t regionCapacity() const
-    {
-        return static_cast<std::uint32_t>(regions.size());
-    }
 
     /** The active region tag (all-zero when no region is keyed). */
     Digest regionTag(std::uint32_t slot = 0) const;
@@ -141,16 +131,11 @@ class CryptoBackend : public ProtectionBackend
         Digest tag{};
     };
 
-    const KeyedRegion *findRegion(Addr addr,
-                                  std::uint32_t bytes) const;
-    /** Counter-cache lookup for @p page; returns the miss penalty. */
-    Tick counterLookup(Addr page);
+    KeyedRegion *findRegion(Addr addr, std::uint32_t bytes);
 
     CryptoBackendParams params;
     std::vector<KeyedRegion> regions;
-    CounterCache counters;
-    std::uint64_t n_counter_hits = 0;
-    std::uint64_t n_counter_misses = 0;
+    CounterModeTiming timing;
     std::uint64_t n_version_bumps = 0;
 
     /** Backend-specific exported stats (optional, like the base). */

@@ -35,7 +35,6 @@ struct FleetController::Node
 {
     std::vector<NodeTenant> tenants;
     ServeResult last;
-    bool served = false;
     /** Evicted (crashed or hung); outcomes truncate at fault_tick. */
     bool dead = false;
     /** Cordoned: drains its work, accepts no migrants. */
@@ -57,7 +56,6 @@ FleetController::serveNode(std::uint32_t n,
                            const std::vector<FleetTenantSpec> &tenants)
 {
     Node &node = nodes[n];
-    node.served = true;
     if (node.tenants.empty()) {
         node.last = ServeResult{};
         node.last.status = Status::ok();

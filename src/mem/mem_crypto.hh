@@ -6,12 +6,11 @@
  * explicitly complementary to it — this module exists to quantify
  * the combination.
  *
- * Timing model: data leaving/entering DRAM passes a pipelined AES
- * engine (fixed latency, full throughput). Counter blocks are cached
- * per page in a small counter cache (mem/counter_cache.hh); a miss
- * costs one extra DRAM access to fetch the counter line. Integrity uses the NPU-friendly
- * tree-less scheme of TNPU (per-region versioning), so no
- * tree-walk traffic is modeled.
+ * Timing model: every DRAM-side line pays the counter-mode rule of
+ * mem/counter_cache.hh — the pipelined AES engine's latency, plus
+ * one extra DRAM access when the line's page misses in the counter
+ * cache. Integrity uses the NPU-friendly tree-less scheme of TNPU
+ * (per-region versioning), so no tree-walk traffic is modeled.
  *
  * Functional note: the simulator's backing store stays plaintext —
  * this engine models the *cost* of encryption; confidentiality
@@ -33,15 +32,9 @@ namespace snpu
 {
 
 /** Encryption engine parameters. */
-struct MemCryptoParams
+struct MemCryptoParams : CounterModeParams
 {
     bool enabled = false;
-    /** Pipelined AES latency added to each DRAM-side line access. */
-    Tick engine_latency = 12;
-    /** Counter cache entries (one per 4 KiB page). */
-    std::uint32_t counter_cache_entries = 64;
-    /** Cost of fetching a missing counter line from DRAM. */
-    Tick counter_miss_penalty = 110;
 };
 
 /**
@@ -53,30 +46,26 @@ class MemCryptoEngine
   public:
     MemCryptoEngine(stats::Group &stats, MemCryptoParams params = {});
 
-    bool enabled() const { return params.enabled; }
+    bool enabled() const { return _enabled; }
 
-    /** Extra latency for a DRAM-side access to @p paddr. */
-    Tick accessPenalty(Addr paddr);
+    /** Extra latency for a DRAM-side access to @p paddr's line. */
+    Tick
+    accessPenalty(Addr paddr)
+    {
+        if (!_enabled)
+            return 0;
+        return timing.charge(paddr / line_bytes * line_bytes,
+                             line_bytes);
+    }
 
     /** Drop all cached counter lines (timing canonicalization). */
-    void resetTiming() { counters.invalidateAll(); }
+    void resetTiming() { timing.invalidateAll(); }
 
-    std::uint64_t counterHits() const
-    {
-        return static_cast<std::uint64_t>(hits.value());
-    }
-    std::uint64_t counterMisses() const
-    {
-        return static_cast<std::uint64_t>(misses.value());
-    }
+    std::uint64_t counterMisses() const { return timing.misses(); }
 
   private:
-    MemCryptoParams params;
-    CounterCache counters;
-
-    stats::Scalar hits;
-    stats::Scalar misses;
-    stats::Scalar blocks;
+    bool _enabled;
+    CounterModeTiming timing;
 };
 
 } // namespace snpu

@@ -16,6 +16,7 @@
 #include "dma/crypto_backend.hh"
 #include "dma/dma_engine.hh"
 #include "dma/protection_registry.hh"
+#include "mem/phys_mem.hh"
 #include "sim/logging.hh"
 #include "workload/model_zoo.hh"
 
@@ -280,6 +281,37 @@ TEST_F(CryptoFixture, WriteBumpsRegionVersionReadDoesNot)
     EXPECT_EQ(crypto.versionBumps(), 0u);
     crypto.transferOverhead(0, region_base, 256, MemOp::write);
     EXPECT_EQ(crypto.versionBumps(), 1u);
+}
+
+TEST_F(CryptoFixture, IntraRegionSpliceGoesUndetected)
+{
+    // Known limit (DESIGN §3f): versions are per region, not per
+    // block. An attacker with physical access copies block A over
+    // block B of the same keyed region without any write transfer;
+    // nothing the backend tracks changes, so the read of B still
+    // authenticates and returns A's stale data.
+    PhysMem dram;
+    const Addr block_a = region_base;
+    const Addr block_b = region_base + 0x2000;
+    dram.fill(block_a, 64, 0xAA);
+    dram.fill(block_b, 64, 0xBB);
+    crypto.transferOverhead(0, block_a, 64, MemOp::write);
+    crypto.transferOverhead(0, block_b, 64, MemOp::write);
+    const Digest tag = crypto.regionTag();
+    const std::uint64_t bumps = crypto.versionBumps();
+
+    std::uint8_t spliced[64];
+    dram.read(block_a, spliced, sizeof(spliced));
+    dram.write(block_b, spliced, sizeof(spliced));
+
+    const Translation read =
+        crypto.translate(0, block_b, 64, MemOp::read, World::normal);
+    EXPECT_TRUE(read.ok);
+    EXPECT_EQ(read.paddr, block_b);
+    EXPECT_EQ(crypto.regionTag(), tag);
+    EXPECT_EQ(crypto.versionBumps(), bumps);
+    EXPECT_EQ(crypto.denyCount(), 0u);
+    EXPECT_EQ(dram.read8(block_b), 0xAA);
 }
 
 TEST_F(CryptoFixture, DeniesOutsideKeyedRegion)

@@ -217,6 +217,15 @@ struct SpadPropertyParam
     std::uint64_t seed;
 };
 
+// Names each case by its fields; the default printer dumps the raw
+// bytes, padding included, so the test names would vary run to run.
+void
+PrintTo(const SpadPropertyParam &param, std::ostream *os)
+{
+    *os << (param.scope == SpadScope::global ? "global" : "local")
+        << "_seed" << param.seed;
+}
+
 class SpadIsolationProperty
     : public ::testing::TestWithParam<SpadPropertyParam>
 {
