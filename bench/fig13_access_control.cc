@@ -16,8 +16,8 @@
  *   --json=FILE        machine-readable report (series name their
  *                      backend in the "series_backends" table)
  *   --protection=NAME  restrict the protected series to one
- *                      registered backend; unknown names fail with
- *                      the registered-name list
+ *                      backend of the table; unknown names fail
+ *                      with the list of names
  */
 
 #include <cstdio>
@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/protection_table.hh"
 #include "core/systems.hh"
-#include "dma/protection_registry.hh"
 #include "json_writer.hh"
 #include "sim/args.hh"
 #include "sim/sweep_runner.hh"
@@ -96,14 +96,7 @@ main(int argc, char **argv)
     }
 
     if (!filter.empty()) {
-        ProtectionRegistry &reg = ProtectionRegistry::global();
-        if (!reg.known(filter)) {
-            std::fprintf(stderr,
-                         "unknown protection backend '%s' "
-                         "(registered: %s)\n",
-                         filter.c_str(), reg.namesJoined().c_str());
-            return 2;
-        }
+        requireProtectionBackend(filter);
         std::vector<Series> kept;
         for (auto &s : series) {
             if (s.backend == filter)
@@ -111,9 +104,8 @@ main(int argc, char **argv)
         }
         series = std::move(kept);
         if (series.empty()) {
-            // A registered backend with no predefined series (e.g.
-            // passthrough, or one registered by an embedder) still
-            // measures: one series on the normal system.
+            // A backend with no predefined series (passthrough)
+            // still measures: one series on the normal system.
             SystemOverrides o = base;
             o.protection = filter;
             series.push_back({filter, filter, [o](ModelId id) {

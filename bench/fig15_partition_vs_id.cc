@@ -18,10 +18,10 @@
  * Flags:
  *   --json=FILE        machine-readable report (the "protection"
  *                      metric names the backend every run used)
- *   --protection=NAME  run every point under this registered
- *                      protection backend (default: the normal
- *                      system's passthrough); unknown names fail
- *                      with the registered-name list
+ *   --protection=NAME  run every point under this protection
+ *                      backend (default: the normal system's
+ *                      passthrough); unknown names fail with the
+ *                      list of names
  */
 
 #include <cstdio>
@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/protection_table.hh"
 #include "core/systems.hh"
-#include "dma/protection_registry.hh"
 #include "json_writer.hh"
 #include "sim/args.hh"
 #include "sim/sweep_runner.hh"
@@ -119,15 +119,8 @@ main(int argc, char **argv)
         .json(&json_path)
         .protection(&g_protection)
         .parse(argc, argv);
-    if (!g_protection.empty() &&
-        !ProtectionRegistry::global().known(g_protection)) {
-        std::fprintf(stderr,
-                     "unknown protection backend '%s' "
-                     "(registered: %s)\n",
-                     g_protection.c_str(),
-                     ProtectionRegistry::global().namesJoined().c_str());
-        return 2;
-    }
+    if (!g_protection.empty())
+        requireProtectionBackend(g_protection);
 
     banner("Figure 15", "Static partition vs ID-based dynamic "
                         "scratchpad isolation (pairs share DRAM)");

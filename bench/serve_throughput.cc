@@ -89,23 +89,6 @@ const std::vector<TenantPlan> plans = {
  */
 const std::vector<std::string> backends = {"guarder", "crypto"};
 
-SocParams
-paramsFor(const std::string &backend)
-{
-    if (backend == "guarder")
-        return makeSystem(SystemKind::snpu);
-    SocParams params = makeSystem(SystemKind::normal_npu);
-    params.protection = backend;
-    return params;
-}
-
-/** Secure tenants need the NPU Monitor, which only sNPU carries. */
-World
-worldFor(const TenantPlan &plan, const std::string &backend)
-{
-    return backend == "guarder" ? plan.world : World::normal;
-}
-
 std::vector<TenantSpec>
 makeTenants(const std::string &backend,
             const std::vector<double> &service, double load)
@@ -116,7 +99,7 @@ makeTenants(const std::string &backend,
         spec.name = std::string(modelName(plans[t].model)) + "_" +
                     std::to_string(t);
         spec.task = NpuTask::fromModel(
-            plans[t].model, worldFor(plans[t], backend));
+            plans[t].model, worldForBackend(backend, plans[t].world));
         spec.task.model = spec.task.model.scaled(model_scale);
         const double gap = meanGapForLoad(
             load, static_cast<std::uint32_t>(plans.size()), n_cores,
@@ -160,10 +143,10 @@ main(int argc, char **argv)
         for (const TenantPlan &plan : plans) {
             profile_jobs.push_back([&backend, plan](SweepContext &) {
                 NpuTask task = NpuTask::fromModel(
-                    plan.model, worldFor(plan, backend));
+                    plan.model, worldForBackend(backend, plan.world));
                 task.model = task.model.scaled(model_scale);
                 return SnpuServer::profiledServiceCycles(
-                    paramsFor(backend), task);
+                    paramsForBackend(backend), task);
             });
         }
     }
@@ -202,7 +185,7 @@ main(int argc, char **argv)
             for (double load : loads) {
                 point_jobs.push_back(
                     [&, b, policy, load](SweepContext &) {
-                        Soc soc(paramsFor(backends[b]));
+                        Soc soc(paramsForBackend(backends[b]));
                         ServerConfig cfg;
                         cfg.policy = policy;
                         cfg.num_cores = n_cores;

@@ -30,8 +30,8 @@
  * Only serving-capable backends run by default (guarder, crypto,
  * passthrough — the TrustZone IOMMU strawman has no per-stream VA
  * provisioning); --protection=NAME restricts to one backend, and a
- * registered name outside the default set runs on the normal system
- * like fig13's generic series.
+ * table name outside the default set runs on the normal system like
+ * fig13's generic series.
  */
 
 #include <cstdio>
@@ -41,9 +41,9 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "core/protection_table.hh"
 #include "core/systems.hh"
 #include "core/timing_cache.hh"
-#include "dma/protection_registry.hh"
 #include "json_writer.hh"
 #include "serve/server.hh"
 #include "sim/args.hh"
@@ -66,24 +66,8 @@ constexpr std::uint32_t n_requests = 4;
 constexpr std::uint32_t decode_tokens = 16;
 constexpr double min_speedup = 5.0;
 
-/** One backend column of the sweep. */
-struct Backend
-{
-    std::string name;
-    SystemKind kind;
-};
-
-/** The system kind that natively carries @p backend. */
-SystemKind
-kindFor(const std::string &backend)
-{
-    if (backend == "guarder")
-        return SystemKind::snpu;
-    return SystemKind::normal_npu;
-}
-
 std::vector<TenantSpec>
-makeTenants(SystemKind kind)
+makeTenants(const std::string &backend)
 {
     // All requests arrive at tick 0: the window measures saturated
     // steady-state decode, not queueing, and stays deterministic
@@ -94,8 +78,7 @@ makeTenants(SystemKind kind)
         TenantSpec &spec = tenants[t];
         spec.name = "gpt_" + std::to_string(t);
         spec.task.name = spec.name;
-        spec.task.world = kind == SystemKind::snpu ? World::secure
-                                                   : World::normal;
+        spec.task.world = worldForBackend(backend, World::secure);
         spec.task.priority = 1;
         spec.arrivals.assign(n_requests, 0);
         spec.queue_capacity = n_requests;
@@ -121,11 +104,11 @@ struct TokenPoint
 };
 
 TokenPoint
-runPoint(const Backend &backend, bool cached)
+runPoint(const std::string &backend, bool cached)
 {
     SystemOverrides o;
-    o.protection = backend.name;
-    auto soc = buildSoc(backend.kind, o);
+    o.protection = backend;
+    auto soc = buildSoc(systemForBackend(backend), o);
 
     ServerConfig cfg;
     cfg.policy = SchedPolicy::id_based;
@@ -137,7 +120,7 @@ runPoint(const Backend &backend, bool cached)
     SnpuServer server(*soc, cfg);
 
     TokenPoint point;
-    point.res = server.serve(makeTenants(backend.kind));
+    point.res = server.serve(makeTenants(backend));
     for (const TenantReport &rep : point.res.tenants) {
         point.tokens += rep.tokens;
         point.kv_alloc_cycles += rep.kv_alloc_cycles;
@@ -169,17 +152,17 @@ runPoint(const Backend &backend, bool cached)
 
 /** Registry dump of one cached serving window (parity probe). */
 std::string
-registryDump(const Backend &backend)
+registryDump(const std::string &backend)
 {
     SystemOverrides o;
-    o.protection = backend.name;
-    auto soc = buildSoc(backend.kind, o);
+    o.protection = backend;
+    auto soc = buildSoc(systemForBackend(backend), o);
     ServerConfig cfg;
     cfg.policy = SchedPolicy::id_based;
     cfg.num_cores = n_cores;
     cfg.latency_hist_max = 4.0e7;
     SnpuServer server(*soc, cfg);
-    ServeResult res = server.serve(makeTenants(backend.kind));
+    ServeResult res = server.serve(makeTenants(backend));
     if (!res.ok()) {
         std::fprintf(stderr, "parity run failed: %s\n",
                      res.error().c_str());
@@ -204,21 +187,11 @@ main(int argc, char **argv)
         .protection(&filter)
         .parse(argc, argv);
 
-    std::vector<Backend> backends = {
-        {"guarder", SystemKind::snpu},
-        {"crypto", SystemKind::normal_npu},
-        {"passthrough", SystemKind::normal_npu},
-    };
+    std::vector<std::string> backends = {"guarder", "crypto",
+                                         "passthrough"};
     if (!filter.empty()) {
-        ProtectionRegistry &reg = ProtectionRegistry::global();
-        if (!reg.known(filter)) {
-            std::fprintf(stderr,
-                         "unknown protection backend '%s' "
-                         "(registered: %s)\n",
-                         filter.c_str(), reg.namesJoined().c_str());
-            return 2;
-        }
-        backends = {{filter, kindFor(filter)}};
+        requireProtectionBackend(filter);
+        backends = {filter};
     }
 
     SweepRunner runner(SweepOptions{jobs});
@@ -230,7 +203,7 @@ main(int argc, char **argv)
     // SoC, so the grid fans out across host cores and stdout stays
     // byte-identical for any --jobs.
     std::vector<std::function<TokenPoint(SweepContext &)>> point_jobs;
-    for (const Backend &backend : backends)
+    for (const std::string &backend : backends)
         for (bool cached : {true, false})
             point_jobs.push_back([&backend, cached](SweepContext &) {
                 return runPoint(backend, cached);
@@ -261,7 +234,7 @@ main(int argc, char **argv)
             const auto &outcome = points[b * 2 + m];
             if (!outcome.ok()) {
                 std::fprintf(stderr, "%s (%s) failed: %s\n",
-                             backends[b].name.c_str(),
+                             backends[b].c_str(),
                              m == 0 ? "cached" : "first_fit",
                              outcome.status.toString().c_str());
                 return 1;
@@ -269,20 +242,20 @@ main(int argc, char **argv)
             const TokenPoint &p = outcome.value;
             if (!p.res.ok()) {
                 std::fprintf(stderr, "%s (%s) failed: %s\n",
-                             backends[b].name.c_str(),
+                             backends[b].c_str(),
                              m == 0 ? "cached" : "first_fit",
                              p.res.error().c_str());
                 return 1;
             }
             if (p.tokens == 0) {
                 std::fprintf(stderr, "%s: no decode tokens retired\n",
-                             backends[b].name.c_str());
+                             backends[b].c_str());
                 return 1;
             }
             stats_ok &= p.stats_in_json;
             per_token[m] = static_cast<double>(p.kv_alloc_cycles) /
                            static_cast<double>(p.tokens);
-            table.row({backends[b].name,
+            table.row({backends[b],
                        m == 0 ? "cached" : "first_fit", big(p.tokens),
                        big(p.kv_alloc_cycles), num(per_token[m]),
                        big(p.hits), big(p.misses), big(p.splits),
@@ -293,7 +266,7 @@ main(int argc, char **argv)
             min_ratio = ratio;
         const bool pass = ratio >= min_speedup;
         ok &= pass;
-        summary.row({backends[b].name, num(per_token[1]),
+        summary.row({backends[b], num(per_token[1]),
                      num(per_token[0]), num(ratio) + "x",
                      pass ? "PASS" : "FAIL"});
     }
@@ -320,7 +293,7 @@ main(int argc, char **argv)
         const bool hit = cache.hits() > hits_before;
         parity = live == warm && hit ? "ok" : "MISMATCH";
         std::printf("timing-cache warm replay (%s): %s%s\n",
-                    backends.front().name.c_str(), parity.c_str(),
+                    backends.front().c_str(), parity.c_str(),
                     hit ? "" : " (warm run never hit the cache)");
         ok &= parity == "ok";
     } else {

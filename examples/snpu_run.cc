@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "core/protection_table.hh"
 #include "core/systems.hh"
 #include "core/task_runner.hh"
 #include "sim/args.hh"
@@ -98,17 +99,9 @@ main(int argc, char **argv)
 
     SocParams params = makeSystem(kind);
 
-    // Protection backend override, validated against the registry.
+    // Protection backend override, validated against the table.
     if (!protection.empty()) {
-        ProtectionRegistry &reg = ProtectionRegistry::global();
-        if (!reg.known(protection)) {
-            std::fprintf(stderr,
-                         "unknown protection backend '%s' "
-                         "(registered: %s)\n",
-                         protection.c_str(),
-                         reg.namesJoined().c_str());
-            return 2;
-        }
+        requireProtectionBackend(protection);
         params.protection = protection;
     }
     if (kind == SystemKind::snpu && params.protection != "guarder") {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "core/protection_table.hh"
 #include "core/systems.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
@@ -121,14 +122,7 @@ main(int argc, char **argv)
     // Protection backend selection. Secure tenants need the NPU
     // Monitor, which only the guarder system carries, so non-guarder
     // runs default secure=0.
-    ProtectionRegistry &reg = ProtectionRegistry::global();
-    if (!reg.known(protection)) {
-        std::fprintf(stderr,
-                     "unknown protection backend '%s' "
-                     "(registered: %s)\n",
-                     protection.c_str(), reg.namesJoined().c_str());
-        return 2;
-    }
+    requireProtectionBackend(protection);
     const bool guarded = protection == "guarder";
     if (secure == secure_by_policy)
         secure = guarded ? ntenants / 2 : 0;

@@ -1,5 +1,6 @@
 #include "core/soc.hh"
 
+#include "core/protection_table.hh"
 #include "core/timing_cache.hh"
 #include "sim/logging.hh"
 
@@ -67,20 +68,16 @@ Soc::Soc(SocParams params)
     mem_system = std::make_unique<MemSystem>(stat_group, AddressMap{},
                                              mem_params);
 
-    // The protection backend comes from the registry by name; the
-    // SoC never branches on a backend kind.
-    ProtectionRegistry &reg = ProtectionRegistry::global();
-    if (!reg.known(cfg.protection)) {
-        fatal("unknown protection backend '", cfg.protection,
-              "' (registered: ", reg.namesJoined(), ")");
-    }
+    // The protection backend comes from the backend table by name;
+    // the SoC never branches on a backend kind.
+    const ProtectionBackendRow &backend = protectionBackend(cfg.protection);
 
     // Page tables live in a dedicated arena at the bottom of the
     // normal NPU region (the driver's job on real systems). Only
-    // built when the chosen backend declares it needs one.
+    // built when the chosen backend's row asks for one.
     const AddrRange &normal_arena =
         mem_system->map().npuArena(World::normal);
-    if (reg.needsPageTable(cfg.protection)) {
+    if (backend.needs_page_table) {
         page_table = std::make_unique<PageTable>(
             *mem_system, AddrRange{normal_arena.base, 16u << 20});
     }
@@ -92,9 +89,8 @@ Soc::Soc(SocParams params)
     for (std::uint32_t i = 0; i < cfg.tiles; ++i) {
         control_groups.push_back(std::make_unique<stats::Group>(
             stat_group, "protection" + std::to_string(i)));
-        ProtectionBuildContext bctx{*control_groups.back(), cfg,
-                                    *mem_system, page_table.get(), i};
-        controls.push_back(reg.build(cfg.protection, bctx));
+        controls.push_back(backend.build(*control_groups.back(), cfg,
+                                         page_table.get()));
         if (NpuGuarder *g = controls.back()->asGuarder())
             guarders.push_back(g);
     }
@@ -115,7 +111,7 @@ Soc::Soc(SocParams params)
     dp.core.dma.channels = cfg.dma_channels;
     dp.noc_mode = cfg.noc_mode;
 
-    std::vector<AccessControl *> raw_controls;
+    std::vector<ProtectionBackend *> raw_controls;
     for (auto &ctrl : controls)
         raw_controls.push_back(ctrl.get());
     device = std::make_unique<NpuDevice>(stat_group, *mem_system,

@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "core/soc_config.hh"
-#include "dma/access_control.hh"
-#include "dma/protection_registry.hh"
+#include "dma/protection_backend.hh"
 #include "guarder/guarder.hh"
 #include "iommu/iommu.hh"
 #include "iommu/page_table.hh"
@@ -68,9 +67,9 @@ class Soc
 
     /**
      * Protection backend of tile @p core — the uniform seam every
-     * caller programs against: capabilities(), beginContext() /
-     * endContext(), canonical stats. The backend kind comes from
-     * SocParams::protection via the ProtectionRegistry.
+     * caller programs against: beginContext() / endContext(),
+     * canonical stats. SocParams::protection names its row of the
+     * backend table.
      */
     ProtectionBackend &protection(std::uint32_t core);
 

@@ -44,9 +44,9 @@ struct SocParams
     double freq_ghz = 1.0;
 
     /**
-     * Protection backend on the DMA path, by registered name
-     * (ProtectionRegistry::global()): "passthrough", "iommu",
-     * "guarder", "crypto", or anything registered by the embedder.
+     * Protection backend on the DMA path, by its name in the backend
+     * table (core/protection_table.hh): "passthrough", "iommu",
+     * "guarder" or "crypto".
      */
     std::string protection = "guarder";
     std::uint32_t iotlb_entries = 32;

@@ -28,6 +28,29 @@ buildSoc(SystemKind kind, const SystemOverrides &overrides)
     return std::make_unique<Soc>(params);
 }
 
+SystemKind
+systemForBackend(const std::string &backend)
+{
+    return backend == "guarder" ? SystemKind::snpu
+                                : SystemKind::normal_npu;
+}
+
+SocParams
+paramsForBackend(const std::string &backend)
+{
+    SocParams params = makeSystem(systemForBackend(backend));
+    params.protection = backend;
+    return params;
+}
+
+World
+worldForBackend(const std::string &backend, World wanted)
+{
+    return systemForBackend(backend) == SystemKind::snpu
+               ? wanted
+               : World::normal;
+}
+
 RunResult
 measureModel(SystemKind kind, ModelId model,
              const SystemOverrides &overrides, FlushGranularity flush,

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "core/soc.hh"
 #include "core/task_runner.hh"
@@ -21,8 +22,8 @@ namespace snpu
 /** Common experiment overrides on top of a system's canonical params. */
 struct SystemOverrides
 {
-    /** Protection backend by registered name; empty = system default.
-     *  Unknown names are fatal (the error lists registered names). */
+    /** Protection backend by table name; empty = system default.
+     *  Unknown names are fatal (the error lists every name). */
     std::string protection;
     std::uint32_t iotlb_entries = 0;    //!< 0 = keep default
     double dram_gbps = 0.0;             //!< 0 = keep default
@@ -40,6 +41,23 @@ struct SystemOverrides
 /** Build a Soc for @p kind with @p overrides applied. */
 std::unique_ptr<Soc> buildSoc(SystemKind kind,
                               const SystemOverrides &overrides = {});
+
+/**
+ * The system that carries protection backend @p backend in the
+ * serving sweeps: sNPU for "guarder" (only sNPU has the NPU Monitor
+ * that secure tenants need), the Normal NPU for every other backend.
+ */
+SystemKind systemForBackend(const std::string &backend);
+
+/** Canonical params of systemForBackend(@p backend) running it. */
+SocParams paramsForBackend(const std::string &backend);
+
+/**
+ * The world a tenant asking for @p wanted runs in under @p backend:
+ * @p wanted on sNPU, normal elsewhere (no monitor admits secure
+ * tenants there).
+ */
+World worldForBackend(const std::string &backend, World wanted);
 
 /** Compile-and-run one model on a fresh Soc; returns the RunResult. */
 RunResult measureModel(SystemKind kind, ModelId model,

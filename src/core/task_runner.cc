@@ -63,14 +63,15 @@ TaskRunner::compile(const NpuTask &task,
 {
     TilingCompiler compiler(
         compilerParams(task.world, spad_rows_override));
-    // Identity VA=PA: the physical base doubles as the VA base so
-    // the pass-through baseline works unchanged while the IOMMU and
-    // Guarder still perform every translation and check.
-    const AddrRange &arena = soc.mem().map().npuArena(task.world);
-    const Addr va_base =
-        task.world == World::secure ? arena.base + (arena.size / 2)
-                                    : arena.base + (32u << 20);
-    return compiler.compileModel(task.model, va_base);
+    return compiler.compileModel(task.model, vaBase(task.world));
+}
+
+Addr
+TaskRunner::vaBase(World world) const
+{
+    const AddrRange &arena = soc.mem().map().npuArena(world);
+    return world == World::secure ? arena.base + (arena.size / 2)
+                                  : arena.base + (32u << 20);
 }
 
 Status
@@ -94,10 +95,7 @@ TaskRunner::run(const NpuTask &task, const RunOptions &opts)
     TilingCompiler compiler(
         compilerParams(task.world, opts.spad_rows_override));
 
-    const AddrRange &arena = soc.mem().map().npuArena(task.world);
-    const Addr va_base =
-        task.world == World::secure ? arena.base + (arena.size / 2)
-                                    : arena.base + (32u << 20);
+    const Addr va_base = vaBase(task.world);
     Addr footprint = 0;
     NpuProgram program =
         compiler.compileModel(task.model, va_base, &footprint);
@@ -190,9 +188,7 @@ TaskRunner::runPipeline(const NpuTask &task,
     TilingCompiler compiler(compilerParams(task.world));
 
     const AddrRange &arena = soc.mem().map().npuArena(task.world);
-    Addr cursor = task.world == World::secure
-                      ? arena.base + (arena.size / 2)
-                      : arena.base + (32u << 20);
+    Addr cursor = vaBase(task.world);
     const Addr pipeline_base = cursor;
 
     const bool direct = noc != NocMode::software;
@@ -209,8 +205,6 @@ TaskRunner::runPipeline(const NpuTask &task,
             return result;
         }
     }
-
-    const std::uint64_t noc_bytes_before = soc.npu().mesh().flitsMoved();
 
     Tick t = 0;
     Addr prev_out_buffer = 0;
@@ -229,13 +223,7 @@ TaskRunner::runPipeline(const NpuTask &task,
         NpuProgram program =
             compiler.compileModel(sub, cursor, &footprint, co);
 
-        // Track the stage's final output buffer for chaining: it is
-        // the last buffer allocated before `cursor` advanced; we
-        // recompute it by recompiling bookkeeping — instead, chain
-        // through a fresh compile that reports buffers would be
-        // complex, so we conservatively hand the next stage the
-        // whole stage arena base. The software-NoC cost is carried
-        // by the mvout+mvin pairs already present in the programs.
+        // The next stage reads its input from this stage's arena base.
         prev_out_buffer = cursor;
 
         // The stage's window spans the whole pipeline arena so far:
@@ -315,7 +303,6 @@ TaskRunner::runPipeline(const NpuTask &task,
         }
     }
 
-    (void)noc_bytes_before;
     result.status = Status::ok();
     result.cycles = t;
     return result;

@@ -120,6 +120,14 @@ class TaskRunner
                                   = 0) const;
 
   private:
+    /**
+     * VA base of the programs a task in @p world runs. Identity
+     * VA=PA: the physical base doubles as the VA base so the
+     * pass-through baseline works unchanged while the IOMMU and
+     * Guarder still perform every translation and check.
+     */
+    Addr vaBase(World world) const;
+
     /** Install translations/windows for [va, va+bytes) -> pa. */
     Status provision(const NpuTask &task, std::uint32_t core,
                      Addr va_base, Addr bytes, Addr pa_base);

@@ -38,7 +38,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "dma/access_control.hh"
+#include "dma/protection_backend.hh"
 #include "mem/counter_cache.hh"
 #include "tee/sha256.hh"
 
@@ -74,15 +74,6 @@ class CryptoBackend : public ProtectionBackend
     CheckGranularity granularity() const override
     {
         return CheckGranularity::request;
-    }
-
-    ProtectionCapabilities capabilities() const override
-    {
-        ProtectionCapabilities caps;
-        caps.granularity = CheckGranularity::request;
-        caps.enforces = true;
-        caps.encrypts = true;
-        return caps;
     }
 
     Translation translate(Tick when, Addr vaddr, std::uint32_t bytes,

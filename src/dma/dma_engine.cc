@@ -8,8 +8,8 @@ namespace snpu
 {
 
 DmaEngine::DmaEngine(stats::Group &stats, MemSystem &mem,
-                     AccessControl &ctrl, DmaParams params)
-    : mem(mem), control(&ctrl), params(params),
+                     ProtectionBackend &ctrl, DmaParams params)
+    : mem(mem), control(ctrl), params(params),
       requests(stats, "dma_requests", "DMA requests issued"),
       packets_issued(stats, "dma_packets", "memory packets issued"),
       bytes_moved(stats, "dma_bytes", "bytes transferred by DMA"),
@@ -57,7 +57,7 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
     if (buffer && req.op == MemOp::write && buffer->size() < req.bytes)
         panic("DMA write buffer smaller than request");
 
-    if (control->granularity() == CheckGranularity::request)
+    if (control.granularity() == CheckGranularity::request)
         return transferPerRequest(when, req, buffer);
 
     DmaResult result;
@@ -80,7 +80,7 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
 
         // Packet-level translation (IOMMU): the packet cannot be
         // issued before its translation is available.
-        Translation xl = control->translate(
+        Translation xl = control.translate(
             issue, va, chunk, req.op, req.world);
         if (xl.ready < issue) {
             panic("access control returned ready tick ", xl.ready,
@@ -131,7 +131,7 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
     result.done = std::max(result.done, issue);
     // Per-transfer controller overhead (crypto pipelines, MAC): the
     // transfer does not complete until the controller releases it.
-    result.done += control->transferOverhead(result.done, first_pa,
+    result.done += control.transferOverhead(result.done, first_pa,
                                              req.bytes, req.op);
     tracer.emit(result.done, TraceCategory::dma, trace_name,
                 req.op == MemOp::read ? "read" : "write", " of ",
@@ -152,7 +152,7 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
     // range is contiguous by construction. Timing is identical to
     // the generic loop: same packet split, same issue cadence, same
     // completion max.
-    Translation req_xl = control->translate(when, req.vaddr, req.bytes,
+    Translation req_xl = control.translate(when, req.vaddr, req.bytes,
                                             req.op, req.world);
     if (req_xl.ready < when) {
         panic("access control returned ready tick ", req_xl.ready,
@@ -206,7 +206,7 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
     result.packets = packets;
     stall_cycles.sample(0.0);
     result.done = std::max(result.done, issue);
-    result.done += control->transferOverhead(result.done, req_xl.paddr,
+    result.done += control.transferOverhead(result.done, req_xl.paddr,
                                              req.bytes, req.op);
     tracer.emit(result.done, TraceCategory::dma, trace_name,
                 req.op == MemOp::read ? "read" : "write", " of ",
@@ -249,7 +249,7 @@ DmaEngine::transferBatch(
     streams.reserve(reqs.size());
 
     const bool per_request =
-        control->granularity() == CheckGranularity::request;
+        control.granularity() == CheckGranularity::request;
 
     for (std::size_t i = 0; i < reqs.size(); ++i) {
         const DmaRequest &req = reqs[i];
@@ -267,7 +267,7 @@ DmaEngine::transferBatch(
         s.buffer = buffers[i];
         s.req_xl = Translation{true, req.vaddr, when};
         if (per_request) {
-            s.req_xl = control->translate(when, req.vaddr, req.bytes,
+            s.req_xl = control.translate(when, req.vaddr, req.bytes,
                                           req.op, req.world);
             if (s.req_xl.ready < when) {
                 panic("access control returned ready tick ",
@@ -314,7 +314,7 @@ DmaEngine::transferBatch(
                 page_bytes - (va & (page_bytes - 1));
             chunk = static_cast<std::uint32_t>(
                 std::min<Addr>(chunk, to_page_end));
-            Translation xl = control->translate(
+            Translation xl = control.translate(
                 t_req, va, chunk, s.req->op, s.req->world);
             if (xl.ready < t_req) {
                 panic("access control returned ready tick ", xl.ready,
@@ -366,7 +366,7 @@ DmaEngine::transferBatch(
     // when the slowest stream's overhead drains.
     Tick tail = 0;
     for (const Stream &s : streams) {
-        tail = std::max(tail, control->transferOverhead(
+        tail = std::max(tail, control.transferOverhead(
                                   result.done, s.req_xl.paddr,
                                   s.req->bytes, s.req->op));
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-NPU-core DMA engine. A DMA request is translated and checked
- * through the attached AccessControl, split into 64-byte memory
+ * through the attached ProtectionBackend, split into 64-byte memory
  * packets, and streamed through the shared memory system. The engine
  * also moves functional bytes between scratchpad buffers and PhysMem.
  *
@@ -12,7 +12,7 @@
  * Controller contract, enforced here: every Translation::ready the
  * controller returns must be at or after the tick it was asked at
  * (the engine panics otherwise), and after the packet stream drains
- * the engine charges AccessControl::transferOverhead() once per
+ * the engine charges ProtectionBackend::transferOverhead() once per
  * request — zero for access-control backends, the crypto pipeline /
  * MAC cost for encryption backends.
  */
@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "dma/access_control.hh"
+#include "dma/protection_backend.hh"
 #include "mem/mem_system.hh"
 #include "sim/fault_injector.hh"
 #include "sim/stats.hh"
@@ -68,8 +68,8 @@ struct DmaParams
 class DmaEngine
 {
   public:
-    DmaEngine(stats::Group &stats, MemSystem &mem, AccessControl &ctrl,
-              DmaParams params = {});
+    DmaEngine(stats::Group &stats, MemSystem &mem,
+              ProtectionBackend &ctrl, DmaParams params = {});
 
     /**
      * Timed transfer. For reads the data lands in @p buffer (resized
@@ -92,9 +92,7 @@ class DmaEngine
         Tick when, const std::vector<DmaRequest> &reqs,
         const std::vector<std::vector<std::uint8_t> *> &buffers);
 
-    /** Swap the access controller (used when reconfiguring a system). */
-    void setControl(AccessControl &ctrl) { control = &ctrl; }
-    AccessControl &controller() { return *control; }
+    ProtectionBackend &controller() { return control; }
 
     /** Arm (or disarm with nullptr) the fault injector. */
     void armFaults(FaultInjector *inj) { faults = inj; }
@@ -132,7 +130,7 @@ class DmaEngine
                                  std::vector<std::uint8_t> *buffer);
 
     MemSystem &mem;
-    AccessControl *control;
+    ProtectionBackend &control;
     DmaParams params;
     FaultInjector *faults = nullptr;
     Tracer tracer;

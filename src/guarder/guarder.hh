@@ -28,7 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "dma/access_control.hh"
+#include "dma/protection_backend.hh"
 #include "mem/address_map.hh"
 #include "sim/fault_injector.hh"
 #include "sim/stats.hh"
@@ -76,7 +76,7 @@ struct GuarderParams
 };
 
 /**
- * The NPU Guarder, registered as backend "guarder". Request-granular
+ * The NPU Guarder, the table's backend "guarder". Request-granular
  * translation and checking; canonical checks/denials come from the
  * base, rejected programming attempts export alongside.
  *
@@ -92,16 +92,6 @@ class NpuGuarder : public ProtectionBackend
     CheckGranularity granularity() const override
     {
         return CheckGranularity::request;
-    }
-
-    ProtectionCapabilities capabilities() const override
-    {
-        ProtectionCapabilities caps;
-        caps.granularity = CheckGranularity::request;
-        caps.translates = true;
-        caps.enforces = true;
-        caps.has_windows = true;
-        return caps;
     }
 
     Translation translate(Tick when, Addr vaddr, std::uint32_t bytes,

@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "dma/access_control.hh"
+#include "dma/protection_backend.hh"
 #include "iommu/iotlb.hh"
 #include "iommu/page_table.hh"
 #include "sim/stats.hh"
@@ -42,7 +42,7 @@ struct IommuParams
 };
 
 /**
- * Per-packet IOMMU with a TrustZone S/NS extension, registered as
+ * Per-packet IOMMU with a TrustZone S/NS extension, the table's
  * backend "iommu". Canonical checks/denials come from the base;
  * walk counts and walk latency export alongside as backend extras.
  */
@@ -54,16 +54,6 @@ class Iommu : public ProtectionBackend
     CheckGranularity granularity() const override
     {
         return CheckGranularity::packet;
-    }
-
-    ProtectionCapabilities capabilities() const override
-    {
-        ProtectionCapabilities caps;
-        caps.granularity = CheckGranularity::packet;
-        caps.translates = true;
-        caps.enforces = true;
-        caps.uses_page_table = true;
-        return caps;
     }
 
     Translation translate(Tick when, Addr vaddr, std::uint32_t bytes,
@@ -84,8 +74,6 @@ class Iommu : public ProtectionBackend
      * so mappings stay.
      */
     Status endContext(bool from_secure) override;
-
-    Iommu *asIommu() override { return this; }
 
     /** IOTLB contents and walker occupancy are timing state. */
     void canonicalizeTiming() override

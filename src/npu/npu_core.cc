@@ -9,8 +9,8 @@
 namespace snpu
 {
 
-NpuCore::NpuCore(stats::Group &stats, MemSystem &mem, AccessControl &ctrl,
-                 NpuCoreParams p)
+NpuCore::NpuCore(stats::Group &stats, MemSystem &mem,
+                 ProtectionBackend &ctrl, NpuCoreParams p)
     : params(p), mem(mem),
       core_group(stats, "core" + std::to_string(p.core_id)),
       spad_group(core_group, "spad"),

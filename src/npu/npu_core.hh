@@ -89,8 +89,8 @@ struct ExecResult
 class NpuCore
 {
   public:
-    NpuCore(stats::Group &stats, MemSystem &mem, AccessControl &ctrl,
-            NpuCoreParams params = {});
+    NpuCore(stats::Group &stats, MemSystem &mem,
+            ProtectionBackend &ctrl, NpuCoreParams params = {});
 
     std::uint32_t id() const { return params.core_id; }
 

@@ -6,7 +6,7 @@ namespace snpu
 {
 
 NpuDevice::NpuDevice(stats::Group &stats, MemSystem &mem,
-                     std::vector<AccessControl *> controls,
+                     std::vector<ProtectionBackend *> controls,
                      NpuDeviceParams p)
     : params(p), mem(mem)
 {

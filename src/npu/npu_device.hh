@@ -13,7 +13,7 @@
 #include <memory>
 #include <vector>
 
-#include "dma/access_control.hh"
+#include "dma/protection_backend.hh"
 #include "mem/mem_system.hh"
 #include "noc/mesh.hh"
 #include "noc/router_controller.hh"
@@ -40,7 +40,7 @@ struct NpuDeviceParams
 };
 
 /**
- * The NPU device. One AccessControl per tile is supplied by the
+ * The NPU device. One ProtectionBackend per tile is supplied by the
  * system builder (pass-through, IOMMU, or Guarder depending on the
  * comparative system).
  */
@@ -48,7 +48,7 @@ class NpuDevice
 {
   public:
     NpuDevice(stats::Group &stats, MemSystem &mem,
-              std::vector<AccessControl *> controls,
+              std::vector<ProtectionBackend *> controls,
               NpuDeviceParams params = {});
 
     std::uint32_t tiles() const

@@ -30,7 +30,7 @@
 
 #include <cstdint>
 
-#include "dma/access_control.hh"
+#include "dma/protection_backend.hh"
 #include "npu/npu_core.hh"
 #include "workload/layer.hh"
 

@@ -19,12 +19,7 @@ TEST(SocBuild, NormalNpu)
     Soc soc(makeSystem(SystemKind::normal_npu));
     EXPECT_FALSE(soc.hasMonitor());
     EXPECT_THROW(soc.monitor(), PanicError);
-    // The passthrough backend neither enforces nor translates, and
-    // narrows to neither backend-specific type.
-    const auto caps = soc.protection(0).capabilities();
-    EXPECT_FALSE(caps.enforces);
-    EXPECT_FALSE(caps.translates);
-    EXPECT_EQ(soc.protection(0).asIommu(), nullptr);
+    EXPECT_EQ(soc.protection(0).name(), "passthrough");
     EXPECT_EQ(soc.protection(0).asGuarder(), nullptr);
     EXPECT_EQ(soc.npu().tiles(), 10u);
 }
@@ -33,8 +28,7 @@ TEST(SocBuild, TrustzoneNpu)
 {
     Soc soc(makeSystem(SystemKind::trustzone_npu));
     EXPECT_FALSE(soc.hasMonitor());
-    EXPECT_TRUE(soc.protection(0).capabilities().uses_page_table);
-    EXPECT_NE(soc.protection(9).asIommu(), nullptr); // one per tile
+    EXPECT_EQ(soc.protection(9).name(), "iommu"); // one per tile
     soc.pageTable();
     EXPECT_THROW(soc.protection(10), PanicError);
 }
@@ -91,7 +85,7 @@ TEST(SocSecurity, SnpuRequiresSecurePrivilege)
     EXPECT_EQ(soc.npu().core(0).idState(), World::secure);
 }
 
-TEST(SocSecurity, SnpuRequiresGuarderAccessControl)
+TEST(SocSecurity, SnpuRequiresGuarderBackend)
 {
     SocParams params = makeSystem(SystemKind::snpu);
     params.protection = "passthrough";

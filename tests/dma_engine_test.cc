@@ -20,7 +20,7 @@ namespace
 {
 
 /** Scriptable controller for stall/denial testing. */
-class MockControl : public AccessControl
+class MockControl : public PassThroughControl
 {
   public:
     CheckGranularity gran = CheckGranularity::packet;
@@ -39,9 +39,6 @@ class MockControl : public AccessControl
             return Translation{false, 0, when + stall};
         return Translation{true, vaddr, when + stall};
     }
-
-    std::uint64_t checkCount() const override { return calls; }
-    std::uint64_t denyCount() const override { return 0; }
 };
 
 struct DmaFixture : ::testing::Test

@@ -135,7 +135,7 @@ TEST(EndToEnd, TrustzoneIommuMapsSurviveRealWorkload)
     task.model = task.model.scaled(8);
     RunResult res = runner.run(task);
     ASSERT_TRUE(res.ok()) << res.error();
-    Iommu *iommu = soc.protection(0).asIommu();
+    auto *iommu = dynamic_cast<Iommu *>(&soc.protection(0));
     ASSERT_NE(iommu, nullptr);
     EXPECT_EQ(iommu->denyCount(), 0u);
     EXPECT_GT(iommu->walks(), 0u);

@@ -23,7 +23,7 @@ struct DeviceFixture : ::testing::Test
     {
         for (std::uint32_t i = 0; i < 10; ++i)
             controls.push_back(std::make_unique<PassThroughControl>());
-        std::vector<AccessControl *> raw;
+        std::vector<ProtectionBackend *> raw;
         for (auto &c : controls)
             raw.push_back(c.get());
         NpuDeviceParams p;
@@ -92,7 +92,7 @@ TEST(DeviceConfig, MismatchedControllersFatal)
     stats::Group stats("g");
     MemSystem mem(stats);
     PassThroughControl one;
-    std::vector<AccessControl *> raw{&one};
+    std::vector<ProtectionBackend *> raw{&one};
     NpuDeviceParams p; // 10 tiles
     EXPECT_THROW(NpuDevice(stats, mem, raw, p), FatalError);
 }
@@ -102,7 +102,7 @@ TEST(DeviceConfig, MeshMustCoverTiles)
     stats::Group stats("g");
     MemSystem mem(stats);
     std::vector<std::unique_ptr<PassThroughControl>> controls;
-    std::vector<AccessControl *> raw;
+    std::vector<ProtectionBackend *> raw;
     for (int i = 0; i < 4; ++i) {
         controls.push_back(std::make_unique<PassThroughControl>());
         raw.push_back(controls.back().get());

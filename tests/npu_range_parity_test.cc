@@ -13,7 +13,7 @@
 #include <sstream>
 #include <string>
 
-#include "dma/access_control.hh"
+#include "dma/protection_backend.hh"
 #include "mem/mem_system.hh"
 #include "npu/npu_core.hh"
 #include "sim/fault_injector.hh"
