@@ -39,6 +39,7 @@
 #include "sim/stats.hh"
 #include "spad/scratchpad.hh"
 #include "tee/sha256.hh"
+#include "workload/compiler.hh"
 #include "workload/model_zoo.hh"
 
 namespace
@@ -445,6 +446,55 @@ BM_PaperPointFig15(benchmark::State &state)
     state.SetItemsProcessed(cycles);
 }
 BENCHMARK(BM_PaperPointFig15)->Unit(benchmark::kMillisecond);
+
+/**
+ * Compile alexnet at scale 8 with the default scratchpad budget, the
+ * compile step of every paper_sweep alexnet point (about 487 K
+ * instructions). One "item" is one emitted instruction.
+ */
+void
+BM_CompileAlexnet(benchmark::State &state)
+{
+    const ModelSpec model = makeModel(ModelId::alexnet).scaled(8);
+    TilingCompiler compiler;
+    std::int64_t instrs = 0;
+    for (auto _ : state) {
+        NpuProgram prog = compiler.compileModel(model, 0x1000'0000);
+        instrs += static_cast<std::int64_t>(prog.code.size());
+        benchmark::DoNotOptimize(prog.code.data());
+    }
+    state.SetItemsProcessed(instrs);
+}
+BENCHMARK(BM_CompileAlexnet)->Unit(benchmark::kMillisecond);
+
+/**
+ * One Fig 13 point end to end, paper_sweep's slowest (p90) kind: a
+ * cold buildSoc() of the TrustZone NPU (IOMMU, no scratchpad
+ * isolation) plus TaskRunner::run() of alexnet at scale 8. Every
+ * 64-byte DMA packet goes through the IOMMU and the shared L2. One
+ * "item" is one simulated cycle.
+ */
+void
+BM_PaperPointFig13Alexnet(benchmark::State &state)
+{
+    std::int64_t cycles = 0;
+    for (auto _ : state) {
+        SystemOverrides o;
+        o.model_scale = 8;
+        o.apply_isolation = true;
+        o.spad_isolation = IsolationMode::none;
+        auto soc = buildSoc(SystemKind::trustzone_npu, o);
+        TaskRunner runner(*soc);
+        NpuTask task = NpuTask::fromModel(ModelId::alexnet);
+        task.model = task.model.scaled(8);
+        RunResult res = runner.run(task, RunOptions{});
+        if (!res.ok())
+            state.SkipWithError(res.error().c_str());
+        cycles += static_cast<std::int64_t>(res.cycles);
+    }
+    state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_PaperPointFig13Alexnet)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------
 // JSON emission

@@ -15,6 +15,7 @@
  * Examples:
  *   snpu_serve tenants=4 cores=4 load=0.7 isolation=id
  *   snpu_serve tenants=2 cores=1 load=0.3 isolation=partition
+ *   snpu_serve tenants=4 protection=iommu
  */
 
 #include <cstdio>
@@ -143,14 +144,10 @@ main(int argc, char **argv)
     server_cfg.coarse_interval = coarse_interval;
     server_cfg.attestation = attest;
 
-    // The guarder serves on the full sNPU system (with the monitor);
-    // other backends serve on the system they belong to.
-    SocParams soc_params =
-        guarded ? makeSystem(SystemKind::snpu)
-                : makeSystem(protection == "iommu"
-                                 ? SystemKind::trustzone_npu
-                                 : SystemKind::normal_npu);
-    soc_params.protection = protection;
+    // The serving sweeps' one backend->system rule: the guarder
+    // serves on the full sNPU system (with the monitor), every other
+    // backend on the Normal NPU.
+    SocParams soc_params = paramsForBackend(protection);
     soc_params.boot_corrupt_stage = corrupt_boot;
     soc_params.boot_corrupt_byte = corrupt_byte;
     Soc soc(soc_params);

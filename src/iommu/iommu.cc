@@ -92,10 +92,15 @@ Iommu::beginContext(const ProtectionContext &ctx, bool from_secure)
 
     const Addr aligned =
         (ctx.bytes + page_bytes - 1) & ~Addr(page_bytes - 1);
-    // Pages may already be mapped from a previous run of the same
-    // buffers; remap of an identical range keeps the entries.
-    table.mapRange(ctx.va_base, ctx.pa_base, aligned, true,
-                   ctx.world == World::secure);
+    // Pages may already be mapped by a previous or overlapping
+    // window onto the same frames; those entries are kept. A page
+    // mapped to another frame fails the context.
+    if (!table.mapRange(ctx.va_base, ctx.pa_base, aligned, true,
+                        ctx.world == World::secure)) {
+        return Status::provisionFailed(logging::format(
+            "IOMMU context va 0x", std::hex, ctx.va_base, " +0x",
+            aligned, " overlaps a mapping to another physical page"));
+    }
     flushTlb();
     recordContext();
     tracer.emit(0, TraceCategory::security, trace_name,

@@ -104,8 +104,13 @@ bool
 PageTable::mapRange(Addr vaddr, Addr paddr, Addr bytes, bool writable,
                     bool secure)
 {
+    const Addr frame = ~Addr(page_bytes - 1);
     for (Addr off = 0; off < bytes; off += page_bytes) {
-        if (!map(vaddr + off, paddr + off, writable, secure))
+        if (map(vaddr + off, paddr + off, writable, secure))
+            continue;
+        // Already mapped: an overlapping window onto the same frame
+        // keeps its entry; a different frame is a conflict.
+        if ((lookup(vaddr + off).paddr & frame) != ((paddr + off) & frame))
             return false;
     }
     return true;

@@ -55,7 +55,13 @@ class PageTable
     /** Map one 4 KiB page. Fails (returns false) on remap conflict. */
     bool map(Addr vaddr, Addr paddr, bool writable, bool secure);
 
-    /** Map a contiguous range of pages. */
+    /**
+     * Map a contiguous range of pages. A page already mapped to the
+     * same physical page is stepped over, so overlapping windows of
+     * one layout compose. Fails (returns false) at the first page
+     * mapped to a different physical page; the pages before it stay
+     * mapped.
+     */
     bool mapRange(Addr vaddr, Addr paddr, Addr bytes, bool writable,
                   bool secure);
 

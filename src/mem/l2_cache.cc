@@ -1,6 +1,7 @@
 #include "mem/l2_cache.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -16,71 +17,79 @@ L2Cache::L2Cache(stats::Group &stats, DramModel &dram, L2Params params,
       writebacks(stats, "l2_writebacks", "dirty lines written back")
 {
     const std::uint64_t num_lines = params.size_bytes / line_bytes;
-    if (num_lines == 0 || params.ways == 0 || num_lines % params.ways != 0)
+    // Valid and dirty state are one 64-bit mask per set.
+    if (num_lines == 0 || params.ways == 0 || params.ways > 64 ||
+        num_lines % params.ways != 0)
         fatal("invalid L2 geometry");
     num_sets = static_cast<std::uint32_t>(num_lines / params.ways);
-    lines.resize(num_lines);
+    if (std::has_single_bit(num_sets))
+        set_mask = num_sets - 1;
+    if (std::has_single_bit(params.banks))
+        bank_mask = params.banks - 1;
+    tags.resize(num_lines);
+    sets.resize(num_sets);
     bank_free.assign(params.banks, 0);
 }
 
-std::uint32_t
-L2Cache::bankOf(Addr line_addr) const
-{
-    return static_cast<std::uint32_t>(
-        (line_addr / line_bytes) % params.banks);
-}
-
 Tick
-L2Cache::accessLine(Tick when, Addr line_addr, MemOp op, World world)
+L2Cache::accessLine(Tick when, Addr line_addr, MemOp op)
 {
     const Addr tag = line_addr / line_bytes;
-    const std::uint32_t set = static_cast<std::uint32_t>(tag % num_sets);
-    Line *set_base = &lines[static_cast<std::size_t>(set) * params.ways];
+    const std::uint32_t set = static_cast<std::uint32_t>(
+        set_mask ? tag & set_mask : tag % num_sets);
+    const std::uint32_t bank = static_cast<std::uint32_t>(
+        bank_mask ? tag & bank_mask : tag % params.banks);
 
     // Bank arbitration: the access cannot start before the bank frees.
-    const std::uint32_t bank = bankOf(line_addr);
     const Tick start = std::max(when, bank_free[bank]);
     bank_free[bank] = start + params.bank_cycle;
 
-    // Lookup.
-    Line *victim = set_base;
+    SetState &state = sets[set];
+    if (state.epoch != epoch)
+        state = SetState{epoch, 0, 0};
+    Way *base = &tags[static_cast<std::size_t>(set) * params.ways];
+
+    // Lookup, tracking the least recently used way as it goes.
+    std::uint32_t lru_way = 0;
     for (std::uint32_t w = 0; w < params.ways; ++w) {
-        Line &line = set_base[w];
-        if (live(line) && line.tag == tag) {
+        if (((state.valid >> w) & 1) && base[w].tag == tag) {
             ++hit_count;
-            line.lru = ++lru_clock;
+            base[w].lru = ++lru_clock;
             if (op == MemOp::write)
-                line.dirty = true;
-            line.world = world;
+                state.dirty |= std::uint64_t(1) << w;
             return start + params.hit_latency;
         }
-        if (!live(line)) {
-            victim = &line;
-        } else if (live(*victim) && line.lru < victim->lru) {
-            victim = &line;
-        }
+        if (base[w].lru < base[lru_way].lru)
+            lru_way = w;
     }
 
-    // Miss: evict (write back if dirty), then fill from DRAM.
+    // Miss: fill an invalid way if there is one, else evict the LRU
+    // way (writing it back if dirty), then fill from DRAM.
     ++miss_count;
+    const std::uint32_t first_free =
+        static_cast<std::uint32_t>(std::countr_one(state.valid));
+    const std::uint32_t victim =
+        first_free < params.ways ? first_free : lru_way;
+    const std::uint64_t bit = std::uint64_t(1) << victim;
     Tick ready = start + params.hit_latency;
-    if (live(*victim) && victim->dirty) {
+    if (state.dirty & bit) {
         ++writebacks;
         Tick wb = dram.access(ready, line_bytes, MemOp::write);
         if (crypto)
-            wb += crypto->accessPenalty(victim->tag * line_bytes);
+            wb += crypto->accessPenalty(base[victim].tag * line_bytes);
         (void)wb; // write-back is off the critical path
     }
     ready = dram.access(ready, line_bytes, MemOp::read);
     if (crypto)
         ready += crypto->accessPenalty(line_addr);
 
-    victim->valid = true;
-    victim->dirty = (op == MemOp::write);
-    victim->tag = tag;
-    victim->lru = ++lru_clock;
-    victim->epoch = epoch;
-    victim->world = world;
+    state.valid |= bit;
+    if (op == MemOp::write)
+        state.dirty |= bit;
+    else
+        state.dirty &= ~bit;
+    base[victim].tag = tag;
+    base[victim].lru = ++lru_clock;
     return ready;
 }
 
@@ -99,7 +108,7 @@ L2Cache::access(Tick when, const MemRequest &req)
     for (Addr line_addr = first; line_addr <= last;
          line_addr += line_bytes) {
         done = std::max(done,
-                        accessLine(when, line_addr, req.op, req.world));
+                        accessLine(when, line_addr, req.op));
     }
 
     MemResult result;

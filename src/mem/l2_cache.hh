@@ -34,10 +34,15 @@ struct L2Params
 
 /**
  * Set-associative write-back L2 with per-bank occupancy queues and
- * LRU replacement. Lines carry the owning security world so the
- * partition survives in-cache data as well (no flush-on-switch is
- * needed; the world bit travels with the line, mirroring the
- * TrustZone NS tag in real SoCs).
+ * LRU replacement. The cache keeps no security-world state: the
+ * secure/normal partition is enforced by MemSystem::check before a
+ * request reaches the L2, so a line never needs a world tag and no
+ * flush-on-switch is needed.
+ *
+ * Tags are stored set-major: one {tag, lru} pair per way, contiguous
+ * per set, plus one per-set {epoch, valid mask, dirty mask} record,
+ * so an 8-way lookup reads 128 bytes of tags and one 24-byte record.
+ * Set and bank come from a mask when their counts are powers of two.
  */
 class L2Cache
 {
@@ -55,9 +60,9 @@ class L2Cache
     /**
      * Drop all cached lines (write-backs are not simulated here) and
      * clear the bank occupancy, O(1): invalidation bumps the cache
-     * epoch and a line is live only while its epoch matches. The
-     * timing-memoization brackets call this around every cached op,
-     * so it must not walk 32k lines each time.
+     * epoch and a set's valid mask counts only while its epoch
+     * matches. The timing-memoization brackets call this around
+     * every cached op, so it must not walk 4k sets each time.
      */
     void invalidateAll();
 
@@ -71,33 +76,40 @@ class L2Cache
     }
 
   private:
-    struct Line
+    /** One way of a set: its line tag and last-use stamp. */
+    struct Way
     {
-        bool valid = false;
-        bool dirty = false;
         Addr tag = 0;
         std::uint64_t lru = 0;
-        std::uint64_t epoch = 0;
-        World world = World::normal;
     };
 
-    std::uint32_t numSets() const { return num_sets; }
-    std::uint32_t bankOf(Addr line_addr) const;
-    Tick accessLine(Tick when, Addr line_addr, MemOp op, World world);
-    bool live(const Line &line) const
+    /**
+     * Per-set validity. A way is valid iff its bit is set in @c valid
+     * and @c epoch matches the cache epoch; a stale record is reset
+     * on the set's first touch after invalidateAll().
+     */
+    struct SetState
     {
-        return line.valid && line.epoch == epoch;
-    }
+        std::uint64_t epoch = 0;
+        std::uint64_t valid = 0;
+        std::uint64_t dirty = 0;
+    };
+
+    Tick accessLine(Tick when, Addr line_addr, MemOp op);
 
     L2Params params;
     DramModel &dram;
     /** Optional DRAM-side memory encryption engine. */
     MemCryptoEngine *crypto;
     std::uint32_t num_sets;
-    std::vector<Line> lines;           // num_sets * ways
+    /** num_sets - 1 / banks - 1 when a power of two, else 0 (use %). */
+    std::uint32_t set_mask = 0;
+    std::uint32_t bank_mask = 0;
+    std::vector<Way> tags;             // num_sets * ways, set-major
+    std::vector<SetState> sets;        // num_sets
     std::vector<Tick> bank_free;       // per-bank next-free tick
     std::uint64_t lru_clock = 0;
-    std::uint64_t epoch = 0;           // lines live iff epochs match
+    std::uint64_t epoch = 0;           // sets live iff epochs match
 
     stats::Scalar hit_count;
     stats::Scalar miss_count;

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/mapped_allocator.hh"
 #include "sim/types.hh"
 
 namespace snpu
@@ -75,12 +76,17 @@ struct Instr
     World world = World::normal;
 
     std::string toString() const;
+    bool operator==(const Instr &) const = default;
 };
 
 /** A compiled NPU program plus metadata used by the schedulers. */
 struct NpuProgram
 {
-    std::vector<Instr> code;
+    /**
+     * The instruction stream. A large model's stream runs to tens of
+     * MB; such a stream takes its own mapping (sim/mapped_allocator.hh).
+     */
+    std::vector<Instr, MappedAllocator<Instr>> code;
     /** Instruction index of each layer boundary (for flush points). */
     std::vector<std::size_t> layer_ends;
     /** Instruction index of each tile boundary (for flush points). */

@@ -231,7 +231,8 @@ class Schedule
                 continue;
             if (req.core < 0 && !dispatch(core, idx))
                 continue;
-            contextSwitch(core, req.stream);
+            if (Status st = contextSwitch(core, req.stream); !st)
+                return st;
             if (req.token > 0 && req.next_seg == 0 &&
                 !beginToken(core, idx))
                 continue;
@@ -623,12 +624,15 @@ class Schedule
             tile.clock = std::max(tile.clock, wake);
     }
 
-    void
+    /** Switch @p core to stream @p to: save the displaced context
+     *  under the flush policies, then provision @p to's window. A
+     *  provisioning failure aborts the schedule. */
+    Status
     contextSwitch(std::uint32_t core, std::uint32_t to)
     {
         Tile &tile = tiles[core];
         if (tile.running == static_cast<int>(to))
-            return;
+            return Status::ok();
         if (tile.running >= 0 && (policy == SchedPolicy::flush_fine ||
                                   policy == SchedPolicy::flush_coarse)) {
             const CompiledStream &prev =
@@ -650,12 +654,16 @@ class Schedule
         tile.segs_since_switch = 0;
         const CompiledStream &next = compiled[to];
         soc.npu().setCoreWorld(core, next.world, true);
-        soc.protection(core).beginContext(
-            ProtectionContext{next.win_base, next.win_base,
-                              next.win_bytes + (1u << 20), next.world},
-            true);
+        if (Status st = soc.protection(core).beginContext(
+                ProtectionContext{next.win_base, next.win_base,
+                                  next.win_bytes + (1u << 20),
+                                  next.world},
+                true);
+            !st)
+            return st;
         tracer.emit(tile.clock, TraceCategory::sched, trace_name,
                     "tile ", core, " now running stream ", to);
+        return Status::ok();
     }
 
     Soc &soc;

@@ -33,34 +33,43 @@ put64(std::vector<std::uint8_t> &out, std::uint64_t v)
     put32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-} // namespace
-
-std::vector<std::uint8_t>
-CodeVerifier::serialize(const NpuProgram &program)
+void
+putInstr(std::vector<std::uint8_t> &out, const Instr &in)
 {
-    std::vector<std::uint8_t> out;
-    out.reserve(program.code.size() * 32);
-    put64(out, program.code.size());
-    for (const Instr &in : program.code) {
-        out.push_back(static_cast<std::uint8_t>(in.op));
-        put64(out, in.vaddr);
-        put32(out, in.spad_row);
-        put32(out, in.spad_row2);
-        put32(out, in.rows);
-        put32(out, in.k);
-        put32(out, in.peer);
-        out.push_back(static_cast<std::uint8_t>(in.act));
-        out.push_back(in.accumulate ? 1 : 0);
-        out.push_back(static_cast<std::uint8_t>(in.world));
-        // in.privileged deliberately excluded (loader-controlled).
-    }
-    return out;
+    out.push_back(static_cast<std::uint8_t>(in.op));
+    put64(out, in.vaddr);
+    put32(out, in.spad_row);
+    put32(out, in.spad_row2);
+    put32(out, in.rows);
+    put32(out, in.k);
+    put32(out, in.peer);
+    out.push_back(static_cast<std::uint8_t>(in.act));
+    out.push_back(in.accumulate ? 1 : 0);
+    out.push_back(static_cast<std::uint8_t>(in.world));
+    // in.privileged deliberately excluded (loader-controlled).
 }
+
+} // namespace
 
 Digest
 CodeVerifier::measure(const NpuProgram &program)
 {
-    return Sha256::hash(serialize(program));
+    // Hash the serialization in 4 KiB chunks: a large model's
+    // serialized stream runs to tens of MB and need never exist whole.
+    constexpr std::size_t chunk_bytes = 4096;
+    Sha256 h;
+    std::vector<std::uint8_t> chunk;
+    chunk.reserve(chunk_bytes + 64);
+    put64(chunk, program.code.size());
+    for (const Instr &in : program.code) {
+        putInstr(chunk, in);
+        if (chunk.size() >= chunk_bytes) {
+            h.update(chunk.data(), chunk.size());
+            chunk.clear();
+        }
+    }
+    h.update(chunk.data(), chunk.size());
+    return h.finish();
 }
 
 bool

@@ -29,13 +29,10 @@ class CodeVerifier
     explicit CodeVerifier(AesKey sealed_key);
 
     /**
-     * Stable serialization of a program for measurement. Every field
-     * that affects execution is included; the privileged bit is
+     * Measure a program: SHA-256 of a stable serialization that holds
+     * every field that affects execution. The privileged bit is
      * excluded because the loader (not the user) sets it.
      */
-    static std::vector<std::uint8_t> serialize(const NpuProgram &program);
-
-    /** Measure a program. */
     static Digest measure(const NpuProgram &program);
 
     /** Compare a program against an expected measurement. */

@@ -121,14 +121,59 @@ TilingCompiler::plan(const LayerSpec &layer) const
     return *best;
 }
 
+namespace
+{
+
+/** Emission target of compileModel's sizing pass: counts only. */
+struct CountingSink
+{
+    std::size_t instrs = 0;
+    std::size_t tiles = 0;
+
+    void footprint(std::uint32_t, std::uint32_t) {}
+    void emit(const Instr &) { ++instrs; }
+    void tileEnd() { ++tiles; }
+    void layerEnd(std::uint64_t) {}
+};
+
+/** Emission target that appends to a program. */
+struct ProgramSink
+{
+    NpuProgram &program;
+
+    void
+    footprint(std::uint32_t rows_used, std::uint32_t live_rows)
+    {
+        program.spad_rows_used = rows_used;
+        program.tile_live_rows =
+            std::max(program.tile_live_rows, live_rows);
+    }
+    void emit(const Instr &instr) { program.code.push_back(instr); }
+    void
+    tileEnd()
+    {
+        program.tile_ends.push_back(program.code.size() - 1);
+    }
+    void
+    layerEnd(std::uint64_t macs)
+    {
+        program.ideal_macs += macs;
+        program.layer_ends.push_back(program.code.size() - 1);
+    }
+};
+
+/**
+ * Lower @p layer under plan @p p into @p out. Both passes of
+ * compileModel run this one emitter, so the sizing pass cannot
+ * disagree with the instructions actually stored.
+ */
+template <typename Sink>
 void
-TilingCompiler::compileLayer(const LayerSpec &layer,
-                             const LayerBuffers &bufs,
-                             NpuProgram &program, bool skip_a,
-                             bool skip_c) const
+emitLayer(const CompilerParams &cfg, const LayerSpec &layer,
+          const LayerPlan &p, const LayerBuffers &bufs, bool skip_a,
+          bool skip_c, Sink &out)
 {
     const std::uint32_t dim = cfg.dim;
-    const LayerPlan p = plan(layer);
 
     // Scratchpad row layout for this layer (relative to the task's
     // partition base):
@@ -143,19 +188,18 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
         p.weights_resident ? p.n_tiles
                            : (p.double_buffered ? 2u : 1u);
 
-    program.spad_rows_used = std::min(
-        cfg.spad_row_base + cfg.spad_rows,
-        w_base_row + w_seg_rows * w_copies);
-    // Live context at a mid-layer (tile) preemption point: the
-    // staged weight column plus the in-flight M-chunk rows. Clean
-    // bulk A data beyond the chunk is refetched lazily on resume.
-    program.tile_live_rows = std::max(
-        program.tile_live_rows, w_seg_rows + p.tm);
+    // Rows used, and the live context at a mid-layer (tile)
+    // preemption point: the staged weight column plus the in-flight
+    // M-chunk rows. Clean bulk A data beyond the chunk is refetched
+    // lazily on resume.
+    out.footprint(std::min(cfg.spad_row_base + cfg.spad_rows,
+                           w_base_row + w_seg_rows * w_copies),
+                  w_seg_rows + p.tm);
 
     Instr cfg_instr;
     cfg_instr.op = Opcode::config;
     cfg_instr.act = layer.relu ? Activation::relu : Activation::none;
-    program.code.push_back(cfg_instr);
+    out.emit(cfg_instr);
 
     const std::uint32_t acc_base = cfg.acc_row_base;
     bool weights_loaded = false;
@@ -184,7 +228,7 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
                                  cfg.spad_row_bytes;
                 mvin.spad_row = a_row_base + kt * p.tm + row_off;
                 mvin.rows = burst;
-                program.code.push_back(mvin);
+                out.emit(mvin);
                 remaining -= burst;
                 row_off += burst;
             }
@@ -192,7 +236,7 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
         if (!p.double_buffered) {
             Instr fence;
             fence.op = Opcode::fence;
-            program.code.push_back(fence);
+            out.emit(fence);
         }
 
         for (std::uint32_t nt = 0; nt < p.n_tiles; ++nt) {
@@ -229,14 +273,14 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
                                 cfg.spad_row_bytes;
                         mvw.spad_row = w_row_base + row_off;
                         mvw.rows = burst;
-                        program.code.push_back(mvw);
+                        out.emit(mvw);
                         remaining -= burst;
                         row_off += burst;
                     }
                     if (!p.double_buffered) {
                         Instr fence;
                         fence.op = Opcode::fence;
-                        program.code.push_back(fence);
+                        out.emit(fence);
                     }
                 }
 
@@ -246,7 +290,7 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
                     preload.op = Opcode::preload;
                     preload.spad_row =
                         w_row_base + (kt - kt0) * dim;
-                    program.code.push_back(preload);
+                    out.emit(preload);
 
                     Instr compute;
                     compute.op = Opcode::compute;
@@ -255,7 +299,7 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
                     compute.rows = rows;
                     compute.k = std::min(dim, layer.k - kt * dim);
                     compute.accumulate = kt > 0;
-                    program.code.push_back(compute);
+                    out.emit(compute);
                 }
             }
 
@@ -267,18 +311,29 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
                                   cfg.spad_row_bytes;
                 mvout.spad_row = acc_base;
                 mvout.rows = rows;
-                program.code.push_back(mvout);
+                out.emit(mvout);
             }
 
             // Tile boundary (op-kernel scheduling point).
-            program.tile_ends.push_back(program.code.size() - 1);
+            out.tileEnd();
         }
         if (p.weights_resident)
             weights_loaded = true;
     }
 
-    program.ideal_macs += layer.macs();
-    program.layer_ends.push_back(program.code.size() - 1);
+    out.layerEnd(layer.macs());
+}
+
+} // namespace
+
+void
+TilingCompiler::compileLayer(const LayerSpec &layer,
+                             const LayerBuffers &bufs,
+                             NpuProgram &program, bool skip_a,
+                             bool skip_c) const
+{
+    ProgramSink sink{program};
+    emitLayer(cfg, layer, plan(layer), bufs, skip_a, skip_c, sink);
 }
 
 NpuProgram
@@ -298,6 +353,18 @@ TilingCompiler::compileModel(const ModelSpec &model, Addr va_base,
         return base;
     };
 
+    // Lay out every layer's buffers and plan it first, so the code
+    // can be sized exactly before one instruction is stored.
+    struct Step
+    {
+        const LayerSpec &layer;
+        LayerPlan plan;
+        LayerBuffers bufs;
+        bool skip_a;
+        bool skip_c;
+    };
+    std::vector<Step> steps;
+    steps.reserve(model.layers.size());
     Addr prev_out = 0;
     for (std::size_t i = 0; i < model.layers.size(); ++i) {
         const LayerSpec &layer = model.layers[i];
@@ -324,11 +391,24 @@ TilingCompiler::compileModel(const ModelSpec &model, Addr va_base,
         bufs.c_base = advance(c_bytes);
         prev_out = bufs.c_base;
 
-        const bool skip_a = opts.skip_first_a_load && i == 0;
-        const bool skip_c =
-            opts.skip_last_c_store && i + 1 == model.layers.size();
-        compileLayer(layer, bufs, program, skip_a, skip_c);
+        steps.push_back(Step{
+            layer, plan(layer), bufs, opts.skip_first_a_load && i == 0,
+            opts.skip_last_c_store && i + 1 == model.layers.size()});
     }
+
+    // Sizing pass: the same emitter, counting only.
+    CountingSink count;
+    for (const Step &s : steps)
+        emitLayer(cfg, s.layer, s.plan, s.bufs, s.skip_a, s.skip_c,
+                  count);
+    program.code.reserve(count.instrs);
+    program.tile_ends.reserve(count.tiles);
+    program.layer_ends.reserve(steps.size());
+
+    ProgramSink sink{program};
+    for (const Step &s : steps)
+        emitLayer(cfg, s.layer, s.plan, s.bufs, s.skip_a, s.skip_c,
+                  sink);
 
     if (va_bytes)
         *va_bytes = cursor - va_base;

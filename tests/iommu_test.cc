@@ -87,6 +87,39 @@ TEST_F(IommuFixture, MapRangeCoversEveryPage)
     }
 }
 
+/** Overlapping windows onto the same frames compose: the second
+ *  window steps over the shared pages and maps the rest. A page
+ *  mapped to another frame fails the range and the IOMMU context. */
+TEST(PageTable, MapRangeOverOverlappingWindow)
+{
+    stats::Group stats("g");
+    MemSystem mem(stats);
+    PageTable table(mem, AddrRange{mem.map().dram().base, 8u << 20});
+    const Addr pa = mem.map().dram().base + (64u << 20);
+    const Addr va = 0x100000;
+
+    ASSERT_TRUE(table.mapRange(va, pa, 3 * page_bytes, true, false));
+    ASSERT_TRUE(table.mapRange(va + 2 * page_bytes, pa + 2 * page_bytes,
+                               4 * page_bytes, true, false));
+    for (Addr off = 0; off < 6 * page_bytes; off += page_bytes) {
+        EXPECT_TRUE(table.lookup(va + off).valid) << off;
+        EXPECT_EQ(table.lookup(va + off).paddr, pa + off);
+    }
+
+    EXPECT_FALSE(table.mapRange(va + 5 * page_bytes, pa, 2 * page_bytes,
+                                true, false));
+    EXPECT_EQ(table.lookup(va + 5 * page_bytes).paddr,
+              pa + 5 * page_bytes);
+
+    Iommu iommu(stats, table);
+    EXPECT_TRUE(iommu.beginContext(
+        ProtectionContext{va, pa, 6 * page_bytes, World::normal}, true));
+    const Status conflict = iommu.beginContext(
+        ProtectionContext{va, pa + page_bytes, page_bytes, World::normal},
+        true);
+    EXPECT_EQ(conflict.code(), StatusCode::provision_failed);
+}
+
 TEST_F(IommuFixture, TimedWalkCostsMemoryAccesses)
 {
     ASSERT_TRUE(table.map(0x40000, data_base, true, false));

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/l2_cache.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace snpu
@@ -144,6 +148,160 @@ TEST(L2Geometry, BadGeometryIsFatal)
     p.size_bytes = 100; // not line-divisible into ways
     p.ways = 3;
     EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
+    p.size_bytes = 128 * line_bytes;
+    p.ways = 128; // wider than the per-set valid mask
+    EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
+}
+
+/**
+ * Reference model: the L2's documented policy written the plainest
+ * way (a list of resident lines per set, LRU by last-use stamp, the
+ * same DRAM calls in the same order), against which the set-major
+ * tag store is checked access by access.
+ */
+class NaiveL2
+{
+  public:
+    NaiveL2(DramModel &dram, const L2Params &p)
+        : dram(dram), p(p),
+          sets(p.size_bytes / line_bytes / p.ways),
+          bank_free(p.banks, 0)
+    {
+    }
+
+    MemResult
+    access(Tick when, const MemRequest &req)
+    {
+        const std::uint64_t hits_before = hits;
+        Tick done = when;
+        for (Addr line = req.paddr / line_bytes;
+             line <= (req.paddr + req.bytes - 1) / line_bytes; ++line)
+            done = std::max(done, accessLine(when, line, req.op));
+        MemResult r;
+        r.done = done;
+        r.ok = true;
+        r.l2_hit = misses == 0 || hits > hits_before;
+        return r;
+    }
+
+    void
+    invalidateAll()
+    {
+        for (auto &set : sets)
+            set.clear();
+        std::fill(bank_free.begin(), bank_free.end(), 0);
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Line
+    {
+        Addr line;
+        bool dirty;
+        std::uint64_t last_use;
+    };
+
+    Tick
+    accessLine(Tick when, Addr line, MemOp op)
+    {
+        std::vector<Line> &set = sets[line % sets.size()];
+        Tick &bank = bank_free[line % p.banks];
+        const Tick start = std::max(when, bank);
+        bank = start + p.bank_cycle;
+        for (Line &l : set) {
+            if (l.line == line) {
+                ++hits;
+                l.last_use = ++clock;
+                l.dirty |= op == MemOp::write;
+                return start + p.hit_latency;
+            }
+        }
+        ++misses;
+        const Tick ready = start + p.hit_latency;
+        if (set.size() == p.ways) {
+            auto lru = std::min_element(
+                set.begin(), set.end(), [](const Line &a, const Line &b) {
+                    return a.last_use < b.last_use;
+                });
+            if (lru->dirty) {
+                ++writebacks;
+                dram.access(ready, line_bytes, MemOp::write);
+            }
+            set.erase(lru);
+        }
+        set.push_back(Line{line, op == MemOp::write, ++clock});
+        return dram.access(ready, line_bytes, MemOp::read);
+    }
+
+    DramModel &dram;
+    const L2Params p;
+    std::vector<std::vector<Line>> sets;
+    std::vector<Tick> bank_free;
+    std::uint64_t clock = 0;
+};
+
+TEST(L2ReferenceModel, MatchesNaiveLruAcrossGeometries)
+{
+    std::uint64_t seed = 1;
+    for (std::uint32_t ways : {1u, 3u, 4u, 8u}) {
+        for (std::uint32_t num_sets : {16u, 12u}) {
+            for (std::uint32_t banks : {1u, 3u, 8u}) {
+                SCOPED_TRACE(testing::Message()
+                             << ways << " ways, " << num_sets
+                             << " sets, " << banks << " banks");
+                L2Params p;
+                p.ways = ways;
+                p.banks = banks;
+                p.size_bytes =
+                    std::uint64_t(num_sets) * ways * line_bytes;
+
+                stats::Group stats("g");
+                DramModel dram(stats);
+                L2Cache l2(stats, dram, p);
+                stats::Group ref_stats("ref");
+                DramModel ref_dram(ref_stats);
+                NaiveL2 ref(ref_dram, p);
+
+                // A footprint of three times the capacity keeps every
+                // set evicting; requests of up to 200 B span lines.
+                const std::uint64_t footprint =
+                    std::uint64_t(num_sets) * ways * 3 * line_bytes;
+                Rng rng(seed++);
+                Tick when = 0;
+                for (int i = 0; i < 3000; ++i) {
+                    if (rng.chance(0.01)) {
+                        l2.invalidateAll();
+                        ref.invalidateAll();
+                        continue;
+                    }
+                    const MemRequest req{
+                        0x8000'0000 + rng.below(footprint),
+                        static_cast<std::uint32_t>(1 + rng.below(200)),
+                        rng.chance(0.4) ? MemOp::write : MemOp::read,
+                        World::normal};
+                    const MemResult got = l2.access(when, req);
+                    const MemResult want = ref.access(when, req);
+                    ASSERT_EQ(got.done, want.done) << "access " << i;
+                    ASSERT_EQ(got.l2_hit, want.l2_hit) << "access " << i;
+                    // Same-tick bursts contend for banks; gaps let
+                    // them drain.
+                    when += rng.chance(0.5) ? 0 : rng.below(300);
+                }
+                EXPECT_EQ(l2.hits(), ref.hits);
+                EXPECT_EQ(l2.misses(), ref.misses);
+                const auto *wb = dynamic_cast<const stats::Scalar *>(
+                    stats.find("l2_writebacks"));
+                ASSERT_NE(wb, nullptr);
+                EXPECT_EQ(static_cast<std::uint64_t>(wb->value()),
+                          ref.writebacks);
+                EXPECT_GT(ref.writebacks, 0u);
+                EXPECT_GT(ref.hits, 0u);
+            }
+        }
+    }
 }
 
 } // namespace

@@ -264,6 +264,42 @@ TEST(CodeVerifierTest, MeasurementIgnoresPrivilegeBit)
     EXPECT_FALSE(digestEqual(CodeVerifier::measure(prog), d1));
 }
 
+TEST(CodeVerifierTest, ChunkedMeasurementHashesTheWholeStream)
+{
+    // Reference: the serialization built whole, then hashed once.
+    // 1000 instructions of 32 bytes cross several 4 KiB chunks.
+    NpuProgram prog;
+    std::vector<std::uint8_t> whole;
+    auto put = [&](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            whole.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    const std::uint64_t n = 1000;
+    put(n, 8);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        Instr in;
+        in.op = static_cast<Opcode>(i % 4);
+        in.vaddr = 0x1000'0000 + i * 64;
+        in.spad_row = static_cast<std::uint32_t>(i);
+        in.spad_row2 = static_cast<std::uint32_t>(i * 3);
+        in.rows = static_cast<std::uint32_t>(i % 16);
+        in.k = 16;
+        in.peer = static_cast<std::uint32_t>(i % 5);
+        in.accumulate = i % 2;
+        prog.code.push_back(in);
+        put(static_cast<std::uint8_t>(in.op), 1);
+        put(in.vaddr, 8);
+        for (std::uint32_t f :
+             {in.spad_row, in.spad_row2, in.rows, in.k, in.peer})
+            put(f, 4);
+        put(static_cast<std::uint8_t>(in.act), 1);
+        put(in.accumulate ? 1 : 0, 1);
+        put(static_cast<std::uint8_t>(in.world), 1);
+    }
+    EXPECT_TRUE(digestEqual(CodeVerifier::measure(prog),
+                            Sha256::hash(whole)));
+}
+
 TEST(SecureLoaderTest, RouteCheckErrors)
 {
     stats::Group stats("g");

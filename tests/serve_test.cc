@@ -216,6 +216,34 @@ TEST(SnpuServer, ServesAllTenantsAndReportsTails)
     EXPECT_EQ(res.cycles, res.makespan);
 }
 
+/** Each tenant's IOMMU window is mapped in full even where the slack
+ *  of a neighbour's window already covers its first pages, so every
+ *  request of four normal tenants on two tiles completes. */
+TEST(SnpuServer, IommuTenantsOnSharedTilesCompleteEveryRequest)
+{
+    Soc soc(paramsForBackend("iommu"));
+    ServerConfig cfg;
+    cfg.num_cores = 2;
+    SnpuServer server(soc, cfg);
+    const ModelId models[] = {ModelId::mobilenet, ModelId::yololite};
+    std::vector<TenantSpec> tenants;
+    for (std::uint32_t t = 0; t < 4; ++t) {
+        TenantSpec spec;
+        spec.name = "tenant_" + std::to_string(t);
+        spec.task = smallTask(models[t % 2]);
+        spec.queue_capacity = 8;
+        Rng rng(t + 1);
+        spec.arrivals = poissonArrivals(rng, 200000.0, 3);
+        tenants.push_back(spec);
+    }
+    ServeResult res = server.serve(tenants);
+    ASSERT_TRUE(res.ok()) << res.error();
+    for (const TenantReport &rep : res.tenants) {
+        EXPECT_EQ(rep.completed, 3u) << rep.name;
+        EXPECT_EQ(rep.failed, 0u) << rep.name;
+    }
+}
+
 TEST(SnpuServer, SecureTenantPaysTheMonitorNormalDoesNot)
 {
     auto soc = buildSoc(SystemKind::snpu);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "workload/compiler.hh"
 #include "workload/mapping.hh"
@@ -198,6 +200,56 @@ TEST(Compiler, SpadUsageNeverExceedsBudget)
             EXPECT_LE(prog.spad_rows_used, rows)
                 << modelName(id) << " rows=" << rows;
         }
+    }
+}
+
+TEST(Compiler, ModelCodeIsExactSizeAndMatchesLayerByLayer)
+{
+    TilingCompiler compiler;
+    const CompilerParams &cp = compiler.params();
+    const Addr va_base = 0x1000'0000;
+    auto page_up = [](Addr bytes) {
+        return (bytes + 4095) & ~Addr(4095);
+    };
+    auto tiles = [&](std::uint32_t extent) {
+        return static_cast<Addr>((std::max(extent, 1u) + cp.dim - 1) /
+                                 cp.dim);
+    };
+    for (ModelId id : allModels()) {
+        SCOPED_TRACE(modelName(id));
+        const ModelSpec model = makeModel(id).scaled(8);
+        const NpuProgram prog = compiler.compileModel(model, va_base);
+        EXPECT_EQ(prog.code.size(), prog.code.capacity());
+
+        // The same buffer layout, appended one compileLayer at a time.
+        NpuProgram ref;
+        Addr cursor = va_base;
+        Addr prev_out = 0;
+        for (std::size_t i = 0; i < model.layers.size(); ++i) {
+            const LayerSpec &layer = model.layers[i];
+            const Addr k_tiles = tiles(layer.k);
+            const Addr n_tiles = tiles(layer.n);
+            const Addr row = cp.spad_row_bytes;
+            LayerBuffers bufs;
+            if (i == 0) {
+                bufs.a_base = cursor;
+                cursor += page_up(k_tiles * layer.m * row);
+            } else {
+                bufs.a_base = prev_out;
+            }
+            bufs.w_base = cursor;
+            cursor += page_up(n_tiles * k_tiles * cp.dim * row);
+            bufs.c_base = cursor;
+            cursor += page_up(n_tiles * layer.m * row);
+            prev_out = bufs.c_base;
+            compiler.compileLayer(layer, bufs, ref);
+        }
+        EXPECT_TRUE(prog.code == ref.code);
+        EXPECT_EQ(prog.tile_ends, ref.tile_ends);
+        EXPECT_EQ(prog.layer_ends, ref.layer_ends);
+        EXPECT_EQ(prog.ideal_macs, ref.ideal_macs);
+        EXPECT_EQ(prog.spad_rows_used, ref.spad_rows_used);
+        EXPECT_EQ(prog.tile_live_rows, ref.tile_live_rows);
     }
 }
 
