@@ -149,6 +149,56 @@ BM_DmaTransferIommu(benchmark::State &state)
 }
 BENCHMARK(BM_DmaTransferIommu);
 
+/**
+ * One batched tile load under the request-granular Guarder, the
+ * shape paper_sweep's DMA time goes to: 16 streams of 48 packets
+ * each, interleaved round-robin, timing only. The batches walk a
+ * 16 MiB window, eight times the L2, so nearly every line misses as
+ * on the figure path. One "item" is one packet; per_packet is the
+ * host time per packet.
+ */
+void
+BM_DmaBatchGuarder(benchmark::State &state)
+{
+    stats::Group stats("g");
+    MemSystem mem(stats);
+    NpuGuarder guard(stats);
+    constexpr std::uint32_t streams = 16;
+    constexpr std::uint32_t stream_bytes = 48 * 64;
+    constexpr Addr batch_bytes = streams * stream_bytes;
+    constexpr Addr window = 16u << 20;
+    const Addr va = 0x100000;
+    const Addr pa = mem.map().dram().base;
+    guard.setTranslationRegister(0, va, pa, window, true);
+    guard.setCheckingRegister(0, AddrRange{pa, window},
+                              GuardPerm::rw(), World::normal, true);
+    DmaEngine dma(stats, mem, guard);
+    std::vector<DmaRequest> reqs(streams);
+    const std::vector<std::vector<std::uint8_t> *> buffers(streams,
+                                                           nullptr);
+    Tick t = 0;
+    Addr offset = 0;
+    for (auto _ : state) {
+        for (std::uint32_t i = 0; i < streams; ++i) {
+            reqs[i] = DmaRequest{va + offset + i * stream_bytes,
+                                 stream_bytes, MemOp::read,
+                                 World::normal};
+        }
+        DmaResult res = dma.transferBatch(t, reqs, buffers);
+        benchmark::DoNotOptimize(res);
+        t = res.done;
+        offset = (offset + batch_bytes) % (window / batch_bytes *
+                                           batch_bytes);
+    }
+    const auto packets = static_cast<std::int64_t>(state.iterations()) *
+                         streams * (stream_bytes / 64);
+    state.SetItemsProcessed(packets);
+    state.counters["per_packet"] = benchmark::Counter(
+        static_cast<double>(packets),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DmaBatchGuarder);
+
 // ---------------------------------------------------------------
 // Component hot paths (pre-existing coverage)
 // ---------------------------------------------------------------
@@ -495,6 +545,63 @@ BM_PaperPointFig13Alexnet(benchmark::State &state)
     state.SetItemsProcessed(cycles);
 }
 BENCHMARK(BM_PaperPointFig13Alexnet)->Unit(benchmark::kMillisecond);
+
+/**
+ * One Fig 14 point end to end, as paper_sweep runs it: a cold
+ * buildSoc() of the TrustZone NPU plus TaskRunner::run() of resnet at
+ * scale 8 with a scratchpad flush after every tile, so the flush
+ * engine's save/restore streams sit on the path. One "item" is one
+ * simulated cycle.
+ */
+void
+BM_PaperPointFig14Resnet(benchmark::State &state)
+{
+    std::int64_t cycles = 0;
+    for (auto _ : state) {
+        SystemOverrides o;
+        o.model_scale = 8;
+        auto soc = buildSoc(SystemKind::trustzone_npu, o);
+        TaskRunner runner(*soc);
+        NpuTask task = NpuTask::fromModel(ModelId::resnet);
+        task.model = task.model.scaled(8);
+        RunOptions opts;
+        opts.flush = FlushGranularity::tile;
+        RunResult res = runner.run(task, opts);
+        if (!res.ok())
+            state.SkipWithError(res.error().c_str());
+        cycles += static_cast<std::int64_t>(res.cycles);
+    }
+    state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_PaperPointFig14Resnet)->Unit(benchmark::kMillisecond);
+
+/**
+ * One Fig 17 point end to end, as paper_sweep runs it: a cold
+ * buildSoc() of the sNPU plus a layer-per-core runPipeline() of
+ * googlenet at scale 8 over four tiles through the peephole NoC.
+ * One "item" is one simulated cycle.
+ */
+void
+BM_PaperPointFig17Googlenet(benchmark::State &state)
+{
+    std::int64_t cycles = 0;
+    for (auto _ : state) {
+        SystemOverrides o;
+        o.model_scale = 8;
+        auto soc = buildSoc(SystemKind::snpu, o);
+        TaskRunner runner(*soc);
+        NpuTask task = NpuTask::fromModel(ModelId::googlenet);
+        task.model = task.model.scaled(8);
+        PipelineResult res = runner.runPipeline(
+            task, {0, 1, 2, 3}, NocMode::peephole,
+            static_cast<std::uint32_t>(task.model.layers.size()));
+        if (!res.ok())
+            state.SkipWithError(res.error().c_str());
+        cycles += static_cast<std::int64_t>(res.cycles);
+    }
+    state.SetItemsProcessed(cycles);
+}
+BENCHMARK(BM_PaperPointFig17Googlenet)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------
 // JSON emission

@@ -101,10 +101,10 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
         if (offset == 0)
             first_pa = packet_pa;
 
-        MemRequest mreq{packet_pa, chunk, req.op, req.world};
-        MemResult mres = params.through_l2 ? mem.access(issue, mreq)
-                                           : mem.accessUncached(issue, mreq);
-        if (!mres.ok) {
+        Tick packet_done;
+        if (!issuePacket(issue, MemRequest{packet_pa, chunk, req.op,
+                                           req.world},
+                         false, packet_done)) {
             ++denied_requests;
             result.ok = false;
             result.done = issue;
@@ -122,7 +122,7 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
         ++packets_issued;
         ++result.packets;
         bytes_moved += chunk;
-        result.done = std::max(result.done, mres.done);
+        result.done = std::max(result.done, packet_done);
         issue += params.issue_interval;
         offset += chunk;
     }
@@ -146,12 +146,12 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
 {
     // Request-granular controller (Guarder / pass-through): exactly
     // one translation covers the whole request, so the packet loop
-    // below provably performs no per-packet checks. That lets us run
-    // a branch-free timing loop, bump the stats once, and move the
-    // functional bytes in a single contiguous copy — the physical
-    // range is contiguous by construction. Timing is identical to
-    // the generic loop: same packet split, same issue cadence, same
-    // completion max.
+    // below provably performs no per-packet checks. The physical
+    // range is contiguous by construction, so one partition check
+    // covers it too, the packets take the check-free memory path,
+    // and the functional bytes move in a single copy. Timing is
+    // identical to the generic loop: same packet split, same issue
+    // cadence, same completion max.
     Translation req_xl = control.translate(when, req.vaddr, req.bytes,
                                             req.op, req.world);
     if (req_xl.ready < when) {
@@ -166,30 +166,28 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
         return DmaResult{when, false, false, 0};
     }
 
+    const bool prechecked =
+        mem.rangeAllowed(req.world, req_xl.paddr, req.bytes);
     DmaResult result;
     Tick issue = req_xl.ready;
-    std::uint32_t packets = 0;
     std::uint32_t offset = 0;
 
     while (offset < req.bytes) {
         const std::uint32_t chunk =
             std::min(params.packet_bytes, req.bytes - offset);
-        MemRequest mreq{req_xl.paddr + offset, chunk, req.op,
-                        req.world};
-        MemResult mres = params.through_l2
-                             ? mem.access(issue, mreq)
-                             : mem.accessUncached(issue, mreq);
-        if (!mres.ok) {
+        Tick packet_done;
+        if (!issuePacket(issue, MemRequest{req_xl.paddr + offset, chunk,
+                                           req.op, req.world},
+                         prechecked, packet_done)) {
             ++denied_requests;
-            packets_issued += packets;
+            packets_issued += result.packets;
             bytes_moved += offset;
-            result.packets = packets;
             result.ok = false;
             result.done = issue;
             return result;
         }
-        ++packets;
-        result.done = std::max(result.done, mres.done);
+        ++result.packets;
+        result.done = std::max(result.done, packet_done);
         issue += params.issue_interval;
         offset += chunk;
     }
@@ -201,9 +199,8 @@ DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
             mem.data().write(req_xl.paddr, buffer->data(), req.bytes);
     }
 
-    packets_issued += packets;
+    packets_issued += result.packets;
     bytes_moved += req.bytes;
-    result.packets = packets;
     stall_cycles.sample(0.0);
     result.done = std::max(result.done, issue);
     result.done += control.transferOverhead(result.done, req_xl.paddr,
@@ -243,7 +240,9 @@ DmaEngine::transferBatch(
         const DmaRequest *req;
         std::vector<std::uint8_t> *buffer;
         Translation req_xl;          // request-level translation
+        Addr first_pa = 0;           // PA of the first packet
         std::uint32_t offset = 0;
+        bool prechecked = false;     // whole PA range passed once
     };
     std::vector<Stream> streams;
     streams.reserve(reqs.size());
@@ -265,7 +264,6 @@ DmaEngine::transferBatch(
         Stream s;
         s.req = &req;
         s.buffer = buffers[i];
-        s.req_xl = Translation{true, req.vaddr, when};
         if (per_request) {
             s.req_xl = control.translate(when, req.vaddr, req.bytes,
                                           req.op, req.world);
@@ -283,23 +281,30 @@ DmaEngine::transferBatch(
                 result.ok = false;
                 return result;
             }
+            s.first_pa = s.req_xl.paddr;
+            s.prechecked =
+                mem.rangeAllowed(req.world, s.first_pa, req.bytes);
         }
         streams.push_back(s);
     }
 
-    // Round-robin packet issue across the streams. Translation
-    // requests enter the controller one per cycle (t_req); packets
-    // issue to memory when their translation is available and the
-    // issue pipeline has a slot.
+    // Round-robin packet issue across the streams that still have
+    // bytes to move, in stream order; a stream leaves the live list
+    // when it drains. Translation requests enter the controller one
+    // per cycle (t_req); packets issue to memory when their
+    // translation is available and the issue pipeline has a slot.
+    std::vector<Stream *> live;
+    live.reserve(streams.size());
+    for (Stream &s : streams)
+        live.push_back(&s);
     Tick t_req = when;
     Tick issue = when;
-    std::size_t live = streams.size();
-    std::size_t rr = 0;
-    while (live > 0) {
-        Stream &s = streams[rr % streams.size()];
-        ++rr;
-        if (!s.req || s.offset >= s.req->bytes)
-            continue;
+    std::uint64_t bytes = 0;
+    std::size_t next = 0;
+    while (!live.empty()) {
+        if (next == live.size())
+            next = 0;
+        Stream &s = *live[next];
 
         std::uint32_t chunk =
             std::min(params.packet_bytes, s.req->bytes - s.offset);
@@ -323,20 +328,25 @@ DmaEngine::transferBatch(
             t_req += 1;
             if (!xl.ok) {
                 ++denied_requests;
+                packets_issued += result.packets;
+                bytes_moved += static_cast<double>(bytes);
                 result.ok = false;
                 result.done = t_req;
                 return result;
             }
             issue = std::max(issue, xl.ready);
             packet_pa = xl.paddr;
+            if (s.offset == 0)
+                s.first_pa = packet_pa;
         }
 
-        MemRequest mreq{packet_pa, chunk, s.req->op, s.req->world};
-        MemResult mres = params.through_l2
-                             ? mem.access(issue, mreq)
-                             : mem.accessUncached(issue, mreq);
-        if (!mres.ok) {
+        Tick packet_done;
+        if (!issuePacket(issue, MemRequest{packet_pa, chunk, s.req->op,
+                                           s.req->world},
+                         s.prechecked, packet_done)) {
             ++denied_requests;
+            packets_issued += result.packets;
+            bytes_moved += static_cast<double>(bytes);
             result.ok = false;
             result.done = issue;
             return result;
@@ -350,15 +360,18 @@ DmaEngine::transferBatch(
                                  s.buffer->data() + s.offset, chunk);
             }
         }
-        ++packets_issued;
         ++result.packets;
-        bytes_moved += chunk;
-        result.done = std::max(result.done, mres.done);
+        bytes += chunk;
+        result.done = std::max(result.done, packet_done);
         issue += params.issue_interval;
         s.offset += chunk;
         if (s.offset >= s.req->bytes)
-            --live;
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(next));
+        else
+            ++next;
     }
+    packets_issued += result.packets;
+    bytes_moved += static_cast<double>(bytes);
 
     result.done = std::max(result.done, issue);
     // Per-transfer controller overhead: the streams share one
@@ -367,7 +380,7 @@ DmaEngine::transferBatch(
     Tick tail = 0;
     for (const Stream &s : streams) {
         tail = std::max(tail, control.transferOverhead(
-                                  result.done, s.req_xl.paddr,
+                                  result.done, s.first_pa,
                                   s.req->bytes, s.req->op));
     }
     result.done += tail;

@@ -122,12 +122,36 @@ class DmaEngine
   private:
     /**
      * Fast path for request-granular controllers: one up-front
-     * check, a branch-free packet timing loop, one contiguous
-     * functional copy, batched stat updates. Timing-identical to the
-     * generic per-packet loop.
+     * check and one partition check of the physical range, a
+     * check-free packet timing loop, one contiguous functional copy,
+     * batched stat updates. Timing-identical to the generic
+     * per-packet loop.
      */
     DmaResult transferPerRequest(Tick when, const DmaRequest &req,
                                  std::vector<std::uint8_t> *buffer);
+
+    /**
+     * Issue one packet to memory at @p when, through the L2 unless
+     * DmaParams::through_l2 is off. A packet of a range that passed
+     * MemSystem::rangeAllowed() (@p prechecked) takes the check-free
+     * entry; any other packet is checked and may be denied.
+     * @return false when the partition denied the packet; otherwise
+     * its completion tick is in @p done.
+     */
+    bool
+    issuePacket(Tick when, const MemRequest &mreq, bool prechecked,
+                Tick &done)
+    {
+        if (prechecked) {
+            done = mem.accessUnchecked(when, mreq, params.through_l2);
+            return true;
+        }
+        const MemResult res = params.through_l2
+                                  ? mem.access(when, mreq)
+                                  : mem.accessUncached(when, mreq);
+        done = res.done;
+        return res.ok;
+    }
 
     MemSystem &mem;
     ProtectionBackend &control;

@@ -46,16 +46,4 @@ AddressMap::worldOf(Addr addr) const
     return _secure.contains(addr) ? World::secure : World::normal;
 }
 
-bool
-AddressMap::accessAllowed(World w, Addr addr, Addr bytes) const
-{
-    if (!_dram.contains(addr, bytes))
-        return false;
-    if (w == World::secure)
-        return true;
-    // A normal-world access must not touch any secure byte.
-    AddrRange span{addr, bytes};
-    return !span.overlaps(_secure);
-}
-
 } // namespace snpu

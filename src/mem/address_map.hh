@@ -64,7 +64,16 @@ class AddressMap
      * [addr, addr+bytes)? Secure agents may access both worlds;
      * normal agents only normal memory.
      */
-    bool accessAllowed(World w, Addr addr, Addr bytes) const;
+    bool
+    accessAllowed(World w, Addr addr, Addr bytes) const
+    {
+        if (!_dram.contains(addr, bytes))
+            return false;
+        if (w == World::secure)
+            return true;
+        // A normal-world access must not touch any secure byte.
+        return !AddrRange{addr, bytes}.overlaps(_secure);
+    }
 
   private:
     AddrRange _dram;

@@ -1,8 +1,5 @@
 #include "mem/dram_model.hh"
 
-#include <algorithm>
-#include <cmath>
-
 #include "sim/logging.hh"
 
 namespace snpu
@@ -18,36 +15,6 @@ DramModel::DramModel(stats::Group &stats, DramParams params)
 {
     if (params.bytes_per_cycle <= 0)
         fatal("DRAM bandwidth must be positive");
-}
-
-Tick
-DramModel::access(Tick when, std::uint32_t bytes, MemOp op)
-{
-    if (bytes == 0)
-        panic("zero-byte DRAM access");
-
-    if (op == MemOp::read)
-        ++reads;
-    else
-        ++writes;
-    bytes_moved += bytes;
-
-    const Tick start = std::max(when, next_free);
-    queue_delay.sample(static_cast<double>(start - when));
-
-    // Transfer time with sub-cycle carry so long streams achieve the
-    // exact configured bandwidth.
-    carry_bytes += static_cast<double>(bytes);
-    Tick transfer = static_cast<Tick>(carry_bytes / params.bytes_per_cycle);
-    if (transfer == 0)
-        transfer = 1;
-    carry_bytes -= static_cast<double>(transfer) * params.bytes_per_cycle;
-    if (carry_bytes < 0)
-        carry_bytes = 0;
-
-    next_free = start + transfer;
-    busy_cycles += transfer;
-    return start + params.access_latency + transfer;
 }
 
 } // namespace snpu

@@ -16,6 +16,7 @@
 #include <cstdint>
 
 #include "mem/mem_types.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -41,10 +42,41 @@ class DramModel
     DramModel(stats::Group &stats, DramParams params = {});
 
     /**
-     * Serve an access that arrives at @p when.
+     * Serve an access that arrives at @p when. Inline: every L2 miss
+     * and uncached DMA packet lands here.
      * @return the tick at which the last byte transfers.
      */
-    Tick access(Tick when, std::uint32_t bytes, MemOp op);
+    Tick
+    access(Tick when, std::uint32_t bytes, MemOp op)
+    {
+        if (bytes == 0) [[unlikely]]
+            panic("zero-byte DRAM access");
+
+        if (op == MemOp::read)
+            ++reads;
+        else
+            ++writes;
+        bytes_moved += bytes;
+
+        const Tick start = std::max(when, next_free);
+        queue_delay.sample(static_cast<double>(start - when));
+
+        // Transfer time with sub-cycle carry so long streams achieve
+        // the exact configured bandwidth.
+        carry_bytes += static_cast<double>(bytes);
+        Tick transfer =
+            static_cast<Tick>(carry_bytes / params.bytes_per_cycle);
+        if (transfer == 0)
+            transfer = 1;
+        carry_bytes -=
+            static_cast<double>(transfer) * params.bytes_per_cycle;
+        if (carry_bytes < 0)
+            carry_bytes = 0;
+
+        next_free = start + transfer;
+        busy_cycles += transfer;
+        return start + params.access_latency + transfer;
+    }
 
     /** First tick at which the channel is free again. */
     Tick nextFree() const { return next_free; }

@@ -34,7 +34,7 @@ MemSystem::access(Tick when, const MemRequest &req)
     if (!check(req))
         return MemResult{when, false, false};
     if (!params.npu_through_l2)
-        return accessUncachedInternal(when, req);
+        return MemResult{dramTime(when, req), true, false};
     return _l2.access(when, req);
 }
 
@@ -43,18 +43,7 @@ MemSystem::accessUncached(Tick when, const MemRequest &req)
 {
     if (!check(req))
         return MemResult{when, false, false};
-    return accessUncachedInternal(when, req);
-}
-
-MemResult
-MemSystem::accessUncachedInternal(Tick when, const MemRequest &req)
-{
-    MemResult result;
-    result.done = _dram.access(when, req.bytes, req.op) +
-                  _crypto.accessPenalty(req.paddr);
-    result.ok = true;
-    result.l2_hit = false;
-    return result;
+    return MemResult{dramTime(when, req), true, false};
 }
 
 } // namespace snpu

@@ -54,6 +54,33 @@ class MemSystem
      */
     MemResult accessUncached(Tick when, const MemRequest &req);
 
+    /**
+     * Pure partition check over [paddr, paddr+bytes): no stats, no
+     * timing. Every sub-range of an allowed range is allowed, so a
+     * stream whose whole range passes may issue its packets through
+     * accessUnchecked().
+     */
+    bool
+    rangeAllowed(World w, Addr paddr, Addr bytes) const
+    {
+        return _map.accessAllowed(w, paddr, bytes);
+    }
+
+    /**
+     * Check-free timed access, for a request inside a range that
+     * passed rangeAllowed(). Counts mem_accesses exactly as access()
+     * (or accessUncached() when @p cached is false) does and returns
+     * the completion tick.
+     */
+    Tick
+    accessUnchecked(Tick when, const MemRequest &req, bool cached = true)
+    {
+        ++accesses;
+        if (cached && params.npu_through_l2)
+            return _l2.accessTime(when, req);
+        return dramTime(when, req);
+    }
+
     /** Functional data path (no timing, no checks). */
     PhysMem &data() { return mem; }
     const PhysMem &data() const { return mem; }
@@ -86,7 +113,14 @@ class MemSystem
 
   private:
     bool check(const MemRequest &req);
-    MemResult accessUncachedInternal(Tick when, const MemRequest &req);
+
+    /** Completion tick of an access served straight from DRAM. */
+    Tick
+    dramTime(Tick when, const MemRequest &req)
+    {
+        return _dram.access(when, req.bytes, req.op) +
+               _crypto.accessPenalty(req.paddr);
+    }
 
     AddressMap _map;
     MemSystemParams params;

@@ -107,26 +107,15 @@ Scalar::captureDelta(StatDelta &out) const
 }
 
 void
-Average::sample(double v)
+Average::sampleWindow(double v)
 {
-    if (_count == 0) {
-        _min = v;
-        _max = v;
+    if (_count == cap_count) {
+        win_min = v;
+        win_max = v;
     } else {
-        _min = std::min(_min, v);
-        _max = std::max(_max, v);
+        win_min = std::min(win_min, v);
+        win_max = std::max(win_max, v);
     }
-    if (cap_armed) {
-        if (_count == cap_count) {
-            win_min = v;
-            win_max = v;
-        } else {
-            win_min = std::min(win_min, v);
-            win_max = std::max(win_max, v);
-        }
-    }
-    _sum += v;
-    ++_count;
 }
 
 void

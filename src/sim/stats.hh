@@ -15,6 +15,7 @@
 #ifndef SNPU_SIM_STATS_HH
 #define SNPU_SIM_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -130,7 +131,25 @@ class Average : public StatBase
         : StatBase(group, std::move(name), std::move(desc))
     {}
 
-    void sample(double v);
+    /**
+     * Record one sample. Inline: the DRAM model samples its queue
+     * delay once per line, so this sits on the DMA packet path.
+     */
+    void
+    sample(double v)
+    {
+        if (_count == 0) {
+            _min = v;
+            _max = v;
+        } else {
+            _min = std::min(_min, v);
+            _max = std::max(_max, v);
+        }
+        if (cap_armed)
+            sampleWindow(v);
+        _sum += v;
+        ++_count;
+    }
 
     std::uint64_t count() const { return _count; }
     double mean() const { return _count ? _sum / _count : 0.0; }
@@ -147,6 +166,9 @@ class Average : public StatBase
     void applyDelta(const StatDelta &d) override;
 
   private:
+    /** Track the capture window's extrema (before _count moves). */
+    void sampleWindow(double v);
+
     std::uint64_t _count = 0;
     double _sum = 0;
     double _min = 0;

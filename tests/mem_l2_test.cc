@@ -304,5 +304,74 @@ TEST(L2ReferenceModel, MatchesNaiveLruAcrossGeometries)
     }
 }
 
+TEST(L2ReferenceModel, StaleStampsNeverPickTheVictim)
+{
+    // One set of four ways, one bank: line k * 16 maps to set 0.
+    L2Params p;
+    p.ways = 4;
+    p.banks = 1;
+    p.size_bytes = 16 * 4 * line_bytes;
+    stats::Group stats("g");
+    DramModel dram(stats);
+    L2Cache l2(stats, dram, p);
+    stats::Group ref_stats("ref");
+    DramModel ref_dram(ref_stats);
+    NaiveL2 ref(ref_dram, p);
+
+    Tick when = 0;
+    std::vector<bool> hits;
+    const auto touch = [&](std::uint32_t k, MemOp op) {
+        const MemRequest req{0x8000'0000 + Addr(k) * 16 * line_bytes,
+                             line_bytes, op, World::normal};
+        const MemResult got = l2.access(when, req);
+        const MemResult want = ref.access(when, req);
+        EXPECT_EQ(got.done, want.done) << "line " << k;
+        EXPECT_EQ(got.l2_hit, want.l2_hit) << "line " << k;
+        hits.push_back(got.l2_hit);
+        when = want.done;
+    };
+
+    // Fill the set with dirty lines 0-3, then make line 0 the most
+    // recently used, so ways 1-3 hold the oldest stamps.
+    for (std::uint32_t k = 0; k < 4; ++k)
+        touch(k, MemOp::write);
+    touch(0, MemOp::read);
+    l2.invalidateAll();
+    ref.invalidateAll();
+
+    // Refill half the set. Ways 2 and 3 keep stale tags (lines 2 and
+    // 3) and stamps older than anything filled since.
+    touch(10, MemOp::read);
+    touch(11, MemOp::read);
+    touch(2, MemOp::read); // a stale tag must not hit
+    // The set is full again (10, 11, 2 and now 12): the next misses
+    // evict 10, then 11, never a way by its pre-epoch stamp.
+    touch(12, MemOp::read);
+    touch(13, MemOp::read);
+    touch(14, MemOp::read);
+    touch(2, MemOp::read);
+    touch(12, MemOp::read);
+    // 10 evicts 13 (2 and 12 were just used); 11 is gone, so it
+    // misses and evicts 14.
+    touch(10, MemOp::read);
+    touch(11, MemOp::read);
+    touch(14, MemOp::read);
+
+    const std::vector<bool> want_hits = {false, false, false, false, true,
+                                         false, false, false, false,
+                                         false, false, true,  true,
+                                         false, false, false};
+    EXPECT_EQ(hits, want_hits);
+    EXPECT_EQ(l2.hits(), ref.hits);
+    EXPECT_EQ(l2.misses(), ref.misses);
+    // The dirty lines were dropped by invalidateAll(), so the clean
+    // refills wrote nothing back.
+    EXPECT_EQ(ref.writebacks, 0u);
+    const auto *wb = dynamic_cast<const stats::Scalar *>(
+        stats.find("l2_writebacks"));
+    ASSERT_NE(wb, nullptr);
+    EXPECT_EQ(wb->value(), 0.0);
+}
+
 } // namespace
 } // namespace snpu
