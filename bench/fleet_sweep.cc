@@ -254,8 +254,7 @@ main(int argc, char **argv)
                     Soc soc(makeSystem(SystemKind::snpu));
                     ServerConfig sc = nodeServerConfig(service);
                     sc.record_requests = true;
-                    sc.jitter_seed = hashMix(sc.jitter_seed,
-                                             std::uint64_t(n) + 1);
+                    sc.jitter_seed = fleetSocSeed(sc.jitter_seed, n);
                     SnpuServer server(soc, sc);
                     const auto tenants =
                         makeFleetTenants(load, service);

@@ -8,34 +8,20 @@
  *
  * Health checking is modeled on the controller's timeline: every
  * SoC's fleet-scoped fault sites (soc_crash / soc_hang / soc_degrade)
- * are probed once per heartbeat interval up to a configured horizon,
- * open-loop and seeded per SoC, so a fleet experiment is a pure
- * function of its configuration. A crash is detected after
- * `heartbeat_misses` missed heartbeats; a hang answers heartbeats but
- * makes no progress, so the progress watchdog needs
- * `hang_detect_factor` times as long; a degrade is self-reported
- * (the SoC cordons itself, drains its work, and accepts no
- * migrants).
+ * are probed per heartbeat up to a horizon, open-loop and seeded per
+ * SoC, so a fleet experiment is a pure function of its
+ * configuration. A crash or hang evicts the SoC; a degrade cordons it.
  *
- * Failover is tenant-granular: when a SoC is evicted, completions
- * that happened before the fault stand (causality: adding work to a
- * survivor later than its fault tick cannot change what already
- * finished), and every pending request migrates with its tenant to
- * the least-loaded warm SoC. A migration pays the secure-session
- * re-establishment handshake — re-attestation modeled by the
- * fleet_migration fault site with bounded exponential-backoff
- * retries, context re-provisioning exercised functionally through
- * the target's ProtectionBackend::beginContext, and a resettle
- * charge — and a mid-generation decode stream additionally loses its
- * KV cache: generated tokens are lost and prefill re-runs on the
- * target (re-prefill accounting). Repeated handshake failures trip a
- * fleet-level circuit breaker that fails migrations fast until a
- * cool-down admits one half-open trial.
- *
- * Graceful degradation: when eviction drops fleet capacity below a
- * configured fraction, the lowest-priority migrating tenants are
- * shed — their remaining requests complete with StatusCode::degraded
- * instead of consuming survivor capacity.
+ * Failover is tenant-granular: completions before the fault stand
+ * (causality), and every pending request migrates with its tenant to
+ * the least-loaded warm SoC after the secure-session handshake
+ * (re-attestation with bounded retries, context re-provisioning
+ * through the target's ProtectionBackend, a resettle charge). A
+ * mid-generation decode stream loses its KV cache and re-runs
+ * prefill there. Repeated handshake failures trip a CircuitBreaker,
+ * the one behind the server's tenant quarantine. Below a capacity
+ * threshold the lowest-priority migrating tenants are shed with
+ * StatusCode::degraded instead.
  *
  * The whole simulation is wave-based: each SoC serves its full
  * window up front; evictions are processed in detection order,
@@ -60,10 +46,20 @@
 #include "fleet/fleet_stats.hh"
 #include "serve/server.hh"
 #include "sim/fault_injector.hh"
+#include "sim/hashing.hh"
 #include "sim/stats.hh"
 
 namespace snpu
 {
+
+/** SoC @p n's seed from fleet-wide @p seed, for its jitter, serving
+ *  fault plan and fleet fault schedule (index 0 is the controller's
+ *  own handshake stream). */
+inline std::uint64_t
+fleetSocSeed(std::uint64_t seed, std::uint32_t n)
+{
+    return hashMix(seed, std::uint64_t(n) + 1);
+}
 
 /** One tenant of the fleet. */
 struct FleetTenantSpec
@@ -83,9 +79,8 @@ struct FleetConfig
     std::uint32_t num_socs = 4;
     /** Hardware configuration of every SoC (homogeneous fleet). */
     SocParams soc = makeSystem(SystemKind::snpu);
-    /** Per-SoC serving configuration. The controller derives each
-     *  SoC's jitter and fault-plan seeds from these by mixing in the
-     *  SoC index, so fault domains draw decorrelated streams. */
+    /** Per-SoC serving configuration; each SoC's jitter and
+     *  fault-plan seeds derive from these through fleetSocSeed. */
     ServerConfig server{};
 
     /** Controller heartbeat probe interval (cycles). */
@@ -102,7 +97,7 @@ struct FleetConfig
 
     /** Arm the fleet-scoped fault sites (soc_crash / soc_hang /
      *  soc_degrade / fleet_migration) with this plan. Each SoC's
-     *  injector is seeded by mixing its index into plan.seed. */
+     *  injector is seeded with fleetSocSeed(plan.seed, soc). */
     bool fault_injection = false;
     FaultPlan fault_plan{};
 
@@ -120,10 +115,11 @@ struct FleetConfig
     /** Consecutive handshake failures that trip the fleet migration
      *  breaker; 0 disables the breaker. */
     std::uint32_t breaker_threshold = 4;
-    /** Open-breaker cool-down before one half-open trial. */
+    /** Open-breaker cool-down before one half-open trial; 0 never
+     *  cools, as ServerConfig::quarantine_cooldown. */
     Tick breaker_cooldown = 500'000;
     /** Shed lowest-priority migrating tenants once the alive
-     *  fraction of the fleet drops below this. */
+     *  fraction of the fleet (cordoned SoCs count) drops below this. */
     double shed_below_capacity = 0.25;
 
     /** Fleet latency histogram range/resolution (cycles). */
@@ -226,17 +222,11 @@ class FleetController
     stats::Registry &registry() { return registry_; }
 
   private:
-    struct NodeTenant;
-    struct Node;
-
-    /** Serve node @p n's current tenant set on a fresh SoC. */
-    void serveNode(std::uint32_t n,
-                   const std::vector<FleetTenantSpec> &tenants);
+    class Window; // one serving window, one method per fleet event
 
     FleetConfig cfg;
     stats::Registry registry_;
     std::unique_ptr<FleetStats> stats_;
-    std::vector<Node> nodes;
     bool ran = false;
 };
 

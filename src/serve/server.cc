@@ -8,6 +8,7 @@
 
 #include "core/task_runner.hh"
 #include "core/timing_cache.hh"
+#include "serve/circuit_breaker.hh"
 #include "sim/hashing.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -149,21 +150,6 @@ class SnpuServer::Window : public RequestLifecycle
         denied,       //!< quote rejected; admission refuses
     };
 
-    /**
-     * Per-tenant circuit breaker. closed admits normally; open fails
-     * fast at admission; once the cool-down elapses the next arrival
-     * becomes a half-open trial — its success closes the breaker
-     * again (re-admission), its failure re-trips a full cool-down.
-     * Without a cool-down (quarantine_cooldown == 0) an open breaker
-     * never cools: the legacy quarantine-forever behaviour.
-     */
-    enum class Breaker : std::uint8_t
-    {
-        closed,
-        open,
-        half_open,
-    };
-
     /** One request's serving resources and recorded outcome. */
     struct ServeRequest
     {
@@ -189,12 +175,8 @@ class SnpuServer::Window : public RequestLifecycle
         std::shared_ptr<const SecureTask> tpl;
         std::uint32_t depth = 0;
         std::uint32_t peak = 0;
-        /** Consecutive failed attempts; a success resets it. */
-        std::uint32_t consecutive = 0;
-        Breaker breaker = Breaker::closed;
-        Tick open_until = 0;
-        /** Instance of the half-open trial request; -1 = none. */
-        std::int64_t trial = -1;
+        /** The quarantine (ServerConfig::quarantine_*). */
+        CircuitBreaker breaker{0, 0};
         Attest attest = Attest::off;
         Tick attest_cost = 0;
         std::vector<ServeRequest> requests;
@@ -216,7 +198,6 @@ class SnpuServer::Window : public RequestLifecycle
     /** Record the terminal outcome (ServerConfig::record_requests). */
     void finish(const Request &req, Tick now, StatusCode code);
     Tick backoff(ServeRequest &r, std::uint32_t attempts);
-    void trip(Tenant &t, Tick now);
 
     template <typename... Args>
     void trace(Tick now, const Request &req, Args &&...args)
@@ -248,6 +229,8 @@ SnpuServer::Window::Window(SnpuServer &srv,
         t.spec = &specs[s];
         t.stats = &srv.stats_.tenant(s);
         t.requests.resize(specs[s].arrivals.size());
+        t.breaker = CircuitBreaker(cfg.quarantine_threshold,
+                                   cfg.quarantine_cooldown);
         if (specs[s].task.world == World::secure)
             t.tpl = secureTemplate(soc, streams[s].task, s);
     }
@@ -312,18 +295,12 @@ SnpuServer::Window::admit(const Request &req)
         return reject(req, StatusCode::verification_failed,
                       "attestation denied");
     }
-    if (t.breaker != Breaker::closed) {
-        // A cooled open breaker lets this arrival become the
-        // half-open trial (decided below, once it clears the capacity
-        // checks); otherwise fail fast at admission, spending no NPU
-        // or monitor resources on this tenant.
-        const bool cooled = t.breaker == Breaker::open &&
-                            cfg.quarantine_cooldown > 0 &&
-                            req.arrival >= t.open_until;
-        if (!cooled)
-            return reject(req, StatusCode::resource_exhausted,
-                          "quarantined");
-    }
+    // A cooled open breaker lets this arrival become the half-open
+    // trial (decided below, once it clears the capacity checks);
+    // otherwise fail fast at admission, spending no NPU or monitor
+    // resources on this tenant.
+    if (!t.breaker.admits(req.arrival))
+        return reject(req, StatusCode::resource_exhausted, "quarantined");
     if (t.depth >= t.spec->queue_capacity)
         return reject(req, StatusCode::resource_exhausted, "queue full");
     if (t.tpl) {
@@ -333,10 +310,8 @@ SnpuServer::Window::admit(const Request &req)
                           "monitor queue full");
         record(req).monitor_task = id;
     }
-    if (t.breaker == Breaker::open) {
+    if (t.breaker.startTrial(req.arrival, req.instance)) {
         // Cooled down and admitted: this is the trial request.
-        t.breaker = Breaker::half_open;
-        t.trial = static_cast<std::int64_t>(req.instance);
         ++t.stats->breaker_probes;
         trace(req.arrival, req, " admitted as half-open breaker trial");
     }
@@ -501,13 +476,9 @@ SnpuServer::Window::complete(const Request &req, Tick now)
     t.stats->latency.sample(static_cast<double>(now - req.arrival));
     if (t.depth > 0)
         --t.depth;
-    t.consecutive = 0; // a success closes the breaker window
-    if (t.breaker == Breaker::half_open &&
-        t.trial == static_cast<std::int64_t>(req.instance)) {
-        // The trial succeeded: close the breaker, re-admitting the
+    if (t.breaker.succeeded(req.instance)) {
+        // The trial succeeded: the breaker closed, re-admitting the
         // tenant.
-        t.breaker = Breaker::closed;
-        t.trial = -1;
         ++t.stats->breaker_readmits;
         srv.tracer.emit(now, TraceCategory::serve, srv.trace_name,
                         "tenant ", t.spec->name,
@@ -525,15 +496,14 @@ SnpuServer::Window::fail(const Request &req, Tick now, const Status &why)
     Tenant &t = tenant(req);
     ServeRequest &r = record(req);
     ++t.stats->faults_observed;
-    const bool is_trial =
-        t.trial == static_cast<std::int64_t>(req.instance);
-    const bool tripped = cfg.quarantine_threshold > 0 &&
-                         ++t.consecutive >= cfg.quarantine_threshold;
+    const bool is_trial = t.breaker.isTrial(req.instance);
+    const bool tripped = t.breaker.failed(now, req.instance);
     // A failed attempt abandons its generation: its KV blocks go back
-    // to the pool (a retry re-allocates from prefill).
+    // to the pool (a retry re-allocates from prefill). Only a breaker
+    // still closed after this failure retries it.
     releaseKv(r);
-    if (!is_trial && t.breaker == Breaker::closed && !tripped &&
-        retryable(why.code()) && req.attempts <= cfg.max_retries) {
+    if (t.breaker.closed() && retryable(why.code()) &&
+        req.attempts <= cfg.max_retries) {
         ++t.stats->retries;
         const Tick retry_at = now + backoff(r, req.attempts);
         if (cfg.record_requests) {
@@ -553,15 +523,13 @@ SnpuServer::Window::fail(const Request &req, Tick now, const Status &why)
         --t.depth;
     retireFromMonitor(r, SecureTaskState::rejected);
     finish(req, now, why.code());
+    if (tripped)
+        ++t.stats->quarantines;
     if (is_trial) {
-        // The half-open trial failed: re-trip a full cool-down.
-        t.trial = -1;
-        trip(t, now);
+        // The half-open trial failed: a full cool-down again.
         srv.tracer.emit(now, TraceCategory::serve, srv.trace_name,
                         "tenant ", t.spec->name,
                         " breaker re-tripped: half-open trial failed");
-    } else if (tripped && t.breaker == Breaker::closed) {
-        trip(t, now);
     }
     if (srv.kv_pool && t.spec->decode_tokens > 0) {
         // Post-fault scrub hygiene: revoke every idle pooled slab so
@@ -572,15 +540,6 @@ SnpuServer::Window::fail(const Request &req, Tick now, const Status &why)
     trace(now, req, " failed terminally after ", req.attempts,
           " attempt(s): ", why.message());
     return sched_no_retry;
-}
-
-void
-SnpuServer::Window::trip(Tenant &t, Tick now)
-{
-    t.breaker = Breaker::open;
-    t.open_until = now + cfg.quarantine_cooldown;
-    t.consecutive = 0;
-    ++t.stats->quarantines;
 }
 
 /**
@@ -683,7 +642,7 @@ SnpuServer::Window::report(const NSchedResult &nres, ServeResult &result)
         rep.timeouts = out.timeouts;
         rep.faults_observed =
             static_cast<std::uint32_t>(ts.faults_observed.value());
-        rep.quarantined = t.breaker != Breaker::closed;
+        rep.quarantined = !t.breaker.closed();
         rep.breaker_trips =
             static_cast<std::uint32_t>(ts.quarantines.value());
         rep.breaker_probes =

@@ -237,17 +237,11 @@ struct ServerConfig
     bool retry_jitter = false;
     /** Seed for the retry-jitter Rng (ignored without jitter). */
     std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
-    /**
-     * Consecutive failed attempts (across a tenant's requests)
-     * before the circuit breaker quarantines it. 0 disables.
-     */
+    /** Consecutive failed attempts (across a tenant's requests)
+     *  that trip its CircuitBreaker, quarantining it. 0 disables. */
     std::uint32_t quarantine_threshold = 0;
-    /**
-     * Cycles an open breaker cools down before admitting one
-     * half-open trial request: the trial's success closes the
-     * breaker (re-admission), its failure re-trips a full cool-down.
-     * 0 keeps the legacy quarantine-forever behaviour.
-     */
+    /** Cool-down before an open breaker admits one half-open trial
+     *  request; 0 keeps the legacy quarantine-forever behaviour. */
     Tick quarantine_cooldown = 0;
     /** Record per-request outcomes into TenantReport::requests. */
     bool record_requests = false;

@@ -18,7 +18,6 @@
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
 #include "sim/fault_injector.hh"
-#include "sim/hashing.hh"
 #include "sim/random.hh"
 #include "tee/attestation.hh"
 #include "tee/hmac.hh"
@@ -302,7 +301,7 @@ firstFire(double p, std::uint64_t fleet_seed, std::uint32_t n,
 {
     FaultPlan plan;
     plan.faults = {probSpec(FaultSite::soc_crash, p)};
-    plan.seed = hashMix(fleet_seed, std::uint64_t(n) + 1);
+    plan.seed = fleetSocSeed(fleet_seed, n);
     FaultInjector inj(plan);
     for (Tick t = hb; t <= horizon; t += hb) {
         if (inj.shouldInject(FaultSite::soc_crash, t))

@@ -4,8 +4,10 @@
  * SoCs, deterministic replay, mid-decode kill -> migration with KV
  * re-prefill accounting, the failover-off collapse baseline,
  * priority-ordered load shedding, degrade cordons, the fleet
- * migration breaker, and the serve-layer satellites (half-open
- * tenant breaker, admission-queue deadlines, retry jitter).
+ * migration breaker, the eviction ledger (tick-0 rejections stay
+ * final, a failed pending set keeps its history), and the serve-layer
+ * satellites (half-open tenant breaker, admission-queue deadlines,
+ * retry jitter).
  */
 
 #include <gtest/gtest.h>
@@ -69,7 +71,7 @@ firstFire(FaultSite site, double p, std::uint64_t fleet_seed,
 {
     FaultPlan plan;
     plan.faults = {probSpec(site, p)};
-    plan.seed = hashMix(fleet_seed, std::uint64_t(n) + 1);
+    plan.seed = fleetSocSeed(fleet_seed, n);
     FaultInjector inj(plan);
     for (Tick t = hb; t <= horizon; t += hb) {
         if (inj.shouldInject(site, t))
@@ -176,8 +178,7 @@ TEST(Fleet, KillRateZeroMatchesIndependentSocs)
         auto soc = buildSoc(SystemKind::snpu);
         ServerConfig sc = fc.server;
         sc.record_requests = true;
-        sc.jitter_seed =
-            hashMix(fc.server.jitter_seed, std::uint64_t(n) + 1);
+        sc.jitter_seed = fleetSocSeed(fc.server.jitter_seed, n);
         SnpuServer server(*soc, sc);
         ServeResult solo = server.serve({tenants[n].spec});
         ASSERT_TRUE(solo.ok()) << solo.error();
@@ -275,8 +276,7 @@ TEST(Fleet, MidDecodeKillMigratesAndReprefills)
     ServerConfig probe_cfg;
     probe_cfg.num_cores = 2;
     probe_cfg.record_requests = true;
-    probe_cfg.jitter_seed =
-        hashMix(ServerConfig{}.jitter_seed, std::uint64_t{1});
+    probe_cfg.jitter_seed = fleetSocSeed(ServerConfig{}.jitter_seed, 0);
     SnpuServer probe(*probe_soc, probe_cfg);
     ServeResult solo = probe.serve({dec});
     ASSERT_TRUE(solo.ok()) << solo.error();
@@ -544,6 +544,111 @@ TEST(Fleet, MigrationBreakerTripsAndProbesHalfOpen)
     EXPECT_EQ(res.breaker_readmissions, 0u);
     EXPECT_GE(res.migration_failures, 3u);
     EXPECT_GT(res.failed, 0u);
+}
+
+/**
+ * A request rejected at admission on tick 0 terminated before the
+ * fault like every later rejection: eviction keeps it final on its
+ * home SoC instead of migrating it as pending.
+ */
+TEST(Fleet, EvictionKeepsTickZeroRejectionFinal)
+{
+    const Tick hb = 10'000;
+    const Tick horizon = 300'000;
+    const double p = 0.05;
+    std::uint64_t seed = 0;
+    for (std::uint64_t s = 1; s < 200'000 && !seed; ++s) {
+        const Tick f0 = firstFire(FaultSite::soc_crash, p, s, 0, hb,
+                                  horizon);
+        const Tick f1 = firstFire(FaultSite::soc_crash, p, s, 1, hb,
+                                  horizon);
+        if (f0 >= 160'000 && f0 < 200'000 && f1 == 0)
+            seed = s;
+    }
+    ASSERT_NE(seed, 0u);
+
+    FleetConfig fc = baseConfig(2);
+    fc.heartbeat_interval = hb;
+    fc.fault_injection = true;
+    fc.horizon = horizon;
+    fc.fault_plan.seed = seed;
+    fc.fault_plan.faults = {probSpec(FaultSite::soc_crash, p)};
+
+    // No queue: every t0 arrival is rejected at admission.
+    FleetTenantSpec t0 = plainTenant("t0", 0, everyN(40'000, 8));
+    t0.spec.queue_capacity = 0;
+    std::vector<FleetTenantSpec> tenants = {
+        t0, plainTenant("t1", 1, everyN(40'000, 8))};
+    FleetController fleet(fc);
+    FleetResult res = fleet.run(tenants);
+    ASSERT_TRUE(res.ok()) << res.error();
+    ASSERT_EQ(res.evictions, 1u);
+    ASSERT_TRUE(res.socs[0].crashed);
+
+    std::uint32_t before_fault = 0;
+    for (const FleetRequest &r : res.requests[0]) {
+        EXPECT_EQ(r.final, StatusCode::resource_exhausted);
+        if (r.arrival > res.socs[0].fault_tick)
+            continue;
+        ++before_fault;
+        EXPECT_EQ(r.soc, 0u) << "arrival " << r.arrival;
+        EXPECT_FALSE(r.migrated) << "arrival " << r.arrival;
+        EXPECT_EQ(r.finished, r.arrival);
+    }
+    EXPECT_EQ(before_fault, 5u);
+}
+
+/**
+ * A pending set that fails on a second eviction keeps its ledger
+ * straight: requests that already moved stay flagged as migrated,
+ * and none ends before it arrived.
+ */
+TEST(Fleet, FailedPendingKeepsMigrationAndCausality)
+{
+    const Tick hb = 10'000;
+    const Tick horizon = 400'000;
+    const double p = 0.05;
+    std::uint64_t seed = 0;
+    for (std::uint64_t s = 1; s < 200'000 && !seed; ++s) {
+        const Tick f0 = firstFire(FaultSite::soc_crash, p, s, 0, hb,
+                                  horizon);
+        const Tick f1 = firstFire(FaultSite::soc_crash, p, s, 1, hb,
+                                  horizon);
+        if (f0 >= 60'000 && f0 <= 150'000 && f1 >= f0 + 80'000 &&
+            f1 + 3 * hb < 340'000)
+            seed = s;
+    }
+    ASSERT_NE(seed, 0u);
+
+    FleetConfig fc = baseConfig(2);
+    fc.heartbeat_interval = hb;
+    fc.fault_injection = true;
+    fc.horizon = horizon;
+    fc.fault_plan.seed = seed;
+    fc.fault_plan.faults = {probSpec(FaultSite::soc_crash, p)};
+    // No shedding: the second eviction fails its pending work for
+    // want of a target.
+    fc.shed_below_capacity = 0.0;
+
+    std::vector<FleetTenantSpec> tenants = {
+        plainTenant("t0", 0, everyN(20'000, 20)),
+        plainTenant("t1", 1, everyN(100'000, 4))};
+    FleetController fleet(fc);
+    FleetResult res = fleet.run(tenants);
+    ASSERT_TRUE(res.ok()) << res.error();
+    ASSERT_EQ(res.evictions, 2u);
+    ASSERT_GE(res.migrations, 1u);
+
+    bool failed_after_detect = false;
+    for (const FleetRequest &r : res.requests[0]) {
+        EXPECT_GE(r.finished, r.arrival) << "arrival " << r.arrival;
+        if (r.soc == 1) {
+            EXPECT_TRUE(r.migrated) << "arrival " << r.arrival;
+        }
+        failed_after_detect |= r.final == StatusCode::fault_injected &&
+                               r.arrival > res.socs[1].detected_tick;
+    }
+    EXPECT_TRUE(failed_after_detect);
 }
 
 /**
