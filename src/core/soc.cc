@@ -1,5 +1,9 @@
 #include "core/soc.hh"
 
+#include <map>
+#include <mutex>
+#include <tuple>
+
 #include "core/protection_table.hh"
 #include "core/timing_cache.hh"
 #include "sim/logging.hh"
@@ -42,6 +46,26 @@ makeBootChain(const SocParams &params)
               "teeos+npu-monitor)");
     }
     return chain;
+}
+
+std::shared_ptr<const MeasuredBoot>
+measuredBoot(const SocParams &params)
+{
+    using Key = std::tuple<std::uint64_t, std::string, std::uint32_t>;
+    static std::mutex mu;
+    static std::map<Key, std::shared_ptr<const MeasuredBoot>> memo;
+    const Key key{socConfigFingerprint(params), params.boot_corrupt_stage,
+                  params.boot_corrupt_byte};
+    std::lock_guard<std::mutex> lock(mu);
+    auto it = memo.find(key);
+    if (it == memo.end()) {
+        const BootChain chain = makeBootChain(params);
+        auto boot = std::make_shared<MeasuredBoot>();
+        boot->golden = chain.goldenMeasurement();
+        boot->report = chain.boot();
+        it = memo.emplace(key, std::move(boot)).first;
+    }
+    return it->second;
 }
 
 AesKey
@@ -144,9 +168,9 @@ Soc::Soc(SocParams params)
     if (cfg.system == SystemKind::snpu) {
         if (guarders.empty())
             fatal("sNPU system requires guarder access control");
-        const BootChain chain = makeBootChain(cfg);
-        golden_mr = chain.goldenMeasurement();
-        boot_report = chain.boot();
+        const auto boot = measuredBoot(cfg);
+        golden_mr = boot->golden;
+        boot_report = boot->report;
         npu_monitor = std::make_unique<NpuMonitor>(
             stat_group, *mem_system, *device, guarders,
             monitorSealedKey(), boot_report.measurement);

@@ -38,6 +38,25 @@ namespace snpu
  */
 BootChain makeBootChain(const SocParams &params);
 
+/** What measured boot of one configuration yields. */
+struct MeasuredBoot
+{
+    /** The chain's goldenMeasurement() (tamper knob never moves it). */
+    Digest golden{};
+    /** The chain's boot() outcome, tamper knob applied. */
+    BootReport report;
+};
+
+/**
+ * makeBootChain(params), booted once per process: the chain is a
+ * pure function of (socConfigFingerprint(params), boot_corrupt_stage,
+ * boot_corrupt_byte), so its outcome is memoized on exactly that
+ * triple behind a mutex and shared by every SoC and fleet controller
+ * built from an equal configuration. An unknown tamper stage throws
+ * FatalError, as makeBootChain does, and memoizes nothing.
+ */
+std::shared_ptr<const MeasuredBoot> measuredBoot(const SocParams &params);
+
 /**
  * The sealed key every simulated NPU Monitor holds (a per-platform
  * fuse constant on real silicon). Shared between Soc bring-up and

@@ -168,6 +168,8 @@ MemoizedExec::run(std::uint32_t core, Tick start,
         capture.apply(entry->deltas);
         replayIds(tile.scratchpad(), entry->spad_ids);
         replayIds(tile.accumulator(), entry->acc_ids);
+        tile.scratchpad().installIdFingerprint(entry->spad_id_fp);
+        tile.accumulator().installIdFingerprint(entry->acc_id_fp);
         dram.rebase(start + backlog + entry->dram_busy);
         return out;
     }
@@ -199,6 +201,8 @@ MemoizedExec::run(std::uint32_t core, Tick start,
         entry->check_requests = out.check_requests;
         entry->dma_bytes = out.dma_bytes;
         entry->dram_busy = busy;
+        entry->spad_id_fp = tile.scratchpad().idFingerprint();
+        entry->acc_id_fp = tile.accumulator().idFingerprint();
         cache.insert(key.hash, std::move(entry));
     }
     out.exec.end += backlog;

@@ -76,6 +76,12 @@ struct TimingEntry
     /** Final wordline-ID state of the rows the op touched. */
     std::vector<Scratchpad::WrittenRange> spad_ids;
     std::vector<Scratchpad::WrittenRange> acc_ids;
+    /** Post-op ID fingerprints (Scratchpad::idFingerprint) of the
+     *  tile, installed after the ID replay so a hit hashes nothing:
+     *  the key covers the pre-op images, so equal keys imply equal
+     *  post-op images. */
+    std::uint64_t spad_id_fp = 0;
+    std::uint64_t acc_id_fp = 0;
 };
 
 /**

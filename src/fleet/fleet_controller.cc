@@ -63,11 +63,11 @@ class FleetController::Window
             mig_inj = std::make_unique<FaultInjector>(plan);
         }
         if (cfg.server.attestation) {
-            const BootChain chain = makeBootChain(cfg.soc);
-            fleet_boot_mr = chain.boot().measurement;
+            const auto boot = measuredBoot(cfg.soc);
+            fleet_boot_mr = boot->report.measurement;
             attest_key = deriveAttestKey(monitorSealedKey());
             attest_verifier = std::make_unique<AttestVerifier>(
-                attest_key, chain.goldenMeasurement());
+                attest_key, boot->golden);
             AttestTiming timing;
             timing.mac_bytes_per_cycle =
                 cfg.soc.crypto_mac_bytes_per_cycle;

@@ -35,28 +35,38 @@ monitorLaunchCost(const SecureTask &task)
     constexpr Tick trampoline_cycles = 100;
     constexpr Tick context_setter_cycles = 250;
     const Tick measure_cycles =
-        static_cast<Tick>(task.program.code.size()) * 2;
-    const Tick crypto_cycles =
-        static_cast<Tick>(task.encrypted_model.size()) / 4;
+        static_cast<Tick>(task.program->code.size()) * 2;
+    const Tick crypto_cycles = static_cast<Tick>(task.modelBytes()) / 4;
     return trampoline_cycles + measure_cycles + crypto_cycles +
            context_setter_cycles;
 }
+
+/** A secure tenant's submission template and its attested digest. */
+struct SecureTemplate
+{
+    SecureTask task;
+    /** SHA-256 of task.encrypted_model: the model image attestation
+     *  names, hashed once when the template is built. */
+    Digest model_digest{};
+};
 
 /**
  * The validated SecureTask template of secure tenant slot @p slot:
  * the program the verifier would measure and a ciphertext sized like
  * the tenant's weights. Each admitted secure request submits a copy
- * into the monitor's queue. Construction (compile, measure, encrypt)
- * is a pure function of (model, tenant slot, SoC configuration) —
+ * into the monitor's queue; the copy shares the template's program
+ * and ciphertext handles, so only its id and state are its own.
+ * Construction (compile, measure, encrypt) is a pure function of
+ * (model, tenant slot, SoC configuration) —
  * the monitor's sealed key is a per-config constant — so sweeps
  * share one template across points through a process-wide cache.
  */
-std::shared_ptr<const SecureTask>
+std::shared_ptr<const SecureTemplate>
 secureTemplate(Soc &soc, const NpuTask &task, std::uint32_t slot)
 {
     static std::mutex mu;
     static std::unordered_map<std::uint64_t,
-                              std::shared_ptr<const SecureTask>>
+                              std::shared_ptr<const SecureTemplate>>
         cache;
     std::uint64_t key = fnv_offset;
     key = hashMix(key, socConfigFingerprint(soc.params()));
@@ -69,11 +79,13 @@ secureTemplate(Soc &soc, const NpuTask &task, std::uint32_t slot)
             return it->second;
     }
 
-    auto tpl = std::make_shared<SecureTask>();
-    tpl->program = TaskRunner(soc).compile(task);
-    tpl->expected_measurement = CodeVerifier::measure(tpl->program);
-    tpl->topology = NocTopology{1, 1};
-    tpl->proposed_cores = {0};
+    auto tpl = std::make_shared<SecureTemplate>();
+    SecureTask &secure = tpl->task;
+    secure.program =
+        std::make_shared<const NpuProgram>(TaskRunner(soc).compile(task));
+    secure.expected_measurement = CodeVerifier::measure(*secure.program);
+    secure.topology = NocTopology{1, 1};
+    secure.proposed_cores = {0};
 
     std::vector<std::uint8_t> weights(std::min<std::uint64_t>(
         task.model.weightBytes(), 64u << 10));
@@ -82,10 +94,11 @@ secureTemplate(Soc &soc, const NpuTask &task, std::uint32_t slot)
     AesBlock iv{};
     iv[0] = static_cast<std::uint8_t>(slot + 1);
     Digest mac{};
-    tpl->encrypted_model =
-        soc.monitor().verifier().encryptModel(weights, iv, mac);
-    tpl->model_mac = mac;
-    tpl->model_iv = iv;
+    secure.encrypted_model = std::make_shared<const std::vector<std::uint8_t>>(
+        soc.monitor().verifier().encryptModel(weights, iv, mac));
+    secure.model_mac = mac;
+    secure.model_iv = iv;
+    tpl->model_digest = Sha256::hash(*secure.encrypted_model);
 
     std::lock_guard<std::mutex> lock(mu);
     auto [it, inserted] = cache.emplace(key, std::move(tpl));
@@ -172,7 +185,7 @@ class SnpuServer::Window : public RequestLifecycle
     {
         const TenantSpec *spec = nullptr;
         TenantStats *stats = nullptr;
-        std::shared_ptr<const SecureTask> tpl;
+        std::shared_ptr<const SecureTemplate> tpl;
         std::uint32_t depth = 0;
         std::uint32_t peak = 0;
         /** The quarantine (ServerConfig::quarantine_*). */
@@ -250,7 +263,7 @@ SnpuServer::Window::attest(std::uint32_t s)
     // will verify at launch; the tenant knows the same bytes (it
     // provisioned them), so both sides can name the digest
     // independently.
-    const Digest model_digest = Sha256::hash(t.tpl->encrypted_model);
+    const Digest &model_digest = t.tpl->model_digest;
     const Digest golden =
         BootChain::extend(soc.goldenBootMeasurement(), model_digest);
     AttestVerifier verifier(soc.monitor().attestKey(), golden);
@@ -259,7 +272,7 @@ SnpuServer::Window::attest(std::uint32_t s)
     const AttestQuote quote =
         soc.monitor().attestQuote(model_digest, nonce);
     const Status st = verifier.verify(quote, nonce);
-    t.attest_cost = timing.handshakeCycles(t.tpl->encrypted_model.size());
+    t.attest_cost = timing.handshakeCycles(t.tpl->task.modelBytes());
     if (st.isOk()) {
         t.attest = Attest::pending;
     } else {
@@ -304,7 +317,7 @@ SnpuServer::Window::admit(const Request &req)
     if (t.depth >= t.spec->queue_capacity)
         return reject(req, StatusCode::resource_exhausted, "queue full");
     if (t.tpl) {
-        const std::uint64_t id = soc.monitor().submit(*t.tpl);
+        const std::uint64_t id = soc.monitor().submit(t.tpl->task);
         if (id == 0) // monitor queue overflow
             return reject(req, StatusCode::resource_exhausted,
                           "monitor queue full");
@@ -365,7 +378,7 @@ SnpuServer::Window::dispatch(const Request &req, Tick now)
             trace(now, req, " carries attestation handshake, ",
                   t.attest_cost, " cycles");
         }
-        const Tick monitor_cost = monitorLaunchCost(*t.tpl);
+        const Tick monitor_cost = monitorLaunchCost(t.tpl->task);
         t.stats->monitor_cycles += static_cast<double>(monitor_cost);
         trace(now, req, " dispatched, monitor charge ", monitor_cost,
               " cycles");

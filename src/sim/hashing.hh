@@ -37,8 +37,10 @@ fnv1a(const void *data, std::size_t bytes,
 /**
  * Fold a large buffer into hash state @p h, eight bytes per step.
  * Same determinism guarantees as fnv1a but ~8x faster on bulk data
- * (the id-image fingerprints hash tens of KiB per memoized op); the
- * wider multiply-xor mix keeps full 64-bit avalanche per word.
+ * (a wordline-ID image fingerprint hashes 17 KiB per tile; the
+ * scratchpad memoizes it, so the full hash runs only after the image
+ * changed on a live path, not per memoized op); the wider
+ * multiply-xor mix keeps full 64-bit avalanche per word.
  */
 inline std::uint64_t
 hashBytesFast(const void *data, std::size_t bytes,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "sim/hashing.hh"
 #include "sim/logging.hh"
 
 namespace snpu
@@ -122,6 +123,7 @@ Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
             if (reader == World::secure &&
                 id_state[row] != World::secure) {
                 id_state[row] = World::secure;
+                id_fp_valid = false;
                 ++id_flips;
                 recordWrite(row); // secure read claims the line
             }
@@ -164,6 +166,7 @@ Scratchpad::write(World writer, std::uint32_t row, const std::uint8_t *src)
             // Local rule: forced write — always allowed, flips ID.
             if (id_state[row] != writer) {
                 id_state[row] = writer;
+                id_fp_valid = false;
                 ++id_flips;
             }
         } else {
@@ -178,6 +181,7 @@ Scratchpad::write(World writer, std::uint32_t row, const std::uint8_t *src)
             if (writer == World::secure &&
                 id_state[row] != World::secure) {
                 id_state[row] = World::secure;
+                id_fp_valid = false;
                 ++id_flips;
             }
         }
@@ -258,6 +262,7 @@ Scratchpad::commitRange(World world, std::uint32_t first,
             }
         }
         std::fill(ids, ids + count, world);
+        id_fp_valid = false;
     }
     if (is_write)
         recordRange(first, count);
@@ -283,6 +288,7 @@ Scratchpad::secureReset(std::uint32_t first, std::uint32_t count,
     const auto ids = id_state.begin() + first;
     id_flips += std::count(ids, ids + count, World::secure);
     std::fill(ids, ids + count, World::normal);
+    id_fp_valid = false;
     // Resetting also scrubs the payload: the secret must not survive
     // the ownership change. An unallocated array holds only zeros.
     if (holdsData()) {
@@ -333,7 +339,19 @@ Scratchpad::setIdRange(std::uint32_t first, std::uint32_t count, World w)
     if (!rowsInRange(first, count))
         panic("setIdRange: rows out of range");
     std::fill_n(id_state.begin() + first, count, w);
+    id_fp_valid = false;
     recordRange(first, count);
+}
+
+std::uint64_t
+Scratchpad::idFingerprint() const
+{
+    if (!id_fp_valid) {
+        id_fp = hashBytesFast(id_state.data(),
+                              id_state.size() * sizeof(World));
+        id_fp_valid = true;
+    }
+    return id_fp;
 }
 
 void

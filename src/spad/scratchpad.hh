@@ -155,8 +155,28 @@ class Scratchpad
     /** Set rows [first, first+count) to ID @p w, check-free. */
     void setIdRange(std::uint32_t first, std::uint32_t count, World w);
 
-    /** The whole per-row ID image (layer-timing cache key input). */
+    /** The whole per-row ID image. */
     const std::vector<World> &idImage() const { return id_state; }
+
+    /**
+     * hashBytesFast over idImage() (the layer-timing cache key
+     * input), memoized: the full hash runs on the first call after
+     * the image changed and every later call is one load. Every
+     * writer of the image clears the memo.
+     */
+    std::uint64_t idFingerprint() const;
+
+    /**
+     * Install @p fp as the fingerprint of the current ID image
+     * without hashing it. For a caller that knows the image's hash
+     * by construction: a timing-cache hit, after replaying its ID
+     * ranges, installs the post-op fingerprint its entry recorded.
+     */
+    void installIdFingerprint(std::uint64_t fp)
+    {
+        id_fp = fp;
+        id_fp_valid = true;
+    }
 
     /** A recorded run of rows left holding the same wordline ID. */
     struct WrittenRange
@@ -227,6 +247,8 @@ class Scratchpad
     SpadParams params;
     std::vector<std::uint8_t> data;   // rows * row_bytes, or empty
     std::vector<World> id_state;      // per row
+    mutable std::uint64_t id_fp = 0;  // idFingerprint() memo
+    mutable bool id_fp_valid = false;
     bool recording = false;
     std::vector<std::uint8_t> write_mark; // lazily sized to rows
     std::vector<std::uint32_t> written_rows;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -47,16 +48,23 @@ const char *secureTaskStateName(SecureTaskState s);
  * of a user. The user's expectations — code measurement, model MAC,
  * topology — are provisioned out of band (sealed to the monitor);
  * everything the driver supplies is treated as hostile.
+ *
+ * The program and ciphertext are immutable shared handles: a driver
+ * that submits the same compiled task many times queues references,
+ * not megabyte copies. The monitor still measures and authenticates
+ * what the handles point at when it launches the task.
  */
 struct SecureTask
 {
     std::uint64_t id = 0;
-    /** Program to run on each assigned core. */
-    NpuProgram program;
+    /** Program to run on each assigned core (null: none submitted,
+     *  rejected at launch). */
+    std::shared_ptr<const NpuProgram> program;
     /** User-expected measurement of the program code. */
     Digest expected_measurement{};
-    /** Encrypted model weights + HMAC tag (key sealed to monitor). */
-    std::vector<std::uint8_t> encrypted_model;
+    /** Encrypted model weights + HMAC tag (key sealed to monitor);
+     *  null when the task carries no model. */
+    std::shared_ptr<const std::vector<std::uint8_t>> encrypted_model;
     Digest model_mac{};
     AesBlock model_iv{};
     /** Requested NoC topology. */
@@ -68,6 +76,12 @@ struct SecureTask
     /** Populated by the trusted allocator at launch. */
     Addr model_paddr = 0;
     std::uint32_t spad_rows_reserved = 0;
+
+    /** Ciphertext size in bytes (0 without a model). */
+    std::size_t modelBytes() const
+    {
+        return encrypted_model ? encrypted_model->size() : 0;
+    }
 };
 
 /** FIFO of secure tasks with bounded capacity. */

@@ -121,16 +121,18 @@ Sha256::finish()
     if (finished)
         panic("Sha256::finish called twice");
 
+    // One padding run: 0x80, zeros up to 56 mod 64, then the 64-bit
+    // big-endian message length — ending one block, or two when
+    // fewer than nine bytes are free in the current one.
     const std::uint64_t bit_len = total_bytes * 8;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0x00;
-    while (buffered != 56)
-        update(&zero, 1);
-    std::uint8_t len_be[8];
-    for (int i = 0; i < 8; ++i)
-        len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
+    std::uint8_t pad[128] = {0x80};
+    const std::size_t zeros_end = buffered < 56 ? 56 : 120;
+    const std::size_t pad_len = zeros_end - buffered + 8;
+    for (int i = 0; i < 8; ++i) {
+        pad[pad_len - 8 + i] =
+            static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    }
+    update(pad, pad_len);
     finished = true;
 
     Digest out;

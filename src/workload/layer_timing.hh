@@ -80,7 +80,12 @@ bool programCacheable(const NpuProgram &prog);
  */
 std::uint64_t coreConfigFingerprint(NpuCore &core);
 
-/** FNV-1a over both wordline-ID images (scratchpad + accumulator). */
+/**
+ * Fingerprint of both wordline-ID images (scratchpad + accumulator):
+ * their memoized Scratchpad::idFingerprint() values mixed together,
+ * so a key costs no image hashing unless an image changed since the
+ * last one.
+ */
 std::uint64_t idImageFingerprint(NpuCore &core);
 
 /**

@@ -207,6 +207,53 @@ TEST(Attest, CorruptBootDeniedAtAdmission)
     }
 }
 
+/** Measured boot is memoized per (configuration, tamper stage,
+ *  tamper byte): interleaving clean and tampered SoCs in one process
+ *  gives each the report its own chain boots to. */
+TEST(Attest, BootMemoKeysOnTheTamperKnobs)
+{
+    const SocParams clean = makeSystem(SystemKind::snpu);
+    SocParams bad = clean;
+    bad.boot_corrupt_stage = "trusted-firmware";
+    SocParams bad_byte = bad;
+    bad_byte.boot_corrupt_byte = 7;
+
+    const Soc first(clean);
+    const Soc tampered(bad);
+    const Soc again(clean);
+    const Soc other_byte(bad_byte);
+
+    EXPECT_TRUE(first.bootReport().ok);
+    EXPECT_TRUE(again.bootReport().ok);
+    EXPECT_FALSE(tampered.bootReport().ok);
+    EXPECT_FALSE(other_byte.bootReport().ok);
+    EXPECT_EQ(tampered.bootReport().failed_stage, "trusted-firmware");
+    EXPECT_TRUE(again.bootReport().failed_stage.empty());
+    EXPECT_EQ(again.bootReport().verified, first.bootReport().verified);
+
+    EXPECT_EQ(first.bootReport().measurement,
+              again.bootReport().measurement);
+    EXPECT_NE(first.bootReport().measurement,
+              tampered.bootReport().measurement);
+    EXPECT_NE(tampered.bootReport().measurement,
+              other_byte.bootReport().measurement);
+    // The golden register never depends on the tamper knobs.
+    EXPECT_EQ(first.goldenBootMeasurement(),
+              tampered.goldenBootMeasurement());
+    EXPECT_EQ(first.goldenBootMeasurement(),
+              first.bootReport().measurement);
+
+    // Every memoized outcome is what an unmemoized chain boots to.
+    for (const SocParams &p : {clean, bad, bad_byte}) {
+        const BootChain chain = makeBootChain(p);
+        const BootReport direct = chain.boot();
+        const Soc soc(p);
+        EXPECT_EQ(soc.bootReport().ok, direct.ok);
+        EXPECT_EQ(soc.bootReport().measurement, direct.measurement);
+        EXPECT_EQ(soc.goldenBootMeasurement(), chain.goldenMeasurement());
+    }
+}
+
 TEST(Attest, AttestationOffIgnoresCorruptBoot)
 {
     // Attestation is the enforcement point: with it off, the

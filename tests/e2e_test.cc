@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/soc.hh"
@@ -30,16 +31,16 @@ TEST(EndToEnd, MonitorLaunchedProgramExecutes)
     task.model = task.model.scaled(32);
 
     SecureTask secure;
-    secure.program = runner.compile(task);
-    secure.expected_measurement = CodeVerifier::measure(secure.program);
+    secure.program = std::make_shared<const NpuProgram>(runner.compile(task));
+    secure.expected_measurement = CodeVerifier::measure(*secure.program);
     secure.topology = NocTopology{1, 1};
     secure.proposed_cores = {2};
 
     std::vector<std::uint8_t> model(1024, 0x42);
     AesBlock iv{};
     Digest mac{};
-    secure.encrypted_model =
-        soc.monitor().verifier().encryptModel(model, iv, mac);
+    secure.encrypted_model = std::make_shared<const std::vector<std::uint8_t>>(
+        soc.monitor().verifier().encryptModel(model, iv, mac));
     secure.model_mac = mac;
     secure.model_iv = iv;
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "core/soc.hh"
 #include "sim/stats.hh"
 #include "tee/monitor/npu_monitor.hh"
@@ -23,13 +26,14 @@ struct MonitorFixture : ::testing::Test
     SecureTask
     benignTask(std::vector<std::uint32_t> cores = {0})
     {
-        SecureTask task;
+        NpuProgram program;
         Instr nop;
         nop.op = Opcode::fence;
-        task.program.code.push_back(nop);
-        task.program.spad_rows_used = 32;
-        task.expected_measurement =
-            CodeVerifier::measure(task.program);
+        program.code.push_back(nop);
+        program.spad_rows_used = 32;
+        SecureTask task;
+        task.expected_measurement = CodeVerifier::measure(program);
+        task.program = std::make_shared<const NpuProgram>(std::move(program));
         task.topology = NocTopology{
             static_cast<std::uint32_t>(cores.size()), 1};
         task.proposed_cores = std::move(cores);
@@ -66,8 +70,10 @@ TEST_F(MonitorFixture, UserCodeNeverKeepsPrivilege)
     evil.op = Opcode::sec_set_id;
     evil.world = World::secure;
     evil.privileged = true;
-    task.program.code.push_back(evil);
-    task.expected_measurement = CodeVerifier::measure(task.program);
+    NpuProgram program = *task.program;
+    program.code.push_back(evil);
+    task.expected_measurement = CodeVerifier::measure(program);
+    task.program = std::make_shared<const NpuProgram>(std::move(program));
 
     soc.monitor().submit(task);
     LaunchResult launch = soc.monitor().launchNext();
@@ -97,8 +103,8 @@ TEST_F(MonitorFixture, ModelDecryptionRoundTrip)
     AesBlock iv{};
     iv[0] = 7;
     Digest mac{};
-    task.encrypted_model =
-        soc.monitor().verifier().encryptModel(model, iv, mac);
+    task.encrypted_model = std::make_shared<const std::vector<std::uint8_t>>(
+        soc.monitor().verifier().encryptModel(model, iv, mac));
     task.model_mac = mac;
     task.model_iv = iv;
 
@@ -120,9 +126,11 @@ TEST_F(MonitorFixture, TamperedModelRejected)
     std::vector<std::uint8_t> model(64, 0x42);
     AesBlock iv{};
     Digest mac{};
-    task.encrypted_model =
+    std::vector<std::uint8_t> ciphertext =
         soc.monitor().verifier().encryptModel(model, iv, mac);
-    task.encrypted_model[10] ^= 1; // bit-flip in transit
+    ciphertext[10] ^= 1; // bit-flip in transit
+    task.encrypted_model =
+        std::make_shared<const std::vector<std::uint8_t>>(ciphertext);
     task.model_mac = mac;
     task.model_iv = iv;
 

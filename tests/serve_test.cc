@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/systems.hh"
 #include "core/task_runner.hh"
@@ -15,6 +18,8 @@
 #include "serve/core_scheduler.hh"
 #include "serve/server.hh"
 #include "sim/random.hh"
+#include "sim/trace.hh"
+#include "tee/monitor/npu_monitor.hh"
 
 namespace snpu
 {
@@ -255,6 +260,69 @@ TEST(SnpuServer, SecureTenantPaysTheMonitorNormalDoesNot)
     EXPECT_GT(secure.monitor_cycles, 0u);
     EXPECT_EQ(normal.monitor_cycles, 0u);
     EXPECT_EQ(res.monitor_overhead, secure.monitor_cycles);
+}
+
+/**
+ * Scans the monitor's queue on every serve trace record (each
+ * admission emits one) and keeps the program handle of every secure
+ * task it finds queued.
+ */
+class QueueProbe : public TraceSink
+{
+  public:
+    explicit QueueProbe(Soc &soc)
+        : TraceSink(traceMask(TraceCategory::serve)), soc(soc)
+    {
+    }
+
+    void
+    record(Tick, TraceCategory, const std::string &,
+           const std::string &) override
+    {
+        // Task ids are handed out from 1; a window submits far fewer
+        // than this bound.
+        for (std::uint64_t id = 1; id <= 256; ++id) {
+            if (const SecureTask *task = soc.monitor().queue().find(id)) {
+                ids.insert(id);
+                programs.insert(task->program.get());
+                ciphertexts.insert(task->encrypted_model.get());
+            }
+        }
+    }
+
+    std::set<std::uint64_t> ids;
+    std::set<const NpuProgram *> programs;
+    std::set<const std::vector<std::uint8_t> *> ciphertexts;
+
+  private:
+    Soc &soc;
+};
+
+/** Admitted secure requests queue references to one template: every
+ *  queued task of a tenant — across windows on separate SoCs of one
+ *  configuration — points at the same program and ciphertext. */
+TEST(SnpuServer, AdmittedSecureRequestsShareTheTemplate)
+{
+    std::vector<std::unique_ptr<QueueProbe>> probes;
+    for (int window = 0; window < 2; ++window) {
+        auto soc = buildSoc(SystemKind::snpu);
+        probes.push_back(std::make_unique<QueueProbe>(*soc));
+        soc->attachTrace(probes.back().get());
+        SnpuServer server(*soc);
+        ServeResult res = server.serve(makeTenants(4, 8, 2));
+        ASSERT_TRUE(res.ok()) << res.error();
+        EXPECT_EQ(res.tenants[0].completed, 4u);
+        soc->attachTrace(nullptr);
+    }
+    for (const auto &probe : probes) {
+        EXPECT_EQ(probe->ids.size(), 4u);
+        ASSERT_EQ(probe->programs.size(), 1u);
+        ASSERT_EQ(probe->ciphertexts.size(), 1u);
+        EXPECT_NE(*probe->programs.begin(), nullptr);
+        EXPECT_NE(*probe->ciphertexts.begin(), nullptr);
+    }
+    EXPECT_EQ(probes[0]->programs, probes[1]->programs);
+    EXPECT_EQ(probes[0]->ciphertexts, probes[1]->ciphertexts);
 }
 
 TEST(SnpuServer, DeterministicForFixedSeed)

@@ -63,6 +63,41 @@ TEST(Sha256, MillionAs)
               "f1809a48a497200e046d39ccc7112cd0");
 }
 
+/**
+ * Padding-boundary vectors: lengths on both sides of the 56-byte
+ * mark where the length field stops fitting in the final block, and
+ * at the one- and two-block edges. The message is "abc...z"
+ * repeated; the digests were computed with Python's hashlib.
+ */
+TEST(Sha256, PaddingBoundaryLengths)
+{
+    const struct
+    {
+        std::size_t len;
+        const char *hex;
+    } vectors[] = {
+        {55, "595615dbe4f0f407ae397d08b4c2cb87"
+             "0cb9b0e11937416f950c5160acf9c005"},
+        {56, "784f623b787495078e93ff28a25b581d"
+             "f0584055a7e71d8cd90c454716b92f51"},
+        {63, "5ca3e1ef5207490eac01a795e5cc94d5"
+             "9582a5118bf9534665c8668d87aa647c"},
+        {64, "2fcd5a0d60e4c941381fcc4e00a4bf8b"
+             "e422c3ddfafb93c809e8d1e2bfffae8e"},
+        {119, "faef67da856d6fd9c8d12f9ed0a4fefd"
+              "3cf0ce085ab43e2907418d457e3c354b"},
+        {120, "c9512b08619c19fbb503c7da6b46ef20"
+              "301e5f7a7a5f43989182398536f5c5c8"},
+    };
+    for (const auto &v : vectors) {
+        std::vector<std::uint8_t> msg(v.len);
+        for (std::size_t i = 0; i < msg.size(); ++i)
+            msg[i] = static_cast<std::uint8_t>('a' + i % 26);
+        EXPECT_EQ(Sha256::toHex(Sha256::hash(msg)), v.hex)
+            << v.len << " bytes";
+    }
+}
+
 TEST(Sha256, IncrementalMatchesOneShotAcrossRandomSplits)
 {
     Rng rng(5);
