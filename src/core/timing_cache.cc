@@ -87,11 +87,29 @@ replayIds(Scratchpad &spad, const std::vector<Scratchpad::WrittenRange> &ranges)
         spad.setIdRange(r.first, r.count, r.world);
 }
 
+/** A miss: remember the tile's post-op ID fingerprints. */
+void
+recordIdFingerprints(TimingEntry &entry, NpuCore &tile)
+{
+    entry.spad_id_fp = tile.scratchpad().idFingerprint();
+    entry.acc_id_fp = tile.accumulator().idFingerprint();
+}
+
+/** A hit, after its ID replay: install them without hashing. Equal
+ *  keys cover equal pre-op images, so the post-op images are equal. */
+void
+installIdFingerprints(const TimingEntry &entry, NpuCore &tile)
+{
+    tile.scratchpad().installIdFingerprint(entry.spad_id_fp);
+    tile.accumulator().installIdFingerprint(entry.acc_id_fp);
+}
+
 } // namespace
 
 MemoizedExec::MemoizedExec(Soc &soc)
     : soc(soc), capture(soc.stats()),
-      soc_fp(socConfigFingerprint(soc.params()))
+      soc_fp(hashMix(socConfigFingerprint(soc.params()),
+                     capture.layoutFingerprint()))
 {
 }
 
@@ -168,8 +186,7 @@ MemoizedExec::run(std::uint32_t core, Tick start,
         capture.apply(entry->deltas);
         replayIds(tile.scratchpad(), entry->spad_ids);
         replayIds(tile.accumulator(), entry->acc_ids);
-        tile.scratchpad().installIdFingerprint(entry->spad_id_fp);
-        tile.accumulator().installIdFingerprint(entry->acc_id_fp);
+        installIdFingerprints(*entry, tile);
         dram.rebase(start + backlog + entry->dram_busy);
         return out;
     }
@@ -201,8 +218,7 @@ MemoizedExec::run(std::uint32_t core, Tick start,
         entry->check_requests = out.check_requests;
         entry->dma_bytes = out.dma_bytes;
         entry->dram_busy = busy;
-        entry->spad_id_fp = tile.scratchpad().idFingerprint();
-        entry->acc_id_fp = tile.accumulator().idFingerprint();
+        recordIdFingerprints(*entry, tile);
         cache.insert(key.hash, std::move(entry));
     }
     out.exec.end += backlog;
@@ -244,15 +260,18 @@ MemoizedExec::contextFlush(std::uint32_t core, Tick start,
         // current scratchpad bytes to the save area, the scrub sets
         // the saved rows' IDs to normal, and the restore brings the
         // same bytes straight back — so the scratchpad data is net
-        // unchanged.
+        // unchanged. A pad that never allocated its data array reads
+        // all zeros, so its save only has to clear the save area.
         Scratchpad &spad = tile.scratchpad();
-        const std::uint32_t rows = entry->flush_live_rows;
-        if (rows > 0) {
-            soc.mem().data().write(
-                entry->flush_save_area, spad.rawRow(0),
-                static_cast<std::size_t>(rows) * spad.rowBytes());
-        }
+        const std::uint32_t rows = std::min(live_rows, spad.rows());
+        const std::size_t bytes =
+            static_cast<std::size_t>(rows) * spad.rowBytes();
+        if (spad.holdsData())
+            soc.mem().data().write(save_area, spad.rawRow(0), bytes);
+        else
+            soc.mem().data().zeroFill(save_area, bytes);
         spad.setIdRange(0, rows, World::normal);
+        installIdFingerprints(*entry, tile);
         capture.apply(entry->deltas);
         dram.rebase(start + backlog + entry->dram_busy);
         return start + backlog + entry->rel_end;
@@ -271,12 +290,9 @@ MemoizedExec::contextFlush(std::uint32_t core, Tick start,
     canonicalize(core);
     dram.rebase(start + backlog + busy);
 
-    entry->is_flush_op = true;
     entry->rel_end = t - start;
-    entry->flush_live_rows =
-        std::min(live_rows, tile.scratchpad().rows());
-    entry->flush_save_area = save_area;
     entry->dram_busy = busy;
+    recordIdFingerprints(*entry, tile);
     cache.insert(key.hash, std::move(entry));
     return t + backlog;
 }

@@ -66,11 +66,6 @@ struct TimingEntry
      *  back to the shared channel after the op so cross-tile backlog
      *  accumulates identically on hits and live runs. */
     Tick dram_busy = 0;
-    /** Context-flush ops: clamped row count + save area to replay
-     *  the functional context save. */
-    std::uint32_t flush_live_rows = 0;
-    Addr flush_save_area = 0;
-    bool is_flush_op = false;
     /** Every stat that changed below the SoC root, as sparse deltas. */
     std::vector<stats::StatDelta> deltas;
     /** Final wordline-ID state of the rows the op touched. */
@@ -188,7 +183,9 @@ class MemoizedExec
 
     Soc &soc;
     stats::DeltaCapture capture;
-    /** SoC-level timing configuration fingerprint (SocParams). */
+    /** SoC-level timing configuration fingerprint (SocParams) mixed
+     *  with the stat-tree layout, so an entry only replays its
+     *  deltas by index onto a tree of the shape that recorded them. */
     std::uint64_t soc_fp = 0;
 };
 

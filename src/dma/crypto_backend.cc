@@ -42,6 +42,14 @@ CryptoBackend::CryptoBackend(stats::Group *stats,
     }
     if (stats)
         cstats = std::make_unique<CryptoStats>(*stats);
+    mixTimingFingerprint(std::uint64_t(params.engine_latency));
+    mixTimingFingerprint(std::uint64_t(params.counter_cache_entries));
+    mixTimingFingerprint(std::uint64_t(params.counter_miss_penalty));
+    mixTimingFingerprint(std::uint64_t(params.mac_latency));
+    mixTimingFingerprint(params.mac_bytes_per_cycle);
+    mixTimingFingerprint(params.dma_bytes_per_cycle);
+    mixTimingFingerprint(std::uint64_t(params.check_latency));
+    mixTimingFingerprint(std::uint64_t(params.regions));
 }
 
 CryptoBackend::~CryptoBackend() = default;
@@ -163,22 +171,8 @@ CryptoBackend::beginContext(const ProtectionContext &ctx,
     r.size = ctx.bytes;
     r.world = ctx.world;
     r.version = version;
-
-    // The functional region tag: HMAC-SHA256 over the region
-    // descriptor under the engine key, binding (base, size, world,
-    // version). This is what a read transfer's MAC would verify
-    // against.
-    std::vector<std::uint8_t> key(16, 0x5A);
-    std::vector<std::uint8_t> desc;
-    for (int i = 0; i < 8; ++i)
-        desc.push_back(static_cast<std::uint8_t>(r.base >> (8 * i)));
-    for (int i = 0; i < 8; ++i)
-        desc.push_back(static_cast<std::uint8_t>(r.size >> (8 * i)));
-    desc.push_back(r.world == World::secure ? 1 : 0);
-    for (int i = 0; i < 8; ++i)
-        desc.push_back(
-            static_cast<std::uint8_t>(r.version >> (8 * i)));
-    r.tag = hmacSha256(key, desc);
+    r.keyed_version = version;
+    context_fp_valid = false;
 
     recordContext();
     tracer.emit(0, TraceCategory::security, trace_name,
@@ -197,6 +191,7 @@ CryptoBackend::endContext(bool from_secure)
     }
     for (auto &r : regions)
         r.valid = false;
+    context_fp_valid = false;
     tracer.emit(0, TraceCategory::security, trace_name,
                 "all keyed regions retired (context teardown)");
     return Status::ok();
@@ -207,22 +202,22 @@ CryptoBackend::regionTag(std::uint32_t slot) const
 {
     if (slot >= regions.size() || !regions[slot].valid)
         return Digest{};
-    return regions[slot].tag;
-}
-
-std::uint64_t
-CryptoBackend::timingFingerprint() const
-{
-    std::uint64_t h = ProtectionBackend::timingFingerprint();
-    h = hashMix(h, std::uint64_t(params.engine_latency));
-    h = hashMix(h, std::uint64_t(params.counter_cache_entries));
-    h = hashMix(h, std::uint64_t(params.counter_miss_penalty));
-    h = hashMix(h, std::uint64_t(params.mac_latency));
-    h = hashMix(h, params.mac_bytes_per_cycle);
-    h = hashMix(h, params.dma_bytes_per_cycle);
-    h = hashMix(h, std::uint64_t(params.check_latency));
-    h = hashMix(h, std::uint64_t(params.regions));
-    return h;
+    const KeyedRegion &r = regions[slot];
+    // HMAC-SHA256 over the region descriptor under the engine key,
+    // binding (base, size, world, version at keying). This is what a
+    // read transfer's MAC would verify against.
+    std::vector<std::uint8_t> key(16, 0x5A);
+    std::vector<std::uint8_t> desc;
+    for (int i = 0; i < 8; ++i)
+        desc.push_back(static_cast<std::uint8_t>(r.base >> (8 * i)));
+    for (int i = 0; i < 8; ++i)
+        desc.push_back(static_cast<std::uint8_t>(r.size >> (8 * i)));
+    desc.push_back(r.world == World::secure ? 1 : 0);
+    for (int i = 0; i < 8; ++i) {
+        desc.push_back(
+            static_cast<std::uint8_t>(r.keyed_version >> (8 * i)));
+    }
+    return hmacSha256(key, desc);
 }
 
 std::uint64_t
@@ -230,6 +225,8 @@ CryptoBackend::contextFingerprint(Addr va_base, Addr bytes)
 {
     (void)va_base;
     (void)bytes;
+    if (context_fp_valid)
+        return context_fp;
     std::uint64_t h = fnv_offset;
     for (const KeyedRegion &r : regions) {
         h = hashMix(h, std::uint64_t(r.valid));
@@ -239,6 +236,8 @@ CryptoBackend::contextFingerprint(Addr va_base, Addr bytes)
         h = hashMix(h, r.size);
         h = hashMix(h, std::uint64_t(r.world));
     }
+    context_fp = h;
+    context_fp_valid = true;
     return h;
 }
 

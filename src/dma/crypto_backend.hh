@@ -97,10 +97,9 @@ class CryptoBackend : public ProtectionBackend
     /** Counter-cache contents are the only hidden timing state. */
     void canonicalizeTiming() override { timing.invalidateAll(); }
 
-    std::uint64_t timingFingerprint() const override;
-
     /** Keyed-region geometry decides denials; versions are not
-     *  timing-visible, so they stay out of the fingerprint. */
+     *  timing-visible, so they stay out of the fingerprint. Memoized:
+     *  beginContext() and endContext() clear the memo. */
     std::uint64_t contextFingerprint(Addr va_base,
                                      Addr bytes) override;
 
@@ -108,7 +107,11 @@ class CryptoBackend : public ProtectionBackend
     std::uint64_t counterMisses() const { return timing.misses(); }
     std::uint64_t versionBumps() const { return n_version_bumps; }
 
-    /** The active region tag (all-zero when no region is keyed). */
+    /**
+     * The active region tag (all-zero when no region is keyed),
+     * computed on demand from the descriptor the region was keyed
+     * with: the data path never reads it.
+     */
     Digest regionTag(std::uint32_t slot = 0) const;
 
   private:
@@ -119,7 +122,8 @@ class CryptoBackend : public ProtectionBackend
         Addr size = 0;
         World world = World::normal;
         std::uint64_t version = 0;
-        Digest tag{};
+        /** The version at keying, which the region tag binds. */
+        std::uint64_t keyed_version = 0;
     };
 
     KeyedRegion *findRegion(Addr addr, std::uint32_t bytes);
@@ -128,6 +132,8 @@ class CryptoBackend : public ProtectionBackend
     std::vector<KeyedRegion> regions;
     CounterModeTiming timing;
     std::uint64_t n_version_bumps = 0;
+    std::uint64_t context_fp = 0; // contextFingerprint() memo
+    bool context_fp_valid = false;
 
     /** Backend-specific exported stats (optional, like the base). */
     struct CryptoStats;

@@ -35,7 +35,8 @@ struct ProtectionBackend::ExportedStats
 
 ProtectionBackend::ProtectionBackend(std::string name,
                                      stats::Group *stats)
-    : backend_name(std::move(name))
+    : backend_name(std::move(name)),
+      timing_fp(hashMix(fnv_offset, backend_name))
 {
     if (stats)
         exported = std::make_unique<ExportedStats>(*stats);
@@ -81,10 +82,16 @@ ProtectionBackend::recordContext()
         ++exported->contexts;
 }
 
-std::uint64_t
-ProtectionBackend::timingFingerprint() const
+void
+ProtectionBackend::mixTimingFingerprint(std::uint64_t v)
 {
-    return hashMix(fnv_offset, backend_name);
+    timing_fp = hashMix(timing_fp, v);
+}
+
+void
+ProtectionBackend::mixTimingFingerprint(double v)
+{
+    timing_fp = hashMix(timing_fp, v);
 }
 
 bool

@@ -192,9 +192,10 @@ class ProtectionBackend
      * Fingerprint of everything about this backend that shapes op
      * timing: the name plus the timing parameters. Two canonicalized
      * backends with equal fingerprints (and equal context
-     * fingerprints) time any DMA stream identically.
+     * fingerprints) time any DMA stream identically. The parameters
+     * are fixed at construction, so the constructors compute it once.
      */
-    virtual std::uint64_t timingFingerprint() const;
+    std::uint64_t timingFingerprint() const { return timing_fp; }
 
     /**
      * Fingerprint of provisioned-context state that affects timing
@@ -226,6 +227,10 @@ class ProtectionBackend
     void recordContext();
     /** True when an armed protection_check fault fires now. */
     bool injectedDenial(Tick when);
+    /** Fold one timing parameter into timingFingerprint(); a derived
+     *  constructor calls these once per parameter. */
+    void mixTimingFingerprint(std::uint64_t v);
+    void mixTimingFingerprint(double v);
 
     FaultInjector *faults = nullptr;
     Tracer tracer;
@@ -237,6 +242,7 @@ class ProtectionBackend
     std::string backend_name;
     std::uint64_t n_checks = 0;
     std::uint64_t n_denials = 0;
+    std::uint64_t timing_fp = 0;
     std::unique_ptr<ExportedStats> exported;
 };
 

@@ -17,6 +17,9 @@ NpuGuarder::NpuGuarder(stats::Group &stats, GuarderParams params)
         params.translation_registers == 0) {
         fatal("guarder needs at least one register of each kind");
     }
+    mixTimingFingerprint(std::uint64_t(params.checking_registers));
+    mixTimingFingerprint(std::uint64_t(params.translation_registers));
+    mixTimingFingerprint(std::uint64_t(params.check_latency));
 }
 
 const TranslationRegister *
@@ -137,6 +140,7 @@ NpuGuarder::setCheckingRegister(std::uint32_t slot, AddrRange range,
     if (slot >= checking.size())
         return false;
     checking[slot] = CheckingRegister{true, range, perm, world};
+    context_fp_valid = false;
     tracer.emit(0, TraceCategory::guarder, trace_name,
                 "checking register ", slot, " = [0x", std::hex,
                 range.base, ", 0x", range.base + range.size, std::dec,
@@ -160,6 +164,7 @@ NpuGuarder::setTranslationRegister(std::uint32_t slot, Addr va_base,
     if (slot >= translation.size() || size == 0)
         return false;
     translation[slot] = TranslationRegister{true, va_base, pa_base, size};
+    context_fp_valid = false;
     tracer.emit(0, TraceCategory::guarder, trace_name,
                 "translation register ", slot, " = va 0x", std::hex,
                 va_base, " -> pa 0x", pa_base, std::dec, " +", size,
@@ -177,6 +182,7 @@ NpuGuarder::clearTranslationRegister(std::uint32_t slot, bool from_secure)
     if (slot >= translation.size())
         return false;
     translation[slot].valid = false;
+    context_fp_valid = false;
     return true;
 }
 
@@ -193,19 +199,10 @@ NpuGuarder::clearAll(bool from_secure)
         cr.valid = false;
     for (auto &tr : translation)
         tr.valid = false;
+    context_fp_valid = false;
     tracer.emit(0, TraceCategory::guarder, trace_name,
                 "all registers cleared (context teardown)");
     return true;
-}
-
-std::uint64_t
-NpuGuarder::timingFingerprint() const
-{
-    std::uint64_t h = ProtectionBackend::timingFingerprint();
-    h = hashMix(h, std::uint64_t(params.checking_registers));
-    h = hashMix(h, std::uint64_t(params.translation_registers));
-    h = hashMix(h, std::uint64_t(params.check_latency));
-    return h;
 }
 
 std::uint64_t
@@ -213,6 +210,8 @@ NpuGuarder::contextFingerprint(Addr va_base, Addr bytes)
 {
     (void)va_base;
     (void)bytes;
+    if (context_fp_valid)
+        return context_fp;
     // Both register files in slot order: which window a VA hits (and
     // the PA it translates to) is exactly this state.
     std::uint64_t h = fnv_offset;
@@ -234,6 +233,8 @@ NpuGuarder::contextFingerprint(Addr va_base, Addr bytes)
         h = hashMix(h, tr.pa_base);
         h = hashMix(h, tr.size);
     }
+    context_fp = h;
+    context_fp_valid = true;
     return h;
 }
 

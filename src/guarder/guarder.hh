@@ -116,9 +116,10 @@ class NpuGuarder : public ProtectionBackend
      * No hidden timing state: comparator latency is constant, so
      * canonicalizeTiming() keeps the base nop. The register-file
      * *contents* shape translation outcomes, so they fingerprint the
-     * provisioned context instead.
+     * provisioned context instead. The fingerprint is memoized: every
+     * register write clears the memo, so a lookup between writes is
+     * one load.
      */
-    std::uint64_t timingFingerprint() const override;
     std::uint64_t contextFingerprint(Addr va_base,
                                      Addr bytes) override;
 
@@ -166,6 +167,8 @@ class NpuGuarder : public ProtectionBackend
     GuarderParams params;
     std::vector<CheckingRegister> checking;
     std::vector<TranslationRegister> translation;
+    std::uint64_t context_fp = 0; // contextFingerprint() memo
+    bool context_fp_valid = false;
 
     stats::Scalar config_violations;
 };

@@ -1,6 +1,5 @@
 #include "iommu/iommu.hh"
 
-#include "sim/hashing.hh"
 #include "sim/logging.hh"
 
 namespace snpu
@@ -12,6 +11,11 @@ Iommu::Iommu(stats::Group &stats, PageTable &table, IommuParams params)
       walk_count(stats, "iommu_walks", "page-table walks"),
       walk_latency(stats, "iommu_walk_latency", "cycles per page walk")
 {
+    mixTimingFingerprint(std::uint64_t(params.iotlb_entries));
+    mixTimingFingerprint(std::uint64_t(params.hit_latency));
+    mixTimingFingerprint(std::uint64_t(params.fill_latency));
+    mixTimingFingerprint(std::uint64_t(params.walker_occupancy));
+    mixTimingFingerprint(std::uint64_t(params.walk_cache));
 }
 
 Translation
@@ -122,18 +126,6 @@ void
 Iommu::flushTlb()
 {
     iotlb.flushAll();
-}
-
-std::uint64_t
-Iommu::timingFingerprint() const
-{
-    std::uint64_t h = ProtectionBackend::timingFingerprint();
-    h = hashMix(h, std::uint64_t(params.iotlb_entries));
-    h = hashMix(h, std::uint64_t(params.hit_latency));
-    h = hashMix(h, std::uint64_t(params.fill_latency));
-    h = hashMix(h, std::uint64_t(params.walker_occupancy));
-    h = hashMix(h, std::uint64_t(params.walk_cache));
-    return h;
 }
 
 } // namespace snpu

@@ -82,8 +82,6 @@ class Iommu : public ProtectionBackend
         walker_free = 0;
     }
 
-    std::uint64_t timingFingerprint() const override;
-
     /** Walk timing follows the physical page-table layout. */
     std::uint64_t contextFingerprint(Addr va_base,
                                      Addr bytes) override

@@ -27,6 +27,7 @@ CounterCache::lookup(Addr page)
             victim = &entry;
         }
     }
+    n_valid += victim->valid ? 0 : 1;
     victim->valid = true;
     victim->page = page;
     victim->lru = ++clock;
@@ -36,8 +37,11 @@ CounterCache::lookup(Addr page)
 void
 CounterCache::invalidateAll()
 {
+    if (n_valid == 0)
+        return;
     for (Entry &entry : entries)
         entry.valid = false;
+    n_valid = 0;
 }
 
 struct CounterModeTiming::Exported

@@ -34,7 +34,11 @@ class CounterCache
      */
     bool lookup(Addr page);
 
-    /** Drop every cached counter line (timing canonicalization). */
+    /**
+     * Drop every cached counter line (timing canonicalization). An
+     * already-empty cache returns at once: the timing bracket calls
+     * this around every memoized op, almost always on an empty cache.
+     */
     void invalidateAll();
 
   private:
@@ -47,6 +51,8 @@ class CounterCache
 
     std::vector<Entry> entries;
     std::uint64_t clock = 0;
+    /** Valid entries in @c entries. */
+    std::uint32_t n_valid = 0;
 };
 
 /** Counter-mode AES engine timing knobs. */

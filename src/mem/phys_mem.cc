@@ -101,4 +101,18 @@ PhysMem::fill(Addr addr, std::size_t n, std::uint8_t value)
     }
 }
 
+void
+PhysMem::zeroFill(Addr addr, std::size_t n)
+{
+    while (n > 0) {
+        auto off = addr % page_size;
+        auto chunk = std::min(n, page_size - off);
+        const auto it = pages.find(addr / page_size);
+        if (it != pages.end())
+            std::memset(it->second.data() + off, 0, chunk);
+        addr += chunk;
+        n -= chunk;
+    }
+}
+
 } // namespace snpu

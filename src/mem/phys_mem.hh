@@ -48,6 +48,13 @@ class PhysMem
     /** Fill [addr, addr+n) with @p value. */
     void fill(Addr addr, std::size_t n, std::uint8_t value);
 
+    /**
+     * Zero [addr, addr+n) without materializing a page: present
+     * pages are cleared, absent ones already read as zeros. Reads
+     * afterwards see exactly what fill(addr, n, 0) would leave.
+     */
+    void zeroFill(Addr addr, std::size_t n);
+
     /** Number of pages materialized so far. */
     std::size_t touchedPages() const { return pages.size(); }
 

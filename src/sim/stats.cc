@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "sim/hashing.hh"
 #include "sim/logging.hh"
 
 namespace snpu::stats
@@ -535,12 +536,7 @@ Registry::resetAll()
 std::uint64_t
 DeltaCapture::hashPath(const std::string &path)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : path) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    return fnv1a(path.data(), path.size());
 }
 
 namespace
@@ -564,16 +560,19 @@ walkStats(
 DeltaCapture::DeltaCapture(Group &root)
 {
     walkStats(root, "", in_order);
-    by_path = in_order;
-    std::sort(by_path.begin(), by_path.end(),
-              [](const auto &l, const auto &r) {
-                  return l.first < r.first;
-              });
-    for (std::size_t i = 1; i < by_path.size(); ++i) {
-        if (by_path[i].first == by_path[i - 1].first)
-            panic("stat path hash collision under group '",
-                  root.name(), "'");
+    std::vector<std::uint64_t> hashes;
+    hashes.reserve(in_order.size());
+    layout_fp = fnv_offset;
+    for (const auto &[hash, stat] : in_order) {
+        layout_fp = hashMix(layout_fp, hash);
+        hashes.push_back(hash);
     }
+    // Distinct path hashes keep the layout fingerprint faithful: two
+    // colliding paths could swap positions without changing it.
+    std::sort(hashes.begin(), hashes.end());
+    if (std::adjacent_find(hashes.begin(), hashes.end()) != hashes.end())
+        panic("stat path hash collision under group '", root.name(),
+              "'");
 }
 
 void
@@ -586,10 +585,11 @@ DeltaCapture::begin()
 void
 DeltaCapture::collect(std::vector<StatDelta> &out) const
 {
-    for (const auto &[hash, stat] : in_order) {
+    for (std::size_t i = 0; i < in_order.size(); ++i) {
         StatDelta d;
-        if (stat->captureDelta(d)) {
-            d.path = hash;
+        if (in_order[i].second->captureDelta(d)) {
+            d.path = in_order[i].first;
+            d.index = static_cast<std::uint32_t>(i);
             out.push_back(std::move(d));
         }
     }
@@ -599,15 +599,12 @@ void
 DeltaCapture::apply(const std::vector<StatDelta> &deltas)
 {
     for (const StatDelta &d : deltas) {
-        const auto it = std::lower_bound(
-            by_path.begin(), by_path.end(), d.path,
-            [](const auto &entry, std::uint64_t hash) {
-                return entry.first < hash;
-            });
-        if (it == by_path.end() || it->first != d.path)
-            panic("stat delta replay: no stat with path hash ",
-                  d.path);
-        it->second->applyDelta(d);
+        if (d.index >= in_order.size() ||
+            in_order[d.index].first != d.path) {
+            panic("stat delta replay: no stat with path hash ", d.path,
+                  " at position ", d.index);
+        }
+        in_order[d.index].second->applyDelta(d);
     }
 }
 

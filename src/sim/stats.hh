@@ -42,6 +42,8 @@ struct StatDelta
 {
     /** FNV-1a hash of the dotted path below the capture root. */
     std::uint64_t path = 0;
+    /** Position of the stat in the capture's registration-order walk. */
+    std::uint32_t index = 0;
     /** 0 = Scalar, 1 = Average, 2 = Histogram. */
     std::uint8_t kind = 0;
     /**
@@ -340,11 +342,12 @@ class Registry
 
 /**
  * Delta capture over a whole stat tree. Built once per tree, it
- * walks the subtree and indexes every stat by the FNV-1a hash of its
- * dotted path below the root (the path, not the pointer, so a delta
- * captured on one SoC instance replays onto any identically shaped
- * one). begin()/collect() bracket a simulated operation on a miss;
- * apply() replays the collected deltas on a hit.
+ * walks the subtree in registration order and records every stat
+ * with the FNV-1a hash of its dotted path below the root (the path,
+ * not the pointer, so a delta captured on one SoC instance replays
+ * onto any identically shaped one). begin()/collect() bracket a
+ * simulated operation on a miss; apply() replays the collected
+ * deltas on a hit, by walk position.
  */
 class DeltaCapture
 {
@@ -357,17 +360,27 @@ class DeltaCapture
     /** Append one StatDelta per stat that changed since begin(). */
     void collect(std::vector<StatDelta> &out) const;
 
-    /** Replay deltas; panics on a path with no stat in this tree. */
+    /**
+     * Replay deltas collected on a tree with this capture's
+     * layoutFingerprint(). Each delta lands on the stat at its
+     * recorded walk position; panics if that stat's path differs.
+     */
     void apply(const std::vector<StatDelta> &deltas);
+
+    /**
+     * Hash over the ordered path hashes of the walk: two trees with
+     * equal fingerprints hold the same stats at the same positions,
+     * so a delta collected on one replays by index onto the other.
+     */
+    std::uint64_t layoutFingerprint() const { return layout_fp; }
 
     /** FNV-1a hash of a dotted stat path (exposed for tests). */
     static std::uint64_t hashPath(const std::string &path);
 
   private:
-    /** (path hash, stat) sorted by hash for binary-search apply. */
-    std::vector<std::pair<std::uint64_t, StatBase *>> by_path;
-    /** Registration-order walk, for deterministic collect order. */
+    /** (path hash, stat) in registration-order walk. */
     std::vector<std::pair<std::uint64_t, StatBase *>> in_order;
+    std::uint64_t layout_fp = 0;
 };
 
 } // namespace snpu::stats

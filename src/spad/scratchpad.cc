@@ -23,6 +23,7 @@ Scratchpad::Scratchpad(stats::Group &stats, SpadParams params)
         fatal("scratchpad needs nonzero geometry");
     if (params.partition_boundary > params.rows)
         fatal("partition boundary beyond scratchpad");
+    updateConfigFingerprint();
 }
 
 void
@@ -306,6 +307,20 @@ Scratchpad::setMode(IsolationMode mode, std::uint32_t partition_boundary)
         fatal("partition boundary beyond scratchpad");
     params.mode = mode;
     params.partition_boundary = partition_boundary;
+    updateConfigFingerprint();
+}
+
+void
+Scratchpad::updateConfigFingerprint()
+{
+    std::uint64_t h = fnv_offset;
+    h = hashMix(h, std::uint64_t(params.mode));
+    h = hashMix(h, std::uint64_t(params.rows));
+    h = hashMix(h, std::uint64_t(params.row_bytes));
+    // Under partition mode this is the live boundary; otherwise it
+    // degenerates to rows and stays a pure function of the above.
+    h = hashMix(h, std::uint64_t(usableRows(World::secure)));
+    config_fp = h;
 }
 
 World

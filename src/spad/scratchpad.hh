@@ -122,6 +122,14 @@ class Scratchpad
     /** Reconfigure the isolation mode (experiment setup only). */
     void setMode(IsolationMode mode, std::uint32_t partition_boundary = 0);
 
+    /**
+     * Fingerprint of the isolation configuration (mode, geometry and
+     * the rows usable by the secure world), a layer-timing cache key
+     * input. The constructor and setMode(), the only writers of that
+     * configuration, recompute it, so reading it is one load.
+     */
+    std::uint64_t configFingerprint() const { return config_fp; }
+
     World idState(std::uint32_t row) const;
     std::uint32_t rows() const { return params.rows; }
     std::uint32_t rowBytes() const { return params.row_bytes; }
@@ -227,6 +235,7 @@ class Scratchpad
 
   private:
     bool partitionAllows(World w, std::uint32_t row) const;
+    void updateConfigFingerprint();
     bool rowsInRange(std::uint32_t first, std::uint32_t count) const;
     std::uint8_t *ensureData();
     void recordWrite(std::uint32_t row)
@@ -247,6 +256,7 @@ class Scratchpad
     SpadParams params;
     std::vector<std::uint8_t> data;   // rows * row_bytes, or empty
     std::vector<World> id_state;      // per row
+    std::uint64_t config_fp = 0;      // configFingerprint()
     mutable std::uint64_t id_fp = 0;  // idFingerprint() memo
     mutable bool id_fp_valid = false;
     bool recording = false;

@@ -52,18 +52,6 @@ scanProgram(const NpuProgram &prog)
     prog.timing_fp_valid = true;
 }
 
-std::uint64_t
-spadFingerprint(std::uint64_t h, Scratchpad &spad)
-{
-    h = hashMix(h, std::uint64_t(spad.mode()));
-    h = hashMix(h, std::uint64_t(spad.rows()));
-    h = hashMix(h, std::uint64_t(spad.rowBytes()));
-    // Under partition mode this is the live boundary; otherwise it
-    // degenerates to rows() and stays a pure function of the above.
-    h = hashMix(h, std::uint64_t(spad.usableRows(World::secure)));
-    return h;
-}
-
 } // namespace
 
 std::uint64_t
@@ -99,27 +87,32 @@ modelFingerprint(const ModelSpec &model)
     return h;
 }
 
+// The keys below hash a widened field image (see scanProgram): each
+// part is memoized at its owner, so a key is a handful of loads and
+// one pass of hashBytesFast.
+
 std::uint64_t
 coreConfigFingerprint(NpuCore &core)
 {
     const NpuCoreParams &p = core.coreParams();
-    std::uint64_t h = fnv_offset;
-    h = hashMix(h, std::uint64_t(p.systolic.dim));
-    h = hashMix(h, std::uint64_t(p.timing_only));
-    h = hashMix(h, std::uint64_t(p.dma.packet_bytes));
-    h = hashMix(h, p.dma.issue_interval);
-    h = hashMix(h, std::uint64_t(p.dma.through_l2));
-    h = hashMix(h, std::uint64_t(p.dma.channels));
-    h = spadFingerprint(h, core.scratchpad());
-    h = spadFingerprint(h, core.accumulator());
-    return h;
+    const std::uint64_t fields[8] = {
+        std::uint64_t(p.systolic.dim),
+        std::uint64_t(p.timing_only),
+        std::uint64_t(p.dma.packet_bytes),
+        p.dma.issue_interval,
+        std::uint64_t(p.dma.through_l2),
+        std::uint64_t(p.dma.channels),
+        core.scratchpad().configFingerprint(),
+        core.accumulator().configFingerprint()};
+    return hashBytesFast(fields, sizeof(fields));
 }
 
 std::uint64_t
 idImageFingerprint(NpuCore &core)
 {
-    return hashMix(core.scratchpad().idFingerprint(),
-                   core.accumulator().idFingerprint());
+    const std::uint64_t fields[2] = {core.scratchpad().idFingerprint(),
+                                     core.accumulator().idFingerprint()};
+    return hashBytesFast(fields, sizeof(fields));
 }
 
 LayerTimingKey
@@ -128,21 +121,21 @@ makeExecKey(std::uint32_t core_index, NpuCore &core,
             const ExecOptions &eo, Addr va_base, Addr va_bytes,
             std::uint64_t soc_config_fp)
 {
+    const std::uint64_t fields[12] = {
+        1, // op kind: program execution
+        std::uint64_t(core_index),
+        soc_config_fp,
+        programFingerprint(prog),
+        coreConfigFingerprint(core),
+        std::uint64_t(core.idState()),
+        std::uint64_t(eo.flush),
+        eo.flush_save_area,
+        std::uint64_t(eo.noc),
+        idImageFingerprint(core),
+        backend.timingFingerprint(),
+        backend.contextFingerprint(va_base, va_bytes)};
     LayerTimingKey key;
-    std::uint64_t h = fnv_offset;
-    h = hashMix(h, std::uint64_t(1)); // op kind: program execution
-    h = hashMix(h, std::uint64_t(core_index));
-    h = hashMix(h, soc_config_fp);
-    h = hashMix(h, programFingerprint(prog));
-    h = hashMix(h, coreConfigFingerprint(core));
-    h = hashMix(h, std::uint64_t(core.idState()));
-    h = hashMix(h, std::uint64_t(eo.flush));
-    h = hashMix(h, eo.flush_save_area);
-    h = hashMix(h, std::uint64_t(eo.noc));
-    h = hashMix(h, idImageFingerprint(core));
-    h = hashMix(h, backend.timingFingerprint());
-    h = hashMix(h, backend.contextFingerprint(va_base, va_bytes));
-    key.hash = h;
+    key.hash = hashBytesFast(fields, sizeof(fields));
     key.cacheable = programCacheable(prog) &&
                     eo.flush == FlushGranularity::none;
     return key;
@@ -153,15 +146,16 @@ makeFlushKey(std::uint32_t core_index, NpuCore &core,
              std::uint32_t live_rows, Addr save_area,
              std::uint64_t soc_config_fp)
 {
+    const std::uint64_t fields[7] = {
+        2, // op kind: context flush
+        std::uint64_t(core_index),
+        soc_config_fp,
+        coreConfigFingerprint(core),
+        std::uint64_t(live_rows),
+        save_area,
+        idImageFingerprint(core)};
     LayerTimingKey key;
-    std::uint64_t h = fnv_offset;
-    h = hashMix(h, std::uint64_t(2)); // op kind: context flush
-    h = hashMix(h, std::uint64_t(core_index));
-    h = hashMix(h, soc_config_fp);
-    h = hashMix(h, coreConfigFingerprint(core));
-    h = hashMix(h, std::uint64_t(live_rows));
-    h = hashMix(h, save_area);
-    key.hash = h;
+    key.hash = hashBytesFast(fields, sizeof(fields));
     return key;
 }
 

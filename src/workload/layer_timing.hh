@@ -74,8 +74,9 @@ bool programCacheable(const NpuProgram &prog);
 
 /**
  * Fingerprint of the live tile configuration: geometry, isolation
- * mode and partition boundary of both on-tile SRAMs (read live, so a
- * mid-run setMode() changes the key and can never hit a stale
+ * mode and partition boundary of both on-tile SRAMs (each
+ * Scratchpad::configFingerprint(), which setMode() keeps current, so
+ * a mid-run mode change alters the key and can never hit a stale
  * entry), timing-only flag, and DMA shape.
  */
 std::uint64_t coreConfigFingerprint(NpuCore &core);
@@ -101,9 +102,10 @@ LayerTimingKey makeExecKey(std::uint32_t core_index, NpuCore &core,
 
 /**
  * Assemble the key for a scheduler context switch (save + scrub +
- * restore of @p live_rows through @p save_area). The ID image does
- * not participate: the flush path is raw and its timing depends only
- * on addresses.
+ * restore of @p live_rows through @p save_area). The flush path is
+ * raw and its timing depends only on addresses; the ID image is mixed
+ * in so the key determines the post-flush image, which lets a hit
+ * install that image's fingerprint instead of hashing it again.
  */
 LayerTimingKey makeFlushKey(std::uint32_t core_index, NpuCore &core,
                             std::uint32_t live_rows, Addr save_area,

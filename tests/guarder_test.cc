@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <vector>
+
 #include "guarder/guarder.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -225,6 +228,68 @@ TEST_P(GuarderPropertyTest, MatchesOracle)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GuarderPropertyTest,
                          ::testing::Values(1, 7, 21, 333));
+
+/**
+ * The memoized context fingerprint after each register writer equals
+ * the fingerprint of a fresh guarder given the same writes, and each
+ * write moves it — so a memo the writer failed to clear would show.
+ * Rejected writes change no register and leave it alone.
+ */
+TEST(GuarderFingerprint, EveryRegisterWriterClearsTheMemo)
+{
+    using Write = std::function<bool(NpuGuarder &)>;
+    const std::vector<Write> writes = {
+        [](NpuGuarder &g) {
+            return g.setCheckingRegister(0, AddrRange{0x10000, 0x4000},
+                                         GuardPerm::rw(), World::secure,
+                                         true);
+        },
+        [](NpuGuarder &g) {
+            return g.setTranslationRegister(0, 0x1000, 0x10000, 0x4000,
+                                            true);
+        },
+        [](NpuGuarder &g) {
+            return g.setTranslationRegister(3, 0x8000, 0x12000, 0x1000,
+                                            true);
+        },
+        [](NpuGuarder &g) { return g.clearTranslationRegister(0, true); },
+        [](NpuGuarder &g) {
+            return g.setCheckingRegister(2, AddrRange{0x20000, 0x1000},
+                                         GuardPerm::ro(), World::normal,
+                                         true);
+        },
+        [](NpuGuarder &g) { return g.clearAll(true); },
+        [](NpuGuarder &g) {
+            ProtectionContext ctx;
+            ctx.va_base = 0x4000;
+            ctx.pa_base = 0x30000;
+            ctx.bytes = 0x2000;
+            return g.beginContext(ctx, true).isOk();
+        },
+        [](NpuGuarder &g) { return g.endContext(true).isOk(); },
+    };
+
+    stats::Group gs("g");
+    NpuGuarder guard(gs);
+    std::uint64_t prev = guard.contextFingerprint(0, 0);
+    for (std::size_t i = 0; i < writes.size(); ++i) {
+        ASSERT_TRUE(writes[i](guard)) << "write " << i;
+        stats::Group fs("fresh");
+        NpuGuarder fresh(fs);
+        for (std::size_t j = 0; j <= i; ++j)
+            ASSERT_TRUE(writes[j](fresh));
+        const std::uint64_t fp = guard.contextFingerprint(0, 0);
+        EXPECT_EQ(fp, fresh.contextFingerprint(0, 0)) << "write " << i;
+        EXPECT_NE(fp, prev) << "write " << i << " moved no register";
+        prev = fp;
+    }
+
+    EXPECT_FALSE(guard.setCheckingRegister(
+        0, AddrRange{0, 0x1000}, GuardPerm::rw(), World::normal, false));
+    EXPECT_FALSE(guard.setTranslationRegister(0, 0, 0, 0x1000, false));
+    EXPECT_FALSE(guard.clearAll(false));
+    EXPECT_EQ(guard.contextFingerprint(0, 0), prev);
+}
 
 } // namespace
 } // namespace snpu

@@ -57,5 +57,23 @@ TEST(CounterCache, ZeroEntriesIsFatal)
     EXPECT_THROW(CounterCache(0), FatalError);
 }
 
+TEST(CounterCache, InvalidatingAnEmptyCacheChangesNothing)
+{
+    // Redundant invalidations (on a fresh cache and right after a
+    // real one) leave a cache that answers a lookup stream exactly
+    // like a fresh one, LRU victim choice included.
+    const Addr stream[] = {1, 2, 1, 3, 2, 1};
+    CounterCache cache(2);
+    cache.invalidateAll();
+    CounterCache fresh(2);
+    for (Addr page : stream)
+        EXPECT_EQ(cache.lookup(page), fresh.lookup(page));
+    cache.invalidateAll();
+    cache.invalidateAll();
+    CounterCache fresh_again(2);
+    for (Addr page : stream)
+        EXPECT_EQ(cache.lookup(page), fresh_again.lookup(page));
+}
+
 } // namespace
 } // namespace snpu

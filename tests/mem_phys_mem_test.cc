@@ -88,5 +88,36 @@ TEST(PhysMem, HighAddressesWork)
     EXPECT_EQ(mem.read64(high), 42u);
 }
 
+TEST(PhysMem, ZeroFillClearsPresentPagesOnly)
+{
+    PhysMem mem;
+    constexpr Addr page = PhysMem::page_size;
+    // Page 1 is present and dirty; pages 0 and 2 are absent.
+    mem.fill(page, page, 0x77);
+    ASSERT_EQ(mem.touchedPages(), 1u);
+
+    // A range from mid page 0 to mid page 2.
+    mem.zeroFill(page / 2, 2 * page);
+    EXPECT_EQ(mem.touchedPages(), 1u);
+    std::vector<std::uint8_t> out(3 * page, 0xff);
+    mem.read(0, out.data(), out.size());
+    for (std::size_t i = 0; i < out.size(); ++i)
+        ASSERT_EQ(out[i], 0) << "byte " << i;
+    EXPECT_EQ(mem.touchedPages(), 1u);
+}
+
+TEST(PhysMem, ZeroFillKeepsBytesOutsideTheRange)
+{
+    PhysMem mem;
+    mem.fill(0, 256, 0x5a);
+    mem.zeroFill(64, 128);
+    EXPECT_EQ(mem.read8(63), 0x5a);
+    EXPECT_EQ(mem.read8(64), 0);
+    EXPECT_EQ(mem.read8(191), 0);
+    EXPECT_EQ(mem.read8(192), 0x5a);
+    mem.zeroFill(0, 0); // empty range: nothing happens
+    EXPECT_EQ(mem.read8(0), 0x5a);
+}
+
 } // namespace
 } // namespace snpu

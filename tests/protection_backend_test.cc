@@ -362,6 +362,83 @@ TEST(CryptoBackendTest, RekeyingChangesRegionTag)
     EXPECT_NE(first, second);
 }
 
+TEST(CryptoBackendTest, ContextFingerprintFollowsKeyingAndRetirement)
+{
+    // Memoized: each beginContext/endContext must clear the memo, so
+    // after each one the fingerprint equals a fresh backend's.
+    auto keyed = [](Addr base) {
+        ProtectionContext ctx;
+        ctx.va_base = base;
+        ctx.pa_base = base;
+        ctx.bytes = 1u << 16;
+        return ctx;
+    };
+    CryptoBackend crypto(nullptr);
+    const std::uint64_t empty = crypto.contextFingerprint(0, 0);
+
+    ASSERT_TRUE(crypto.beginContext(keyed(0x8000), true).isOk());
+    const std::uint64_t fp_a = crypto.contextFingerprint(0, 0);
+    CryptoBackend fresh_a(nullptr);
+    ASSERT_TRUE(fresh_a.beginContext(keyed(0x8000), true).isOk());
+    EXPECT_EQ(fp_a, fresh_a.contextFingerprint(0, 0));
+    EXPECT_NE(fp_a, empty);
+
+    ASSERT_TRUE(crypto.beginContext(keyed(0x40000), true).isOk());
+    const std::uint64_t fp_b = crypto.contextFingerprint(0, 0);
+    CryptoBackend fresh_b(nullptr);
+    ASSERT_TRUE(fresh_b.beginContext(keyed(0x40000), true).isOk());
+    EXPECT_EQ(fp_b, fresh_b.contextFingerprint(0, 0));
+    EXPECT_NE(fp_b, fp_a);
+
+    // Re-keying the same window bumps only the version, which is not
+    // timing-visible.
+    ASSERT_TRUE(crypto.beginContext(keyed(0x40000), true).isOk());
+    EXPECT_EQ(crypto.contextFingerprint(0, 0), fp_b);
+
+    ASSERT_TRUE(crypto.endContext(true).isOk());
+    EXPECT_EQ(crypto.contextFingerprint(0, 0), empty);
+}
+
+TEST(CryptoBackendTest, RegionTagBindsTheKeyingVersion)
+{
+    // The tag is computed on demand; write transfers bump the live
+    // version but not the version the region was keyed with.
+    CryptoBackend crypto(nullptr);
+    ProtectionContext ctx;
+    ctx.va_base = 0x8000;
+    ctx.pa_base = 0x8000;
+    ctx.bytes = 1u << 16;
+    EXPECT_EQ(crypto.regionTag(), Digest{});
+    ASSERT_TRUE(crypto.beginContext(ctx, true).isOk());
+    const Digest tag = crypto.regionTag();
+    EXPECT_NE(tag, Digest{});
+    crypto.transferOverhead(0, 0x8000, 64, MemOp::write);
+    ASSERT_EQ(crypto.versionBumps(), 1u);
+    EXPECT_EQ(crypto.regionTag(), tag);
+    ASSERT_TRUE(crypto.endContext(true).isOk());
+    EXPECT_EQ(crypto.regionTag(), Digest{});
+}
+
+TEST(CryptoBackendTest, TimingFingerprintCoversEveryParameter)
+{
+    const std::uint64_t base = CryptoBackend(nullptr).timingFingerprint();
+    EXPECT_EQ(CryptoBackend(nullptr).timingFingerprint(), base);
+    std::vector<CryptoBackendParams> variants(8);
+    variants[0].engine_latency += 1;
+    variants[1].counter_cache_entries += 1;
+    variants[2].counter_miss_penalty += 1;
+    variants[3].mac_latency += 1;
+    variants[4].mac_bytes_per_cycle *= 2;
+    variants[5].dma_bytes_per_cycle *= 2;
+    variants[6].check_latency += 1;
+    variants[7].regions += 1;
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        EXPECT_NE(CryptoBackend(nullptr, variants[i]).timingFingerprint(),
+                  base)
+            << "parameter " << i;
+    }
+}
+
 TEST(CryptoBackendTest, InjectedFaultDeniesViaBaseProbe)
 {
     CryptoBackend crypto(nullptr);

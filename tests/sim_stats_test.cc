@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -328,6 +331,107 @@ TEST(Stats, RegistryDumpsEveryGroup)
     reg.remove(b);
     ASSERT_EQ(reg.groups().size(), 1u);
     EXPECT_EQ(reg.groups()[0], &a);
+}
+
+/** A small stat tree with every stat kind, at root and child level. */
+struct DeltaTree
+{
+    /** @p extra_stat registers one more root stat (a reshaped tree). */
+    explicit DeltaTree(bool extra_stat = false)
+    {
+        if (extra_stat)
+            extra.emplace(root, "extra", "one more stat");
+    }
+
+    /** Round-dependent updates; some stats stay untouched per round. */
+    void
+    mutate(int round)
+    {
+        cycles += 10 + round;
+        if (round != 1)
+            lat.sample(3.0 * round + 1);
+        reads += round;
+        hist.sample(17.0 * round);
+        if (round == 2)
+            hist.sample(250); // overflow bucket
+    }
+
+    std::string
+    json() const
+    {
+        std::ostringstream os;
+        root.dumpJson(os);
+        return os.str();
+    }
+
+    stats::Group root{"soc"};
+    stats::Scalar cycles{root, "cycles", "total"};
+    stats::Average lat{root, "lat", "latency"};
+    stats::Group core{root, "core0"};
+    stats::Scalar reads{core, "reads", "reads"};
+    stats::Histogram hist{core, "hist", "a histogram", 0, 100, 10};
+    std::optional<stats::Scalar> extra;
+};
+
+/** Reference replay: find the delta's stat by searching every path. */
+bool
+replayByPath(const stats::Group &g, const std::string &prefix,
+             const stats::StatDelta &d)
+{
+    for (stats::StatBase *s : g.all()) {
+        if (stats::DeltaCapture::hashPath(prefix + s->name()) == d.path) {
+            s->applyDelta(d);
+            return true;
+        }
+    }
+    for (const stats::Group *child : g.children()) {
+        if (replayByPath(*child, prefix + child->name() + '.', d))
+            return true;
+    }
+    return false;
+}
+
+TEST(DeltaCapture, IndexReplayMatchesLiveRunAndPathSearch)
+{
+    DeltaTree live, replay, reference;
+    stats::DeltaCapture cap_live(live.root), cap_replay(replay.root);
+    ASSERT_EQ(cap_live.layoutFingerprint(), cap_replay.layoutFingerprint());
+    for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        cap_live.begin();
+        live.mutate(round);
+        std::vector<stats::StatDelta> deltas;
+        cap_live.collect(deltas);
+        ASSERT_FALSE(deltas.empty());
+        cap_replay.apply(deltas);
+        for (const stats::StatDelta &d : deltas)
+            ASSERT_TRUE(replayByPath(reference.root, "", d));
+        EXPECT_EQ(replay.json(), live.json());
+        EXPECT_EQ(reference.json(), live.json());
+    }
+}
+
+TEST(DeltaCapture, LayoutFingerprintTracksTheStatTree)
+{
+    DeltaTree a, b, reshaped(true);
+    const stats::DeltaCapture cap_a(a.root), cap_b(b.root),
+        cap_reshaped(reshaped.root);
+    EXPECT_EQ(cap_a.layoutFingerprint(), cap_b.layoutFingerprint());
+    EXPECT_NE(cap_a.layoutFingerprint(),
+              cap_reshaped.layoutFingerprint());
+}
+
+TEST(DeltaCapture, ReplayOntoAReshapedTreePanics)
+{
+    // The extra root stat shifts every child stat one position, so a
+    // delta's recorded position names a different path there.
+    DeltaTree live, reshaped(true);
+    stats::DeltaCapture cap_live(live.root), cap_reshaped(reshaped.root);
+    cap_live.begin();
+    live.mutate(0);
+    std::vector<stats::StatDelta> deltas;
+    cap_live.collect(deltas);
+    EXPECT_THROW(cap_reshaped.apply(deltas), PanicError);
 }
 
 } // namespace

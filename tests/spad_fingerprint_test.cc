@@ -5,11 +5,14 @@
  * writes and timing-cache style hit replays, idFingerprint() must
  * equal a fresh hash of idImage() — in every isolation mode and both
  * scopes. Also checks, through the timing cache, that a replayed hit
- * leaves the tile with the fingerprints a cache-off run computes.
+ * (a segment or a context flush) leaves the tile with the
+ * fingerprints a cache-off run computes, and that setMode() keeps
+ * the memoized configuration fingerprint current.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -245,6 +248,84 @@ TEST(TimingCacheFingerprint, HitInstallsTheCacheOffFingerprints)
     EXPECT_EQ(miss.memo, off.fresh);
     EXPECT_EQ(hit.fresh, off.fresh);
     EXPECT_EQ(hit.memo, off.fresh);
+}
+
+/**
+ * A context-flush hit installs the post-flush fingerprints it
+ * recorded. Its key covers the pre-flush image, so two tiles whose
+ * images differ only beyond the flushed rows (where the flush leaves
+ * them alone) must not share an entry: each must end with memoized
+ * fingerprints equal to fresh hashes, and the second SoC with each
+ * image must hit.
+ */
+TEST(TimingCacheFingerprint, FlushHitInstallsTheFreshFingerprints)
+{
+    if (!TimingCache::enabled())
+        GTEST_SKIP() << "SNPU_TIMING_CACHE=0 in the environment";
+    TimingCache &cache = TimingCache::global();
+    cache.clear();
+    constexpr std::uint32_t live_rows = 128;
+
+    // @p secure_first: start of a secure run of rows, partly beyond
+    // the flushed ones.
+    auto flushOnce = [&cache](std::uint32_t secure_first) {
+        SystemOverrides o;
+        o.model_scale = 64;
+        auto soc = buildSoc(SystemKind::snpu, o);
+        MemoizedExec exec(*soc);
+        Scratchpad &spad = soc->npu().core(0).scratchpad();
+        spad.setIdRange(secure_first, 256, World::secure);
+        const Addr save_area =
+            soc->mem().map().npuArena(World::normal).base + (16u << 20);
+        const std::uint64_t hits0 = cache.hits();
+        exec.contextFlush(0, 0, live_rows, save_area);
+        EXPECT_EQ(spad.idState(live_rows - 1), World::normal);
+        EXPECT_EQ(tileMemos(*soc), tileHashes(*soc));
+        return std::make_pair(cache.hits() - hits0, tileHashes(*soc));
+    };
+
+    const auto miss_a = flushOnce(64);
+    const auto hit_a = flushOnce(64);
+    const auto miss_b = flushOnce(96);
+    const auto hit_b = flushOnce(96);
+    EXPECT_EQ(miss_a.first, 0u);
+    EXPECT_EQ(hit_a.first, 1u);
+    EXPECT_EQ(miss_b.first, 0u) << "the key must cover the ID image";
+    EXPECT_EQ(hit_b.first, 1u);
+    EXPECT_EQ(hit_a.second, miss_a.second);
+    EXPECT_EQ(hit_b.second, miss_b.second);
+    EXPECT_NE(miss_a.second, miss_b.second);
+}
+
+TEST(SpadConfigFingerprint, SetModeMatchesAFreshPad)
+{
+    struct Config
+    {
+        IsolationMode mode;
+        std::uint32_t boundary;
+    };
+    const Config configs[] = {{IsolationMode::id_based, 0},
+                              {IsolationMode::partition, kRows / 4},
+                              {IsolationMode::partition, kRows / 2},
+                              {IsolationMode::none, 0},
+                              {IsolationMode::id_based, 0}};
+    SpadParams p;
+    p.rows = kRows;
+    p.row_bytes = 8;
+    stats::Group pad_stats("spad");
+    Scratchpad pad(pad_stats, p);
+    std::set<std::uint64_t> seen;
+    for (const Config &c : configs) {
+        pad.setMode(c.mode, c.boundary);
+        SpadParams fp = p;
+        fp.mode = c.mode;
+        fp.partition_boundary = c.boundary;
+        stats::Group fresh_stats("fresh");
+        const Scratchpad fresh(fresh_stats, fp);
+        EXPECT_EQ(pad.configFingerprint(), fresh.configFingerprint());
+        seen.insert(pad.configFingerprint());
+    }
+    EXPECT_EQ(seen.size(), 4u) << "four distinct configurations";
 }
 
 } // namespace
