@@ -269,7 +269,7 @@ MemoizedExec::contextFlush(std::uint32_t core, Tick start,
         if (spad.holdsData())
             soc.mem().data().write(save_area, spad.rawRow(0), bytes);
         else
-            soc.mem().data().zeroFill(save_area, bytes);
+            soc.mem().data().fill(save_area, bytes, 0);
         spad.setIdRange(0, rows, World::normal);
         installIdFingerprints(*entry, tile);
         capture.apply(entry->deltas);

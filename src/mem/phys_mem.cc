@@ -95,21 +95,13 @@ PhysMem::fill(Addr addr, std::size_t n, std::uint8_t value)
     while (n > 0) {
         auto off = addr % page_size;
         auto chunk = std::min(n, page_size - off);
-        std::memset(pageFor(addr).data() + off, value, chunk);
-        addr += chunk;
-        n -= chunk;
-    }
-}
-
-void
-PhysMem::zeroFill(Addr addr, std::size_t n)
-{
-    while (n > 0) {
-        auto off = addr % page_size;
-        auto chunk = std::min(n, page_size - off);
-        const auto it = pages.find(addr / page_size);
-        if (it != pages.end())
+        if (value != 0) {
+            std::memset(pageFor(addr).data() + off, value, chunk);
+        } else if (auto it = pages.find(addr / page_size);
+                   it != pages.end()) {
+            // An absent page already reads as zeros: leave it absent.
             std::memset(it->second.data() + off, 0, chunk);
+        }
         addr += chunk;
         n -= chunk;
     }

@@ -45,15 +45,12 @@ class PhysMem
     void write64(Addr addr, std::uint64_t v) { write(addr, &v, 8); }
     std::uint64_t read64(Addr addr) const;
 
-    /** Fill [addr, addr+n) with @p value. */
-    void fill(Addr addr, std::size_t n, std::uint8_t value);
-
     /**
-     * Zero [addr, addr+n) without materializing a page: present
-     * pages are cleared, absent ones already read as zeros. Reads
-     * afterwards see exactly what fill(addr, n, 0) would leave.
+     * Fill [addr, addr+n) with @p value. A zero fill materializes no
+     * page: present pages are cleared, absent ones already read as
+     * zeros.
      */
-    void zeroFill(Addr addr, std::size_t n);
+    void fill(Addr addr, std::size_t n, std::uint8_t value);
 
     /** Number of pages materialized so far. */
     std::size_t touchedPages() const { return pages.size(); }

@@ -97,7 +97,7 @@ TEST(PhysMem, ZeroFillClearsPresentPagesOnly)
     ASSERT_EQ(mem.touchedPages(), 1u);
 
     // A range from mid page 0 to mid page 2.
-    mem.zeroFill(page / 2, 2 * page);
+    mem.fill(page / 2, 2 * page, 0);
     EXPECT_EQ(mem.touchedPages(), 1u);
     std::vector<std::uint8_t> out(3 * page, 0xff);
     mem.read(0, out.data(), out.size());
@@ -110,12 +110,12 @@ TEST(PhysMem, ZeroFillKeepsBytesOutsideTheRange)
 {
     PhysMem mem;
     mem.fill(0, 256, 0x5a);
-    mem.zeroFill(64, 128);
+    mem.fill(64, 128, 0);
     EXPECT_EQ(mem.read8(63), 0x5a);
     EXPECT_EQ(mem.read8(64), 0);
     EXPECT_EQ(mem.read8(191), 0);
     EXPECT_EQ(mem.read8(192), 0x5a);
-    mem.zeroFill(0, 0); // empty range: nothing happens
+    mem.fill(0, 0, 0); // empty range: nothing happens
     EXPECT_EQ(mem.read8(0), 0x5a);
 }
 
