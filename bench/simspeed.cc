@@ -435,6 +435,36 @@ decodeTenants()
 }
 
 /**
+ * One decode window of the BM_ServeWindowDecode shape; with
+ * @p faulted an armed fault plan that never fires rides along.
+ */
+void
+serveDecodeWindow(benchmark::State &state, bool faulted)
+{
+    for (auto _ : state) {
+        auto soc = buildSoc(SystemKind::snpu);
+        ServerConfig cfg;
+        cfg.num_cores = 2;
+        cfg.latency_hist_max = 4.0e7;
+        if (faulted) {
+            FaultSpec silent;
+            silent.site = FaultSite::dma_transfer;
+            silent.trigger = FaultTrigger::probability;
+            silent.probability = 0.0;
+            cfg.fault_injection = true;
+            cfg.fault_plan.faults.push_back(silent);
+        }
+        SnpuServer server(*soc, cfg);
+        ServeResult res = server.serve(decodeTenants());
+        if (!res.ok())
+            state.SkipWithError(res.error().c_str());
+        benchmark::DoNotOptimize(res.makespan);
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) * 2 * 2 * 8);
+}
+
+/**
  * A continuous-batching decode window (secure + normal tinygpt
  * tenant, 2 requests x 8 tokens each, 2 tiles): prefill plus
  * per-token re-enqueue, with every token paying a KV-cache
@@ -446,21 +476,23 @@ decodeTenants()
 void
 BM_ServeWindowDecode(benchmark::State &state)
 {
-    for (auto _ : state) {
-        auto soc = buildSoc(SystemKind::snpu);
-        ServerConfig cfg;
-        cfg.num_cores = 2;
-        cfg.latency_hist_max = 4.0e7;
-        SnpuServer server(*soc, cfg);
-        ServeResult res = server.serve(decodeTenants());
-        if (!res.ok())
-            state.SkipWithError(res.error().c_str());
-        benchmark::DoNotOptimize(res.makespan);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 2 * 2 * 8);
+    serveDecodeWindow(state, false);
 }
 BENCHMARK(BM_ServeWindowDecode);
+
+/**
+ * The BM_ServeWindowDecode window under an armed fault plan whose one
+ * spec never fires: an armed injector makes every memoized step
+ * bypass the timing cache, so each decode step runs live through the
+ * core, scratchpads, DMA and memory system. The benchmark
+ * workload llm_faults in micro form.
+ */
+void
+BM_ServeWindowDecodeFaulted(benchmark::State &state)
+{
+    serveDecodeWindow(state, true);
+}
+BENCHMARK(BM_ServeWindowDecodeFaulted);
 
 // ---------------------------------------------------------------
 // Paper-figure macro-benchmarks

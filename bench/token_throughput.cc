@@ -23,9 +23,12 @@
  *
  *  - the per-pool current/peak/allocated/freed counters must appear
  *    in the SoC's registry JSON (monitor_pool / serve_kv_pool);
- *  - a warm rerun of the cached guarder point must replay decode
- *    steps from core/timing_cache with a byte-identical registry
- *    JSON (skipped when SNPU_TIMING_CACHE=0).
+ *  - a warm rerun of the cached guarder point must reproduce the
+ *    first run's registry JSON byte for byte, and with the timing
+ *    cache on it must replay decode steps from core/timing_cache
+ *    (with SNPU_TIMING_CACHE=0 both runs are live and only the
+ *    registries are compared, so the output is the same in both
+ *    modes).
  *
  * Only serving-capable backends run by default (guarder, crypto,
  * passthrough — the TrustZone IOMMU strawman has no per-stream VA
@@ -278,28 +281,25 @@ main(int argc, char **argv)
     ok &= stats_ok;
 
     // Warm-replay parity: the same cached window twice in a row.
-    // The second run's decode steps replay from core/timing_cache
-    // (the KV-allocation charge is paid by the token transition,
-    // outside the memoized bracket), so the registries must agree byte for
-    // byte.
-    std::string parity = "skipped";
-    if (TimingCache::enabled()) {
-        TimingCache &cache = TimingCache::global();
-        const std::string live = registryDump(backends.front());
-        const std::uint64_t hits_before = cache.hits();
-        const std::string warm = registryDump(backends.front());
-        if (live.empty() || warm.empty())
-            return 1;
-        const bool hit = cache.hits() > hits_before;
-        parity = live == warm && hit ? "ok" : "MISMATCH";
-        std::printf("timing-cache warm replay (%s): %s%s\n",
-                    backends.front().c_str(), parity.c_str(),
-                    hit ? "" : " (warm run never hit the cache)");
-        ok &= parity == "ok";
-    } else {
-        std::printf("timing-cache warm replay: skipped "
-                    "(SNPU_TIMING_CACHE=0)\n");
-    }
+    // With the timing cache on, the second run's decode steps replay
+    // from core/timing_cache (the KV-allocation charge is paid by the
+    // token transition, outside the memoized bracket); with it off,
+    // both run live. Either way the registries must agree byte for
+    // byte; only the requirement that the second run hit the cache
+    // depends on the mode, so the output does not.
+    TimingCache &cache = TimingCache::global();
+    const std::string live = registryDump(backends.front());
+    const std::uint64_t hits_before = cache.hits();
+    const std::string warm = registryDump(backends.front());
+    if (live.empty() || warm.empty())
+        return 1;
+    const bool hit =
+        !TimingCache::enabled() || cache.hits() > hits_before;
+    const std::string parity = live == warm && hit ? "ok" : "MISMATCH";
+    std::printf("timing-cache warm replay (%s): %s%s\n",
+                backends.front().c_str(), parity.c_str(),
+                hit ? "" : " (warm run never hit the cache)");
+    ok &= parity == "ok";
 
     JsonReport report("token_throughput");
     report.table("points", table);

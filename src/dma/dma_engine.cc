@@ -234,18 +234,7 @@ DmaEngine::transferBatch(
         return result;
     }
 
-    // Per-stream state.
-    struct Stream
-    {
-        const DmaRequest *req;
-        std::vector<std::uint8_t> *buffer;
-        Translation req_xl;          // request-level translation
-        Addr first_pa = 0;           // PA of the first packet
-        std::uint32_t offset = 0;
-        bool prechecked = false;     // whole PA range passed once
-    };
-    std::vector<Stream> streams;
-    streams.reserve(reqs.size());
+    streams.clear();
 
     const bool per_request =
         control.granularity() == CheckGranularity::request;
@@ -293,8 +282,7 @@ DmaEngine::transferBatch(
     // when it drains. Translation requests enter the controller one
     // per cycle (t_req); packets issue to memory when their
     // translation is available and the issue pipeline has a slot.
-    std::vector<Stream *> live;
-    live.reserve(streams.size());
+    live.clear();
     for (Stream &s : streams)
         live.push_back(&s);
     Tick t_req = when;

@@ -153,12 +153,31 @@ class DmaEngine
         return res.ok;
     }
 
+    /** One request of a transferBatch() and its progress. */
+    struct Stream
+    {
+        const DmaRequest *req;
+        std::vector<std::uint8_t> *buffer;
+        Translation req_xl;          // request-level translation
+        Addr first_pa = 0;           // PA of the first packet
+        std::uint32_t offset = 0;
+        bool prechecked = false;     // whole PA range passed once
+    };
+
     MemSystem &mem;
     ProtectionBackend &control;
     DmaParams params;
     FaultInjector *faults = nullptr;
     Tracer tracer;
     std::string trace_name;
+    /**
+     * transferBatch() scratch: every stream, then the ones still
+     * moving bytes. Cleared per batch and never shrunk, so a batch
+     * allocates nothing once they have grown; the engine is driven
+     * by one thread.
+     */
+    std::vector<Stream> streams;
+    std::vector<Stream *> live;
 
     stats::Scalar requests;
     stats::Scalar packets_issued;

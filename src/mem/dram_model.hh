@@ -62,16 +62,24 @@ class DramModel
         queue_delay.sample(static_cast<double>(start - when));
 
         // Transfer time with sub-cycle carry so long streams achieve
-        // the exact configured bandwidth.
-        carry_bytes += static_cast<double>(bytes);
-        Tick transfer =
-            static_cast<Tick>(carry_bytes / params.bytes_per_cycle);
-        if (transfer == 0)
-            transfer = 1;
-        carry_bytes -=
-            static_cast<double>(transfer) * params.bytes_per_cycle;
-        if (carry_bytes < 0)
-            carry_bytes = 0;
+        // the exact configured bandwidth. The step is a pure function
+        // of (carry in, bytes), so the last result is reused when both
+        // repeat: at a rate that divides the line size the carry stays
+        // 0 and every line takes the memo instead of the division.
+        if (carry_bytes != step_carry_in || bytes != step_bytes) {
+            step_carry_in = carry_bytes;
+            step_bytes = bytes;
+            double carry = carry_bytes + static_cast<double>(bytes);
+            step_transfer =
+                static_cast<Tick>(carry / params.bytes_per_cycle);
+            if (step_transfer == 0)
+                step_transfer = 1;
+            carry -= static_cast<double>(step_transfer) *
+                     params.bytes_per_cycle;
+            step_carry_out = carry < 0 ? 0.0 : carry;
+        }
+        const Tick transfer = step_transfer;
+        carry_bytes = step_carry_out;
 
         next_free = start + transfer;
         busy_cycles += transfer;
@@ -111,6 +119,15 @@ class DramModel
     Tick next_free = 0;
     /** Fractional-cycle accumulator so bandwidth is exact. */
     double carry_bytes = 0.0;
+    /**
+     * The last channel step, (step_carry_in, step_bytes) ->
+     * (step_transfer, step_carry_out). step_bytes 0 marks it empty
+     * (a zero-byte access panics before the step).
+     */
+    double step_carry_in = 0.0;
+    std::uint32_t step_bytes = 0;
+    Tick step_transfer = 0;
+    double step_carry_out = 0.0;
     /** Odometer of transfer cycles (see busyCycles()). */
     Tick busy_cycles = 0;
 

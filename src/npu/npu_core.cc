@@ -98,18 +98,6 @@ NpuCore::fail(ExecResult &res, const std::string &why, StatusCode code)
     tracer.emit(0, TraceCategory::security, trace_name, why);
 }
 
-bool
-NpuCore::commitRanges(std::span<const RowRange> ranges)
-{
-    for (const RowRange &r : ranges) {
-        if (!r.pad.rangeAllowed(world, r.first, r.count, r.is_write))
-            return false;
-    }
-    for (const RowRange &r : ranges)
-        r.pad.commitRange(world, r.first, r.count, r.is_write);
-    return true;
-}
-
 std::size_t
 NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
                        std::size_t batch_stop, Tick &dma_t,
@@ -117,39 +105,40 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
 {
     // Gather up to `channels` consecutive loads, never extending
     // past a tile/layer boundary index (flush points must fire in
-    // order, so a boundary instruction ends its batch).
-    const std::uint32_t limit = params.dma.channels;
-    std::vector<const Instr *> group;
+    // order, so a boundary instruction ends its batch). The batch
+    // is code[pc, end); its requests, buffers and ranges reuse the
+    // core's scratch vectors, so a batch allocates nothing.
+    const std::size_t limit =
+        std::min<std::size_t>(program.code.size(),
+                              pc + params.dma.channels);
     std::size_t end = pc;
-    while (end < program.code.size() && group.size() < limit) {
+    while (end < limit) {
         const Opcode op = program.code[end].op;
         if (op != Opcode::mvin && op != Opcode::mvin_weight)
             break;
-        group.push_back(&program.code[end]);
-        if (end == batch_stop) {
-            ++end;
+        if (end++ == batch_stop)
             break;
-        }
-        ++end;
     }
-    if (group.empty())
+    const std::size_t n = end - pc;
+    if (n == 0)
         return 0;
+    instructions += static_cast<double>(n - 1); // first counted by caller
 
-    std::vector<DmaRequest> reqs;
-    std::vector<std::vector<std::uint8_t>> storage(
-        params.timing_only ? 0 : group.size());
-    std::vector<std::vector<std::uint8_t> *> buffers;
-    reqs.reserve(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-        const Instr &in = *group[i];
-        DmaRequest req{in.vaddr, in.rows * params.spad_row_bytes,
-                       MemOp::read, world};
-        reqs.push_back(req);
-        buffers.push_back(params.timing_only ? nullptr : &storage[i]);
-        instructions += i > 0 ? 1 : 0; // first counted by caller
+    batch_reqs.clear();
+    batch_buffers.clear();
+    if (!params.timing_only && batch_storage.size() < n)
+        batch_storage.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Instr &in = program.code[pc + i];
+        batch_reqs.push_back(DmaRequest{in.vaddr,
+                                        in.rows * params.spad_row_bytes,
+                                        MemOp::read, world});
+        batch_buffers.push_back(params.timing_only ? nullptr
+                                                   : &batch_storage[i]);
     }
 
-    DmaResult dres = dma_engine->transferBatch(dma_t, reqs, buffers);
+    DmaResult dres =
+        dma_engine->transferBatch(dma_t, batch_reqs, batch_buffers);
     if (!dres.ok) {
         if (dres.fault) {
             fail(res, "mvin DMA transfer faulted (injected)",
@@ -163,19 +152,20 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
 
     bool ranged = false;
     if (params.timing_only) {
-        std::vector<RowRange> ranges;
-        ranges.reserve(group.size());
-        for (const Instr *in : group)
-            ranges.push_back({*spad, in->spad_row, in->rows, true});
-        ranged = commitRanges(ranges);
+        batch_ranges.clear();
+        for (std::size_t i = pc; i < end; ++i) {
+            const Instr &in = program.code[i];
+            batch_ranges.push_back({*spad, in.spad_row, in.rows, true});
+        }
+        ranged = commitRanges(batch_ranges);
     }
-    for (std::size_t i = 0; !ranged && i < group.size(); ++i) {
-        const Instr &in = *group[i];
+    for (std::size_t i = 0; !ranged && i < n; ++i) {
+        const Instr &in = program.code[pc + i];
         for (std::uint32_t r = 0; r < in.rows; ++r) {
             const std::uint8_t *src =
                 params.timing_only
                     ? nullptr
-                    : storage[i].data() +
+                    : batch_storage[i].data() +
                           static_cast<std::size_t>(r) *
                               params.spad_row_bytes;
             if (spad->write(world, in.spad_row + r, src) !=
@@ -187,7 +177,7 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
         }
     }
     dma_t = dres.done;
-    return group.size();
+    return n;
 }
 
 bool

@@ -19,6 +19,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "dma/dma_engine.hh"
 #include "mem/mem_system.hh"
@@ -150,8 +151,21 @@ class NpuCore
      * access's wordlines in parallel) and return true. Otherwise
      * change nothing and return false; the caller then runs its
      * per-row loop, which reports the first denied row exactly.
+     * Forced inline: every timing-only load batch, preload and
+     * compute commits through it, and inlined into a caller with a
+     * fixed range list it folds to straight-line checks.
      */
-    bool commitRanges(std::span<const RowRange> ranges);
+    [[gnu::always_inline]] bool
+    commitRanges(std::span<const RowRange> ranges)
+    {
+        for (const RowRange &r : ranges) {
+            if (!r.pad.rangeAllowed(world, r.first, r.count, r.is_write))
+                return false;
+        }
+        for (const RowRange &r : ranges)
+            r.pad.commitRange(world, r.first, r.count, r.is_write);
+        return true;
+    }
 
     /**
      * Execute a group of consecutive load instructions as parallel
@@ -193,6 +207,16 @@ class NpuCore
     NocFabric *noc_fabric = nullptr;
     SoftwareNoc *software_noc = nullptr;
     FaultInjector *faults = nullptr;
+
+    /**
+     * execLoadBatch() scratch, cleared per batch and never shrunk, so
+     * a load batch allocates nothing once the vectors have grown to
+     * the channel count. The core runs on one thread.
+     */
+    std::vector<DmaRequest> batch_reqs;
+    std::vector<std::vector<std::uint8_t>> batch_storage;
+    std::vector<std::vector<std::uint8_t> *> batch_buffers;
+    std::vector<RowRange> batch_ranges;
 
     Activation activation = Activation::none;
     Tracer tracer;

@@ -85,13 +85,14 @@ SystolicArray::SystolicArray(SystolicParams params)
 }
 
 void
-SystolicArray::preload(const std::int8_t *w)
+SystolicArray::loadWeights(const std::int8_t *w)
 {
     if (w) {
         std::memcpy(weights.data(), w, weights.size());
     } else {
         std::memset(weights.data(), 0, weights.size());
     }
+    zero_weights = !w;
 }
 
 void

@@ -55,9 +55,17 @@ class SystolicArray
 
     /**
      * Functionally preload weights from a row-major int8 buffer of
-     * dim*dim elements (may be null in timing-only mode).
+     * dim*dim elements (may be null in timing-only mode: the tile
+     * is zeros). A timing-only core preloads null tiles back to back,
+     * and the array already holds zeros after the first, so those
+     * cost one branch.
      */
-    void preload(const std::int8_t *weights);
+    void
+    preload(const std::int8_t *weights)
+    {
+        if (weights || !zero_weights)
+            loadWeights(weights);
+    }
 
     /**
      * Functionally compute one activation row (dim int8 values, the
@@ -71,8 +79,12 @@ class SystolicArray
                     std::int32_t *acc, bool accumulate) const;
 
   private:
+    /** Copy in @p w, or zero the tile when it is null. */
+    void loadWeights(const std::int8_t *w);
+
     SystolicParams params;
     std::vector<std::int8_t> weights; // dim*dim, row-major
+    bool zero_weights = true;         // every weight is 0
 };
 
 } // namespace snpu

@@ -47,8 +47,17 @@ FaultInjector::FaultInjector(FaultPlan plan)
     : _plan(std::move(plan)), rng(_plan.seed),
       fires_per_spec(_plan.faults.size(), 0)
 {
+    // Counting sort of the spec indices by site, stable in plan order.
     for (const FaultSpec &spec : _plan.faults)
-        targeted[static_cast<std::size_t>(spec.site)] = true;
+        ++site_begin[static_cast<std::size_t>(spec.site) + 1];
+    for (std::size_t s = 0; s < fault_site_count; ++s)
+        site_begin[s + 1] += site_begin[s];
+    site_specs.resize(_plan.faults.size());
+    auto next = site_begin;
+    for (std::size_t i = 0; i < _plan.faults.size(); ++i) {
+        const auto s = static_cast<std::size_t>(_plan.faults[i].site);
+        site_specs[next[s]++] = static_cast<std::uint32_t>(i);
+    }
 }
 
 std::uint64_t
@@ -58,12 +67,9 @@ FaultInjector::occurrences(FaultSite site) const
 }
 
 void
-FaultInjector::skip(FaultSite site, std::uint64_t n)
+FaultInjector::skipArmed(FaultSite site) const
 {
-    if (targets(site))
-        panic("FaultInjector::skip: site ", faultSiteName(site),
-              " is armed");
-    counts[static_cast<std::size_t>(site)] += n;
+    panic("FaultInjector::skip: site ", faultSiteName(site), " is armed");
 }
 
 void
@@ -76,15 +82,13 @@ FaultInjector::reset()
 }
 
 bool
-FaultInjector::shouldInject(FaultSite site, Tick now)
+FaultInjector::probeArmed(FaultSite site, Tick now, std::uint64_t occ)
 {
-    const std::uint64_t occ = ++counts[static_cast<std::size_t>(site)];
-
     bool fire = false;
-    for (std::size_t i = 0; i < _plan.faults.size(); ++i) {
+    const auto s = static_cast<std::size_t>(site);
+    for (std::uint32_t k = site_begin[s]; k < site_begin[s + 1]; ++k) {
+        const std::uint32_t i = site_specs[k];
         const FaultSpec &spec = _plan.faults[i];
-        if (spec.site != site)
-            continue;
         if (spec.max_fires != 0 &&
             fires_per_spec[i] >= spec.max_fires) {
             continue;

@@ -149,8 +149,15 @@ class FaultInjector
     /**
      * Probe a site at simulated time @p now. Sites with no natural
      * timebase pass 0 (tick-window triggers then never match them).
+     * Inline: a probe of a site the plan does not target only counts
+     * the occurrence, and a per-row scratchpad read probes twice.
      */
-    bool shouldInject(FaultSite site, Tick now);
+    bool
+    shouldInject(FaultSite site, Tick now)
+    {
+        const std::uint64_t occ = ++counts[static_cast<std::size_t>(site)];
+        return targets(site) && probeArmed(site, now, occ);
+    }
 
     /** Occurrences probed so far at @p site (fired or not). */
     std::uint64_t occurrences(FaultSite site) const;
@@ -158,7 +165,8 @@ class FaultInjector
     /** Whether any spec of the plan arms @p site. */
     bool targets(FaultSite site) const
     {
-        return targeted[static_cast<std::size_t>(site)];
+        const auto s = static_cast<std::size_t>(site);
+        return site_begin[s] != site_begin[s + 1];
     }
 
     /**
@@ -166,9 +174,16 @@ class FaultInjector
      * @p n shouldInject() calls would: none of them can fire or draw
      * from the Rng. Lets a batched access (e.g. a scratchpad range)
      * keep occurrences() exact without probing row by row. Panics
-     * if the plan targets @p site.
+     * if the plan targets @p site. Inline: a scratchpad read range
+     * calls it twice.
      */
-    void skip(FaultSite site, std::uint64_t n);
+    void
+    skip(FaultSite site, std::uint64_t n)
+    {
+        if (targets(site)) [[unlikely]]
+            skipArmed(site);
+        counts[static_cast<std::size_t>(site)] += n;
+    }
 
     /** Every fault that fired, in firing order. */
     const std::vector<FaultRecord> &fired() const { return log; }
@@ -182,10 +197,25 @@ class FaultInjector
     const FaultPlan &plan() const { return _plan; }
 
   private:
+    /**
+     * shouldInject() at a targeted site, whose occurrence @p occ is
+     * already counted: evaluate every spec of the site.
+     */
+    bool probeArmed(FaultSite site, Tick now, std::uint64_t occ);
+
+    /** skip() on an armed site: panics. */
+    [[noreturn]] void skipArmed(FaultSite site) const;
+
     FaultPlan _plan;
     Rng rng;
     std::array<std::uint64_t, fault_site_count> counts{};
-    std::array<bool, fault_site_count> targeted{};
+    /**
+     * Plan spec indices grouped by site, in plan order within a site:
+     * site s owns site_specs[site_begin[s], site_begin[s + 1]), so a
+     * probe visits only its own specs.
+     */
+    std::vector<std::uint32_t> site_specs;
+    std::array<std::uint32_t, fault_site_count + 1> site_begin{};
     std::vector<std::uint32_t> fires_per_spec;
     std::vector<FaultRecord> log;
 };

@@ -18,12 +18,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -31,20 +25,6 @@ Rng::Rng(std::uint64_t seed)
     std::uint64_t x = seed;
     for (auto &word : s)
         word = splitmix64(x);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-    return result;
 }
 
 std::uint64_t
@@ -71,18 +51,6 @@ Rng::range(std::int64_t lo, std::int64_t hi)
     if (span == 0)
         return static_cast<std::int64_t>(next());
     return lo + static_cast<std::int64_t>(below(span));
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    return uniform() < p;
 }
 
 } // namespace snpu

@@ -37,21 +37,6 @@ Scratchpad::attachTrace(TraceSink *sink, const std::string &who)
     }
 }
 
-bool
-Scratchpad::partitionAllows(World w, std::uint32_t row) const
-{
-    // Secure world owns [0, boundary); normal world the rest.
-    if (w == World::secure)
-        return row < params.partition_boundary;
-    return row >= params.partition_boundary;
-}
-
-bool
-Scratchpad::rowsInRange(std::uint32_t first, std::uint32_t count) const
-{
-    return first <= params.rows && count <= params.rows - first;
-}
-
 std::uint8_t *
 Scratchpad::ensureData()
 {
@@ -196,77 +181,6 @@ Scratchpad::write(World writer, std::uint32_t row, const std::uint8_t *src)
                     src, params.row_bytes);
     }
     return SpadStatus::ok;
-}
-
-bool
-Scratchpad::rangeAllowed(World world, std::uint32_t first,
-                         std::uint32_t count, bool is_write) const
-{
-    if (!rowsInRange(first, count))
-        return false;
-    if (!is_write && faults &&
-        (faults->targets(FaultSite::spad_id_mismatch) ||
-         faults->targets(FaultSite::spad_bit_flip))) {
-        return false;
-    }
-    if (count == 0)
-        return true;
-
-    const auto ids = id_state.begin() + first;
-    switch (params.mode) {
-      case IsolationMode::none:
-        return true;
-      case IsolationMode::partition:
-        // Each world owns one contiguous side of the boundary.
-        return partitionAllows(world, first) &&
-               partitionAllows(world, first + count - 1);
-      case IsolationMode::id_based:
-        if (params.scope == SpadScope::local) {
-            // Forced writes always pass; reads need every ID to match.
-            return is_write ||
-                   std::all_of(ids, ids + count,
-                               [world](World w) { return w == world; });
-        }
-        // Global: only a normal-world access is ever denied, by any
-        // secure line in range.
-        return world == World::secure ||
-               std::find(ids, ids + count, World::secure) == ids + count;
-    }
-    return false;
-}
-
-void
-Scratchpad::commitRange(World world, std::uint32_t first,
-                        std::uint32_t count, bool is_write)
-{
-    if (is_write) {
-        writes += count;
-    } else {
-        reads += count;
-        if (faults) {
-            faults->skip(FaultSite::spad_id_mismatch, count);
-            faults->skip(FaultSite::spad_bit_flip, count);
-        }
-    }
-
-    // Local writes force the writer's ID; under the global rule any
-    // approved secure access claims its lines. Nothing else moves IDs.
-    const bool local = params.scope == SpadScope::local;
-    if (params.mode == IsolationMode::id_based &&
-        (local ? is_write : world == World::secure)) {
-        const auto ids = id_state.begin() + first;
-        id_flips += count - std::count(ids, ids + count, world);
-        if (!is_write && recording) {
-            for (std::uint32_t row = first; row < first + count; ++row) {
-                if (id_state[row] != world)
-                    recordWrite(row); // secure read claims the line
-            }
-        }
-        std::fill(ids, ids + count, world);
-        id_fp_valid = false;
-    }
-    if (is_write)
-        recordRange(first, count);
 }
 
 bool

@@ -22,6 +22,7 @@
 #ifndef SNPU_SPAD_SCRATCHPAD_HH
 #define SNPU_SPAD_SCRATCHPAD_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -96,20 +97,94 @@ class Scratchpad
      * the isolation rule, and — for reads — no armed fault plan
      * targeting a scratchpad site (those must be probed row by row).
      * The hardware compares a whole access's wordline IDs in
-     * parallel; this is that check, with no side effects.
+     * parallel; this is that check, with no side effects. Forced
+     * inline (GCC otherwise keeps it out of line): the core checks
+     * each instruction's rows through it, mostly with a constant
+     * @p is_write.
      */
-    bool rangeAllowed(World world, std::uint32_t first,
-                      std::uint32_t count, bool is_write) const;
+    [[gnu::always_inline]] bool
+    rangeAllowed(World world, std::uint32_t first, std::uint32_t count,
+                 bool is_write) const
+    {
+        if (!rowsInRange(first, count))
+            return false;
+        if (!is_write && read_probes)
+            return false;
+        if (count == 0)
+            return true;
+
+        const auto ids = id_state.begin() + first;
+        switch (params.mode) {
+          case IsolationMode::none:
+            return true;
+          case IsolationMode::partition:
+            // Each world owns one contiguous side of the boundary.
+            return partitionAllows(world, first) &&
+                   partitionAllows(world, first + count - 1);
+          case IsolationMode::id_based:
+            if (params.scope == SpadScope::local) {
+                // Forced writes always pass; reads need every ID to
+                // match.
+                return is_write ||
+                       std::all_of(ids, ids + count,
+                                   [world](World w) { return w == world; });
+            }
+            // Global: only a normal-world access is ever denied, by
+            // any secure line in range.
+            return world == World::secure ||
+                   std::find(ids, ids + count, World::secure) ==
+                       ids + count;
+        }
+        return false;
+    }
 
     /**
      * Perform the @p count data-free row accesses rangeAllowed()
      * approved, with exactly the effects of @p count read(…, nullptr)
      * / write(…, nullptr) calls: access, ID-flip and fault-occurrence
      * counts, ID transitions (including a secure global read claiming
-     * its lines) and the write record.
+     * its lines) and the write record. Forced inline, as
+     * rangeAllowed() is.
      */
-    void commitRange(World world, std::uint32_t first,
-                     std::uint32_t count, bool is_write);
+    [[gnu::always_inline]] void
+    commitRange(World world, std::uint32_t first, std::uint32_t count,
+                bool is_write)
+    {
+        if (is_write) {
+            writes += count;
+        } else {
+            reads += count;
+            if (faults) {
+                faults->skip(FaultSite::spad_id_mismatch, count);
+                faults->skip(FaultSite::spad_bit_flip, count);
+            }
+        }
+
+        // Local writes force the writer's ID; under the global rule
+        // any approved secure access claims its lines. Nothing else
+        // moves IDs, and a range that already holds @p world's ID
+        // leaves the image (and its fingerprint) as it was.
+        const bool local = params.scope == SpadScope::local;
+        if (params.mode == IsolationMode::id_based &&
+            (local ? is_write : world == World::secure)) {
+            const auto ids = id_state.begin() + first;
+            const auto flips = count - std::count(ids, ids + count, world);
+            if (flips > 0) {
+                id_flips += static_cast<double>(flips);
+                if (!is_write && recording) {
+                    for (std::uint32_t row = first; row < first + count;
+                         ++row) {
+                        if (id_state[row] != world)
+                            recordWrite(row); // secure read claims it
+                    }
+                }
+                std::fill(ids, ids + count, world);
+                id_fp_valid = false;
+            }
+        }
+        if (is_write)
+            recordRange(first, count);
+    }
 
     /**
      * Secure instruction: reset rows [first, first+count) from secure
@@ -216,7 +291,13 @@ class Scratchpad
      * flipped before the read copies it out — silent corruption).
      * The scratchpad has no timebase, so both probe with tick 0.
      */
-    void armFaults(FaultInjector *inj) { faults = inj; }
+    void
+    armFaults(FaultInjector *inj)
+    {
+        faults = inj;
+        read_probes = inj && (inj->targets(FaultSite::spad_id_mismatch) ||
+                              inj->targets(FaultSite::spad_bit_flip));
+    }
 
     /** Bits flipped by injected spad_bit_flip faults. */
     std::uint64_t corruptions() const
@@ -234,9 +315,20 @@ class Scratchpad
     void attachTrace(TraceSink *sink, const std::string &who);
 
   private:
-    bool partitionAllows(World w, std::uint32_t row) const;
+    bool
+    partitionAllows(World w, std::uint32_t row) const
+    {
+        // Secure world owns [0, boundary); normal world the rest.
+        if (w == World::secure)
+            return row < params.partition_boundary;
+        return row >= params.partition_boundary;
+    }
+    bool
+    rowsInRange(std::uint32_t first, std::uint32_t count) const
+    {
+        return first <= params.rows && count <= params.rows - first;
+    }
     void updateConfigFingerprint();
-    bool rowsInRange(std::uint32_t first, std::uint32_t count) const;
     std::uint8_t *ensureData();
     void recordWrite(std::uint32_t row)
     {
@@ -263,6 +355,12 @@ class Scratchpad
     std::vector<std::uint8_t> write_mark; // lazily sized to rows
     std::vector<std::uint32_t> written_rows;
     FaultInjector *faults = nullptr;
+    /**
+     * The armed plan targets a read-probed site (spad_id_mismatch or
+     * spad_bit_flip), so every read must probe row by row. Set once
+     * by armFaults(): a plan's targets never change.
+     */
+    bool read_probes = false;
     Tracer tracer;
     std::string trace_name;
 

@@ -431,5 +431,87 @@ TEST_F(DmaFixture, BatchMatchesPerPacketReference)
     }
 }
 
+/**
+ * transferBatch() keeps its per-stream state in engine scratch that
+ * outlives the call. Batches of different shapes, including one that
+ * stops mid-stream with streams still live, run one after another on
+ * one engine; each must match the same batch on a fresh engine and
+ * memory system, down to the stat tree.
+ */
+TEST_F(DmaFixture, BatchScratchReuseMatchesFreshEngine)
+{
+    const auto read = [](Addr va, std::uint32_t bytes) {
+        return DmaRequest{va, bytes, MemOp::read, World::normal};
+    };
+    const auto write = [](Addr va, std::uint32_t bytes) {
+        return DmaRequest{va, bytes, MemOp::write, World::normal};
+    };
+    const Addr secure = mem.map().secureRegion().base;
+    struct Batch
+    {
+        const char *what;
+        CheckGranularity gran;
+        std::vector<DmaRequest> reqs;
+        bool ok;
+    };
+    const Batch batches[] = {
+        {"four streams", CheckGranularity::request,
+         {read(base, 4096), write(base + 0x20000, 700),
+          read(base + 0x30000, 64), read(base + 0x40000, 2000)},
+         true},
+        {"one stream", CheckGranularity::request,
+         {read(base + 0x50000, 1000)}, true},
+        {"denied mid-stream", CheckGranularity::request,
+         {read(base, 2048), read(secure - 2 * 64, 512),
+          write(base + 0x8000, 1024)},
+         false},
+        {"packet-granular", CheckGranularity::packet,
+         {read(base + page_bytes - 100, 500), write(base + 0x9000, 300)},
+         true},
+    };
+
+    stats::Group reused_stats("g");
+    MemSystem reused_mem(reused_stats);
+    MockControl reused_ctrl;
+    DmaEngine reused(reused_stats, reused_mem, reused_ctrl);
+    for (const Batch &b : batches) {
+        SCOPED_TRACE(b.what);
+        std::vector<std::vector<std::uint8_t>> got_data(b.reqs.size());
+        std::vector<std::vector<std::uint8_t>> want_data(b.reqs.size());
+        std::vector<std::vector<std::uint8_t> *> got_bufs;
+        std::vector<std::vector<std::uint8_t> *> want_bufs;
+        for (std::size_t i = 0; i < b.reqs.size(); ++i) {
+            got_data[i].assign(b.reqs[i].bytes, 0x5a);
+            want_data[i].assign(b.reqs[i].bytes, 0x5a);
+            got_bufs.push_back(&got_data[i]);
+            want_bufs.push_back(&want_data[i]);
+        }
+
+        reused_mem.canonicalizeTiming();
+        reused_stats.resetAll();
+        reused_ctrl.gran = b.gran;
+        const DmaResult got = reused.transferBatch(7, b.reqs, got_bufs);
+
+        stats::Group fresh_stats("g");
+        MemSystem fresh_mem(fresh_stats);
+        MockControl fresh_ctrl;
+        fresh_ctrl.gran = b.gran;
+        DmaEngine fresh(fresh_stats, fresh_mem, fresh_ctrl);
+        const DmaResult want = fresh.transferBatch(7, b.reqs, want_bufs);
+
+        EXPECT_EQ(want.ok, b.ok);
+        EXPECT_EQ(got.ok, want.ok);
+        EXPECT_EQ(got.fault, want.fault);
+        EXPECT_EQ(got.done, want.done);
+        EXPECT_EQ(got.packets, want.packets);
+        EXPECT_EQ(got_data, want_data);
+        std::ostringstream got_json;
+        std::ostringstream want_json;
+        reused_stats.dumpJson(got_json);
+        fresh_stats.dumpJson(want_json);
+        EXPECT_EQ(got_json.str(), want_json.str());
+    }
+}
+
 } // namespace
 } // namespace snpu

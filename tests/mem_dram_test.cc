@@ -3,6 +3,10 @@
  * Unit and property tests for the DRAM bandwidth model.
  */
 
+#include <algorithm>
+#include <iterator>
+#include <sstream>
+
 #include <gtest/gtest.h>
 
 #include "mem/dram_model.hh"
@@ -95,6 +99,111 @@ TEST(Dram, FractionalBandwidthConserved)
         static_cast<double>(total) / static_cast<double>(dram.nextFree());
     EXPECT_NEAR(bpc, 6.4, 0.1);
 }
+
+/**
+ * The channel step as it was before DramModel memoized it: every
+ * access runs the carry arithmetic. Same stat names as DramModel, so
+ * the two groups' JSON can be compared directly.
+ */
+class ReferenceDram
+{
+  public:
+    ReferenceDram(stats::Group &stats, DramParams params)
+        : params(params),
+          reads(stats, "dram_reads", "DRAM read requests"),
+          writes(stats, "dram_writes", "DRAM write requests"),
+          bytes_moved(stats, "dram_bytes", "bytes moved over the channel"),
+          queue_delay(stats, "dram_queue_delay",
+                      "cycles spent waiting for the channel")
+    {}
+
+    Tick
+    access(Tick when, std::uint32_t bytes, MemOp op)
+    {
+        if (op == MemOp::read)
+            ++reads;
+        else
+            ++writes;
+        bytes_moved += bytes;
+        const Tick start = std::max(when, next_free);
+        queue_delay.sample(static_cast<double>(start - when));
+        carry_bytes += static_cast<double>(bytes);
+        Tick transfer =
+            static_cast<Tick>(carry_bytes / params.bytes_per_cycle);
+        if (transfer == 0)
+            transfer = 1;
+        carry_bytes -=
+            static_cast<double>(transfer) * params.bytes_per_cycle;
+        if (carry_bytes < 0)
+            carry_bytes = 0;
+        next_free = start + transfer;
+        busy_cycles += transfer;
+        return start + params.access_latency + transfer;
+    }
+
+    Tick nextFree() const { return next_free; }
+    Tick busyCycles() const { return busy_cycles; }
+    void reset() { next_free = 0; carry_bytes = 0.0; }
+    void rebase(Tick free_at) { next_free = std::max(next_free, free_at); }
+
+  private:
+    DramParams params;
+    Tick next_free = 0;
+    double carry_bytes = 0.0;
+    Tick busy_cycles = 0;
+    stats::Scalar reads;
+    stats::Scalar writes;
+    stats::Scalar bytes_moved;
+    stats::Average queue_delay;
+};
+
+class DramStepMemoTest : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(DramStepMemoTest, MatchesUnmemoizedArithmetic)
+{
+    DramParams params;
+    params.bytes_per_cycle = GetParam();
+    stats::Group got_stats("g");
+    stats::Group want_stats("g");
+    DramModel got(got_stats, params);
+    ReferenceDram want(want_stats, params);
+
+    // Runs of one size (the memo hits) broken by other sizes (it
+    // misses, then hits again), with the odd reset() or rebase().
+    const std::uint32_t sizes[] = {64, 64, 64, 32, 128, 8, 1, 100};
+    Rng rng(0xd7a3 + static_cast<std::uint64_t>(params.bytes_per_cycle));
+    Tick when = 0;
+    std::uint32_t bytes = 64;
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t roll = rng.below(1000);
+        if (roll < 3) {
+            got.reset();
+            want.reset();
+        } else if (roll < 6) {
+            const Tick free_at = when + rng.below(300);
+            got.rebase(free_at);
+            want.rebase(free_at);
+        } else if (roll < 100) {
+            bytes = sizes[rng.below(std::size(sizes))];
+        }
+        when += rng.below(6);
+        const MemOp op = rng.below(4) == 0 ? MemOp::write : MemOp::read;
+        ASSERT_EQ(got.access(when, bytes, op), want.access(when, bytes, op))
+            << "access " << i << " of " << bytes << " B";
+        ASSERT_EQ(got.nextFree(), want.nextFree()) << "access " << i;
+        ASSERT_EQ(got.busyCycles(), want.busyCycles()) << "access " << i;
+    }
+    std::ostringstream got_json;
+    std::ostringstream want_json;
+    got_stats.dumpJson(got_json);
+    want_stats.dumpJson(want_json);
+    EXPECT_EQ(got_json.str(), want_json.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Rates, DramStepMemoTest,
+                         ::testing::Values(16.0, 8.0, 6.4, 12.8));
 
 class DramPropertyTest : public ::testing::TestWithParam<std::uint64_t>
 {

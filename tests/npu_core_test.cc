@@ -350,6 +350,104 @@ TEST_F(CoreFixture, TimingOnlyModeSkipsData)
     EXPECT_GT(res.cycles(), 0u);
 }
 
+/**
+ * A program with a four-load batch, a one-load batch, both compute
+ * forms and a store: every scratch vector the core and its DMA engine
+ * reuse across batches.
+ */
+NpuProgram
+reuseProgram(Addr base)
+{
+    NpuProgram prog;
+    const auto load = [&](Opcode op, Addr va, std::uint32_t row) {
+        Instr in;
+        in.op = op;
+        in.vaddr = va;
+        in.spad_row = row;
+        in.rows = 16;
+        prog.code.push_back(in);
+    };
+    load(Opcode::mvin, base, 0);
+    load(Opcode::mvin, base + 0x100, 16);
+    load(Opcode::mvin_weight, base + 0x1000, 200);
+    load(Opcode::mvin_weight, base + 0x1100, 216);
+    for (std::uint32_t kt = 0; kt < 2; ++kt) {
+        Instr preload;
+        preload.op = Opcode::preload;
+        preload.spad_row = 200 + kt * 16;
+        prog.code.push_back(preload);
+        Instr compute;
+        compute.op = Opcode::compute;
+        compute.spad_row = kt * 16;
+        compute.rows = 16;
+        compute.k = 16;
+        compute.accumulate = kt > 0;
+        prog.code.push_back(compute);
+    }
+    Instr fence;
+    fence.op = Opcode::fence;
+    prog.code.push_back(fence);
+    load(Opcode::mvin, base + 0x2000, 32);
+    Instr st;
+    st.op = Opcode::mvout;
+    st.vaddr = base + 0x4000;
+    st.rows = 16;
+    prog.code.push_back(st);
+    return prog;
+}
+
+void
+expectSameResult(const ExecResult &got, const ExecResult &want)
+{
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.status.code(), want.status.code());
+    EXPECT_EQ(got.error(), want.error());
+    EXPECT_EQ(got.mac_busy, want.mac_busy);
+    EXPECT_EQ(got.macs, want.macs);
+    EXPECT_EQ(got.violations, want.violations);
+    EXPECT_EQ(got.flush_cycles, want.flush_cycles);
+}
+
+TEST_F(CoreFixture, RerunOnOneCoreRepeatsResult)
+{
+    Rng rng(11);
+    std::vector<std::uint8_t> input(0x2100);
+    for (auto &v : input)
+        v = static_cast<std::uint8_t>(rng.below(256));
+    mem.data().write(base, input.data(), input.size());
+
+    const NpuProgram prog = reuseProgram(base);
+    const ExecResult first = core->run(100, prog, ExecOptions{});
+    ASSERT_TRUE(first.ok()) << first.error();
+    std::vector<std::uint8_t> first_out(16 * 16);
+    mem.data().read(base + 0x4000, first_out.data(), first_out.size());
+
+    mem.canonicalizeTiming();
+    mem.data().fill(base + 0x4000, first_out.size(), 0);
+    const ExecResult second = core->run(100, prog, ExecOptions{});
+    expectSameResult(second, first);
+    std::vector<std::uint8_t> second_out(first_out.size());
+    mem.data().read(base + 0x4000, second_out.data(), second_out.size());
+    EXPECT_EQ(second_out, first_out);
+
+    // The timing-only core takes the range-commit path instead.
+    stats::Group stats2("g2");
+    MemSystem mem2(stats2);
+    PassThroughControl pass2;
+    NpuCoreParams p;
+    p.timing_only = true;
+    p.spad_rows = 1024;
+    p.acc_rows = 256;
+    NpuCore core2(stats2, mem2, pass2, p);
+    const NpuProgram prog2 =
+        reuseProgram(mem2.map().npuArena(World::normal).base);
+    const ExecResult t_first = core2.run(100, prog2, ExecOptions{});
+    ASSERT_TRUE(t_first.ok()) << t_first.error();
+    mem2.canonicalizeTiming();
+    expectSameResult(core2.run(100, prog2, ExecOptions{}), t_first);
+}
+
 TEST(CoreGeometry, BadGeometryIsFatal)
 {
     stats::Group stats("g");
