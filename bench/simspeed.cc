@@ -26,11 +26,13 @@
 #include "core/task_runner.hh"
 #include "core/timing_cache.hh"
 #include "dma/dma_engine.hh"
+#include "dma/protection_backend.hh"
 #include "guarder/guarder.hh"
 #include "iommu/iommu.hh"
 #include "mem/mem_system.hh"
 #include "mem/phys_mem.hh"
 #include "noc/mesh.hh"
+#include "npu/npu_core.hh"
 #include "npu/systolic_model.hh"
 #include "serve/arrivals.hh"
 #include "serve/server.hh"
@@ -331,6 +333,38 @@ BM_SystolicComputeRow(benchmark::State &state)
         p.dim);
 }
 BENCHMARK(BM_SystolicComputeRow);
+
+/**
+ * The live decode step on its own: one tinygpt decode-step program,
+ * compiled once outside the timed loop, run again and again on one
+ * timing-only core (pass-through protection, memory timing
+ * re-canonicalized per run). Its 16-row preloads and one-row
+ * computes are what the llm_faults benchmark workload spends its
+ * core time in. One "item" is one executed instruction.
+ */
+void
+BM_CoreRunDecodeStep(benchmark::State &state)
+{
+    stats::Group stats("soc");
+    MemSystem mem(stats);
+    PassThroughControl pass;
+    NpuCoreParams p;
+    p.timing_only = true;
+    NpuCore core(stats, mem, pass, p);
+    const NpuProgram prog = TilingCompiler().compileModel(
+        makeDecodeStep(makeDecoder(DecoderId::tinygpt), 5),
+        mem.map().npuArena(World::normal).base);
+    for (auto _ : state) {
+        mem.canonicalizeTiming();
+        const ExecResult res = core.run(0, prog);
+        if (!res.ok())
+            state.SkipWithError(res.error().c_str());
+        benchmark::DoNotOptimize(res.end);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(prog.code.size()));
+}
+BENCHMARK(BM_CoreRunDecodeStep);
 
 // ---------------------------------------------------------------
 // Serve-path macro-benchmarks

@@ -44,6 +44,15 @@ NpuCore::NpuCore(stats::Group &stats, MemSystem &mem,
     dma_engine =
         std::make_unique<DmaEngine>(core_group, mem, ctrl, params.dma);
     flush_engine = std::make_unique<FlushEngine>(core_group, mem, *spad);
+
+    if (!params.timing_only) {
+        const std::uint32_t dim = params.systolic.dim;
+        row_buf.resize(params.spad_row_bytes);
+        acc_buf.resize(params.acc_row_bytes);
+        tile_buf.resize(static_cast<std::size_t>(dim) * dim);
+        out_buf.resize(static_cast<std::size_t>(params.acc_rows) *
+                       params.spad_row_bytes);
+    }
 }
 
 bool
@@ -90,9 +99,9 @@ NpuCore::armFaults(FaultInjector *inj)
 }
 
 void
-NpuCore::fail(ExecResult &res, const std::string &why, StatusCode code)
+NpuCore::fail(ExecResult &res, std::string_view why, StatusCode code)
 {
-    res.status = Status::error(code, why);
+    res.status = Status::error(code, std::string(why));
     ++res.violations;
     ++sec_violations;
     tracer.emit(0, TraceCategory::security, trace_name, why);
@@ -100,13 +109,13 @@ NpuCore::fail(ExecResult &res, const std::string &why, StatusCode code)
 
 std::size_t
 NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
-                       std::size_t batch_stop, Tick &dma_t,
+                       std::size_t batch_stop, bool checked, Tick &dma_t,
                        ExecResult &res)
 {
     // Gather up to `channels` consecutive loads, never extending
-    // past a tile/layer boundary index (flush points must fire in
-    // order, so a boundary instruction ends its batch). The batch
-    // is code[pc, end); its requests, buffers and ranges reuse the
+    // past a tile/layer/stretch boundary index (flush points must
+    // fire in order, so a boundary instruction ends its batch). The
+    // batch is code[pc, end); its requests and buffers reuse the
     // core's scratch vectors, so a batch allocates nothing.
     const std::size_t limit =
         std::min<std::size_t>(program.code.size(),
@@ -150,16 +159,7 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
         return 0;
     }
 
-    bool ranged = false;
-    if (params.timing_only) {
-        batch_ranges.clear();
-        for (std::size_t i = pc; i < end; ++i) {
-            const Instr &in = program.code[i];
-            batch_ranges.push_back({*spad, in.spad_row, in.rows, true});
-        }
-        ranged = commitRanges(batch_ranges);
-    }
-    for (std::size_t i = 0; !ranged && i < n; ++i) {
+    for (std::size_t i = 0; !checked && i < n; ++i) {
         const Instr &in = program.code[pc + i];
         for (std::uint32_t r = 0; r < in.rows; ++r) {
             const std::uint8_t *src =
@@ -180,8 +180,21 @@ NpuCore::execLoadBatch(const NpuProgram &program, std::size_t pc,
     return n;
 }
 
+namespace
+{
+
+/** The denial message of a store to @p vaddr, built only on denial. */
+[[gnu::cold, gnu::noinline]] std::string
+mvoutDenial(Addr vaddr)
+{
+    return logging::format("mvout denied by access control at va 0x",
+                           std::hex, vaddr);
+}
+
+} // namespace
+
 bool
-NpuCore::execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
+NpuCore::execMvout(const Instr &in, bool checked, Tick &dma_t, Tick mac_t,
                    ExecResult &res)
 {
     // Results come from the accumulator; the store cannot start
@@ -189,23 +202,10 @@ NpuCore::execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
     Tick t = std::max(dma_t, mac_t);
 
     const std::uint32_t dim = systolic.dim();
-    std::vector<std::uint8_t> out;
-    std::vector<std::uint8_t> *buf_ptr = nullptr;
-    std::vector<std::uint8_t> acc_row;
-
-    if (!params.timing_only) {
-        out.resize(static_cast<std::size_t>(in.rows) *
-                   params.spad_row_bytes);
-        buf_ptr = &out;
-        acc_row.resize(params.acc_row_bytes);
-    }
-
-    const RowRange ranges[] = {{*acc, in.spad_row, in.rows, false}};
-    const bool ranged = params.timing_only && commitRanges(ranges);
-    for (std::uint32_t r = 0; !ranged && r < in.rows; ++r) {
+    for (std::uint32_t r = 0; !checked && r < in.rows; ++r) {
         SpadStatus st = acc->read(
             world, in.spad_row + r,
-            params.timing_only ? nullptr : acc_row.data());
+            params.timing_only ? nullptr : acc_buf.data());
         if (st != SpadStatus::ok) {
             fail(res, "mvout accumulator read denied",
                  StatusCode::privilege_denied);
@@ -216,10 +216,10 @@ NpuCore::execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
         // Activation + requantization: int32 -> int8 with an 8-bit
         // right shift and saturation (Gemmini-style output scaling).
         const auto *acc32 =
-            reinterpret_cast<const std::int32_t *>(acc_row.data());
+            reinterpret_cast<const std::int32_t *>(acc_buf.data());
         auto *row_out =
             reinterpret_cast<std::int8_t *>(
-                out.data() +
+                out_buf.data() +
                 static_cast<std::size_t>(r) * params.spad_row_bytes);
         for (std::uint32_t c = 0; c < dim; ++c) {
             std::int32_t v = acc32[c];
@@ -233,14 +233,14 @@ NpuCore::execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
 
     const std::uint32_t bytes = in.rows * params.spad_row_bytes;
     DmaRequest req{in.vaddr, bytes, MemOp::write, world};
-    DmaResult dres = dma_engine->transfer(t, req, buf_ptr);
+    DmaResult dres = dma_engine->transfer(
+        t, req, params.timing_only ? nullptr : &out_buf);
     if (!dres.ok) {
         if (dres.fault) {
             fail(res, "mvout DMA transfer faulted (injected)",
                  StatusCode::fault_injected);
         } else {
-            fail(res, "mvout denied by access control at va 0x" +
-                          std::to_string(in.vaddr),
+            fail(res, mvoutDenial(in.vaddr),
                  StatusCode::privilege_denied);
         }
         return false;
@@ -250,60 +250,42 @@ NpuCore::execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
 }
 
 bool
-NpuCore::execPreload(const Instr &in, ExecResult &res)
+NpuCore::execPreload(const Instr &in, bool checked, ExecResult &res)
 {
     const std::uint32_t dim = systolic.dim();
-    std::vector<std::int8_t> tile;
-    std::vector<std::uint8_t> row;
-    if (!params.timing_only) {
-        tile.resize(static_cast<std::size_t>(dim) * dim);
-        row.resize(params.spad_row_bytes);
-    }
-
-    const RowRange ranges[] = {{*spad, in.spad_row, dim, false}};
-    const bool ranged = params.timing_only && commitRanges(ranges);
-    for (std::uint32_t r = 0; !ranged && r < dim; ++r) {
+    for (std::uint32_t r = 0; !checked && r < dim; ++r) {
         SpadStatus st = spad->read(
             world, in.spad_row + r,
-            params.timing_only ? nullptr : row.data());
+            params.timing_only ? nullptr : row_buf.data());
         if (st != SpadStatus::ok) {
             fail(res, "preload scratchpad read denied",
                  StatusCode::privilege_denied);
             return false;
         }
         if (!params.timing_only) {
-            std::memcpy(tile.data() + static_cast<std::size_t>(r) * dim,
-                        row.data(), dim);
+            std::memcpy(tile_buf.data() + static_cast<std::size_t>(r) * dim,
+                        row_buf.data(), dim);
         }
     }
-    systolic.preload(params.timing_only ? nullptr : tile.data());
+    systolic.preload(params.timing_only ? nullptr : tile_buf.data());
     return true;
 }
 
 bool
-NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
-                     ExecResult &res)
+NpuCore::execCompute(const Instr &in, bool checked, Tick &mac_t,
+                     Tick dma_ready, ExecResult &res)
 {
     const std::uint32_t dim = systolic.dim();
     const std::uint32_t k = in.k ? in.k : dim;
 
-    std::vector<std::uint8_t> a_row;
-    std::vector<std::uint8_t> acc_row;
-    if (!params.timing_only) {
-        a_row.resize(params.spad_row_bytes);
-        acc_row.resize(params.acc_row_bytes);
-    }
-
-    const RowRange ranges[] = {
-        {*spad, in.spad_row, in.rows, false},
-        {*acc, in.spad_row2, in.accumulate ? in.rows : 0, false},
-        {*acc, in.spad_row2, in.rows, true},
-    };
-    const bool ranged = params.timing_only && commitRanges(ranges);
-    for (std::uint32_t r = 0; !ranged && r < in.rows; ++r) {
+    // computeRow() writes dim outputs; the rest of an overwritten
+    // accumulator row is zero.
+    if (!params.timing_only && !in.accumulate)
+        std::fill(acc_buf.begin() + dim * 4, acc_buf.end(), 0);
+    for (std::uint32_t r = 0; !checked && r < in.rows; ++r) {
         SpadStatus st = spad->read(
             world, in.spad_row + r,
-            params.timing_only ? nullptr : a_row.data());
+            params.timing_only ? nullptr : row_buf.data());
         if (st != SpadStatus::ok) {
             fail(res, "compute activation read denied",
                  StatusCode::privilege_denied);
@@ -312,7 +294,7 @@ NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
         const std::uint32_t acc_idx = in.spad_row2 + r;
         if (in.accumulate) {
             st = acc->read(world, acc_idx,
-                           params.timing_only ? nullptr : acc_row.data());
+                           params.timing_only ? nullptr : acc_buf.data());
             if (st != SpadStatus::ok) {
                 fail(res, "compute accumulator read denied",
                      StatusCode::privilege_denied);
@@ -321,12 +303,12 @@ NpuCore::execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
         }
         if (!params.timing_only) {
             systolic.computeRow(
-                reinterpret_cast<const std::int8_t *>(a_row.data()), k,
-                reinterpret_cast<std::int32_t *>(acc_row.data()),
+                reinterpret_cast<const std::int8_t *>(row_buf.data()), k,
+                reinterpret_cast<std::int32_t *>(acc_buf.data()),
                 in.accumulate);
         }
         st = acc->write(world, acc_idx,
-                        params.timing_only ? nullptr : acc_row.data());
+                        params.timing_only ? nullptr : acc_buf.data());
         if (st != SpadStatus::ok) {
             fail(res, "compute accumulator write denied",
                  StatusCode::privilege_denied);
@@ -376,6 +358,65 @@ NpuCore::execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
     return true;
 }
 
+bool
+NpuCore::stretchAllowed(const SpadFootprint &fp,
+                        const SpadFootprint::Stretch &s) const
+{
+    const SpadFootprint::Run *run = fp.runs.data() + s.run_begin;
+    for (const PadId id : {PadId::spad, PadId::acc}) {
+        const Scratchpad &pad = id == PadId::spad ? *spad : *acc;
+        for (const auto list :
+             {SpadFootprint::read_first, SpadFootprint::written}) {
+            const bool is_write = list == SpadFootprint::written;
+            const std::uint32_t n =
+                s.run_counts[SpadFootprint::listIndex(id, list)];
+            for (std::uint32_t i = 0; i < n; ++i, ++run) {
+                if (!pad.rangeAllowed(world, run->first, run->count,
+                                      is_write))
+                    return false;
+            }
+        }
+    }
+    return true;
+}
+
+void
+NpuCore::commitStretch(const SpadFootprint &fp,
+                       const SpadFootprint::Stretch &s)
+{
+    // Reads move no ID on a local pad, so past the counts only the
+    // written rows matter, each once however often it was written.
+    const SpadFootprint::Run *run = fp.runs.data() + s.run_begin;
+    for (const PadId id : {PadId::spad, PadId::acc}) {
+        Scratchpad &pad = id == PadId::spad ? *spad : *acc;
+        const auto p = static_cast<std::size_t>(id);
+        pad.countAccesses(s.reads[p], s.writes[p]);
+        run += s.run_counts[SpadFootprint::listIndex(
+            id, SpadFootprint::read_first)];
+        const std::uint32_t n = s.run_counts[SpadFootprint::listIndex(
+            id, SpadFootprint::written)];
+        for (std::uint32_t i = 0; i < n; ++i, ++run)
+            pad.claimRows(world, run->first, run->count);
+    }
+}
+
+void
+NpuCore::commitPrefix(const NpuProgram &program, std::size_t begin,
+                      std::size_t end)
+{
+    const std::uint32_t dim = systolic.dim();
+    for (std::size_t i = begin; i < end; ++i) {
+        forEachRowRange(program.code[i], dim,
+                        [this](PadId id, std::uint32_t first,
+                               std::uint32_t count, bool is_write) {
+                            Scratchpad &pad =
+                                id == PadId::spad ? *spad : *acc;
+                            pad.commitRange(world, first, count,
+                                            is_write);
+                        });
+    }
+}
+
 ExecResult
 NpuCore::run(Tick start, const NpuProgram &program,
              const ExecOptions &opts)
@@ -404,6 +445,20 @@ NpuCore::run(Tick start, const NpuProgram &program,
     std::size_t next_layer = 0;
     std::size_t layers_since_flush = 0;
 
+    // Two tiers of scratchpad checks. A timing-only core checks each
+    // footprint stretch once as it starts and commits it once after
+    // its last instruction; everything else — a stretch that fails
+    // its check, code outside every stretch, reads the fault plan
+    // probes, a functional core — goes row by row.
+    const SpadFootprint &fp = program.spad_footprint;
+    const bool stretches =
+        params.timing_only && fp.dim == systolic.dim() &&
+        !spad->probesReads() && !acc->probesReads() &&
+        !fp.stretches.empty() &&
+        fp.stretches.back().end <= program.code.size();
+    std::size_t next_stretch = stretches ? 0 : fp.stretches.size();
+    bool checked = false; // pc lies in an approved stretch
+
     for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
         const Instr &in = program.code[pc];
         ++instructions;
@@ -412,6 +467,12 @@ NpuCore::run(Tick start, const NpuProgram &program,
             tracer.emit(std::max(dma_t, mac_t), TraceCategory::instr,
                         trace_name, in.toString());
         }
+        const SpadFootprint::Stretch *stretch =
+            next_stretch < fp.stretches.size()
+                ? &fp.stretches[next_stretch]
+                : nullptr;
+        if (stretch && pc == stretch->begin)
+            checked = stretchAllowed(fp, *stretch);
 
         switch (in.op) {
           case Opcode::config:
@@ -420,14 +481,19 @@ NpuCore::run(Tick start, const NpuProgram &program,
           case Opcode::mvin:
           case Opcode::mvin_weight: {
             // Consecutive loads issue as parallel channel streams;
-            // never batch past the next flush boundary.
+            // never batch past the next flush or stretch boundary.
             std::size_t stop = program.code.size();
             if (next_tile < program.tile_ends.size())
                 stop = std::min(stop, program.tile_ends[next_tile]);
             if (next_layer < program.layer_ends.size())
                 stop = std::min(stop, program.layer_ends[next_layer]);
+            if (stretch) {
+                stop = std::min<std::size_t>(
+                    stop, pc < stretch->begin ? stretch->begin - 1
+                                              : stretch->end - 1);
+            }
             const std::size_t consumed =
-                execLoadBatch(program, pc, stop, dma_t, res);
+                execLoadBatch(program, pc, stop, checked, dma_t, res);
             ok = consumed > 0;
             if (ok)
                 pc += consumed - 1;
@@ -435,15 +501,15 @@ NpuCore::run(Tick start, const NpuProgram &program,
             break;
           }
           case Opcode::mvout:
-            ok = execMvout(in, dma_t, mac_t, res);
+            ok = execMvout(in, checked, dma_t, mac_t, res);
             break;
           case Opcode::preload:
-            ok = execPreload(in, res);
+            ok = execPreload(in, checked, res);
             mac_t += systolic.preloadCycles();
             res.mac_busy += systolic.preloadCycles();
             break;
           case Opcode::compute:
-            ok = execCompute(in, mac_t, dma_ready, res);
+            ok = execCompute(in, checked, mac_t, dma_ready, res);
             break;
           case Opcode::noc_send: {
             Tick t = std::max(dma_t, mac_t);
@@ -487,8 +553,21 @@ NpuCore::run(Tick start, const NpuProgram &program,
         }
 
         if (!ok) {
+            // Only a DMA can fail inside an approved stretch. What
+            // ran before it keeps its rows; so does a failed mvout's
+            // accumulator read, which precedes its store.
+            if (checked) {
+                commitPrefix(program, stretch->begin,
+                             pc + (in.op == Opcode::mvout ? 1 : 0));
+            }
             res.end = std::max(dma_t, mac_t);
             return res;
+        }
+        if (stretch && pc + 1 == stretch->end) {
+            if (checked)
+                commitStretch(fp, *stretch);
+            checked = false;
+            ++next_stretch;
         }
 
         // Strawman flush points (Fig 14): save + scrub + restore the

@@ -17,8 +17,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dma/dma_engine.hh"
@@ -136,55 +136,55 @@ class NpuCore
     const NpuCoreParams &coreParams() const { return params; }
 
   private:
-    /** One contiguous run of rows an instruction reads or writes. */
-    struct RowRange
-    {
-        Scratchpad &pad;
-        std::uint32_t first;
-        std::uint32_t count;
-        bool is_write;
-    };
+    /**
+     * Whether the rows of footprint stretch @p s may all be accessed
+     * by the current world: every row in range, every row it reads
+     * before writing holding the world's ID (id_based), every row on
+     * the world's side (partition). No side effects.
+     */
+    bool stretchAllowed(const SpadFootprint &fp,
+                        const SpadFootprint::Stretch &s) const;
 
     /**
-     * Timing-only fast path: when every range is allowed, commit
-     * them all (one ID check per range, as the hardware compares an
-     * access's wordlines in parallel) and return true. Otherwise
-     * change nothing and return false; the caller then runs its
-     * per-row loop, which reports the first denied row exactly.
-     * Forced inline: every timing-only load batch, preload and
-     * compute commits through it, and inlined into a caller with a
-     * fixed range list it folds to straight-line checks.
+     * Commit the whole approved stretch @p s at once, with exactly
+     * the effects its instructions' per-row accesses would have had.
      */
-    [[gnu::always_inline]] bool
-    commitRanges(std::span<const RowRange> ranges)
-    {
-        for (const RowRange &r : ranges) {
-            if (!r.pad.rangeAllowed(world, r.first, r.count, r.is_write))
-                return false;
-        }
-        for (const RowRange &r : ranges)
-            r.pad.commitRange(world, r.first, r.count, r.is_write);
-        return true;
-    }
+    void commitStretch(const SpadFootprint &fp,
+                       const SpadFootprint::Stretch &s);
+
+    /**
+     * Commit the rows of code[@p begin, @p end) of an approved
+     * stretch instruction by instruction: the executed prefix of a
+     * stretch that a failed DMA cut short.
+     */
+    void commitPrefix(const NpuProgram &program, std::size_t begin,
+                      std::size_t end);
 
     /**
      * Execute a group of consecutive load instructions as parallel
      * DMA channel streams. The batch never extends past instruction
-     * index @p batch_stop (the next flush boundary). @return
-     * instructions consumed, 0 on failure.
+     * index @p batch_stop (the next flush or stretch boundary).
+     * @return instructions consumed, 0 on failure.
+     *
+     * With @p checked (the instruction lies in an approved footprint
+     * stretch) this and the three below do timing only: the stretch
+     * commits their rows when it ends.
      */
     std::size_t execLoadBatch(const NpuProgram &program,
                               std::size_t pc, std::size_t batch_stop,
-                              Tick &dma_t, ExecResult &res);
-    bool execMvout(const Instr &in, Tick &dma_t, Tick mac_t,
-                   ExecResult &res);
-    bool execPreload(const Instr &in, ExecResult &res);
-    bool execCompute(const Instr &in, Tick &mac_t, Tick dma_ready,
-                     ExecResult &res);
+                              bool checked, Tick &dma_t,
+                              ExecResult &res);
+    bool execMvout(const Instr &in, bool checked, Tick &dma_t,
+                   Tick mac_t, ExecResult &res);
+    bool execPreload(const Instr &in, bool checked, ExecResult &res);
+    bool execCompute(const Instr &in, bool checked, Tick &mac_t,
+                     Tick dma_ready, ExecResult &res);
     bool execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
                      ExecResult &res);
-    void fail(ExecResult &res, const std::string &why,
-              StatusCode code = StatusCode::exec_failed);
+    /** Out of line and taking a view, so no caller builds a string. */
+    [[gnu::cold, gnu::noinline]] void
+    fail(ExecResult &res, std::string_view why,
+         StatusCode code = StatusCode::exec_failed);
 
     NpuCoreParams params;
     MemSystem &mem;
@@ -216,7 +216,18 @@ class NpuCore
     std::vector<DmaRequest> batch_reqs;
     std::vector<std::vector<std::uint8_t>> batch_storage;
     std::vector<std::vector<std::uint8_t> *> batch_buffers;
-    std::vector<RowRange> batch_ranges;
+
+    /**
+     * Functional-mode row and tile buffers of execCompute(),
+     * execPreload() and execMvout(), sized once by the constructor
+     * (empty on a timing-only core), so no instruction allocates.
+     * out_buf holds a whole accumulator's worth of output rows: a
+     * longer mvout is denied at its first out-of-range row.
+     */
+    std::vector<std::uint8_t> row_buf;
+    std::vector<std::uint8_t> acc_buf;
+    std::vector<std::int8_t> tile_buf;
+    std::vector<std::uint8_t> out_buf;
 
     Activation activation = Activation::none;
     Tracer tracer;

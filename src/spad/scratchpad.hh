@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -113,7 +114,7 @@ class Scratchpad
         if (count == 0)
             return true;
 
-        const auto ids = id_state.begin() + first;
+        const World *ids = id_state.data() + first;
         switch (params.mode) {
           case IsolationMode::none:
             return true;
@@ -125,9 +126,7 @@ class Scratchpad
             if (params.scope == SpadScope::local) {
                 // Forced writes always pass; reads need every ID to
                 // match.
-                return is_write ||
-                       std::all_of(ids, ids + count,
-                                   [world](World w) { return w == world; });
+                return is_write || countOther(ids, count, world) == 0;
             }
             // Global: only a normal-world access is ever denied, by
             // any secure line in range.
@@ -151,40 +150,78 @@ class Scratchpad
                 bool is_write)
     {
         if (is_write) {
-            writes += count;
-        } else {
-            reads += count;
-            if (faults) {
-                faults->skip(FaultSite::spad_id_mismatch, count);
-                faults->skip(FaultSite::spad_bit_flip, count);
-            }
+            countAccesses(0, count);
+            claimRows(world, first, count);
+            return;
         }
+        countAccesses(count, 0);
 
-        // Local writes force the writer's ID; under the global rule
-        // any approved secure access claims its lines. Nothing else
-        // moves IDs, and a range that already holds @p world's ID
-        // leaves the image (and its fingerprint) as it was.
-        const bool local = params.scope == SpadScope::local;
+        // Under the global rule an approved secure read claims its
+        // lines; no other read moves an ID.
         if (params.mode == IsolationMode::id_based &&
-            (local ? is_write : world == World::secure)) {
-            const auto ids = id_state.begin() + first;
-            const auto flips = count - std::count(ids, ids + count, world);
+            params.scope == SpadScope::global && world == World::secure) {
+            World *ids = id_state.data() + first;
+            const std::size_t flips = countOther(ids, count, world);
             if (flips > 0) {
                 id_flips += static_cast<double>(flips);
-                if (!is_write && recording) {
-                    for (std::uint32_t row = first; row < first + count;
-                         ++row) {
-                        if (id_state[row] != world)
-                            recordWrite(row); // secure read claims it
-                    }
+                for (std::uint32_t row = first;
+                     recording && row < first + count; ++row) {
+                    if (id_state[row] != world)
+                        recordWrite(row);
                 }
                 std::fill(ids, ids + count, world);
                 id_fp_valid = false;
             }
         }
-        if (is_write)
-            recordRange(first, count);
     }
+
+    /**
+     * Count @p reads row reads and @p writes row writes as that many
+     * approved data-free read()/write() calls count them (access and
+     * fault-occurrence counts), without their ID effects. A read
+     * cannot be counted this way while read probes are armed.
+     */
+    [[gnu::always_inline]] void
+    countAccesses(std::uint64_t reads_n, std::uint64_t writes_n)
+    {
+        reads += static_cast<double>(reads_n);
+        writes += static_cast<double>(writes_n);
+        if (faults && reads_n) {
+            faults->skip(FaultSite::spad_id_mismatch, reads_n);
+            faults->skip(FaultSite::spad_bit_flip, reads_n);
+        }
+    }
+
+    /**
+     * The ID effect of approved writes by @p world to rows [first,
+     * first + count), however many times each row was written: a
+     * local write forces the writer's ID, a secure global write
+     * claims the line, and every row joins the write record. A range
+     * that already holds @p world's ID leaves the image (and its
+     * fingerprint) as it was.
+     */
+    [[gnu::always_inline]] void
+    claimRows(World world, std::uint32_t first, std::uint32_t count)
+    {
+        if (params.mode == IsolationMode::id_based &&
+            (params.scope == SpadScope::local || world == World::secure)) {
+            World *ids = id_state.data() + first;
+            const std::size_t flips = countOther(ids, count, world);
+            if (flips > 0) {
+                id_flips += static_cast<double>(flips);
+                std::fill(ids, ids + count, world);
+                id_fp_valid = false;
+            }
+        }
+        recordRange(first, count);
+    }
+
+    /**
+     * Whether the armed fault plan probes every row read (it targets
+     * spad_id_mismatch or spad_bit_flip), so reads must go row by
+     * row through read().
+     */
+    bool probesReads() const { return read_probes; }
 
     /**
      * Secure instruction: reset rows [first, first+count) from secure
@@ -315,6 +352,35 @@ class Scratchpad
     void attachTrace(TraceSink *sink, const std::string &who);
 
   private:
+    /**
+     * How many of the @p n IDs at @p ids are not @p w, eight per
+     * step: a stretch commit counts every row it wrote, and GCC does
+     * not vectorize the byte loop of std::count at -O2.
+     */
+    static std::size_t
+    countOther(const World *ids, std::size_t n, World w)
+    {
+        static_assert(sizeof(World) == 1);
+        constexpr std::uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
+        constexpr std::uint64_t ones = 0x0101010101010101ull;
+        const std::uint64_t pattern = ones * static_cast<std::uint8_t>(w);
+        std::size_t other = 0;
+        std::size_t i = 0;
+        for (; i + 8 <= n; i += 8) {
+            std::uint64_t x;
+            std::memcpy(&x, ids + i, 8);
+            x ^= pattern;
+            // Bit 7 of each byte is set iff that byte of x is nonzero;
+            // the multiply sums the eight bits into the top byte.
+            const std::uint64_t nonzero =
+                (((x & low7) + low7) | x) & ~low7;
+            other += ((nonzero >> 7) * ones) >> 56;
+        }
+        for (; i < n; ++i)
+            other += ids[i] != w;
+        return other;
+    }
+
     bool
     partitionAllows(World w, std::uint32_t row) const
     {

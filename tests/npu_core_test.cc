@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "guarder/guarder.hh"
 #include "mem/mem_system.hh"
 #include "npu/npu_core.hh"
 #include "sim/logging.hh"
@@ -431,7 +432,8 @@ TEST_F(CoreFixture, RerunOnOneCoreRepeatsResult)
     mem.data().read(base + 0x4000, second_out.data(), second_out.size());
     EXPECT_EQ(second_out, first_out);
 
-    // The timing-only core takes the range-commit path instead.
+    // A timing-only core runs this hand-built program (no footprint)
+    // row by row too, without the data.
     stats::Group stats2("g2");
     MemSystem mem2(stats2);
     PassThroughControl pass2;
@@ -446,6 +448,29 @@ TEST_F(CoreFixture, RerunOnOneCoreRepeatsResult)
     ASSERT_TRUE(t_first.ok()) << t_first.error();
     mem2.canonicalizeTiming();
     expectSameResult(core2.run(100, prog2, ExecOptions{}), t_first);
+}
+
+TEST(CoreGuarder, DeniedMvoutReportsVaInHex)
+{
+    // No translation register covers the store's address, so the
+    // Guarder denies it; the message names the address as the DMA
+    // engine's trace does, in hex.
+    stats::Group stats("g");
+    MemSystem mem(stats);
+    NpuGuarder guard(stats);
+    NpuCore core(stats, mem, guard);
+
+    NpuProgram prog;
+    Instr st;
+    st.op = Opcode::mvout;
+    st.vaddr = 0x12abc00;
+    st.spad_row = 0;
+    st.rows = 1;
+    prog.code.push_back(st);
+
+    const ExecResult res = core.run(0, prog);
+    EXPECT_EQ(res.status.code(), StatusCode::privilege_denied);
+    EXPECT_EQ(res.error(), "mvout denied by access control at va 0x12abc00");
 }
 
 TEST(CoreGeometry, BadGeometryIsFatal)
