@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Wall-clock ledger of every figure, table, ablation and serving binary.
 
-    python3 bench/ledger.py --label NAME [--build build] [--runs 3]
-        [--out BENCH_binaries.json] [--only SUBSTRING]
+    python3 bench/ledger.py --label NAME [--build build]
+        [--out BENCH_binaries.json]
 
 Runs each `fig*`, `tab*` and `abl*` binary and each serving sweep in
-BUILD/bench at SNPU_JOBS=1, --runs times, from the repository root (so
+BUILD/bench at SNPU_JOBS=1, RUNS times, from the repository root (so
 `tab_tcb_size` finds `src/`). It records the median host wall-clock,
 diffs the first run's stdout against tests/golden/<name>.txt where
 such a golden exists, and appends one run labelled NAME to the
@@ -28,6 +28,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNS = 3
 SERVING = ["serve_throughput", "token_throughput", "fault_sweep",
            "fleet_sweep", "attest_sweep"]
 
@@ -52,9 +53,9 @@ def timed_run(path, cache):
     return time.perf_counter() - start, p.returncode, p.stdout
 
 
-def measure(path, runs, cache):
+def measure(path, cache):
     times, first = [], None
-    for _ in range(runs):
+    for _ in range(RUNS):
         secs, code, out = timed_run(path, cache)
         if code != 0:
             return None, code, out
@@ -67,21 +68,16 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
     ap.add_argument("--build", default=os.path.join(ROOT, "build"))
-    ap.add_argument("--runs", type=int, default=3)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_binaries.json"))
-    ap.add_argument("--only", default="",
-                    help="run only binaries whose name contains this")
     args = ap.parse_args()
-    if args.runs < 1:
-        sys.exit("--runs must be at least 1")
 
     build = os.path.abspath(args.build)
-    names = [n for n in binaries(build) if args.only in n]
+    names = binaries(build)
     if not names:
         sys.exit("no binaries under %s/bench" % build)
 
     record = {"label": args.label, "host": platform.node(),
-              "cpus": os.cpu_count(), "runs_per_binary": args.runs,
+              "cpus": os.cpu_count(), "runs_per_binary": RUNS,
               "binaries": []}
     bad = 0
     for name in names:
@@ -89,7 +85,7 @@ def main():
         entry = {"name": name}
         caches = ["1", "0"] if name in SERVING else ["1"]
         for cache in caches:
-            times, code, out = measure(path, args.runs, cache)
+            times, code, out = measure(path, cache)
             key = "wall_s" if cache == "1" else "wall_s_cache_off"
             if times is None:
                 entry[key] = None

@@ -14,6 +14,7 @@
 #define SNPU_NPU_ISA_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,118 +80,39 @@ struct Instr
     bool operator==(const Instr &) const = default;
 };
 
-/** The two row-addressed memories of one NPU core. */
-enum class PadId : std::uint8_t
+struct NpuProgram;
+struct SpadFootprint;
+class FootprintSeal;
+
+/**
+ * A program's memoized scratchpad footprint (npu/spad_footprint.hh).
+ * Empty until programFootprint() derives it from the program's own
+ * code; a copy starts empty and unsealed and derives its own, so a
+ * transform that copies and rewrites code (the secure loader) needs
+ * no care. Only programFootprint() and sealFootprint() can fill it:
+ * nothing that holds a program can install a footprint of its
+ * choosing.
+ */
+class FootprintMemo
 {
-    spad, //!< local scratchpad
-    acc,  //!< accumulator scratchpad
+  public:
+    FootprintMemo();
+    ~FootprintMemo();
+    FootprintMemo(const FootprintMemo &);
+    FootprintMemo &operator=(const FootprintMemo &);
+    FootprintMemo(FootprintMemo &&) noexcept;
+    FootprintMemo &operator=(FootprintMemo &&) noexcept;
+
+  private:
+    friend const SpadFootprint &programFootprint(const NpuProgram &prog,
+                                                 std::uint32_t dim,
+                                                 bool *trusted);
+    friend void sealFootprint(const NpuProgram &prog, std::uint32_t dim,
+                              FootprintSeal);
+    std::unique_ptr<const SpadFootprint> fp;
+    /** The owner never edits the code again (sealFootprint()). */
+    bool sealed = false;
 };
-
-/**
- * Scratchpad footprint of a compiled program. A compiled DNN program
- * fixes every scratchpad and accumulator row it touches before it
- * runs, so the rows each stretch of it reads and writes are
- * summarized once, at compile time (npu/spad_footprint.hh), and a
- * timing-only core checks and commits them once per stretch instead
- * of once per instruction — the way the sNPU Isolator compares a
- * whole access's wordline IDs in parallel (§IV-B).
- *
- * A stretch ends at every tile boundary (every layer end is one too,
- * so every flush point lies between stretches). Instructions that
- * act on wordline IDs, the world or a peer's scratchpad outside the
- * rows forEachRowRange() reports (see endsStretch()) are never in
- * one. Immutable once compiled, and stored flat (one stretch array,
- * one run array), so it stays a small fraction of the code.
- */
-struct SpadFootprint
-{
-    /** Rows [first, first + count). */
-    struct Run
-    {
-        std::uint32_t first = 0;
-        std::uint32_t count = 0;
-    };
-
-    /** Which of a stretch's four run lists, per pad. */
-    enum RunList : std::uint8_t
-    {
-        read_first, //!< rows read before the stretch writes them
-        written,    //!< rows the stretch writes
-    };
-
-    /** Instructions [begin, end) of the program. */
-    struct Stretch
-    {
-        std::uint32_t begin = 0;
-        std::uint32_t end = 0;
-        /** First run of the stretch in SpadFootprint::runs. */
-        std::uint32_t run_begin = 0;
-        /** Run counts, indexed by listIndex(pad, list), in order. */
-        std::uint32_t run_counts[4] = {};
-        /** Total row reads and writes, indexed by PadId. */
-        std::uint64_t reads[2] = {};
-        std::uint64_t writes[2] = {};
-    };
-
-    static constexpr std::size_t
-    listIndex(PadId pad, RunList list)
-    {
-        return 2 * static_cast<std::size_t>(pad) + list;
-    }
-
-    /** Preload height (systolic dim) the footprint was built for. */
-    std::uint32_t dim = 0;
-    std::vector<Stretch> stretches;
-    std::vector<Run> runs;
-};
-
-/**
- * Visit every scratchpad row range @p in touches, as
- * f(PadId, first, count, is_write), in access order per pad: a
- * compute reads its activation rows and (accumulating) its
- * accumulator rows before it writes them. A preload reads @p dim
- * rows (the array height). The footprint builder and the core's
- * commit of a stretch prefix both enumerate through this one
- * function.
- */
-template <typename F>
-void
-forEachRowRange(const Instr &in, std::uint32_t dim, F &&f)
-{
-    switch (in.op) {
-      case Opcode::mvin:
-      case Opcode::mvin_weight:
-        f(PadId::spad, in.spad_row, in.rows, true);
-        break;
-      case Opcode::mvout:
-        f(PadId::acc, in.spad_row, in.rows, false);
-        break;
-      case Opcode::preload:
-        f(PadId::spad, in.spad_row, dim, false);
-        break;
-      case Opcode::compute:
-        f(PadId::spad, in.spad_row, in.rows, false);
-        if (in.accumulate)
-            f(PadId::acc, in.spad_row2, in.rows, false);
-        f(PadId::acc, in.spad_row2, in.rows, true);
-        break;
-      default:
-        break;
-    }
-}
-
-/**
- * Whether @p op acts on wordline IDs, the core's world or a peer's
- * scratchpad beyond what forEachRowRange() reports, so no footprint
- * stretch may contain it.
- */
-constexpr bool
-endsStretch(Opcode op)
-{
-    return op == Opcode::flush_spad || op == Opcode::sec_set_id ||
-           op == Opcode::sec_reset_spad || op == Opcode::noc_send ||
-           op == Opcode::noc_recv;
-}
 
 /** A compiled NPU program plus metadata used by the schedulers. */
 struct NpuProgram
@@ -211,12 +133,10 @@ struct NpuProgram
     /** Live working-set rows at a tile boundary (flush cost model). */
     std::uint32_t tile_live_rows = 0;
     /**
-     * Rows each stretch of the compiled code reads and writes
-     * (npu/spad_footprint.hh). Empty for a hand-built program; code
-     * appended after compilation lies outside every stretch. A
-     * transform that moves instructions must move the stretches too.
+     * Rows each tile of the code reads and writes, derived on first
+     * use by a timing-only core (npu/spad_footprint.hh).
      */
-    SpadFootprint spad_footprint;
+    mutable FootprintMemo spad_footprint;
 
     /**
      * Lazily computed timing-cache identity (workload/layer_timing).

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "npu/spad_footprint.hh"
 #include "sim/logging.hh"
 
 namespace snpu
@@ -202,6 +203,13 @@ NpuCore::execMvout(const Instr &in, bool checked, Tick &dma_t, Tick mac_t,
     Tick t = std::max(dma_t, mac_t);
 
     const std::uint32_t dim = systolic.dim();
+    for (std::uint32_t r = 0; checked && probe_reads && r < in.rows; ++r) {
+        if (!acc->probeRead(in.spad_row + r)) {
+            fail(res, "mvout accumulator read denied",
+                 StatusCode::privilege_denied);
+            return false;
+        }
+    }
     for (std::uint32_t r = 0; !checked && r < in.rows; ++r) {
         SpadStatus st = acc->read(
             world, in.spad_row + r,
@@ -253,6 +261,13 @@ bool
 NpuCore::execPreload(const Instr &in, bool checked, ExecResult &res)
 {
     const std::uint32_t dim = systolic.dim();
+    for (std::uint32_t r = 0; checked && probe_reads && r < dim; ++r) {
+        if (!spad->probeRead(in.spad_row + r)) {
+            fail(res, "preload scratchpad read denied",
+                 StatusCode::privilege_denied);
+            return false;
+        }
+    }
     for (std::uint32_t r = 0; !checked && r < dim; ++r) {
         SpadStatus st = spad->read(
             world, in.spad_row + r,
@@ -282,6 +297,8 @@ NpuCore::execCompute(const Instr &in, bool checked, Tick &mac_t,
     // accumulator row is zero.
     if (!params.timing_only && !in.accumulate)
         std::fill(acc_buf.begin() + dim * 4, acc_buf.end(), 0);
+    if (checked && probe_reads && !probeComputeReads(in, res))
+        return false;
     for (std::uint32_t r = 0; !checked && r < in.rows; ++r) {
         SpadStatus st = spad->read(
             world, in.spad_row + r,
@@ -325,6 +342,28 @@ NpuCore::execCompute(const Instr &in, bool checked, Tick &mac_t,
 }
 
 bool
+NpuCore::probeComputeReads(const Instr &in, ExecResult &res)
+{
+    // In the per-row loop's order: activation row r, accumulator row
+    // r, then the write of accumulator row r. A denial at row r
+    // leaves accumulator rows [0, r) written, which the cut-short
+    // stretch does not commit, so they are committed here.
+    for (std::uint32_t r = 0; r < in.rows; ++r) {
+        const char *why = nullptr;
+        if (!spad->probeRead(in.spad_row + r))
+            why = "compute activation read denied";
+        else if (in.accumulate && !acc->probeRead(in.spad_row2 + r))
+            why = "compute accumulator read denied";
+        if (why) {
+            acc->commitRange(world, in.spad_row2, r, true);
+            fail(res, why, StatusCode::privilege_denied);
+            return false;
+        }
+    }
+    return true;
+}
+
+bool
 NpuCore::execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
                      ExecResult &res)
 {
@@ -359,9 +398,16 @@ NpuCore::execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
 }
 
 bool
-NpuCore::stretchAllowed(const SpadFootprint &fp,
+NpuCore::stretchAllowed(const Instr *code, const SpadFootprint &fp,
                         const SpadFootprint::Stretch &s) const
 {
+    if (code) {
+        std::uint64_t hash[2] = {stretch_hash_seed[0], stretch_hash_seed[1]};
+        for (std::uint32_t i = s.begin; i < s.end; ++i)
+            stretchHashStep(hash, code[i]);
+        if (hash[0] != s.code_hash[0] || hash[1] != s.code_hash[1])
+            return false;
+    }
     const SpadFootprint::Run *run = fp.runs.data() + s.run_begin;
     for (const PadId id : {PadId::spad, PadId::acc}) {
         const Scratchpad &pad = id == PadId::spad ? *spad : *acc;
@@ -371,8 +417,8 @@ NpuCore::stretchAllowed(const SpadFootprint &fp,
             const std::uint32_t n =
                 s.run_counts[SpadFootprint::listIndex(id, list)];
             for (std::uint32_t i = 0; i < n; ++i, ++run) {
-                if (!pad.rangeAllowed(world, run->first, run->count,
-                                      is_write))
+                if (!pad.ruleAllows(world, run->first, run->count,
+                                    is_write))
                     return false;
             }
         }
@@ -386,11 +432,12 @@ NpuCore::commitStretch(const SpadFootprint &fp,
 {
     // Reads move no ID on a local pad, so past the counts only the
     // written rows matter, each once however often it was written.
+    // Probed reads were counted as they ran.
     const SpadFootprint::Run *run = fp.runs.data() + s.run_begin;
     for (const PadId id : {PadId::spad, PadId::acc}) {
         Scratchpad &pad = id == PadId::spad ? *spad : *acc;
         const auto p = static_cast<std::size_t>(id);
-        pad.countAccesses(s.reads[p], s.writes[p]);
+        pad.countAccesses(probe_reads ? 0 : s.reads[p], s.writes[p]);
         run += s.run_counts[SpadFootprint::listIndex(
             id, SpadFootprint::read_first)];
         const std::uint32_t n = s.run_counts[SpadFootprint::listIndex(
@@ -411,8 +458,9 @@ NpuCore::commitPrefix(const NpuProgram &program, std::size_t begin,
                                std::uint32_t count, bool is_write) {
                             Scratchpad &pad =
                                 id == PadId::spad ? *spad : *acc;
-                            pad.commitRange(world, first, count,
-                                            is_write);
+                            if (is_write || !probe_reads)
+                                pad.commitRange(world, first, count,
+                                                is_write);
                         });
     }
 }
@@ -447,16 +495,19 @@ NpuCore::run(Tick start, const NpuProgram &program,
 
     // Two tiers of scratchpad checks. A timing-only core checks each
     // footprint stretch once as it starts and commits it once after
-    // its last instruction; everything else — a stretch that fails
-    // its check, code outside every stretch, reads the fault plan
-    // probes, a functional core — goes row by row.
-    const SpadFootprint &fp = program.spad_footprint;
-    const bool stretches =
-        params.timing_only && fp.dim == systolic.dim() &&
-        !spad->probesReads() && !acc->probesReads() &&
-        !fp.stretches.empty() &&
-        fp.stretches.back().end <= program.code.size();
-    std::size_t next_stretch = stretches ? 0 : fp.stretches.size();
+    // its last instruction (a fault plan that probes reads still
+    // probes them row by row); a stretch that fails its check, or
+    // whose code changed since its footprint was derived, and every
+    // instruction of a functional core go row by row.
+    static const SpadFootprint no_footprint;
+    bool trusted = false; // the stretches match the code as they are
+    const SpadFootprint &fp =
+        params.timing_only
+            ? programFootprint(program, systolic.dim(), &trusted)
+            : no_footprint;
+    const Instr *unverified = trusted ? nullptr : program.code.data();
+    probe_reads = spad->probesReads() || acc->probesReads();
+    std::size_t next_stretch = 0;
     bool checked = false; // pc lies in an approved stretch
 
     for (std::size_t pc = 0; pc < program.code.size(); ++pc) {
@@ -472,7 +523,7 @@ NpuCore::run(Tick start, const NpuProgram &program,
                 ? &fp.stretches[next_stretch]
                 : nullptr;
         if (stretch && pc == stretch->begin)
-            checked = stretchAllowed(fp, *stretch);
+            checked = stretchAllowed(unverified, fp, *stretch);
 
         switch (in.op) {
           case Opcode::config:
@@ -553,9 +604,11 @@ NpuCore::run(Tick start, const NpuProgram &program,
         }
 
         if (!ok) {
-            // Only a DMA can fail inside an approved stretch. What
-            // ran before it keeps its rows; so does a failed mvout's
-            // accumulator read, which precedes its store.
+            // Only a DMA or an injected read denial can fail inside
+            // an approved stretch. What ran before it keeps its rows;
+            // so does a failed mvout's accumulator read, which
+            // precedes its store (a denied compute committed the
+            // rows it wrote itself).
             if (checked) {
                 commitPrefix(program, stretch->begin,
                              pc + (in.op == Opcode::mvout ? 1 : 0));

@@ -26,6 +26,7 @@
 #include "noc/router_controller.hh"
 #include "noc/software_noc.hh"
 #include "npu/isa.hh"
+#include "npu/spad_footprint.hh"
 #include "sim/status.hh"
 #include "npu/systolic_model.hh"
 #include "sim/stats.hh"
@@ -137,12 +138,14 @@ class NpuCore
 
   private:
     /**
-     * Whether the rows of footprint stretch @p s may all be accessed
-     * by the current world: every row in range, every row it reads
-     * before writing holding the world's ID (id_based), every row on
-     * the world's side (partition). No side effects.
+     * Whether footprint stretch @p s still describes @p code (its
+     * instructions hash as they did when it was derived; null when
+     * the footprint is trusted as is) and its rows may all be
+     * accessed by the current world: every row in range, every row
+     * it reads before writing holding the world's ID (id_based),
+     * every row on the world's side (partition). No side effects.
      */
-    bool stretchAllowed(const SpadFootprint &fp,
+    bool stretchAllowed(const Instr *code, const SpadFootprint &fp,
                         const SpadFootprint::Stretch &s) const;
 
     /**
@@ -155,7 +158,7 @@ class NpuCore
     /**
      * Commit the rows of code[@p begin, @p end) of an approved
      * stretch instruction by instruction: the executed prefix of a
-     * stretch that a failed DMA cut short.
+     * stretch that a failed DMA or an injected read denial cut short.
      */
     void commitPrefix(const NpuProgram &program, std::size_t begin,
                       std::size_t end);
@@ -167,8 +170,9 @@ class NpuCore
      * @return instructions consumed, 0 on failure.
      *
      * With @p checked (the instruction lies in an approved footprint
-     * stretch) this and the three below do timing only: the stretch
-     * commits their rows when it ends.
+     * stretch) this and the three below do timing only, and probe
+     * their reads if probe_reads: the stretch commits their rows
+     * when it ends.
      */
     std::size_t execLoadBatch(const NpuProgram &program,
                               std::size_t pc, std::size_t batch_stop,
@@ -179,6 +183,12 @@ class NpuCore
     bool execPreload(const Instr &in, bool checked, ExecResult &res);
     bool execCompute(const Instr &in, bool checked, Tick &mac_t,
                      Tick dma_ready, ExecResult &res);
+    /**
+     * The probed reads of compute @p in in an approved stretch;
+     * false, with the rows written before the denial committed, if
+     * an injected fault denies one.
+     */
+    bool probeComputeReads(const Instr &in, ExecResult &res);
     bool execNocSend(const Instr &in, Tick &t, const ExecOptions &opts,
                      ExecResult &res);
     /** Out of line and taking a view, so no caller builds a string. */
@@ -228,6 +238,13 @@ class NpuCore
     std::vector<std::uint8_t> acc_buf;
     std::vector<std::int8_t> tile_buf;
     std::vector<std::uint8_t> out_buf;
+
+    /**
+     * The armed fault plan probes scratchpad reads: an approved
+     * stretch reads row by row through Scratchpad::probeRead(), and
+     * its commit counts no reads. Set by run().
+     */
+    bool probe_reads = false;
 
     Activation activation = Activation::none;
     Tracer tracer;

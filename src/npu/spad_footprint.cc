@@ -3,26 +3,76 @@
 #include <algorithm>
 #include <limits>
 
-#include "sim/logging.hh"
-
 namespace snpu
 {
 
-SpadFootprintBuilder::SpadFootprintBuilder(SpadFootprint &fp,
-                                           std::uint32_t dim)
-    : fp(fp)
+namespace
 {
-    if (!fp.stretches.empty() && fp.dim != dim)
-        panic("footprint built for array dim ", fp.dim, ", not ", dim);
-    fp.dim = dim;
-}
+
+/**
+ * Builds a footprint one instruction range at a time: add() each
+ * piece of code, cut() at every tile and layer end. A compiled tile
+ * — contiguous loads, reads of rows it loaded, the same accumulator
+ * rows read and rewritten — takes only constant-time fast paths.
+ */
+class SpadFootprintBuilder
+{
+  public:
+    /** Append the stretches of @p code to @p fp. */
+    SpadFootprintBuilder(SpadFootprint &fp, const Instr *code)
+        : fp(fp), code(code)
+    {}
+
+    /** Add instructions [@p begin_index, @p end_index). */
+    void add(std::size_t begin_index, std::size_t end_index);
+
+    /** Close the open stretch, if any, after the last add(). */
+    void cut();
+
+  private:
+    using Run = SpadFootprint::Run;
+
+    /** The open stretch's rows on one pad. */
+    struct PadRows
+    {
+        std::vector<Run> read_first;
+        std::vector<Run> written;
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
+        /** The last range written: a repeat adds no row. */
+        Run last_write;
+        /**
+         * Up to two growing streams of reads (a tile reads its
+         * activation and its weight rows in step) not yet checked
+         * against `written`, which no write has changed since.
+         */
+        Run reading[2];
+    };
+
+    void addRange(PadId pad, std::uint32_t first, std::uint32_t count,
+                  bool is_write);
+    /** Add the rows of @p read no write of the stretch covers. */
+    static void settleRead(PadRows &p, Run read);
+    /** Add rows [first, end) to @p set: sorted runs, none touching. */
+    static void addRows(std::vector<Run> &set, std::uint64_t first,
+                        std::uint64_t end);
+    /** addRows() of rows that start before @p set's last run. */
+    static void mergeRows(std::vector<Run> &set, std::uint64_t first,
+                          std::uint64_t end);
+
+    SpadFootprint &fp;
+    const Instr *code;
+    PadRows pads[2];
+    /** stretchHashStep() state of the open stretch. */
+    std::uint64_t hash[2] = {};
+    std::size_t begin = 0;
+    std::size_t next = 0;
+    bool open = false;
+};
 
 void
-SpadFootprintBuilder::add(const Instr *code, std::size_t begin_index,
-                          std::size_t end_index)
+SpadFootprintBuilder::add(std::size_t begin_index, std::size_t end_index)
 {
-    if (open && begin_index != next)
-        cut();
     for (std::size_t i = begin_index; i < end_index; ++i) {
         const Instr &in = code[i];
         if (endsStretch(in.op)) {
@@ -32,7 +82,10 @@ SpadFootprintBuilder::add(const Instr *code, std::size_t begin_index,
         if (!open) {
             open = true;
             begin = i;
+            hash[0] = stretch_hash_seed[0];
+            hash[1] = stretch_hash_seed[1];
         }
+        stretchHashStep(hash, in);
         forEachRowRange(in, fp.dim,
                         [this](PadId pad, std::uint32_t first,
                                std::uint32_t count, bool is_write) {
@@ -155,14 +208,18 @@ SpadFootprintBuilder::cut()
 {
     if (!open)
         return;
-    constexpr std::size_t u32_max =
+    open = false;
+    constexpr std::uint64_t u32_max =
         std::numeric_limits<std::uint32_t>::max();
-    if (next > u32_max || fp.runs.size() > u32_max)
-        panic("program too large for a scratchpad footprint");
     SpadFootprint::Stretch s;
     s.begin = static_cast<std::uint32_t>(begin);
     s.end = static_cast<std::uint32_t>(next);
     s.run_begin = static_cast<std::uint32_t>(fp.runs.size());
+    s.code_hash[0] = hash[0];
+    s.code_hash[1] = hash[1];
+    // A stretch whose row counts overflow 32 bits (no compiled tile
+    // comes near) is left out: its instructions go row by row.
+    bool fits = true;
     for (const PadId pad : {PadId::spad, PadId::acc}) {
         PadRows &p = pads[static_cast<std::size_t>(pad)];
         const auto idx = static_cast<std::size_t>(pad);
@@ -170,8 +227,9 @@ SpadFootprintBuilder::cut()
             settleRead(p, r);
             r = Run{};
         }
-        s.reads[idx] = p.reads;
-        s.writes[idx] = p.writes;
+        fits = fits && p.reads <= u32_max && p.writes <= u32_max;
+        s.reads[idx] = static_cast<std::uint32_t>(p.reads);
+        s.writes[idx] = static_cast<std::uint32_t>(p.writes);
         for (const auto list :
              {SpadFootprint::read_first, SpadFootprint::written}) {
             std::vector<Run> &set = list == SpadFootprint::read_first
@@ -179,14 +237,95 @@ SpadFootprintBuilder::cut()
                                         : p.written;
             s.run_counts[SpadFootprint::listIndex(pad, list)] =
                 static_cast<std::uint32_t>(set.size());
-            fp.runs.insert(fp.runs.end(), set.begin(), set.end());
+            if (fits)
+                fp.runs.insert(fp.runs.end(), set.begin(), set.end());
             set.clear();
         }
         p.reads = p.writes = 0;
         p.last_write = Run{};
     }
-    fp.stretches.push_back(s);
-    open = false;
+    if (fits)
+        fp.stretches.push_back(s);
+    else
+        fp.runs.resize(s.run_begin);
+}
+
+/** Derive @p prog's footprint for array dimension @p dim. */
+SpadFootprint
+deriveFootprint(const NpuProgram &prog, std::uint32_t dim)
+{
+    SpadFootprint fp;
+    fp.dim = dim;
+    fp.code_size = prog.code.size();
+    // Stretch bounds and run offsets are 32-bit, and an instruction
+    // adds at most three runs; a longer program (none comes near)
+    // keeps the per-row checks.
+    if (prog.code.size() >
+        std::numeric_limits<std::uint32_t>::max() / 4)
+        return fp;
+
+    // Cut after every tile and layer end, so no flush point lies
+    // inside a stretch whatever order the lists come in.
+    std::vector<std::size_t> cuts(prog.tile_ends);
+    cuts.insert(cuts.end(), prog.layer_ends.begin(),
+                prog.layer_ends.end());
+    std::sort(cuts.begin(), cuts.end());
+    cuts.push_back(prog.code.size());
+
+    SpadFootprintBuilder b(fp, prog.code.data());
+    std::size_t from = 0;
+    for (const std::size_t cut : cuts) {
+        const std::size_t to = std::min(cut + 1, prog.code.size());
+        if (to <= from)
+            continue;
+        b.add(from, to);
+        b.cut();
+        from = to;
+    }
+    fp.stretches.shrink_to_fit();
+    fp.runs.shrink_to_fit();
+    return fp;
+}
+
+} // namespace
+
+FootprintMemo::FootprintMemo() = default;
+FootprintMemo::~FootprintMemo() = default;
+FootprintMemo::FootprintMemo(const FootprintMemo &) {}
+
+FootprintMemo &
+FootprintMemo::operator=(const FootprintMemo &other)
+{
+    if (this != &other) {
+        fp.reset();
+        sealed = false;
+    }
+    return *this;
+}
+
+FootprintMemo::FootprintMemo(FootprintMemo &&) noexcept = default;
+FootprintMemo &FootprintMemo::operator=(FootprintMemo &&) noexcept =
+    default;
+
+const SpadFootprint &
+programFootprint(const NpuProgram &prog, std::uint32_t dim, bool *trusted)
+{
+    std::unique_ptr<const SpadFootprint> &memo = prog.spad_footprint.fp;
+    const bool stale =
+        !memo || memo->dim != dim || memo->code_size != prog.code.size();
+    if (stale)
+        memo = std::make_unique<const SpadFootprint>(
+            deriveFootprint(prog, dim));
+    if (trusted)
+        *trusted = stale || prog.spad_footprint.sealed;
+    return *memo;
+}
+
+void
+sealFootprint(const NpuProgram &prog, std::uint32_t dim, FootprintSeal)
+{
+    programFootprint(prog, dim);
+    prog.spad_footprint.sealed = true;
 }
 
 } // namespace snpu

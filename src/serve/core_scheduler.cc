@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "core/timing_cache.hh"
+#include "npu/spad_footprint.hh"
 #include "sim/hashing.hh"
 #include "sim/logging.hh"
 #include "workload/compiler.hh"
@@ -14,6 +15,21 @@
 
 namespace snpu
 {
+
+/**
+ * The compiled-segment cache's right to seal footprints: its programs
+ * are published const and never edited, so a core need not hash
+ * their code on every run (npu/spad_footprint.hh).
+ */
+class SegmentCache
+{
+  public:
+    static void
+    seal(const NpuProgram &prog, std::uint32_t dim)
+    {
+        sealFootprint(prog, dim, FootprintSeal{});
+    }
+};
 
 namespace
 {
@@ -110,11 +126,13 @@ compileSegments(Soc &soc, const NpuTask &task, std::uint32_t rows,
     }
     out->va_bytes = cursor - out->va_base;
 
-    // Fingerprint eagerly while this thread still owns the programs:
-    // once published, the memoized fingerprint fields must not be
+    // Fingerprint and seal the footprints eagerly while this thread
+    // still owns the programs: once published, the memos must not be
     // written concurrently by racing readers.
-    for (const NpuProgram &prog : out->segments)
+    for (const NpuProgram &prog : out->segments) {
         programFingerprint(prog);
+        SegmentCache::seal(prog, cp.dim);
+    }
 
     std::lock_guard<std::mutex> lock(mu);
     // First insertion wins; a racing thread compiled the same thing.

@@ -46,6 +46,28 @@ Scratchpad::ensureData()
     return data.data();
 }
 
+bool
+Scratchpad::probeFaults(std::uint32_t row)
+{
+    if (faults->shouldInject(FaultSite::spad_id_mismatch, 0)) {
+        // The wordline's ID bit misreads, so the comparator denies
+        // the access regardless of the real owner.
+        ++denied;
+        tracer.emit(0, TraceCategory::fault, trace_name,
+                    "injected ID mismatch: read of row ", row, " denied");
+        return false;
+    }
+    if (faults->shouldInject(FaultSite::spad_bit_flip, 0)) {
+        // Flip the low bit of the row's first byte in place: the
+        // corruption persists and is silent to the reader.
+        ensureData()[std::size_t{row} * params.row_bytes] ^= 1;
+        ++corrupted;
+        tracer.emit(0, TraceCategory::fault, trace_name,
+                    "injected bit flip in row ", row);
+    }
+    return true;
+}
+
 SpadStatus
 Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
 {
@@ -53,25 +75,8 @@ Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
         return SpadStatus::bad_index;
     ++reads;
 
-    if (faults) {
-        if (faults->shouldInject(FaultSite::spad_id_mismatch, 0)) {
-            // The wordline's ID bit misreads, so the comparator
-            // denies the access regardless of the real owner.
-            ++denied;
-            tracer.emit(0, TraceCategory::fault, trace_name,
-                        "injected ID mismatch: read of row ", row,
-                        " denied");
-            return SpadStatus::security_violation;
-        }
-        if (faults->shouldInject(FaultSite::spad_bit_flip, 0)) {
-            // Flip the low bit of the row's first byte in place:
-            // the corruption persists and is silent to the reader.
-            ensureData()[std::size_t{row} * params.row_bytes] ^= 1;
-            ++corrupted;
-            tracer.emit(0, TraceCategory::fault, trace_name,
-                        "injected bit flip in row ", row);
-        }
-    }
+    if (faults && !probeFaults(row))
+        return SpadStatus::security_violation;
 
     switch (params.mode) {
       case IsolationMode::none:

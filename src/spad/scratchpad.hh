@@ -94,22 +94,31 @@ class Scratchpad
 
     /**
      * Whether @p count row reads (or writes) by @p world starting at
-     * @p first would all succeed: every row in range, none denied by
-     * the isolation rule, and — for reads — no armed fault plan
-     * targeting a scratchpad site (those must be probed row by row).
-     * The hardware compares a whole access's wordline IDs in
-     * parallel; this is that check, with no side effects. Forced
-     * inline (GCC otherwise keeps it out of line): the core checks
-     * each instruction's rows through it, mostly with a constant
-     * @p is_write.
+     * @p first would all succeed: ruleAllows() them, and — for reads
+     * — no armed fault plan targets a scratchpad site (those must be
+     * probed row by row).
      */
     [[gnu::always_inline]] bool
     rangeAllowed(World world, std::uint32_t first, std::uint32_t count,
                  bool is_write) const
     {
+        return (is_write || !read_probes) &&
+               ruleAllows(world, first, count, is_write);
+    }
+
+    /**
+     * Whether the isolation rule lets @p world read (or write) all
+     * @p count rows from @p first: every row in range, none denied.
+     * The hardware compares a whole access's wordline IDs in
+     * parallel; this is that check, with no side effects and no
+     * fault probe. Forced inline (GCC otherwise keeps it out of
+     * line), mostly called with a constant @p is_write.
+     */
+    [[gnu::always_inline]] bool
+    ruleAllows(World world, std::uint32_t first, std::uint32_t count,
+               bool is_write) const
+    {
         if (!rowsInRange(first, count))
-            return false;
-        if (!is_write && read_probes)
             return false;
         if (count == 0)
             return true;
@@ -135,6 +144,19 @@ class Scratchpad
                        ids + count;
         }
         return false;
+    }
+
+    /**
+     * One data-free read of @p row on a local pad that ruleAllows()
+     * already approved, under a read-probing fault plan: counted and
+     * probed exactly as read() counts and probes it, with no ID
+     * check. False if an injected ID mismatch denies it.
+     */
+    bool
+    probeRead(std::uint32_t row)
+    {
+        ++reads;
+        return !faults || probeFaults(row);
     }
 
     /**
@@ -396,6 +418,11 @@ class Scratchpad
     }
     void updateConfigFingerprint();
     std::uint8_t *ensureData();
+    /**
+     * The fault probes of one read of @p row: false if an injected
+     * ID mismatch denies it; an injected bit flip corrupts the row.
+     */
+    bool probeFaults(std::uint32_t row);
     void recordWrite(std::uint32_t row)
     {
         if (recording && !write_mark[row]) {

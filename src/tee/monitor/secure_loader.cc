@@ -102,10 +102,6 @@ SecureLoader::prepare(const SecureContext &ctx, const NpuProgram &verified,
         ++idx;
     for (auto &idx : loadable.tile_ends)
         ++idx;
-    for (auto &stretch : loadable.spad_footprint.stretches) {
-        ++stretch.begin;
-        ++stretch.end;
-    }
     return true;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "npu/spad_footprint.hh"
 #include "sim/logging.hh"
 
 namespace snpu
@@ -137,22 +136,10 @@ struct CountingSink
     void layerEnd(std::uint64_t) {}
 };
 
-/**
- * Emission target that appends to a program and builds its
- * scratchpad footprint, one stretch per tile (a layer end is a tile
- * end too).
- */
+/** Emission target that appends to a program. */
 struct ProgramSink
 {
-    ProgramSink(NpuProgram &program, std::uint32_t dim)
-        : program(program), stretches(program.spad_footprint, dim),
-          unfed(program.code.size())
-    {}
-
     NpuProgram &program;
-    SpadFootprintBuilder stretches;
-    /** First instruction not yet fed to the footprint builder. */
-    std::size_t unfed;
 
     void
     footprint(std::uint32_t rows_used, std::uint32_t live_rows)
@@ -166,26 +153,12 @@ struct ProgramSink
     tileEnd()
     {
         program.tile_ends.push_back(program.code.size() - 1);
-        cut();
     }
     void
     layerEnd(std::uint64_t macs)
     {
         program.ideal_macs += macs;
         program.layer_ends.push_back(program.code.size() - 1);
-        cut();
-    }
-    /**
-     * Feed the tile just emitted to the builder and end its stretch:
-     * one pass over instructions still in cache keeps the builder out
-     * of the emission loops.
-     */
-    void
-    cut()
-    {
-        stretches.add(program.code.data(), unfed, program.code.size());
-        unfed = program.code.size();
-        stretches.cut();
     }
 };
 
@@ -359,7 +332,7 @@ TilingCompiler::compileLayer(const LayerSpec &layer,
                              NpuProgram &program, bool skip_a,
                              bool skip_c) const
 {
-    ProgramSink sink(program, cfg.dim);
+    ProgramSink sink{program};
     emitLayer(cfg, layer, plan(layer), bufs, skip_a, skip_c, sink);
 }
 
@@ -431,9 +404,8 @@ TilingCompiler::compileModel(const ModelSpec &model, Addr va_base,
     program.code.reserve(count.instrs);
     program.tile_ends.reserve(count.tiles);
     program.layer_ends.reserve(steps.size());
-    program.spad_footprint.stretches.reserve(count.tiles);
 
-    ProgramSink sink(program, cfg.dim);
+    ProgramSink sink{program};
     for (const Step &s : steps)
         emitLayer(cfg, s.layer, s.plan, s.bufs, s.skip_a, s.skip_c,
                   sink);

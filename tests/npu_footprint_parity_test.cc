@@ -1,14 +1,14 @@
 /**
  * @file
- * Parity of the two scratchpad-check tiers of a timing-only NpuCore.
- * Every compiled program runs twice on twin cores: as compiled, so
- * each footprint stretch is checked once and committed once, and as
- * a copy carrying only code/tile_ends/layer_ends, which has no
- * footprint and goes row by row. The ExecResult, both ID images and
- * their fingerprints, the written-row record, the fault-occurrence
- * counts and the whole stat tree must come out identical, under every
- * isolation mode, from own, foreign and mixed initial ID images, and
- * when an injected DMA fault cuts a stretch short.
+ * Parity of the two scratchpad-check tiers. Every compiled program
+ * runs on twin cores: a timing-only one, which derives the program's
+ * footprint and checks and commits each stretch once, and a
+ * functional one, which checks every row as it goes. The ExecResult,
+ * both ID images and their fingerprints, the written-row record, the
+ * fault-occurrence counts and the whole stat tree must come out
+ * identical, under every isolation mode, from own, foreign and mixed
+ * initial ID images, when an injected DMA fault cuts a stretch short,
+ * and under fault plans that probe every scratchpad read.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dma/protection_backend.hh"
@@ -104,17 +105,6 @@ workloads()
     return all;
 }
 
-/** @p p without its footprint: the per-row tier runs all of it. */
-NpuProgram
-rowByRow(const NpuProgram &p)
-{
-    NpuProgram q;
-    q.code = p.code;
-    q.tile_ends = p.tile_ends;
-    q.layer_ends = p.layer_ends;
-    return q;
-}
-
 enum class Image
 {
     own,
@@ -122,13 +112,14 @@ enum class Image
     mixed,
 };
 
-/** One timing-only core in the secure world, with its own memory. */
+/** One core in the secure world, with its own memory. */
 struct Rig
 {
-    Rig(IsolationMode mode, Image image) : stats("soc"), mem(stats)
+    Rig(IsolationMode mode, Image image, bool timing_only = true)
+        : stats("soc"), mem(stats)
     {
         NpuCoreParams p;
-        p.timing_only = true;
+        p.timing_only = timing_only;
         p.isolation = mode;
         core = std::make_unique<NpuCore>(stats, mem, pass, p);
         core->setIdState(World::secure, true);
@@ -182,11 +173,11 @@ struct Observed
 
 /**
  * Run @p segments back to back on @p rig, recording written rows,
- * until one fails. @p footprints false runs footprint-free copies.
+ * until one fails.
  */
 Observed
 observe(Rig &rig, const std::vector<NpuProgram> &segments,
-        bool footprints, FaultInjector *inj = nullptr)
+        FaultInjector *inj = nullptr)
 {
     NpuCore &core = *rig.core;
     core.armFaults(inj);
@@ -195,8 +186,7 @@ observe(Rig &rig, const std::vector<NpuProgram> &segments,
     Observed o;
     Tick t = 0;
     for (const NpuProgram &seg : segments) {
-        o.results.push_back(
-            core.run(t, footprints ? seg : rowByRow(seg)));
+        o.results.push_back(core.run(t, seg));
         t = o.results.back().end;
         if (!o.results.back().ok())
             break;
@@ -236,6 +226,15 @@ sameWritten(const std::vector<Scratchpad::WrittenRange> &a,
     return true;
 }
 
+/**
+ * Observe @p segments on a timing-only rig and a functional twin,
+ * each under its own injector for @p plan (if any), and expect the
+ * same. Returns the timing-only run.
+ */
+Observed expectParity(IsolationMode mode, Image image,
+                      const std::vector<NpuProgram> &segments,
+                      const FaultPlan *plan = nullptr);
+
 void
 expectSame(const Observed &fp, const Observed &rows)
 {
@@ -263,12 +262,29 @@ expectSame(const Observed &fp, const Observed &rows)
     EXPECT_EQ(fp.fired, rows.fired);
 }
 
+Observed
+expectParity(IsolationMode mode, Image image,
+             const std::vector<NpuProgram> &segments,
+             const FaultPlan *plan)
+{
+    std::unique_ptr<FaultInjector> fp_inj, rows_inj;
+    if (plan) {
+        fp_inj = std::make_unique<FaultInjector>(*plan);
+        rows_inj = std::make_unique<FaultInjector>(*plan);
+    }
+    Rig a(mode, image), b(mode, image, false);
+    Observed fp = observe(a, segments, fp_inj.get());
+    expectSame(fp, observe(b, segments, rows_inj.get()));
+    return fp;
+}
+
 /** Both tiers of every workload from all three images. */
 void
 expectParityFromEveryImage(IsolationMode mode)
 {
     for (const Workload &w : workloads()) {
-        ASSERT_FALSE(w.segments.front().spad_footprint.stretches.empty())
+        ASSERT_FALSE(
+            programFootprint(w.segments.front(), 16).stretches.empty())
             << w.name;
         for (const Image image : {Image::own, Image::other, Image::mixed}) {
             SCOPED_TRACE(w.name + " image " +
@@ -279,10 +295,7 @@ expectParityFromEveryImage(IsolationMode mode)
             FaultSpec never;
             never.site = FaultSite::monitor_verify;
             plan.faults.push_back(never);
-            FaultInjector fp_inj(plan), rows_inj(plan);
-            Rig a(mode, image), b(mode, image);
-            const Observed fp = observe(a, w.segments, true, &fp_inj);
-            expectSame(fp, observe(b, w.segments, false, &rows_inj));
+            const Observed fp = expectParity(mode, image, w.segments, &plan);
             // From its own image every workload runs to the end.
             if (image == Image::own) {
                 EXPECT_EQ(fp.results.size(), w.segments.size());
@@ -309,63 +322,134 @@ TEST(FootprintParity, NoProtectionFromEveryImage)
 }
 
 /**
- * The nth dma_transfer probe of @p w, searched upward from the middle
- * of its probes, whose injected fault fails an instruction whose
- * status message starts with @p op.
+ * The nth @p site probe of @p w, searched upward from the middle of
+ * its probes, whose injected fault fails an instruction whose status
+ * message starts with @p op; 0 if none does.
  */
 std::uint64_t
-faultingProbe(const Workload &w, const std::string &op)
+faultingProbe(const Workload &w, FaultSite site, const std::string &op)
 {
     Rig probe(IsolationMode::id_based, Image::own);
     FaultPlan quiet;
     quiet.faults.push_back(FaultSpec{FaultSite::monitor_verify});
     FaultInjector count(quiet);
-    observe(probe, w.segments, true, &count);
-    const std::uint64_t probes = count.occurrences(FaultSite::dma_transfer);
+    observe(probe, w.segments, &count);
+    const std::uint64_t probes = count.occurrences(site);
     for (std::uint64_t nth = probes / 2 + 1; nth <= probes; ++nth) {
         FaultPlan plan;
         FaultSpec spec;
-        spec.site = FaultSite::dma_transfer;
+        spec.site = site;
         spec.nth = nth;
         plan.faults.push_back(spec);
         FaultInjector inj(plan);
         Rig rig(IsolationMode::id_based, Image::own);
-        const Observed o = observe(rig, w.segments, true, &inj);
+        const Observed o = observe(rig, w.segments, &inj);
         if (o.results.back().error().rfind(op, 0) == 0)
             return nth;
     }
     return 0;
 }
 
-/** A fault at @p op's DMA cuts a stretch short: commit the prefix. */
+/**
+ * The spad_id_mismatch occurrence that denies row 1 of the first
+ * @p op instruction (an accumulating one if @p acc_read, whose
+ * accumulator read is then denied) past the middle of @p w's row
+ * reads; 0 if there is none. Every row read probes once, in program
+ * order, a compute reading activation row r, then accumulator row r.
+ */
+std::uint64_t
+readProbe(const Workload &w, Opcode op, bool acc_read)
+{
+    const auto reads = [](const Instr &in) -> std::uint64_t {
+        switch (in.op) {
+          case Opcode::preload:
+            return 16;
+          case Opcode::mvout:
+            return in.rows;
+          case Opcode::compute:
+            return std::uint64_t{in.rows} * (in.accumulate ? 2 : 1);
+          default:
+            return 0;
+        }
+    };
+    std::uint64_t total = 0;
+    for (const NpuProgram &seg : w.segments) {
+        for (const Instr &in : seg.code)
+            total += reads(in);
+    }
+    std::uint64_t seen = 0;
+    for (const NpuProgram &seg : w.segments) {
+        for (const Instr &in : seg.code) {
+            if (in.op == op && seen >= total / 2 &&
+                (op == Opcode::preload || in.rows >= 2) &&
+                (!acc_read || in.accumulate)) {
+                const std::uint64_t row0 =
+                    op == Opcode::compute ? reads(in) / in.rows : 1;
+                return seen + row0 + (acc_read ? 1 : 0) + 1;
+            }
+            seen += reads(in);
+        }
+    }
+    return 0;
+}
+
+/**
+ * The @p nth @p site probe of @p w fails the instruction it lands
+ * on, with a message starting @p op: commit the executed prefix.
+ */
+void
+expectParityUnderFault(const Workload &w, FaultSite site,
+                       std::uint64_t nth, const std::string &op)
+{
+    SCOPED_TRACE(w.name);
+    FaultPlan plan;
+    FaultSpec spec;
+    spec.site = site;
+    spec.nth = nth;
+    plan.faults.push_back(spec);
+    for (const Image image : {Image::own, Image::mixed}) {
+        const Observed fp =
+            expectParity(IsolationMode::id_based, image, w.segments, &plan);
+        if (image == Image::own) {
+            EXPECT_EQ(fp.results.back().error().rfind(op, 0), 0u)
+                << fp.results.back().error();
+        }
+    }
+}
+
+/** A DMA fault in an @p op cuts a stretch short in every workload. */
 void
 expectParityUnderDmaFault(const std::string &op)
 {
+    bool any = false;
     for (const Workload &w : workloads()) {
-        SCOPED_TRACE(w.name);
-        const std::uint64_t nth = faultingProbe(w, op);
-        if (nth == 0) {
-            // A workload without this kind of transfer (a NoC stage
-            // may store nothing) has nothing to cut short.
-            continue;
-        }
-        FaultPlan plan;
-        FaultSpec spec;
-        spec.site = FaultSite::dma_transfer;
-        spec.nth = nth;
-        plan.faults.push_back(spec);
-        for (const Image image : {Image::own, Image::mixed}) {
-            FaultInjector fp_inj(plan), rows_inj(plan);
-            Rig a(IsolationMode::id_based, image),
-                b(IsolationMode::id_based, image);
-            const Observed fp = observe(a, w.segments, true, &fp_inj);
-            expectSame(fp, observe(b, w.segments, false, &rows_inj));
-            if (image == Image::own) {
-                EXPECT_EQ(fp.results.back().status.code(),
-                          StatusCode::fault_injected);
-            }
+        const std::uint64_t nth =
+            faultingProbe(w, FaultSite::dma_transfer, op);
+        // A workload without this kind of transfer (a NoC stage may
+        // store nothing) has nothing to cut short.
+        if (nth != 0) {
+            any = true;
+            expectParityUnderFault(w, FaultSite::dma_transfer, nth, op);
         }
     }
+    EXPECT_TRUE(any);
+}
+
+/** An injected denial of a read by @p op, in every workload. */
+void
+expectParityUnderReadDenial(Opcode op, bool acc_read,
+                            const std::string &message)
+{
+    bool any = false;
+    for (const Workload &w : workloads()) {
+        const std::uint64_t nth = readProbe(w, op, acc_read);
+        if (nth != 0) {
+            any = true;
+            expectParityUnderFault(w, FaultSite::spad_id_mismatch, nth,
+                                   message);
+        }
+    }
+    EXPECT_TRUE(any);
 }
 
 TEST(FootprintParity, DmaFaultInLoadBatchCommitsPrefix)
@@ -378,11 +462,45 @@ TEST(FootprintParity, DmaFaultOnMvoutCommitsItsReads)
     expectParityUnderDmaFault("mvout DMA");
 }
 
-TEST(FootprintParity, SecureLoaderShiftsStretches)
+TEST(FootprintParity, ProbedReadDenialInComputeCommitsItsWrittenRows)
 {
-    // The loader wraps the code in a sec_set_id prologue and a
-    // sec_reset_spad epilogue, both outside every stretch, and moves
-    // the stretches with the code.
+    expectParityUnderReadDenial(Opcode::compute, false,
+                                "compute activation read denied");
+    expectParityUnderReadDenial(Opcode::compute, true,
+                                "compute accumulator read denied");
+}
+
+TEST(FootprintParity, ProbedReadDenialInPreloadAndMvoutCommitsPrefix)
+{
+    expectParityUnderReadDenial(Opcode::preload, false,
+                                "preload scratchpad read denied");
+    expectParityUnderReadDenial(Opcode::mvout, false,
+                                "mvout accumulator read denied");
+}
+
+TEST(FootprintParity, ProbedBitFlipsMatchEveryRow)
+{
+    // Silent corruption at a per-read chance: every read is probed,
+    // and the first corrupted segment ends degraded on both tiers.
+    FaultPlan plan;
+    FaultSpec flip;
+    flip.site = FaultSite::spad_bit_flip;
+    flip.trigger = FaultTrigger::probability;
+    flip.probability = 1e-4;
+    flip.max_fires = 0;
+    plan.faults.push_back(flip);
+    for (const Workload &w : workloads()) {
+        SCOPED_TRACE(w.name);
+        expectParity(IsolationMode::id_based, Image::mixed, w.segments,
+                     &plan);
+    }
+}
+
+TEST(FootprintParity, SecureLoaderCopyDerivesItsOwnFootprint)
+{
+    // The loader wraps a copy of the code in a sec_set_id prologue
+    // and a sec_reset_spad epilogue; the copy starts without the
+    // original's footprint and derives one for its own code.
     stats::Group g("mesh");
     Mesh mesh(g);
     SecureLoader loader(mesh);
@@ -390,15 +508,52 @@ TEST(FootprintParity, SecureLoaderShiftsStretches)
         SCOPED_TRACE(w.name);
         std::vector<NpuProgram> loaded(w.segments.size());
         for (std::size_t i = 0; i < w.segments.size(); ++i) {
+            const std::uint32_t begin =
+                programFootprint(w.segments[i], 16).stretches.front().begin;
             ASSERT_TRUE(loader.prepare(SecureContext::monitor(),
                                        w.segments[i], loaded[i]));
-            ASSERT_EQ(loaded[i].spad_footprint.stretches.front().begin,
-                      w.segments[i].spad_footprint.stretches.front().begin +
-                          1);
+            ASSERT_EQ(programFootprint(loaded[i], 16).stretches.front().begin,
+                      begin + 1);
         }
-        Rig a(IsolationMode::id_based, Image::mixed),
-            b(IsolationMode::id_based, Image::mixed);
-        expectSame(observe(a, loaded, true), observe(b, loaded, false));
+        expectParity(IsolationMode::id_based, Image::mixed, loaded);
+    }
+}
+
+TEST(FootprintParity, CodeEditedAfterDerivationStillDenied)
+{
+    // A normal-world program loads rows [0, 16) and preloads them.
+    // Edited in place after it ran, so its stretch no longer matches
+    // the memo, to preload rows [32, 48) — secure rows it never
+    // wrote — it is denied just as the functional core denies it.
+    // The same holds for an edited copy.
+    Instr lda{};
+    lda.op = Opcode::mvin;
+    lda.vaddr = arenaBase();
+    lda.rows = 16;
+    Instr pre{};
+    pre.op = Opcode::preload;
+    NpuProgram p;
+    p.code = {lda, pre};
+    p.tile_ends = {1};
+    p.layer_ends = {1};
+
+    Rig a(IsolationMode::id_based, Image::other),
+        b(IsolationMode::id_based, Image::other, false);
+    for (Rig *rig : {&a, &b}) {
+        rig->core->setIdState(World::normal, true);
+        rig->core->scratchpad().setIdRange(32, 16, World::secure);
+    }
+    ASSERT_TRUE(a.core->run(0, p).ok());
+    ASSERT_EQ(programFootprint(p, 16).stretches.size(), 1u);
+
+    p.code[1].spad_row = 32;
+    NpuProgram copy = p;
+    for (const NpuProgram *prog : {&p, &copy}) {
+        const ExecResult timed = a.core->run(0, *prog);
+        const ExecResult rows = b.core->run(0, *prog);
+        EXPECT_EQ(timed.error(), "preload scratchpad read denied");
+        EXPECT_EQ(timed.error(), rows.error());
+        EXPECT_EQ(timed.violations, rows.violations);
     }
 }
 
@@ -407,8 +562,6 @@ TEST(FootprintParity, OutOfRangeStretchRunsRowByRow)
     // A preload whose rows run past the last u32 row index: its
     // stretch fails the range check, and the per-row tier denies the
     // same row with the same message.
-    NpuProgram p;
-    SpadFootprintBuilder b(p.spad_footprint, 16);
     Instr lda{};
     lda.op = Opcode::mvin;
     lda.vaddr = arenaBase();
@@ -416,14 +569,10 @@ TEST(FootprintParity, OutOfRangeStretchRunsRowByRow)
     Instr pre{};
     pre.op = Opcode::preload;
     pre.spad_row = 0xfffffff8u;
-    p.code.push_back(lda);
-    p.code.push_back(pre);
-    b.add(p.code.data(), 0, p.code.size());
-    b.cut();
-    Rig a(IsolationMode::id_based, Image::own),
-        c(IsolationMode::id_based, Image::own);
-    const Observed fp = observe(a, {p}, true);
-    expectSame(fp, observe(c, {p}, false));
+    NpuProgram p;
+    p.code = {lda, pre};
+    ASSERT_EQ(programFootprint(p, 16).stretches.size(), 1u);
+    const Observed fp = expectParity(IsolationMode::id_based, Image::own, {p});
     EXPECT_EQ(fp.results.back().error(), "preload scratchpad read denied");
 }
 
@@ -435,46 +584,43 @@ TEST(SpadFootprint, StretchesRecordReadFirstAndWrittenRows)
     // and read weights [100, 116) a second time. A second tile reads
     // A rows [2, 6), two of which it never wrote.
     NpuProgram p;
-    SpadFootprintBuilder b(p.spad_footprint, 16);
-    auto put = [&](const Instr &in) {
-        p.code.push_back(in);
-        b.add(p.code.data(), p.code.size() - 1, p.code.size());
-    };
     Instr lda{};
     lda.op = Opcode::mvin;
     lda.spad_row = 0;
     lda.rows = 4;
-    put(lda);
+    p.code.push_back(lda);
     Instr ldw{};
     ldw.op = Opcode::mvin_weight;
     ldw.spad_row = 100;
     ldw.rows = 16;
-    put(ldw);
+    p.code.push_back(ldw);
     Instr pre{};
     pre.op = Opcode::preload;
     pre.spad_row = 100;
-    put(pre);
+    p.code.push_back(pre);
     Instr comp{};
     comp.op = Opcode::compute;
     comp.spad_row = 0;
     comp.spad_row2 = 8;
     comp.rows = 4;
-    put(comp);
+    p.code.push_back(comp);
     comp.accumulate = true;
-    put(comp);
+    p.code.push_back(comp);
     Instr st{};
     st.op = Opcode::mvout;
     st.spad_row = 8;
     st.rows = 4;
-    put(st);
-    put(pre);
-    b.cut();
+    p.code.push_back(st);
+    p.code.push_back(pre);
     comp.spad_row = 2;
     comp.accumulate = false;
-    put(comp);
-    b.cut();
+    p.code.push_back(comp);
+    p.tile_ends = {6, 7};
+    p.layer_ends = {7};
 
-    const SpadFootprint &fp = p.spad_footprint;
+    const SpadFootprint &fp = programFootprint(p, 16);
+    EXPECT_EQ(fp.dim, 16u);
+    EXPECT_EQ(fp.code_size, p.code.size());
     ASSERT_EQ(fp.stretches.size(), 2u);
     const SpadFootprint::Stretch &s0 = fp.stretches[0];
     EXPECT_EQ(s0.begin, 0u);
@@ -509,37 +655,81 @@ TEST(SpadFootprint, StretchesRecordReadFirstAndWrittenRows)
     run = fp.runs.data() + s1.run_begin;
     EXPECT_EQ(run[0].first, 2u);
     EXPECT_EQ(run[0].count, 4u);
+    EXPECT_EQ(fp.runs.size(), 3u + 2);
 }
 
-TEST(SpadFootprint, BoundaryInstructionsAndGapsStayUncovered)
+TEST(SpadFootprint, CutsAtTileAndLayerEndsAndBoundaryInstructions)
 {
-    // fence, fence, <boundary>, fence, fence, fence: the builder
-    // sees all but index 4, as if it had been appended uncovered.
-    NpuProgram p;
-    SpadFootprintBuilder b(p.spad_footprint, 16);
+    // Six fences with a boundary instruction at index 2, a tile end
+    // at 3 and a layer end at 4 (the lists need not be in order):
+    // stretches [0, 2), [3, 4), [4, 5), [5, 6).
     Instr fence{};
     fence.op = Opcode::fence;
+    NpuProgram p;
     p.code.assign(6, fence);
+    p.tile_ends = {3};
+    p.layer_ends = {4, 3};
     for (const Opcode op :
          {Opcode::flush_spad, Opcode::sec_set_id, Opcode::sec_reset_spad,
           Opcode::noc_send, Opcode::noc_recv}) {
         EXPECT_TRUE(endsStretch(op));
-        p.code[2].op = op;
-        b.add(p.code.data(), p.spad_footprint.stretches.empty() ? 0 : 2,
-              4);
-        b.add(p.code.data(), 5, 6);
-        b.cut();
+        NpuProgram q = p;
+        q.code[2].op = op;
+        const auto &s = programFootprint(q, 16).stretches;
+        ASSERT_EQ(s.size(), 4u);
+        const std::uint32_t bounds[4][2] = {{0, 2}, {3, 4}, {4, 5}, {5, 6}};
+        for (std::size_t i = 0; i < s.size(); ++i) {
+            EXPECT_EQ(s[i].begin, bounds[i][0]);
+            EXPECT_EQ(s[i].end, bounds[i][1]);
+        }
     }
-    const auto &s = p.spad_footprint.stretches;
-    ASSERT_EQ(s.size(), 11u);
-    EXPECT_EQ(s[0].begin, 0u);
-    EXPECT_EQ(s[0].end, 2u);
-    EXPECT_EQ(s[1].begin, 3u);
-    EXPECT_EQ(s[1].end, 4u);
-    EXPECT_EQ(s[2].begin, 5u);
-    EXPECT_EQ(s[2].end, 6u);
     EXPECT_FALSE(endsStretch(Opcode::fence));
-    EXPECT_THROW(SpadFootprintBuilder(p.spad_footprint, 8), PanicError);
+}
+
+TEST(SpadFootprint, MemoFollowsDimAndCodeLengthAndIsNotCopied)
+{
+    Instr pre{};
+    pre.op = Opcode::preload;
+    NpuProgram p;
+    p.code = {pre};
+    const SpadFootprint *first = &programFootprint(p, 16);
+    EXPECT_EQ(&programFootprint(p, 16), first);
+    EXPECT_EQ(first->stretches.front().reads[0], 16u);
+
+    // Another array height reads other rows: derived again.
+    EXPECT_EQ(programFootprint(p, 8).stretches.front().reads[0], 8u);
+
+    // So does longer code.
+    p.code.push_back(pre);
+    EXPECT_EQ(programFootprint(p, 8).stretches.front().reads[0], 16u);
+
+    // A copy derives for its own code, whatever the original holds.
+    NpuProgram q = p;
+    q.code.front().op = Opcode::sec_set_id;
+    EXPECT_EQ(programFootprint(q, 8).stretches.front().begin, 1u);
+    EXPECT_EQ(programFootprint(p, 8).stretches.front().begin, 0u);
+    q = p;
+    EXPECT_EQ(programFootprint(q, 8).stretches.front().begin, 0u);
+}
+
+TEST(SpadFootprint, OnlyAFreshFootprintSkipsTheHashOutsideTheSegmentCache)
+{
+    // A footprint is trusted without hashing its code only by the call
+    // that derives it; a later call leaves each stretch to the hash
+    // check. Only the serving scheduler's segment cache can seal one.
+    static_assert(!std::is_default_constructible_v<FootprintSeal>);
+    Instr pre{};
+    pre.op = Opcode::preload;
+    NpuProgram p;
+    p.code = {pre};
+    bool trusted = false;
+    programFootprint(p, 16, &trusted);
+    EXPECT_TRUE(trusted);
+    programFootprint(p, 16, &trusted);
+    EXPECT_FALSE(trusted);
+    p.code.push_back(pre);
+    programFootprint(p, 16, &trusted);
+    EXPECT_TRUE(trusted);
 }
 
 } // namespace
