@@ -18,6 +18,7 @@
 #include "core/systems.hh"
 #include "json_writer.hh"
 #include "sim/args.hh"
+#include "spad/scratchpad.hh"
 
 using namespace snpu;
 using namespace snpu::bench;
@@ -34,11 +35,9 @@ main(int argc, char **argv)
     const Resources tile = model.baselineTile();
     Table dom({"domains", "tag bits", "extra RAM bits", "RAM +%"});
     for (std::uint32_t domains : {2u, 4u, 8u, 16u}) {
-        std::uint32_t bits = 0;
-        for (std::uint32_t d = domains; d > 1; d >>= 1)
-            ++bits;
         const Resources extra = model.sSpadMultiDomain(domains);
-        dom.row({std::to_string(domains), std::to_string(bits),
+        dom.row({std::to_string(domains),
+                 std::to_string(spadTagBits(domains)),
                  big(static_cast<std::uint64_t>(extra.ram_bits)),
                  num(tile.percentOver(extra).ram_bits) + "%"});
     }

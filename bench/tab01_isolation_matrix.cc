@@ -7,8 +7,14 @@
  * systolic array's busy fraction; performance is the background
  * task's completion versus sNPU; SLA is the worst latency of the
  * periodic task versus its arrival.
+ *
+ * Exits 1, with the reason on stderr, unless the table keeps Table
+ * I's shape: sNPU has the highest utilization and perf, partition
+ * the lowest perf, and coarse flush the worst SLA. (Fine flush's SLA
+ * beats sNPU's here, so sNPU's SLA is not gated.)
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -87,6 +93,14 @@ main(int argc, char **argv)
         ref_latency = res.streams[1].worst_latency;
     }
 
+    struct Measured
+    {
+        double utilization;
+        double perf;
+        double sla;
+    };
+    std::vector<Measured> measured; // one per row, in order
+
     Table table({"mechanism", "temporal", "spatial", "utilization",
                  "perf (vs sNPU)", "SLA (worst latency vs sNPU)"});
     for (const Row &row : rows) {
@@ -98,12 +112,16 @@ main(int argc, char **argv)
                         res.error().c_str());
             return 1;
         }
+        const Measured m{
+            res.utilization,
+            static_cast<double>(ref_completion) /
+                static_cast<double>(res.streams[0].completion),
+            static_cast<double>(res.streams[1].worst_latency) /
+                static_cast<double>(ref_latency)};
+        measured.push_back(m);
         table.row({row.name, row.temporal, row.spatial,
-                   num(res.utilization * 100.0, 1) + "%",
-                   num(static_cast<double>(ref_completion) /
-                       static_cast<double>(res.streams[0].completion)),
-                   num(static_cast<double>(res.streams[1].worst_latency) /
-                       static_cast<double>(ref_latency))});
+                   num(m.utilization * 100.0, 1) + "%", num(m.perf),
+                   num(m.sla)});
     }
     table.print();
     std::printf("(paper Table I: partition = low utilization/perf, "
@@ -111,7 +129,30 @@ main(int argc, char **argv)
                 "flush = low perf, good SLA; sNPU = high "
                 "utilization, good perf, good SLA)\n");
 
+    const Measured &partition = measured[0];
+    const Measured &coarse = measured[1];
+    const Measured &snpu = measured[3];
+    bool shape_ok = true;
+    auto claim = [&shape_ok](bool holds, const char *what) {
+        if (!holds) {
+            std::fprintf(stderr, "tab01_isolation_matrix: Table I "
+                                 "shape broken: %s\n", what);
+            shape_ok = false;
+        }
+    };
+    claim(snpu.utilization >=
+              std::ranges::max(measured, {}, &Measured::utilization)
+                  .utilization,
+          "sNPU's utilization is not the highest");
+    claim(snpu.perf >= std::ranges::max(measured, {}, &Measured::perf).perf,
+          "sNPU's perf is not the highest");
+    claim(partition.perf <=
+              std::ranges::min(measured, {}, &Measured::perf).perf,
+          "partition's perf is not the lowest");
+    claim(coarse.sla >= std::ranges::max(measured, {}, &Measured::sla).sla,
+          "coarse flush's SLA is not the worst");
+
     JsonReport report("tab01_isolation_matrix");
     report.table("isolation_matrix", table);
-    return report.write(json_path) ? 0 : 1;
+    return report.write(json_path) && shape_ok ? 0 : 1;
 }

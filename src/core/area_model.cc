@@ -1,5 +1,7 @@
 #include "core/area_model.hh"
 
+#include "spad/scratchpad.hh"
+
 namespace snpu
 {
 
@@ -72,30 +74,23 @@ AreaModel::sReg() const
 Resources
 AreaModel::sSpad() const
 {
-    // One ID bit per local wordline, two per accumulator wordline,
-    // plus the match/force-write rule logic on the access path.
-    Resources r;
-    const double spad_rows =
-        static_cast<double>(cfg.spad_kib_per_tile) * 1024 / 16;
-    r.ram_bits = spad_rows * 1 + 1024.0 * 2;
-    r.luts = 220;   // rule check + ID update mux
-    r.ffs = 40;
-    return r;
+    return sSpadMultiDomain(2);
 }
 
 Resources
 AreaModel::sSpadMultiDomain(std::uint32_t domains) const
 {
-    std::uint32_t tag_bits = 0;
-    for (std::uint32_t d = domains; d > 1; d >>= 1)
-        ++tag_bits;
+    // log2(domains) tag bits per local wordline, twice that per
+    // accumulator wordline, plus the match/force-write rule logic on
+    // the access path, whose compare widens with each bit past the
+    // first.
+    const double tag_bits = spadTagBits(domains);
     Resources r;
     const double spad_rows =
         static_cast<double>(cfg.spad_kib_per_tile) * 1024 / 16;
     r.ram_bits = spad_rows * tag_bits + 1024.0 * 2 * tag_bits;
-    // The rule check widens from a 1-bit compare to a tag compare.
-    r.luts = 220.0 + 40.0 * tag_bits;
-    r.ffs = 40.0 + 8.0 * tag_bits;
+    r.luts = 220.0 + 40.0 * (tag_bits - 1); // rule check + ID update mux
+    r.ffs = 40.0 + 8.0 * (tag_bits - 1);
     return r;
 }
 

@@ -64,7 +64,8 @@ class AreaModel
     /**
      * §VII extension: per-wordline tags widened to log2(domains)
      * bits for multiple hardware secure domains (the hardware-cost
-     * trade-off the discussion section calls out).
+     * trade-off the discussion section calls out). sSpad() is its
+     * two-domain case.
      */
     Resources sSpadMultiDomain(std::uint32_t domains) const;
 

@@ -84,7 +84,7 @@ void
 replayIds(Scratchpad &spad, const std::vector<Scratchpad::WrittenRange> &ranges)
 {
     for (const Scratchpad::WrittenRange &r : ranges)
-        spad.setIdRange(r.first, r.count, r.world);
+        spad.setIdRange(r.first, r.count, r.tag);
 }
 
 /** A miss: remember the tile's post-op ID fingerprints. */

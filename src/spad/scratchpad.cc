@@ -11,7 +11,7 @@ namespace snpu
 
 Scratchpad::Scratchpad(stats::Group &stats, SpadParams params)
     : params(params),
-      id_state(params.rows, World::normal),
+      id_state(params.rows), // all World::normal
       reads(stats, "spad_reads", "scratchpad row reads"),
       writes(stats, "spad_writes", "scratchpad row writes"),
       denied(stats, "spad_denied", "scratchpad accesses denied"),
@@ -23,6 +23,12 @@ Scratchpad::Scratchpad(stats::Group &stats, SpadParams params)
         fatal("scratchpad needs nonzero geometry");
     if (params.partition_boundary > params.rows)
         fatal("partition boundary beyond scratchpad");
+    // The tag is one byte: at most 256 domains.
+    if (params.domains < 2 || params.domains > 256 ||
+        (params.domains & (params.domains - 1)) != 0) {
+        fatal("domain count must be a power of two in [2, 256], not ",
+              params.domains);
+    }
     updateConfigFingerprint();
 }
 
@@ -69,7 +75,26 @@ Scratchpad::probeFaults(std::uint32_t row)
 }
 
 SpadStatus
-Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
+Scratchpad::denyTag(const char *access, std::uint32_t row, DomainId who)
+{
+    ++denied;
+    if (!validDomain(who)) {
+        tracer.emit(0, TraceCategory::spad, trace_name, access,
+                    " of row ", row, " denied: domain tag ",
+                    int(who.tag), " out of range");
+    } else if (who == World::normal) {
+        tracer.emit(0, TraceCategory::spad, trace_name, access,
+                    " of secure row ", row, " denied to normal world");
+    } else {
+        tracer.emit(0, TraceCategory::spad, trace_name, access,
+                    " of row ", row, " denied to domain ", int(who.tag),
+                    ": tagged for domain ", int(id_state[row].tag));
+    }
+    return SpadStatus::security_violation;
+}
+
+SpadStatus
+Scratchpad::read(DomainId reader, std::uint32_t row, std::uint8_t *dst)
 {
     if (row >= params.rows)
         return SpadStatus::bad_index;
@@ -77,6 +102,8 @@ Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
 
     if (faults && !probeFaults(row))
         return SpadStatus::security_violation;
+    if (!validDomain(reader))
+        return denyTag("read", row, reader);
 
     switch (params.mode) {
       case IsolationMode::none:
@@ -101,19 +128,12 @@ Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
                 return SpadStatus::security_violation;
             }
         } else {
-            // Global rule: non-secure may not touch secure lines;
-            // a secure read claims the line.
-            if (id_state[row] == World::secure &&
-                reader != World::secure) {
-                ++denied;
-                tracer.emit(0, TraceCategory::spad, trace_name,
-                            "read of secure row ", row,
-                            " denied to normal world");
-                return SpadStatus::security_violation;
-            }
-            if (reader == World::secure &&
-                id_state[row] != World::secure) {
-                id_state[row] = World::secure;
+            // Global rule: no domain may touch another's lines; a
+            // secure domain's read claims an untagged line.
+            if (id_state[row] != World::normal && id_state[row] != reader)
+                return denyTag("read", row, reader);
+            if (id_state[row] != reader) {
+                id_state[row] = reader;
                 id_fp_valid = false;
                 ++id_flips;
                 recordWrite(row); // secure read claims the line
@@ -134,11 +154,14 @@ Scratchpad::read(World reader, std::uint32_t row, std::uint8_t *dst)
 }
 
 SpadStatus
-Scratchpad::write(World writer, std::uint32_t row, const std::uint8_t *src)
+Scratchpad::write(DomainId writer, std::uint32_t row,
+                  const std::uint8_t *src)
 {
     if (row >= params.rows)
         return SpadStatus::bad_index;
     ++writes;
+    if (!validDomain(writer))
+        return denyTag("write", row, writer);
 
     switch (params.mode) {
       case IsolationMode::none:
@@ -161,17 +184,10 @@ Scratchpad::write(World writer, std::uint32_t row, const std::uint8_t *src)
                 ++id_flips;
             }
         } else {
-            if (id_state[row] == World::secure &&
-                writer != World::secure) {
-                ++denied;
-                tracer.emit(0, TraceCategory::spad, trace_name,
-                            "write of secure row ", row,
-                            " denied to normal world");
-                return SpadStatus::security_violation;
-            }
-            if (writer == World::secure &&
-                id_state[row] != World::secure) {
-                id_state[row] = World::secure;
+            if (id_state[row] != World::normal && id_state[row] != writer)
+                return denyTag("write", row, writer);
+            if (id_state[row] != writer) {
+                id_state[row] = writer;
                 id_fp_valid = false;
                 ++id_flips;
             }
@@ -205,9 +221,9 @@ Scratchpad::secureReset(std::uint32_t first, std::uint32_t count,
                 "secure reset: scrubbed rows [", first, ", ",
                 first + count, ")");
     recordRange(first, count);
-    const auto ids = id_state.begin() + first;
-    id_flips += std::count(ids, ids + count, World::secure);
-    std::fill(ids, ids + count, World::normal);
+    DomainId *ids = id_state.data() + first;
+    id_flips += static_cast<double>(countOther(ids, count, World::normal));
+    fillTags(ids, count, World::normal);
     id_fp_valid = false;
     // Resetting also scrubs the payload: the secret must not survive
     // the ownership change. An unallocated array holds only zeros.
@@ -215,6 +231,37 @@ Scratchpad::secureReset(std::uint32_t first, std::uint32_t count,
         std::memset(data.data() +
                         static_cast<std::size_t>(first) * params.row_bytes,
                     0, static_cast<std::size_t>(count) * params.row_bytes);
+    }
+    return true;
+}
+
+bool
+Scratchpad::resetDomain(DomainId domain, bool from_secure)
+{
+    if (!from_secure) {
+        ++denied;
+        tracer.emit(0, TraceCategory::spad, trace_name,
+                    "domain reset denied: not issued from secure "
+                    "context");
+        return false;
+    }
+    if (!validDomain(domain) || domain == World::normal)
+        return false;
+    tracer.emit(0, TraceCategory::spad, trace_name,
+                "domain reset: scrubbed the rows of domain ",
+                int(domain.tag));
+    for (std::uint32_t row = 0; row < params.rows; ++row) {
+        if (id_state[row] != domain)
+            continue;
+        id_state[row] = World::normal;
+        id_fp_valid = false;
+        ++id_flips;
+        recordWrite(row);
+        if (holdsData()) {
+            std::memset(data.data() +
+                            static_cast<std::size_t>(row) * params.row_bytes,
+                        0, params.row_bytes);
+        }
     }
     return true;
 }
@@ -239,10 +286,12 @@ Scratchpad::updateConfigFingerprint()
     // Under partition mode this is the live boundary; otherwise it
     // degenerates to rows and stays a pure function of the above.
     h = hashMix(h, std::uint64_t(usableRows(World::secure)));
+    // The domain count is left out: a World's access does the same at
+    // any count, and a tag of 2 or more shows in the ID image.
     config_fp = h;
 }
 
-World
+DomainId
 Scratchpad::idState(std::uint32_t row) const
 {
     if (row >= params.rows)
@@ -268,11 +317,12 @@ Scratchpad::rawRow(std::uint32_t row)
 }
 
 void
-Scratchpad::setIdRange(std::uint32_t first, std::uint32_t count, World w)
+Scratchpad::setIdRange(std::uint32_t first, std::uint32_t count,
+                       DomainId d)
 {
     if (!rowsInRange(first, count))
         panic("setIdRange: rows out of range");
-    std::fill_n(id_state.begin() + first, count, w);
+    fillTags(id_state.data() + first, count, d);
     id_fp_valid = false;
     recordRange(first, count);
 }
@@ -282,7 +332,7 @@ Scratchpad::idFingerprint() const
 {
     if (!id_fp_valid) {
         id_fp = hashBytesFast(id_state.data(),
-                              id_state.size() * sizeof(World));
+                              id_state.size() * sizeof(DomainId));
         id_fp_valid = true;
     }
     return id_fp;
@@ -304,7 +354,7 @@ Scratchpad::endWriteRecord(std::vector<WrittenRange> &out)
     std::sort(written_rows.begin(), written_rows.end());
     for (std::size_t i = 0; i < written_rows.size();) {
         const std::uint32_t row = written_rows[i];
-        const World w = id_state[row];
+        const DomainId w = id_state[row];
         std::uint32_t count = 1;
         while (i + count < written_rows.size() &&
                written_rows[i + count] == row + count &&

@@ -2,17 +2,24 @@
  * @file
  * NPU scratchpad with the sNPU Isolator's ID-based wordline isolation
  * (§IV-B). The scratchpad is index-addressed SRAM with no relation to
- * system memory; every wordline carries a 1-bit security ID next to
- * its (large) data payload.
+ * system memory; every wordline carries a security ID next to its
+ * (large) data payload. The ID is a domain tag (§VII "Multiple Secure
+ * Domains"): tag 0 is the normal world, tag 1 the paper's secure
+ * world, and tags 2..N-1 further, mutually isolated secure domains
+ * (N = SpadParams::domains, two by default), for log2(N) tag bits per
+ * wordline.
  *
- * Access rules under IsolationMode::id_based:
- *  - local (exclusive) scratchpad: reads require the reader's ID to
- *    match the line's ID; writes are always allowed and overwrite the
- *    line's ID with the writer's (forced write);
- *  - global (shared) scratchpad: a non-secure agent may neither read
- *    nor write a secure line; any secure access forcibly sets the
- *    line's ID to secure. A dedicated secure instruction resets lines
- *    from secure back to non-secure.
+ * Access rules under IsolationMode::id_based, for an access by
+ * domain d:
+ *  - local (exclusive) scratchpad: reads require the line's tag to
+ *    be d; writes are always allowed and overwrite the tag with d
+ *    (forced write);
+ *  - global (shared) scratchpad: an access is denied if the line
+ *    holds a tag other than 0 and d; a secure domain's access claims
+ *    an untagged (tag 0) line. A dedicated secure instruction resets
+ *    lines back to the normal world.
+ *  - in every mode, a tag of N or more is denied.
+ * With two domains these are the paper's rules exactly.
  *
  * Alternative modes model the paper's strawmen: a static partition
  * (Fig 6a / Fig 15) and no protection at all (the LeftoverLocals
@@ -35,6 +42,31 @@
 
 namespace snpu
 {
+
+/**
+ * A wordline's domain tag, one byte per row. A World converts to its
+ * tag implicitly, so two-world callers pass World.
+ */
+struct DomainId
+{
+    std::uint8_t tag = 0;
+
+    constexpr DomainId() = default;
+    constexpr DomainId(World w) : tag(static_cast<std::uint8_t>(w)) {}
+    constexpr explicit DomainId(std::uint8_t t) : tag(t) {}
+
+    friend constexpr bool operator==(DomainId, DomainId) = default;
+};
+
+/** Tag bits per wordline for @p domains domains: log2(domains). */
+constexpr std::uint32_t
+spadTagBits(std::uint32_t domains)
+{
+    std::uint32_t bits = 0;
+    for (std::uint32_t d = domains; d > 1; d >>= 1)
+        ++bits;
+    return bits;
+}
 
 /** How the scratchpad enforces isolation. */
 enum class IsolationMode : std::uint8_t
@@ -73,6 +105,8 @@ struct SpadParams
     IsolationMode mode = IsolationMode::id_based;
     /** First row owned by the normal world under partition mode. */
     std::uint32_t partition_boundary = 0;
+    /** Hardware domains the tags name (a power of two, >= 2). */
+    std::uint32_t domains = 2;
 };
 
 /**
@@ -86,62 +120,53 @@ class Scratchpad
     Scratchpad(stats::Group &stats, SpadParams params = {});
 
     /** Read one row into @p dst (row_bytes long, may be null). */
-    SpadStatus read(World reader, std::uint32_t row, std::uint8_t *dst);
+    SpadStatus read(DomainId reader, std::uint32_t row,
+                    std::uint8_t *dst);
 
     /** Write one row from @p src (row_bytes long, may be null). */
-    SpadStatus write(World writer, std::uint32_t row,
+    SpadStatus write(DomainId writer, std::uint32_t row,
                      const std::uint8_t *src);
 
     /**
-     * Whether @p count row reads (or writes) by @p world starting at
-     * @p first would all succeed: ruleAllows() them, and — for reads
-     * — no armed fault plan targets a scratchpad site (those must be
-     * probed row by row).
-     */
-    [[gnu::always_inline]] bool
-    rangeAllowed(World world, std::uint32_t first, std::uint32_t count,
-                 bool is_write) const
-    {
-        return (is_write || !read_probes) &&
-               ruleAllows(world, first, count, is_write);
-    }
-
-    /**
-     * Whether the isolation rule lets @p world read (or write) all
+     * Whether the isolation rule lets @p domain read (or write) all
      * @p count rows from @p first: every row in range, none denied.
      * The hardware compares a whole access's wordline IDs in
      * parallel; this is that check, with no side effects and no
-     * fault probe. Forced inline (GCC otherwise keeps it out of
-     * line), mostly called with a constant @p is_write.
+     * fault probe, so a read range also needs !probesReads() before
+     * commitRange() may stand in for its per-row reads. Forced inline
+     * (GCC otherwise keeps it out of line), mostly called with a
+     * constant @p is_write.
      */
     [[gnu::always_inline]] bool
-    ruleAllows(World world, std::uint32_t first, std::uint32_t count,
+    ruleAllows(DomainId domain, std::uint32_t first, std::uint32_t count,
                bool is_write) const
     {
         if (!rowsInRange(first, count))
             return false;
         if (count == 0)
             return true;
+        if (!validDomain(domain))
+            return false;
 
-        const World *ids = id_state.data() + first;
+        const DomainId *ids = id_state.data() + first;
         switch (params.mode) {
           case IsolationMode::none:
             return true;
           case IsolationMode::partition:
             // Each world owns one contiguous side of the boundary.
-            return partitionAllows(world, first) &&
-                   partitionAllows(world, first + count - 1);
+            return partitionAllows(domain, first) &&
+                   partitionAllows(domain, first + count - 1);
           case IsolationMode::id_based:
             if (params.scope == SpadScope::local) {
                 // Forced writes always pass; reads need every ID to
                 // match.
-                return is_write || countOther(ids, count, world) == 0;
+                return is_write || countOther(ids, count, domain) == 0;
             }
-            // Global: only a normal-world access is ever denied, by
-            // any secure line in range.
-            return world == World::secure ||
-                   std::find(ids, ids + count, World::secure) ==
-                       ids + count;
+            // Global: denied by any line in range holding another
+            // domain's tag.
+            return std::none_of(ids, ids + count, [domain](DomainId t) {
+                return t != World::normal && t != domain;
+            });
         }
         return false;
     }
@@ -160,38 +185,38 @@ class Scratchpad
     }
 
     /**
-     * Perform the @p count data-free row accesses rangeAllowed()
-     * approved, with exactly the effects of @p count read(…, nullptr)
-     * / write(…, nullptr) calls: access, ID-flip and fault-occurrence
-     * counts, ID transitions (including a secure global read claiming
-     * its lines) and the write record. Forced inline, as
-     * rangeAllowed() is.
+     * Perform the @p count data-free row accesses ruleAllows()
+     * approved (reads only while !probesReads()), with exactly the
+     * effects of @p count read(…, nullptr) / write(…, nullptr) calls:
+     * access, ID-flip and fault-occurrence counts, ID transitions
+     * (including a secure domain's global read claiming its lines)
+     * and the write record. Forced inline, as ruleAllows() is.
      */
     [[gnu::always_inline]] void
-    commitRange(World world, std::uint32_t first, std::uint32_t count,
+    commitRange(DomainId domain, std::uint32_t first, std::uint32_t count,
                 bool is_write)
     {
         if (is_write) {
             countAccesses(0, count);
-            claimRows(world, first, count);
+            claimRows(domain, first, count);
             return;
         }
         countAccesses(count, 0);
 
-        // Under the global rule an approved secure read claims its
-        // lines; no other read moves an ID.
+        // Under the global rule an approved secure-domain read claims
+        // its untagged lines; no other read moves an ID.
         if (params.mode == IsolationMode::id_based &&
-            params.scope == SpadScope::global && world == World::secure) {
-            World *ids = id_state.data() + first;
-            const std::size_t flips = countOther(ids, count, world);
+            params.scope == SpadScope::global && domain != World::normal) {
+            DomainId *ids = id_state.data() + first;
+            const std::size_t flips = countOther(ids, count, domain);
             if (flips > 0) {
                 id_flips += static_cast<double>(flips);
                 for (std::uint32_t row = first;
                      recording && row < first + count; ++row) {
-                    if (id_state[row] != world)
+                    if (id_state[row] != domain)
                         recordWrite(row);
                 }
-                std::fill(ids, ids + count, world);
+                fillTags(ids, count, domain);
                 id_fp_valid = false;
             }
         }
@@ -215,23 +240,23 @@ class Scratchpad
     }
 
     /**
-     * The ID effect of approved writes by @p world to rows [first,
+     * The ID effect of approved writes by @p domain to rows [first,
      * first + count), however many times each row was written: a
-     * local write forces the writer's ID, a secure global write
-     * claims the line, and every row joins the write record. A range
-     * that already holds @p world's ID leaves the image (and its
-     * fingerprint) as it was.
+     * local write forces the writer's tag, a secure domain's global
+     * write claims the line, and every row joins the write record. A
+     * range that already holds @p domain's tag leaves the image (and
+     * its fingerprint) as it was.
      */
     [[gnu::always_inline]] void
-    claimRows(World world, std::uint32_t first, std::uint32_t count)
+    claimRows(DomainId domain, std::uint32_t first, std::uint32_t count)
     {
         if (params.mode == IsolationMode::id_based &&
-            (params.scope == SpadScope::local || world == World::secure)) {
-            World *ids = id_state.data() + first;
-            const std::size_t flips = countOther(ids, count, world);
+            (params.scope == SpadScope::local || domain != World::normal)) {
+            DomainId *ids = id_state.data() + first;
+            const std::size_t flips = countOther(ids, count, domain);
             if (flips > 0) {
                 id_flips += static_cast<double>(flips);
-                std::fill(ids, ids + count, world);
+                fillTags(ids, count, domain);
                 id_fp_valid = false;
             }
         }
@@ -246,12 +271,21 @@ class Scratchpad
     bool probesReads() const { return read_probes; }
 
     /**
-     * Secure instruction: reset rows [first, first+count) from secure
-     * to non-secure, zeroing their contents. Rejected unless issued
-     * from the secure context.
+     * Secure instruction: reset rows [first, first+count) from any
+     * secure domain to the normal world, zeroing their contents.
+     * Rejected unless issued from the secure context.
      */
     bool secureReset(std::uint32_t first, std::uint32_t count,
                      bool from_secure);
+
+    /**
+     * Privileged reset of one secure domain: every row tagged
+     * @p domain returns to the normal world, its contents zeroed.
+     * Rejected (and counted as denied) unless @p from_secure; false,
+     * with nothing changed, for the normal world or a tag outside
+     * the domain count.
+     */
+    bool resetDomain(DomainId domain, bool from_secure);
 
     /** Reconfigure the isolation mode (experiment setup only). */
     void setMode(IsolationMode mode, std::uint32_t partition_boundary = 0);
@@ -264,7 +298,7 @@ class Scratchpad
      */
     std::uint64_t configFingerprint() const { return config_fp; }
 
-    World idState(std::uint32_t row) const;
+    DomainId idState(std::uint32_t row) const;
     std::uint32_t rows() const { return params.rows; }
     std::uint32_t rowBytes() const { return params.row_bytes; }
     SpadScope scope() const { return params.scope; }
@@ -294,11 +328,11 @@ class Scratchpad
     /** Whether the data array has been allocated yet. */
     bool holdsData() const { return !data.empty(); }
 
-    /** Set rows [first, first+count) to ID @p w, check-free. */
-    void setIdRange(std::uint32_t first, std::uint32_t count, World w);
+    /** Set rows [first, first+count) to tag @p d, check-free. */
+    void setIdRange(std::uint32_t first, std::uint32_t count, DomainId d);
 
     /** The whole per-row ID image. */
-    const std::vector<World> &idImage() const { return id_state; }
+    const std::vector<DomainId> &idImage() const { return id_state; }
 
     /**
      * hashBytesFast over idImage() (the layer-timing cache key
@@ -325,7 +359,7 @@ class Scratchpad
     {
         std::uint32_t first = 0;
         std::uint32_t count = 0;
-        World world = World::normal;
+        DomainId tag;
     };
 
     /**
@@ -380,12 +414,12 @@ class Scratchpad
      * not vectorize the byte loop of std::count at -O2.
      */
     static std::size_t
-    countOther(const World *ids, std::size_t n, World w)
+    countOther(const DomainId *ids, std::size_t n, DomainId w)
     {
-        static_assert(sizeof(World) == 1);
+        static_assert(sizeof(DomainId) == 1);
         constexpr std::uint64_t low7 = 0x7f7f7f7f7f7f7f7full;
         constexpr std::uint64_t ones = 0x0101010101010101ull;
-        const std::uint64_t pattern = ones * static_cast<std::uint8_t>(w);
+        const std::uint64_t pattern = ones * w.tag;
         std::size_t other = 0;
         std::size_t i = 0;
         for (; i + 8 <= n; i += 8) {
@@ -403,14 +437,25 @@ class Scratchpad
         return other;
     }
 
-    bool
-    partitionAllows(World w, std::uint32_t row) const
+    /**
+     * Set the @p n tags at @p ids to @p d with one memset: GCC leaves
+     * std::fill of a one-byte class type as a byte loop.
+     */
+    static void
+    fillTags(DomainId *ids, std::size_t n, DomainId d)
     {
-        // Secure world owns [0, boundary); normal world the rest.
-        if (w == World::secure)
+        std::memset(static_cast<void *>(ids), d.tag, n);
+    }
+
+    bool
+    partitionAllows(DomainId d, std::uint32_t row) const
+    {
+        // Secure domains own [0, boundary); normal world the rest.
+        if (d != World::normal)
             return row < params.partition_boundary;
         return row >= params.partition_boundary;
     }
+    bool validDomain(DomainId d) const { return d.tag < params.domains; }
     bool
     rowsInRange(std::uint32_t first, std::uint32_t count) const
     {
@@ -423,6 +468,12 @@ class Scratchpad
      * ID mismatch denies it; an injected bit flip corrupts the row.
      */
     bool probeFaults(std::uint32_t row);
+    /**
+     * Deny one @p access ("read" or "write") of @p row by @p who
+     * whose tag check failed: count it and trace why.
+     */
+    SpadStatus denyTag(const char *access, std::uint32_t row,
+                       DomainId who);
     void recordWrite(std::uint32_t row)
     {
         if (recording && !write_mark[row]) {
@@ -440,7 +491,7 @@ class Scratchpad
 
     SpadParams params;
     std::vector<std::uint8_t> data;   // rows * row_bytes, or empty
-    std::vector<World> id_state;      // per row
+    std::vector<DomainId> id_state;   // per row
     std::uint64_t config_fp = 0;      // configFingerprint()
     mutable std::uint64_t id_fp = 0;  // idFingerprint() memo
     mutable bool id_fp_valid = false;

@@ -163,7 +163,7 @@ struct Rig
 struct Observed
 {
     std::vector<ExecResult> results;
-    std::vector<World> spad_ids, acc_ids;
+    std::vector<DomainId> spad_ids, acc_ids;
     std::uint64_t spad_fp = 0, acc_fp = 0;
     std::vector<Scratchpad::WrittenRange> spad_written, acc_written;
     std::string stats;
@@ -220,7 +220,7 @@ sameWritten(const std::vector<Scratchpad::WrittenRange> &a,
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
         if (a[i].first != b[i].first || a[i].count != b[i].count ||
-            a[i].world != b[i].world)
+            a[i].tag != b[i].tag)
             return false;
     }
     return true;

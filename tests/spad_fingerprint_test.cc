@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the scratchpad's memoized ID-image fingerprint: after any
- * sequence of accesses, range commits, secure resets, check-free ID
- * writes and timing-cache style hit replays, idFingerprint() must
- * equal a fresh hash of idImage() — in every isolation mode and both
- * scopes. Also checks, through the timing cache, that a replayed hit
- * (a segment or a context flush) leaves the tile with the
- * fingerprints a cache-off run computes, and that setMode() keeps
- * the memoized configuration fingerprint current.
+ * sequence of accesses, range commits, secure and domain resets,
+ * check-free ID writes and timing-cache style hit replays,
+ * idFingerprint() must equal a fresh hash of idImage() — in every
+ * isolation mode and both scopes, and with four domains. Also checks,
+ * through the timing cache, that a replayed hit (a segment or a
+ * context flush) leaves the tile with the fingerprints a cache-off
+ * run computes, and that setMode() keeps the memoized configuration
+ * fingerprint current.
  */
 
 #include <gtest/gtest.h>
@@ -36,32 +37,39 @@ constexpr std::uint32_t kRows = 64;
 std::uint64_t
 freshHash(const Scratchpad &pad)
 {
-    const std::vector<World> &ids = pad.idImage();
-    return hashBytesFast(ids.data(), ids.size() * sizeof(World));
+    const std::vector<DomainId> &ids = pad.idImage();
+    return hashBytesFast(ids.data(), ids.size() * sizeof(DomainId));
 }
 
-World
-randomWorld(Rng &rng)
+/** A random world, or beyond two domains a random valid tag. */
+DomainId
+randomDomain(Rng &rng, std::uint32_t domains)
 {
-    return rng.chance(0.5) ? World::secure : World::normal;
+    if (domains == 2)
+        return rng.chance(0.5) ? World::secure : World::normal;
+    return DomainId(static_cast<std::uint8_t>(rng.below(domains)));
 }
 
 /** One randomly drawn operation, applied identically to twins. */
 struct Op
 {
     int kind = 0;
-    World world = World::normal;
+    DomainId world;
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     bool flag = false;
 };
 
+/**
+ * Beyond two domains kind 6, a domain reset, joins the draw; two
+ * domains keep the op stream they always drew.
+ */
 Op
-randomOp(Rng &rng)
+randomOp(Rng &rng, std::uint32_t domains)
 {
     Op op;
-    op.kind = static_cast<int>(rng.below(6));
-    op.world = randomWorld(rng);
+    op.kind = static_cast<int>(rng.below(domains == 2 ? 6 : 7));
+    op.world = randomDomain(rng, domains);
     op.first = static_cast<std::uint32_t>(rng.below(kRows));
     op.count = static_cast<std::uint32_t>(rng.below(kRows - op.first + 1));
     op.flag = rng.chance(0.5);
@@ -80,7 +88,7 @@ apply(Scratchpad &pad, const Op &op)
         pad.write(op.world, op.first, nullptr);
         break;
       case 2:
-        if (pad.rangeAllowed(op.world, op.first, op.count, op.flag))
+        if (pad.ruleAllows(op.world, op.first, op.count, op.flag))
             pad.commitRange(op.world, op.first, op.count, op.flag);
         break;
       case 3:
@@ -89,12 +97,15 @@ apply(Scratchpad &pad, const Op &op)
       case 4:
         pad.setIdRange(op.first, op.count, op.world);
         break;
+      case 6:
+        pad.resetDomain(op.world, op.flag);
+        break;
       default:
         break;
     }
 }
 
-using Case = std::tuple<IsolationMode, SpadScope>;
+using Case = std::tuple<IsolationMode, SpadScope, std::uint32_t>;
 
 class SpadFingerprint : public ::testing::TestWithParam<Case>
 {
@@ -102,13 +113,14 @@ class SpadFingerprint : public ::testing::TestWithParam<Case>
 
 TEST_P(SpadFingerprint, MemoMatchesFreshHashAfterEveryOp)
 {
-    const auto [mode, scope] = GetParam();
+    const auto [mode, scope, domains] = GetParam();
     SpadParams p;
     p.rows = kRows;
     p.row_bytes = 8;
     p.scope = scope;
     p.mode = mode;
     p.partition_boundary = kRows / 3;
+    p.domains = domains;
 
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -121,12 +133,12 @@ TEST_P(SpadFingerprint, MemoMatchesFreshHashAfterEveryOp)
 
         Rng rng(seed);
         for (int i = 0; i < 400; ++i) {
-            const Op op = randomOp(rng);
+            const Op op = randomOp(rng, domains);
             if (op.kind == 5) {
                 const std::uint32_t ranges =
                     1 + static_cast<std::uint32_t>(rng.below(3));
                 for (std::uint32_t r = 0; r < ranges; ++r) {
-                    const Op range = randomOp(rng);
+                    const Op range = randomOp(rng, domains);
                     pad.setIdRange(range.first, range.count,
                                    range.world);
                     twin.setIdRange(range.first, range.count,
@@ -148,7 +160,7 @@ std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
 {
     static const char *const modes[] = {"none", "partition", "id_based"};
-    const auto [mode, scope] = info.param;
+    const auto [mode, scope, domains] = info.param;
     return std::string(modes[static_cast<int>(mode)]) +
            (scope == SpadScope::local ? "_local" : "_global");
 }
@@ -159,7 +171,16 @@ INSTANTIATE_TEST_SUITE_P(
                                          IsolationMode::partition,
                                          IsolationMode::id_based),
                        ::testing::Values(SpadScope::local,
-                                         SpadScope::global)),
+                                         SpadScope::global),
+                       ::testing::Values(2u)),
+    caseName);
+
+INSTANTIATE_TEST_SUITE_P(
+    FourDomains, SpadFingerprint,
+    ::testing::Combine(::testing::Values(IsolationMode::id_based),
+                       ::testing::Values(SpadScope::local,
+                                         SpadScope::global),
+                       ::testing::Values(4u)),
     caseName);
 
 /** Every tile's (scratchpad, accumulator) fingerprints, fresh. */

@@ -1,11 +1,13 @@
 /**
  * @file
  * Differential tests for the scratchpad's range-granular checks:
- * rangeAllowed() + commitRange() (falling back to the per-row loop
- * when a range is not allowed) must leave a scratchpad exactly where
- * the per-row read()/write() loop leaves its twin — same status, all
- * five stats, the ID image, the write record and the fault-occurrence
- * counts. Also covers the lazily allocated data array.
+ * ruleAllows() + commitRange() (falling back to the per-row loop
+ * when a range is not allowed, or is a read under a read-probing
+ * fault plan) must leave a scratchpad exactly where the per-row
+ * read()/write() loop leaves its twin — same status, all five stats,
+ * the ID image, the write record and the fault-occurrence counts, at
+ * two domains and at four. Also covers the lazily allocated data
+ * array.
  */
 
 #include <gtest/gtest.h>
@@ -33,7 +35,7 @@ constexpr std::uint32_t kBoundary = 24;
 /** One data-free access of @c count rows. */
 struct RangeOp
 {
-    World world;
+    DomainId world;
     std::uint32_t first;
     std::uint32_t count;
     bool is_write;
@@ -55,7 +57,8 @@ perRow(Scratchpad &pad, const RangeOp &op)
 SpadStatus
 ranged(Scratchpad &pad, const RangeOp &op)
 {
-    if (!pad.rangeAllowed(op.world, op.first, op.count, op.is_write))
+    if ((!op.is_write && pad.probesReads()) ||
+        !pad.ruleAllows(op.world, op.first, op.count, op.is_write))
         return perRow(pad, op);
     pad.commitRange(op.world, op.first, op.count, op.is_write);
     return SpadStatus::ok;
@@ -69,10 +72,20 @@ statsJson(const stats::Group &g)
     return os.str();
 }
 
-World
-other(World w)
+/**
+ * A tag other than @p d: the other world, or at more domains a random
+ * valid one.
+ */
+DomainId
+other(DomainId d, std::uint32_t domains, Rng &rng)
 {
-    return w == World::secure ? World::normal : World::secure;
+    if (domains == 2)
+        return d == World::secure ? World::normal : World::secure;
+    DomainId t;
+    do {
+        t = DomainId(static_cast<std::uint8_t>(rng.below(domains)));
+    } while (t == d);
+    return t;
 }
 
 /** Fault plans the twins are armed with. */
@@ -101,12 +114,18 @@ planFor(Faults f, std::uint64_t seed)
     return plan;
 }
 
-/** A random op aimed at the interesting edges of the geometry. */
+/**
+ * A random op aimed at the interesting edges of the geometry. Beyond
+ * two domains its tag may also be one past the last valid one.
+ */
 RangeOp
-randomOp(Rng &rng)
+randomOp(Rng &rng, std::uint32_t domains)
 {
     RangeOp op;
-    op.world = rng.chance(0.5) ? World::secure : World::normal;
+    if (domains == 2)
+        op.world = rng.chance(0.5) ? World::secure : World::normal;
+    else
+        op.world = DomainId(static_cast<std::uint8_t>(rng.below(domains + 1)));
     op.is_write = rng.chance(0.5);
     op.count = static_cast<std::uint32_t>(rng.below(20));
     switch (rng.below(3)) {
@@ -125,7 +144,8 @@ randomOp(Rng &rng)
     return op;
 }
 
-using Case = std::tuple<IsolationMode, SpadScope, bool, Faults>;
+using Case = std::tuple<IsolationMode, SpadScope, bool, Faults,
+                        std::uint32_t>;
 
 std::string
 caseName(const ::testing::TestParamInfo<Case> &info)
@@ -133,7 +153,7 @@ caseName(const ::testing::TestParamInfo<Case> &info)
     static const char *const modes[] = {"none", "partition", "id_based"};
     static const char *const faults[] = {"faults_off", "untargeted",
                                          "targeted"};
-    const auto [mode, scope, record, f] = info.param;
+    const auto [mode, scope, record, f, domains] = info.param;
     return std::string(modes[static_cast<int>(mode)]) +
            (scope == SpadScope::local ? "_local" : "_global") +
            (record ? "_recording_" : "_") + faults[static_cast<int>(f)];
@@ -145,13 +165,14 @@ class SpadRangeDiff : public ::testing::TestWithParam<Case>
 
 TEST_P(SpadRangeDiff, RangeCommitMatchesPerRowLoop)
 {
-    const auto [mode, scope, record, faults] = GetParam();
+    const auto [mode, scope, record, faults, domains] = GetParam();
     SpadParams p;
     p.rows = kRows;
     p.row_bytes = 16;
     p.scope = scope;
     p.mode = mode;
     p.partition_boundary = kBoundary;
+    p.domains = domains;
 
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -170,7 +191,7 @@ TEST_P(SpadRangeDiff, RangeCommitMatchesPerRowLoop)
 
         Rng rng(seed);
         for (int i = 0; i < 300; ++i) {
-            const RangeOp op = randomOp(rng);
+            const RangeOp op = randomOp(rng, domains);
             // Plant one foreign-ID row at a random offset inside the
             // range, on both twins.
             if (op.count > 0 && rng.chance(0.3)) {
@@ -178,8 +199,9 @@ TEST_P(SpadRangeDiff, RangeCommitMatchesPerRowLoop)
                     op.first + static_cast<std::uint32_t>(
                                    rng.below(op.count));
                 if (row < kRows) {
-                    ref.setIdRange(row, 1, other(op.world));
-                    fast.setIdRange(row, 1, other(op.world));
+                    const DomainId tag = other(op.world, domains, rng);
+                    ref.setIdRange(row, 1, tag);
+                    fast.setIdRange(row, 1, tag);
                 }
             }
             ASSERT_EQ(perRow(ref, op), ranged(fast, op)) << "op " << i;
@@ -201,7 +223,7 @@ TEST_P(SpadRangeDiff, RangeCommitMatchesPerRowLoop)
             for (std::size_t i = 0; i < a.size(); ++i) {
                 EXPECT_EQ(a[i].first, b[i].first);
                 EXPECT_EQ(a[i].count, b[i].count);
-                EXPECT_EQ(a[i].world, b[i].world);
+                EXPECT_EQ(a[i].tag, b[i].tag);
             }
         }
     }
@@ -215,7 +237,21 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(SpadScope::local, SpadScope::global),
         ::testing::Bool(),
         ::testing::Values(Faults::off, Faults::untargeted,
-                          Faults::targeted)),
+                          Faults::targeted),
+        ::testing::Values(2u)),
+    caseName);
+
+// The ID rules at four domains: a secure domain's global access must
+// be denied by another secure domain's lines.
+INSTANTIATE_TEST_SUITE_P(
+    FourDomains, SpadRangeDiff,
+    ::testing::Combine(::testing::Values(IsolationMode::id_based),
+                       ::testing::Values(SpadScope::local,
+                                         SpadScope::global),
+                       ::testing::Bool(),
+                       ::testing::Values(Faults::off, Faults::untargeted,
+                                         Faults::targeted),
+                       ::testing::Values(4u)),
     caseName);
 
 TEST(SpadRange, OutOfRangeAndTargetedReadsAreNotAllowed)
@@ -225,18 +261,22 @@ TEST(SpadRange, OutOfRangeAndTargetedReadsAreNotAllowed)
     p.rows = kRows;
     p.mode = IsolationMode::none;
     Scratchpad pad(g, p);
-    EXPECT_TRUE(pad.rangeAllowed(World::normal, 0, kRows, false));
-    EXPECT_TRUE(pad.rangeAllowed(World::normal, kRows, 0, true));
-    EXPECT_FALSE(pad.rangeAllowed(World::normal, kRows - 1, 2, true));
-    EXPECT_FALSE(pad.rangeAllowed(World::normal, 1, 0xffffffffu, false));
+    EXPECT_TRUE(pad.ruleAllows(World::normal, 0, kRows, false));
+    EXPECT_TRUE(pad.ruleAllows(World::normal, kRows, 0, true));
+    EXPECT_FALSE(pad.ruleAllows(World::normal, kRows - 1, 2, true));
+    EXPECT_FALSE(pad.ruleAllows(World::normal, 1, 0xffffffffu, false));
+    EXPECT_FALSE(pad.probesReads());
 
     FaultPlan plan;
     plan.faults.push_back(FaultSpec{FaultSite::spad_bit_flip});
     FaultInjector inj(plan);
     pad.armFaults(&inj);
-    // A targeted site must be probed row by row; writes never probe.
-    EXPECT_FALSE(pad.rangeAllowed(World::normal, 0, 4, false));
-    EXPECT_TRUE(pad.rangeAllowed(World::normal, 0, 4, true));
+    // A targeted site must be probed row by row, so reads may not be
+    // committed as a range; the rule itself (and so any write) is
+    // unaffected.
+    EXPECT_TRUE(pad.probesReads());
+    EXPECT_TRUE(pad.ruleAllows(World::normal, 0, 4, false));
+    EXPECT_TRUE(pad.ruleAllows(World::normal, 0, 4, true));
 }
 
 TEST(FaultInjectorSkip, CountsUntargetedOccurrencesAndRefusesArmedSites)
