@@ -14,7 +14,6 @@
 
 #include "mem/mem_system.hh"
 #include "npu/npu_device.hh"
-#include "spad/flush_engine.hh"
 
 namespace snpu
 {
@@ -65,7 +64,6 @@ struct SocParams
     double partition_secure_frac = 0.5;
 
     NocMode noc_mode = NocMode::peephole;
-    FlushGranularity flush = FlushGranularity::none;
 
     /** Layer TNPU-style DRAM encryption under the controller
      *  (§VII "Memory Encryption" — complementary, for ablations). */

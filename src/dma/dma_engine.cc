@@ -7,9 +7,35 @@
 namespace snpu
 {
 
+namespace
+{
+
+/** Packet (beat) size in bytes. */
+constexpr std::uint32_t packet_bytes = 64;
+/** Issue rate: cycles between consecutive packet issues. */
+constexpr Tick issue_interval = 1;
+
+/**
+ * The next packet of a stream at @p va with @p left bytes to go. A
+ * per-packet translation must not straddle a page, so @p clamp stops
+ * the packet at the page end (hardware DMA engines split bursts the
+ * same way).
+ */
+std::uint32_t
+packetBytes(Addr va, std::uint32_t left, bool clamp)
+{
+    const std::uint32_t chunk = std::min(packet_bytes, left);
+    if (!clamp)
+        return chunk;
+    return static_cast<std::uint32_t>(
+        std::min<Addr>(chunk, page_bytes - (va & (page_bytes - 1))));
+}
+
+} // namespace
+
 DmaEngine::DmaEngine(stats::Group &stats, MemSystem &mem,
-                     ProtectionBackend &ctrl, DmaParams params)
-    : mem(mem), control(ctrl), params(params),
+                     ProtectionBackend &ctrl)
+    : mem(mem), control(ctrl),
       requests(stats, "dma_requests", "DMA requests issued"),
       packets_issued(stats, "dma_packets", "memory packets issued"),
       bytes_moved(stats, "dma_bytes", "bytes transferred by DMA"),
@@ -20,8 +46,6 @@ DmaEngine::DmaEngine(stats::Group &stats, MemSystem &mem,
       stall_cycles(stats, "dma_stall",
                    "per-request translation stall cycles")
 {
-    if (params.packet_bytes == 0)
-        fatal("DMA packet size must be positive");
 }
 
 void
@@ -33,6 +57,32 @@ DmaEngine::attachTrace(TraceSink *sink, const std::string &who)
     } else {
         tracer.detach();
     }
+}
+
+// Inlined into both loops: it runs once per IOMMU packet.
+[[gnu::always_inline]] inline Translation
+DmaEngine::translate(Tick at, const DmaRequest &req, Addr va,
+                     std::uint32_t bytes)
+{
+    const Translation xl =
+        control.translate(at, va, bytes, req.op, req.world);
+    if (xl.ready < at) {
+        panic("access control returned ready tick ", xl.ready,
+              " before the translate tick ", at);
+    }
+    return xl;
+}
+
+void
+DmaEngine::copyBytes(std::vector<std::uint8_t> *buffer, MemOp op,
+                     Addr pa, std::uint32_t offset, std::uint32_t bytes)
+{
+    if (!buffer)
+        return;
+    if (op == MemOp::read)
+        mem.data().read(pa, buffer->data() + offset, bytes);
+    else
+        mem.data().write(pa, buffer->data() + offset, bytes);
 }
 
 DmaResult
@@ -57,158 +107,99 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
     if (buffer && req.op == MemOp::write && buffer->size() < req.bytes)
         panic("DMA write buffer smaller than request");
 
-    if (control.granularity() == CheckGranularity::request)
-        return transferPerRequest(when, req, buffer);
+    // A request-granular controller translates the whole request up
+    // front. Its physical range is contiguous by construction, so one
+    // partition check covers it too and the packets take the
+    // check-free memory path.
+    const bool per_request =
+        control.granularity() == CheckGranularity::request;
+    Translation req_xl{true, 0, when};
+    bool prechecked = false;
+    if (per_request) {
+        req_xl = translate(when, req, req.vaddr, req.bytes);
+        if (!req_xl.ok) {
+            ++denied_requests;
+            tracer.emit(when, TraceCategory::dma, trace_name,
+                        "request denied by access control at va 0x",
+                        std::hex, req.vaddr);
+            return DmaResult{when, false, false, 0};
+        }
+        prechecked = mem.rangeAllowed(req.world, req_xl.paddr, req.bytes);
+    }
 
     DmaResult result;
-    Tick issue = when;
+    Tick issue = req_xl.ready;
     Tick total_stall = 0;
-    Addr first_pa = 0;
+    Addr first_pa = req_xl.paddr;
     std::uint32_t offset = 0;
+    // Stops the transfer at the current packet, keeping the partial
+    // packet and byte totals.
+    const auto deny = [&] {
+        ++denied_requests;
+        packets_issued += result.packets;
+        bytes_moved += offset;
+        result.ok = false;
+        result.done = issue;
+        return result;
+    };
 
     while (offset < req.bytes) {
-        std::uint32_t chunk =
-            std::min(params.packet_bytes, req.bytes - offset);
-        // Per-packet translation: a packet must not straddle a
-        // page, so clamp it at the page boundary (hardware DMA
-        // engines split bursts the same way).
         const Addr va = req.vaddr + offset;
-        const Addr to_page_end =
-            page_bytes - (va & (page_bytes - 1));
-        chunk = static_cast<std::uint32_t>(
-            std::min<Addr>(chunk, to_page_end));
-
-        // Packet-level translation (IOMMU): the packet cannot be
-        // issued before its translation is available.
-        Translation xl = control.translate(
-            issue, va, chunk, req.op, req.world);
-        if (xl.ready < issue) {
-            panic("access control returned ready tick ", xl.ready,
-                  " before the translate tick ", issue);
+        const std::uint32_t chunk =
+            packetBytes(va, req.bytes - offset, !per_request);
+        Addr packet_pa = req_xl.paddr + offset;
+        if (!per_request) {
+            // The packet cannot issue before its translation is
+            // available.
+            const Translation xl = translate(issue, req, va, chunk);
+            if (!xl.ok) {
+                tracer.emit(issue, TraceCategory::dma, trace_name,
+                            "packet denied by access control at va 0x",
+                            std::hex, va);
+                return deny();
+            }
+            total_stall += xl.ready - issue;
+            issue = xl.ready;
+            packet_pa = xl.paddr;
+            if (offset == 0)
+                first_pa = packet_pa;
         }
-        if (!xl.ok) {
-            ++denied_requests;
-            tracer.emit(issue, TraceCategory::dma, trace_name,
-                        "packet denied by access control at va 0x",
-                        std::hex, va);
-            result.ok = false;
-            result.done = issue;
-            return result;
-        }
-        total_stall += xl.ready - issue;
-        issue = xl.ready;
-        const Addr packet_pa = xl.paddr;
-        if (offset == 0)
-            first_pa = packet_pa;
 
         Tick packet_done;
         if (!issuePacket(issue, MemRequest{packet_pa, chunk, req.op,
                                            req.world},
-                         false, packet_done)) {
-            ++denied_requests;
-            result.ok = false;
-            result.done = issue;
-            return result;
+                         prechecked, packet_done)) {
+            return deny();
         }
-
-        // Functional data movement.
-        if (buffer) {
-            if (req.op == MemOp::read)
-                mem.data().read(packet_pa, buffer->data() + offset, chunk);
-            else
-                mem.data().write(packet_pa, buffer->data() + offset, chunk);
-        }
-
-        ++packets_issued;
+        if (!per_request)
+            copyBytes(buffer, req.op, packet_pa, offset, chunk);
         ++result.packets;
-        bytes_moved += chunk;
         result.done = std::max(result.done, packet_done);
-        issue += params.issue_interval;
+        issue += issue_interval;
         offset += chunk;
     }
+    if (per_request)
+        copyBytes(buffer, req.op, req_xl.paddr, 0, req.bytes);
 
+    packets_issued += result.packets;
+    bytes_moved += req.bytes;
     stall_cycles.sample(static_cast<double>(total_stall));
     result.done = std::max(result.done, issue);
     // Per-transfer controller overhead (crypto pipelines, MAC): the
     // transfer does not complete until the controller releases it.
     result.done += control.transferOverhead(result.done, first_pa,
                                              req.bytes, req.op);
-    tracer.emit(result.done, TraceCategory::dma, trace_name,
-                req.op == MemOp::read ? "read" : "write", " of ",
-                req.bytes, " B done: ", result.packets, " packets, ",
-                total_stall, " stall cycles");
-    return result;
-}
-
-DmaResult
-DmaEngine::transferPerRequest(Tick when, const DmaRequest &req,
-                              std::vector<std::uint8_t> *buffer)
-{
-    // Request-granular controller (Guarder / pass-through): exactly
-    // one translation covers the whole request, so the packet loop
-    // below provably performs no per-packet checks. The physical
-    // range is contiguous by construction, so one partition check
-    // covers it too, the packets take the check-free memory path,
-    // and the functional bytes move in a single copy. Timing is
-    // identical to the generic loop: same packet split, same issue
-    // cadence, same completion max.
-    Translation req_xl = control.translate(when, req.vaddr, req.bytes,
-                                            req.op, req.world);
-    if (req_xl.ready < when) {
-        panic("access control returned ready tick ", req_xl.ready,
-              " before the translate tick ", when);
+    if (per_request) {
+        tracer.emit(result.done, TraceCategory::dma, trace_name,
+                    req.op == MemOp::read ? "read" : "write", " of ",
+                    req.bytes, " B done: ", result.packets,
+                    " packets, one request-granular check");
+    } else {
+        tracer.emit(result.done, TraceCategory::dma, trace_name,
+                    req.op == MemOp::read ? "read" : "write", " of ",
+                    req.bytes, " B done: ", result.packets, " packets, ",
+                    total_stall, " stall cycles");
     }
-    if (!req_xl.ok) {
-        ++denied_requests;
-        tracer.emit(when, TraceCategory::dma, trace_name,
-                    "request denied by access control at va 0x",
-                    std::hex, req.vaddr);
-        return DmaResult{when, false, false, 0};
-    }
-
-    const bool prechecked =
-        mem.rangeAllowed(req.world, req_xl.paddr, req.bytes);
-    DmaResult result;
-    Tick issue = req_xl.ready;
-    std::uint32_t offset = 0;
-
-    while (offset < req.bytes) {
-        const std::uint32_t chunk =
-            std::min(params.packet_bytes, req.bytes - offset);
-        Tick packet_done;
-        if (!issuePacket(issue, MemRequest{req_xl.paddr + offset, chunk,
-                                           req.op, req.world},
-                         prechecked, packet_done)) {
-            ++denied_requests;
-            packets_issued += result.packets;
-            bytes_moved += offset;
-            result.ok = false;
-            result.done = issue;
-            return result;
-        }
-        ++result.packets;
-        result.done = std::max(result.done, packet_done);
-        issue += params.issue_interval;
-        offset += chunk;
-    }
-
-    if (buffer) {
-        if (req.op == MemOp::read)
-            mem.data().read(req_xl.paddr, buffer->data(), req.bytes);
-        else
-            mem.data().write(req_xl.paddr, buffer->data(), req.bytes);
-    }
-
-    packets_issued += result.packets;
-    bytes_moved += req.bytes;
-    stall_cycles.sample(0.0);
-    result.done = std::max(result.done, issue);
-    result.done += control.transferOverhead(result.done, req_xl.paddr,
-                                             req.bytes, req.op);
-    tracer.emit(result.done, TraceCategory::dma, trace_name,
-                req.op == MemOp::read ? "read" : "write", " of ",
-                req.bytes, " B done: ", result.packets,
-                " packets, one request-granular check");
     return result;
 }
 
@@ -254,13 +245,7 @@ DmaEngine::transferBatch(
         s.req = &req;
         s.buffer = buffers[i];
         if (per_request) {
-            s.req_xl = control.translate(when, req.vaddr, req.bytes,
-                                          req.op, req.world);
-            if (s.req_xl.ready < when) {
-                panic("access control returned ready tick ",
-                      s.req_xl.ready, " before the translate tick ",
-                      when);
-            }
+            s.req_xl = translate(when, req, req.vaddr, req.bytes);
             if (!s.req_xl.ok) {
                 ++denied_requests;
                 tracer.emit(when, TraceCategory::dma, trace_name,
@@ -294,25 +279,16 @@ DmaEngine::transferBatch(
             next = 0;
         Stream &s = *live[next];
 
-        std::uint32_t chunk =
-            std::min(params.packet_bytes, s.req->bytes - s.offset);
+        const Addr va = s.req->vaddr + s.offset;
+        const std::uint32_t chunk =
+            packetBytes(va, s.req->bytes - s.offset, !per_request);
         Addr packet_pa;
         if (per_request) {
             packet_pa = s.req_xl.paddr + s.offset;
             if (s.offset == 0)
                 issue = std::max(issue, s.req_xl.ready);
         } else {
-            const Addr va = s.req->vaddr + s.offset;
-            const Addr to_page_end =
-                page_bytes - (va & (page_bytes - 1));
-            chunk = static_cast<std::uint32_t>(
-                std::min<Addr>(chunk, to_page_end));
-            Translation xl = control.translate(
-                t_req, va, chunk, s.req->op, s.req->world);
-            if (xl.ready < t_req) {
-                panic("access control returned ready tick ", xl.ready,
-                      " before the translate tick ", t_req);
-            }
+            const Translation xl = translate(t_req, *s.req, va, chunk);
             t_req += 1;
             if (!xl.ok) {
                 ++denied_requests;
@@ -339,19 +315,11 @@ DmaEngine::transferBatch(
             result.done = issue;
             return result;
         }
-        if (s.buffer) {
-            if (s.req->op == MemOp::read) {
-                mem.data().read(packet_pa,
-                                s.buffer->data() + s.offset, chunk);
-            } else {
-                mem.data().write(packet_pa,
-                                 s.buffer->data() + s.offset, chunk);
-            }
-        }
+        copyBytes(s.buffer, s.req->op, packet_pa, s.offset, chunk);
         ++result.packets;
         bytes += chunk;
         result.done = std::max(result.done, packet_done);
-        issue += params.issue_interval;
+        issue += issue_interval;
         s.offset += chunk;
         if (s.offset >= s.req->bytes)
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(next));

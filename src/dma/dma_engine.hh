@@ -50,12 +50,6 @@ struct DmaResult
 /** DMA engine parameters. */
 struct DmaParams
 {
-    /** Packet (beat) size in bytes. */
-    std::uint32_t packet_bytes = 64;
-    /** Issue rate: cycles between consecutive packet issues. */
-    Tick issue_interval = 1;
-    /** Route NPU traffic through the shared L2. */
-    bool through_l2 = true;
     /** Parallel DMA channels for batched loads (tile-row streams). */
     std::uint32_t channels = 16;
 };
@@ -69,12 +63,21 @@ class DmaEngine
 {
   public:
     DmaEngine(stats::Group &stats, MemSystem &mem,
-              ProtectionBackend &ctrl, DmaParams params = {});
+              ProtectionBackend &ctrl);
 
     /**
      * Timed transfer. For reads the data lands in @p buffer (resized
      * to req.bytes); for writes @p buffer supplies the bytes.
      * @p buffer may be nullptr for timing-only experiments.
+     *
+     * One packet loop serves both check granularities. A
+     * request-granular controller (Guarder, crypto, pass-through) is
+     * asked once for the whole request; its packets are not clamped
+     * at page ends, and the bytes move in one copy after every packet
+     * issued, so a partition denial partway moves none. A
+     * packet-granular controller (IOMMU) is asked once per packet at
+     * the packet's issue tick; each packet stops at its page end,
+     * moves its bytes as it issues, and adds its wait to the stall.
      */
     DmaResult transfer(Tick when, const DmaRequest &req,
                        std::vector<std::uint8_t> *buffer);
@@ -121,20 +124,25 @@ class DmaEngine
 
   private:
     /**
-     * Fast path for request-granular controllers: one up-front
-     * check and one partition check of the physical range, a
-     * check-free packet timing loop, one contiguous functional copy,
-     * batched stat updates. Timing-identical to the generic
-     * per-packet loop.
+     * Ask the controller to translate [@p va, @p va + @p bytes) of
+     * @p req at tick @p at, enforcing the ready-tick contract.
      */
-    DmaResult transferPerRequest(Tick when, const DmaRequest &req,
-                                 std::vector<std::uint8_t> *buffer);
+    Translation translate(Tick at, const DmaRequest &req, Addr va,
+                          std::uint32_t bytes);
 
     /**
-     * Issue one packet to memory at @p when, through the L2 unless
-     * DmaParams::through_l2 is off. A packet of a range that passed
-     * MemSystem::rangeAllowed() (@p prechecked) takes the check-free
-     * entry; any other packet is checked and may be denied.
+     * Move @p bytes functional bytes between PA @p pa and
+     * @p buffer at @p offset, in @p op's direction. A null
+     * @p buffer (timing-only) moves nothing.
+     */
+    void copyBytes(std::vector<std::uint8_t> *buffer, MemOp op, Addr pa,
+                   std::uint32_t offset, std::uint32_t bytes);
+
+    /**
+     * Issue one packet to memory at @p when through the L2. A packet
+     * of a range that passed MemSystem::rangeAllowed() (@p prechecked)
+     * takes the check-free entry; any other packet is checked and may
+     * be denied.
      * @return false when the partition denied the packet; otherwise
      * its completion tick is in @p done.
      */
@@ -143,12 +151,10 @@ class DmaEngine
                 Tick &done)
     {
         if (prechecked) {
-            done = mem.accessUnchecked(when, mreq, params.through_l2);
+            done = mem.accessUnchecked(when, mreq);
             return true;
         }
-        const MemResult res = params.through_l2
-                                  ? mem.access(when, mreq)
-                                  : mem.accessUncached(when, mreq);
+        const MemResult res = mem.access(when, mreq);
         done = res.done;
         return res.ok;
     }
@@ -166,7 +172,6 @@ class DmaEngine
 
     MemSystem &mem;
     ProtectionBackend &control;
-    DmaParams params;
     FaultInjector *faults = nullptr;
     Tracer tracer;
     std::string trace_name;

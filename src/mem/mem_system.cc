@@ -1,13 +1,11 @@
 #include "mem/mem_system.hh"
 
-#include "sim/logging.hh"
-
 namespace snpu
 {
 
 MemSystem::MemSystem(stats::Group &stats, AddressMap map,
                      MemSystemParams params)
-    : _map(map), params(params),
+    : _map(map),
       _dram(stats, params.dram),
       _crypto(stats, params.crypto),
       _l2(stats, _dram, params.l2, &_crypto),
@@ -33,17 +31,7 @@ MemSystem::access(Tick when, const MemRequest &req)
 {
     if (!check(req))
         return MemResult{when, false, false};
-    if (!params.npu_through_l2)
-        return MemResult{dramTime(when, req), true, false};
     return _l2.access(when, req);
-}
-
-MemResult
-MemSystem::accessUncached(Tick when, const MemRequest &req)
-{
-    if (!check(req))
-        return MemResult{when, false, false};
-    return MemResult{dramTime(when, req), true, false};
 }
 
 } // namespace snpu

@@ -30,8 +30,6 @@ struct MemSystemParams
     L2Params l2;
     /** Optional DRAM encryption (the TNPU-style complement, ablation). */
     MemCryptoParams crypto;
-    /** When false, NPU traffic bypasses L2 (pure streaming). */
-    bool npu_through_l2 = true;
 };
 
 /**
@@ -49,12 +47,6 @@ class MemSystem
     MemResult access(Tick when, const MemRequest &req);
 
     /**
-     * Timed access that bypasses the L2 (streaming DMA path). Still
-     * enforces the partition.
-     */
-    MemResult accessUncached(Tick when, const MemRequest &req);
-
-    /**
      * Pure partition check over [paddr, paddr+bytes): no stats, no
      * timing. Every sub-range of an allowed range is allowed, so a
      * stream whose whole range passes may issue its packets through
@@ -69,16 +61,13 @@ class MemSystem
     /**
      * Check-free timed access, for a request inside a range that
      * passed rangeAllowed(). Counts mem_accesses exactly as access()
-     * (or accessUncached() when @p cached is false) does and returns
-     * the completion tick.
+     * does and returns the completion tick.
      */
     Tick
-    accessUnchecked(Tick when, const MemRequest &req, bool cached = true)
+    accessUnchecked(Tick when, const MemRequest &req)
     {
         ++accesses;
-        if (cached && params.npu_through_l2)
-            return _l2.accessTime(when, req);
-        return dramTime(when, req);
+        return _l2.accessTime(when, req);
     }
 
     /** Functional data path (no timing, no checks). */
@@ -114,16 +103,7 @@ class MemSystem
   private:
     bool check(const MemRequest &req);
 
-    /** Completion tick of an access served straight from DRAM. */
-    Tick
-    dramTime(Tick when, const MemRequest &req)
-    {
-        return _dram.access(when, req.bytes, req.op) +
-               _crypto.accessPenalty(req.paddr);
-    }
-
     AddressMap _map;
-    MemSystemParams params;
     PhysMem mem;
     DramModel _dram;
     MemCryptoEngine _crypto;

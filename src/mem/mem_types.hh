@@ -38,8 +38,6 @@ struct MemRequest
     MemOp op = MemOp::read;
     /** Security world of the issuing agent (for partition checks). */
     World world = World::normal;
-
-    bool isWrite() const { return op == MemOp::write; }
 };
 
 /** Outcome of a timed memory access. */

@@ -42,8 +42,7 @@ NpuCore::NpuCore(stats::Group &stats, MemSystem &mem,
     ap.mode = params.isolation;
     acc = std::make_unique<Scratchpad>(acc_group, ap);
 
-    dma_engine =
-        std::make_unique<DmaEngine>(core_group, mem, ctrl, params.dma);
+    dma_engine = std::make_unique<DmaEngine>(core_group, mem, ctrl);
     flush_engine = std::make_unique<FlushEngine>(core_group, mem, *spad);
 
     if (!params.timing_only) {

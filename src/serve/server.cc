@@ -714,15 +714,6 @@ SnpuServer::SnpuServer(Soc &soc, ServerConfig cfg)
 {}
 
 double
-SnpuServer::idealServiceCycles(const NpuTask &task, std::uint32_t dim)
-{
-    if (dim == 0)
-        fatal("systolic dimension must be positive");
-    return static_cast<double>(task.model.macs()) /
-           (static_cast<double>(dim) * static_cast<double>(dim));
-}
-
-double
 SnpuServer::profiledServiceCycles(const SocParams &params,
                                   const NpuTask &task)
 {

@@ -312,13 +312,6 @@ class SnpuServer
     const CachingTrustedAllocator *kvPool() const { return kv_pool; }
 
     /**
-     * Ideal service cycles of one request of @p task on a
-     * @p dim x @p dim systolic array — a compute-bound lower bound.
-     */
-    static double idealServiceCycles(const NpuTask &task,
-                                     std::uint32_t dim);
-
-    /**
      * Measured service cycles of one request of @p task, run alone
      * on a throwaway probe SoC built from @p params. This is the
      * load-calibration unit for meanGapForLoad(): unlike the ideal

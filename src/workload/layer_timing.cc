@@ -95,12 +95,9 @@ std::uint64_t
 coreConfigFingerprint(NpuCore &core)
 {
     const NpuCoreParams &p = core.coreParams();
-    const std::uint64_t fields[8] = {
+    const std::uint64_t fields[5] = {
         std::uint64_t(p.systolic.dim),
         std::uint64_t(p.timing_only),
-        std::uint64_t(p.dma.packet_bytes),
-        p.dma.issue_interval,
-        std::uint64_t(p.dma.through_l2),
         std::uint64_t(p.dma.channels),
         core.scratchpad().configFingerprint(),
         core.accumulator().configFingerprint()};

@@ -210,19 +210,18 @@ TEST_F(DmaFixture, BatchOverheadSeesPhysicalAddress)
 }
 
 /**
- * transferBatch's round-robin loop written the plainest way: every
- * packet through MemSystem::access (or accessUncached), one stat
- * bump per packet, the streams revisited modulo the request count.
- * Its stats register under the engine's names and in the engine's
- * order, so the two stat trees dump the same JSON when they agree.
- * The controllers used with it charge no transfer overhead.
+ * The engine's two entry points written the plainest way: every
+ * packet through MemSystem::access, one stat bump per packet. Its
+ * stats register under the engine's names and in the engine's order,
+ * so the two stat trees dump the same JSON when they agree. The
+ * controllers used with it charge no transfer overhead.
  */
-class ReferenceBatch
+class ReferenceDma
 {
   public:
-    ReferenceBatch(stats::Group &g, MemSystem &mem,
-                   ProtectionBackend &ctrl, bool through_l2)
-        : mem(mem), ctrl(ctrl), through_l2(through_l2),
+    ReferenceDma(stats::Group &g, MemSystem &mem, ProtectionBackend &ctrl,
+                 FaultInjector *faults = nullptr)
+        : mem(mem), ctrl(ctrl), faults(faults),
           requests(g, "dma_requests", ""),
           packets(g, "dma_packets", ""),
           bytes(g, "dma_bytes", ""),
@@ -232,8 +231,12 @@ class ReferenceBatch
     {
     }
 
+    /**
+     * transferBatch(): the streams revisited modulo the request
+     * count.
+     */
     DmaResult
-    run(Tick when, const std::vector<DmaRequest> &reqs)
+    batch(Tick when, const std::vector<DmaRequest> &reqs)
     {
         DmaResult result;
         result.done = when;
@@ -294,10 +297,8 @@ class ReferenceBatch
                 issue = std::max(issue, xl.ready);
                 pa = xl.paddr;
             }
-            const MemRequest mreq{pa, chunk, s.req->op, s.req->world};
-            const MemResult mres = through_l2
-                                       ? mem.access(issue, mreq)
-                                       : mem.accessUncached(issue, mreq);
+            const MemResult mres = mem.access(
+                issue, MemRequest{pa, chunk, s.req->op, s.req->world});
             if (!mres.ok) {
                 ++denied;
                 result.ok = false;
@@ -317,10 +318,133 @@ class ReferenceBatch
         return result;
     }
 
+    /**
+     * transfer(): one loop per check granularity, each the shape of
+     * the hardware it models.
+     */
+    DmaResult
+    transfer(Tick when, const DmaRequest &req,
+             std::vector<std::uint8_t> *buffer)
+    {
+        ++requests;
+        if (req.bytes == 0)
+            return DmaResult{when, true, false, 0};
+        if (faults && faults->shouldInject(FaultSite::dma_transfer, when)) {
+            ++faulted;
+            return DmaResult{when, false, true, 0};
+        }
+        if (buffer && req.op == MemOp::read)
+            buffer->assign(req.bytes, 0);
+        return ctrl.granularity() == CheckGranularity::request
+                   ? perRequest(when, req, buffer)
+                   : perPacket(when, req, buffer);
+    }
+
   private:
+    /**
+     * Guarder: one check for the whole request, unclamped packets,
+     * and the bytes move only once every packet has issued.
+     */
+    DmaResult
+    perRequest(Tick when, const DmaRequest &req,
+               std::vector<std::uint8_t> *buffer)
+    {
+        const Translation xl =
+            ctrl.translate(when, req.vaddr, req.bytes, req.op, req.world);
+        if (!xl.ok) {
+            ++denied;
+            return DmaResult{when, false, false, 0};
+        }
+        DmaResult result;
+        Tick issue = xl.ready;
+        for (std::uint32_t offset = 0; offset < req.bytes; offset += 64) {
+            const std::uint32_t chunk =
+                std::min<std::uint32_t>(64, req.bytes - offset);
+            const MemResult mres = mem.access(
+                issue, MemRequest{xl.paddr + offset, chunk, req.op,
+                                  req.world});
+            if (!mres.ok) {
+                ++denied;
+                result.ok = false;
+                result.done = issue;
+                return result;
+            }
+            ++packets;
+            ++result.packets;
+            bytes += chunk;
+            result.done = std::max(result.done, mres.done);
+            issue += 1;
+        }
+        if (buffer && req.op == MemOp::read)
+            mem.data().read(xl.paddr, buffer->data(), req.bytes);
+        else if (buffer)
+            mem.data().write(xl.paddr, buffer->data(), req.bytes);
+        stall.sample(0.0);
+        result.done = std::max(result.done, issue);
+        result.done +=
+            ctrl.transferOverhead(result.done, xl.paddr, req.bytes, req.op);
+        return result;
+    }
+
+    /**
+     * IOMMU: one translation per packet at its issue tick, each
+     * packet stopped at its page end and moving its own bytes.
+     */
+    DmaResult
+    perPacket(Tick when, const DmaRequest &req,
+              std::vector<std::uint8_t> *buffer)
+    {
+        DmaResult result;
+        Tick issue = when;
+        Tick stalled = 0;
+        Addr first_pa = 0;
+        std::uint32_t offset = 0;
+        while (offset < req.bytes) {
+            const Addr va = req.vaddr + offset;
+            const std::uint32_t chunk = static_cast<std::uint32_t>(
+                std::min<Addr>({64, req.bytes - offset,
+                                page_bytes - va % page_bytes}));
+            const Translation xl =
+                ctrl.translate(issue, va, chunk, req.op, req.world);
+            if (!xl.ok) {
+                ++denied;
+                result.ok = false;
+                result.done = issue;
+                return result;
+            }
+            stalled += xl.ready - issue;
+            issue = xl.ready;
+            if (offset == 0)
+                first_pa = xl.paddr;
+            const MemResult mres = mem.access(
+                issue, MemRequest{xl.paddr, chunk, req.op, req.world});
+            if (!mres.ok) {
+                ++denied;
+                result.ok = false;
+                result.done = issue;
+                return result;
+            }
+            if (buffer && req.op == MemOp::read)
+                mem.data().read(xl.paddr, buffer->data() + offset, chunk);
+            else if (buffer)
+                mem.data().write(xl.paddr, buffer->data() + offset, chunk);
+            ++packets;
+            ++result.packets;
+            bytes += chunk;
+            result.done = std::max(result.done, mres.done);
+            issue += 1;
+            offset += chunk;
+        }
+        stall.sample(static_cast<double>(stalled));
+        result.done = std::max(result.done, issue);
+        result.done +=
+            ctrl.transferOverhead(result.done, first_pa, req.bytes, req.op);
+        return result;
+    }
+
     MemSystem &mem;
     ProtectionBackend &ctrl;
-    bool through_l2;
+    FaultInjector *faults;
     stats::Scalar requests;
     stats::Scalar packets;
     stats::Scalar bytes;
@@ -332,29 +456,26 @@ class ReferenceBatch
 /**
  * Run @p reqs as three batches (the later ones partly hit in the L2,
  * the last one overlapping the DRAM backlog) through the engine and
- * through ReferenceBatch on an identical memory system, and compare
+ * through ReferenceDma on an identical memory system, and compare
  * every result and the whole stat tree.
  */
 void
 expectBatchMatchesReference(CheckGranularity gran, Tick stall,
-                            bool through_l2,
                             const std::vector<DmaRequest> &reqs)
 {
-    DmaParams params;
-    params.through_l2 = through_l2;
     stats::Group got_stats("g");
     MemSystem got_mem(got_stats);
     MockControl got_ctrl;
     got_ctrl.gran = gran;
     got_ctrl.stall = stall;
-    DmaEngine engine(got_stats, got_mem, got_ctrl, params);
+    DmaEngine engine(got_stats, got_mem, got_ctrl);
 
     stats::Group want_stats("g");
     MemSystem want_mem(want_stats);
     MockControl want_ctrl;
     want_ctrl.gran = gran;
     want_ctrl.stall = stall;
-    ReferenceBatch ref(want_stats, want_mem, want_ctrl, through_l2);
+    ReferenceDma ref(want_stats, want_mem, want_ctrl);
 
     const std::vector<std::vector<std::uint8_t> *> no_buffers(
         reqs.size(), nullptr);
@@ -362,7 +483,7 @@ expectBatchMatchesReference(CheckGranularity gran, Tick stall,
     for (int pass = 0; pass < 3; ++pass) {
         SCOPED_TRACE(testing::Message() << "pass " << pass);
         const DmaResult got = engine.transferBatch(when, reqs, no_buffers);
-        const DmaResult want = ref.run(when, reqs);
+        const DmaResult want = ref.batch(when, reqs);
         EXPECT_EQ(got.ok, want.ok);
         EXPECT_EQ(got.done, want.done);
         EXPECT_EQ(got.packets, want.packets);
@@ -386,7 +507,7 @@ TEST_F(DmaFixture, BatchMatchesPerPacketReference)
     {
         SCOPED_TRACE("unequal lengths, a zero-byte stream, a stall");
         expectBatchMatchesReference(
-            CheckGranularity::request, 5, true,
+            CheckGranularity::request, 5,
             {read(base, 4096), read(base + 0x10000, 0),
              write(base + 0x20000, 700), read(base + 0x30000, 64),
              read(base + 0x40000, 2000)});
@@ -394,13 +515,13 @@ TEST_F(DmaFixture, BatchMatchesPerPacketReference)
     {
         SCOPED_TRACE("unaligned PA: packets span two lines");
         expectBatchMatchesReference(
-            CheckGranularity::request, 0, true,
+            CheckGranularity::request, 0,
             {read(base + 0x1020, 1000), write(base + 0x5007, 333)});
     }
     {
         SCOPED_TRACE("packet-granular, stall and page crossing");
         expectBatchMatchesReference(
-            CheckGranularity::packet, 3, true,
+            CheckGranularity::packet, 3,
             {read(base + page_bytes - 100, 500),
              write(base + 3 * page_bytes - 30, 4200),
              read(base + 0x9000, 64)});
@@ -411,7 +532,7 @@ TEST_F(DmaFixture, BatchMatchesPerPacketReference)
         SCOPED_TRACE("pass-through stream walks into the secure region");
         const Addr secure = mem.map().secureRegion().base;
         expectBatchMatchesReference(
-            CheckGranularity::request, 0, true,
+            CheckGranularity::request, 0,
             {read(base, 2048), write(base + 0x8000, 2048),
              read(secure - 5 * 64, 1024), read(base + 0x10000, 512)});
     }
@@ -419,15 +540,136 @@ TEST_F(DmaFixture, BatchMatchesPerPacketReference)
         SCOPED_TRACE("packet-granular stream walks into the secure region");
         const Addr secure = mem.map().secureRegion().base;
         expectBatchMatchesReference(
-            CheckGranularity::packet, 1, true,
+            CheckGranularity::packet, 1,
             {read(base, 1024), read(secure - 7 * 64, 1024)});
     }
-    {
-        SCOPED_TRACE("through_l2 = false");
-        expectBatchMatchesReference(
-            CheckGranularity::request, 2, false,
-            {read(base, 3000), write(base + 0x7010, 1500),
-             read(base + 0x20000, 0)});
+}
+
+/**
+ * Run @p reqs one after another (each but the first starting inside
+ * the previous one's DRAM backlog or right after it) through
+ * transfer() and through ReferenceDma on identical memory systems,
+ * with functional buffers and memory prefilled with a pattern, and
+ * compare every result, the bytes moved, the controller's calls and
+ * overhead PAs, and the whole stat tree. Both sides arm an injector
+ * built from @p plan.
+ */
+void
+expectTransferMatchesReference(CheckGranularity gran, Tick stall,
+                               const std::vector<DmaRequest> &reqs,
+                               const FaultPlan &plan = {})
+{
+    stats::Group got_stats("g");
+    MemSystem got_mem(got_stats);
+    MockControl got_ctrl;
+    got_ctrl.gran = gran;
+    got_ctrl.stall = stall;
+    DmaEngine engine(got_stats, got_mem, got_ctrl);
+    FaultInjector got_faults(plan);
+    engine.armFaults(&got_faults);
+
+    stats::Group want_stats("g");
+    MemSystem want_mem(want_stats);
+    MockControl want_ctrl;
+    want_ctrl.gran = gran;
+    want_ctrl.stall = stall;
+    FaultInjector want_faults(plan);
+    ReferenceDma ref(want_stats, want_mem, want_ctrl, &want_faults);
+
+    for (const DmaRequest &req : reqs) {
+        for (std::uint32_t i = 0; i < req.bytes; ++i) {
+            const auto b = static_cast<std::uint8_t>(i * 7 + 1);
+            got_mem.data().write(req.vaddr + i, &b, 1);
+            want_mem.data().write(req.vaddr + i, &b, 1);
+        }
+    }
+
+    Tick when = 0;
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "request " << i);
+        const DmaRequest &req = reqs[i];
+        const auto fill = static_cast<std::uint8_t>(0xa0 + i);
+        std::vector<std::uint8_t> got_buf(req.bytes, fill);
+        std::vector<std::uint8_t> want_buf(req.bytes, fill);
+        const DmaResult got = engine.transfer(when, req, &got_buf);
+        const DmaResult want = ref.transfer(when, req, &want_buf);
+        EXPECT_EQ(got.ok, want.ok);
+        EXPECT_EQ(got.fault, want.fault);
+        EXPECT_EQ(got.done, want.done);
+        EXPECT_EQ(got.packets, want.packets);
+        EXPECT_EQ(got_buf, want_buf);
+        when = i % 2 ? want.done : want.done / 2;
+    }
+    for (const DmaRequest &req : reqs) {
+        std::vector<std::uint8_t> got(req.bytes);
+        std::vector<std::uint8_t> want(req.bytes);
+        got_mem.data().read(req.vaddr, got.data(), req.bytes);
+        want_mem.data().read(req.vaddr, want.data(), req.bytes);
+        EXPECT_EQ(got, want) << "memory at va 0x" << std::hex << req.vaddr;
+    }
+    EXPECT_EQ(got_ctrl.calls, want_ctrl.calls);
+    EXPECT_EQ(got_ctrl.overhead_pas, want_ctrl.overhead_pas);
+    std::ostringstream got_json;
+    std::ostringstream want_json;
+    got_stats.dumpJson(got_json);
+    want_stats.dumpJson(want_json);
+    EXPECT_EQ(got_json.str(), want_json.str());
+}
+
+TEST_F(DmaFixture, TransferMatchesPerPacketReference)
+{
+    const auto read = [](Addr va, std::uint32_t bytes) {
+        return DmaRequest{va, bytes, MemOp::read, World::normal};
+    };
+    const auto write = [](Addr va, std::uint32_t bytes) {
+        return DmaRequest{va, bytes, MemOp::write, World::normal};
+    };
+    const Addr secure = mem.map().secureRegion().base;
+    FaultPlan second_faults;
+    second_faults.faults.push_back(FaultSpec{});
+    second_faults.faults.back().nth = 2;
+    for (const CheckGranularity gran :
+         {CheckGranularity::request, CheckGranularity::packet}) {
+        SCOPED_TRACE(gran == CheckGranularity::request ? "request-granular"
+                                                       : "packet-granular");
+        {
+            SCOPED_TRACE("a stall, the later requests hitting in the L2");
+            expectTransferMatchesReference(
+                gran, 5,
+                {read(base, 4096), write(base + 0x20000, 700),
+                 read(base, 2000), read(base + 0x20000, 64)});
+        }
+        {
+            // Only the packet path stops a packet at the page end.
+            SCOPED_TRACE("unaligned request crossing a page");
+            expectTransferMatchesReference(
+                gran, 0,
+                {read(base + page_bytes - 100, 500),
+                 write(base + 3 * page_bytes - 30, 4200)});
+        }
+        {
+            // The read's sixth and the write's fourth packet are the
+            // first secure bytes: each stops there with partial
+            // totals, and only the packet path has moved bytes.
+            SCOPED_TRACE("partition denial partway");
+            expectTransferMatchesReference(
+                gran, 1,
+                {read(secure - 5 * 64, 1024),
+                 write(secure - 3 * 64, 512), read(base, 256)});
+        }
+        {
+            SCOPED_TRACE("a zero-byte request");
+            expectTransferMatchesReference(
+                gran, 2, {read(base, 0), write(base + 0x100, 300)});
+        }
+        {
+            SCOPED_TRACE("an injected transfer fault");
+            expectTransferMatchesReference(
+                gran, 0,
+                {read(base, 512), write(base + 0x4000, 512),
+                 read(base + 0x8000, 128)},
+                second_faults);
+        }
     }
 }
 
