@@ -1,5 +1,6 @@
 #include "core/area_model.hh"
 
+#include "guarder/guarder.hh"
 #include "spad/scratchpad.hh"
 
 namespace snpu
@@ -59,14 +60,14 @@ AreaModel::baselineTile() const
 Resources
 AreaModel::sReg() const
 {
-    // 8 checking registers (base + limit + perm + world) and 16
-    // translation registers (va + pa + size) over 40-bit physical
+    // The Guarder's checking registers (base + limit + perm + world)
+    // and translation registers (va + pa + size) over 40-bit physical
     // addresses, plus parallel range comparators and offset adders.
+    constexpr double checking = NpuGuarder::checking_registers;
+    constexpr double translation = NpuGuarder::translation_registers;
     Resources r;
-    const double check_bits = 8 * (40 + 40 + 4);
-    const double xlate_bits = 16 * (40 + 40 + 32);
-    r.ffs = check_bits + xlate_bits;
-    r.luts = 8 * 70 + 16 * 100;
+    r.ffs = checking * (40 + 40 + 4) + translation * (40 + 40 + 32);
+    r.luts = checking * 70 + translation * 100;
     r.ram_bits = 0;
     return r;
 }

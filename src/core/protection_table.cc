@@ -40,13 +40,9 @@ buildGuarder(stats::Group &stats, const SocParams &, PageTable *)
 }
 
 std::unique_ptr<ProtectionBackend>
-buildCrypto(stats::Group &stats, const SocParams &params, PageTable *)
+buildCrypto(stats::Group &stats, const SocParams &, PageTable *)
 {
-    CryptoBackendParams cp;
-    cp.counter_cache_entries = params.crypto_counter_entries;
-    cp.dma_bytes_per_cycle = 64.0;
-    cp.mac_bytes_per_cycle = params.crypto_mac_bytes_per_cycle;
-    return std::make_unique<CryptoBackend>(&stats, cp);
+    return std::make_unique<CryptoBackend>(&stats);
 }
 
 /** Row order is the order error messages and CI loops list. */

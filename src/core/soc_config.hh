@@ -51,10 +51,6 @@ struct SocParams
     std::uint32_t iotlb_entries = 32;
     /** Ablation: give the IOMMU a warm page-walk cache. */
     bool iommu_walk_cache = false;
-    /** Counter-cache entries of the "crypto" backend (per tile). */
-    std::uint32_t crypto_counter_entries = 64;
-    /** SHA/HMAC unit throughput of the "crypto" backend. */
-    double crypto_mac_bytes_per_cycle = 32.0;
     /** Parallel DMA channels per tile (the IOTLB ping-pong driver). */
     std::uint32_t dma_channels = 16;
 

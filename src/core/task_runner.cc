@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/timing_cache.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "workload/mapping.hh"
@@ -137,24 +136,13 @@ TaskRunner::run(const NpuTask &task, const RunOptions &opts)
                  ? NocMode::unauthorized
                  : soc.params().noc_mode;
 
-    ExecResult exec;
-    if (opts.use_timing_cache) {
-        MemoizedExec memo(soc);
-        MemoizedExec::Outcome mo =
-            memo.run(opts.core, opts.start, program, eo, va_base,
-                     footprint);
-        exec = mo.exec;
-        result.check_requests = mo.check_requests;
-        result.dma_bytes = mo.dma_bytes;
-    } else {
-        const std::uint64_t checks_before =
-            core.dma().controller().checkCount();
-        const std::uint64_t bytes_before = core.dma().totalBytes();
-        exec = core.run(opts.start, program, eo);
-        result.check_requests =
-            core.dma().controller().checkCount() - checks_before;
-        result.dma_bytes = core.dma().totalBytes() - bytes_before;
-    }
+    const std::uint64_t checks_before =
+        core.dma().controller().checkCount();
+    const std::uint64_t bytes_before = core.dma().totalBytes();
+    const ExecResult exec = core.run(opts.start, program, eo);
+    result.check_requests =
+        core.dma().controller().checkCount() - checks_before;
+    result.dma_bytes = core.dma().totalBytes() - bytes_before;
 
     result.status = exec.status;
     result.cycles = exec.cycles();

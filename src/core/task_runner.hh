@@ -35,14 +35,6 @@ struct RunOptions
      *  (0 = derive from the system's isolation mode and world). */
     std::uint32_t spad_rows_override = 0;
     Tick start = 0;
-    /**
-     * Route the execution through the layer-timing memoization
-     * cache (core/timing_cache.hh). Off by default: the cache's
-     * canonicalization bracket changes the timing model (each run
-     * starts from drained memory), which single-run experiments may
-     * not want. Repeated-run sweeps opt in.
-     */
-    bool use_timing_cache = false;
 };
 
 /** Result of one run. */

@@ -66,8 +66,6 @@ socConfigFingerprint(const SocParams &p)
     h = hashMix(h, p.protection);
     h = hashMix(h, std::uint64_t(p.iotlb_entries));
     h = hashMix(h, std::uint64_t(p.iommu_walk_cache));
-    h = hashMix(h, std::uint64_t(p.crypto_counter_entries));
-    h = hashMix(h, p.crypto_mac_bytes_per_cycle);
     h = hashMix(h, std::uint64_t(p.dma_channels));
     h = hashMix(h, std::uint64_t(p.spad_isolation));
     h = hashMix(h, p.partition_secure_frac);
@@ -130,7 +128,7 @@ MemoizedExec::canonicalize(std::uint32_t core)
     soc.protection(core).canonicalizeTiming();
 }
 
-MemoizedExec::Outcome
+ExecResult
 MemoizedExec::run(std::uint32_t core, Tick start,
                   const NpuProgram &prog, const ExecOptions &eo,
                   Addr va_base, Addr va_bytes)
@@ -149,7 +147,6 @@ MemoizedExec::run(std::uint32_t core, Tick start,
 
     canonicalize(core);
 
-    Outcome out;
     LayerTimingKey key;
     const bool bypass = mustBypass();
     if (!bypass) {
@@ -159,30 +156,24 @@ MemoizedExec::run(std::uint32_t core, Tick start,
 
     if (bypass || !key.cacheable) {
         cache.countBypass();
-        const std::uint64_t checks0 = backend.checkCount();
-        const std::uint64_t bytes0 = tile.dma().totalBytes();
         const Tick busy0 = dram.busyCycles();
-        out.exec = tile.run(start, prog, eo);
-        out.check_requests = backend.checkCount() - checks0;
-        out.dma_bytes = tile.dma().totalBytes() - bytes0;
+        ExecResult out = tile.run(start, prog, eo);
         const Tick busy = dram.busyCycles() - busy0;
         canonicalize(core);
         dram.rebase(start + backlog + busy);
-        out.exec.end += backlog;
+        out.end += backlog;
         return out;
     }
 
     if (auto entry = cache.find(key.hash)) {
         cache.countHit();
-        out.hit = true;
-        out.exec.start = start;
-        out.exec.end = start + backlog + entry->rel_end;
-        out.exec.mac_busy = entry->mac_busy;
-        out.exec.macs = entry->macs;
-        out.exec.violations = entry->violations;
-        out.exec.flush_cycles = entry->flush_cycles;
-        out.check_requests = entry->check_requests;
-        out.dma_bytes = entry->dma_bytes;
+        ExecResult out;
+        out.start = start;
+        out.end = start + backlog + entry->rel_end;
+        out.mac_busy = entry->mac_busy;
+        out.macs = entry->macs;
+        out.violations = entry->violations;
+        out.flush_cycles = entry->flush_cycles;
         capture.apply(entry->deltas);
         replayIds(tile.scratchpad(), entry->spad_ids);
         replayIds(tile.accumulator(), entry->acc_ids);
@@ -193,35 +184,29 @@ MemoizedExec::run(std::uint32_t core, Tick start,
 
     cache.countMiss();
     auto entry = std::make_shared<TimingEntry>();
-    const std::uint64_t checks0 = backend.checkCount();
-    const std::uint64_t bytes0 = tile.dma().totalBytes();
     const Tick busy0 = dram.busyCycles();
     capture.begin();
     tile.scratchpad().beginWriteRecord();
     tile.accumulator().beginWriteRecord();
-    out.exec = tile.run(start, prog, eo);
+    ExecResult out = tile.run(start, prog, eo);
     tile.scratchpad().endWriteRecord(entry->spad_ids);
     tile.accumulator().endWriteRecord(entry->acc_ids);
     capture.collect(entry->deltas);
-    out.check_requests = backend.checkCount() - checks0;
-    out.dma_bytes = tile.dma().totalBytes() - bytes0;
     const Tick busy = dram.busyCycles() - busy0;
     canonicalize(core);
     dram.rebase(start + backlog + busy);
 
-    if (out.exec.ok()) {
-        entry->rel_end = out.exec.end - out.exec.start;
-        entry->mac_busy = out.exec.mac_busy;
-        entry->macs = out.exec.macs;
-        entry->violations = out.exec.violations;
-        entry->flush_cycles = out.exec.flush_cycles;
-        entry->check_requests = out.check_requests;
-        entry->dma_bytes = out.dma_bytes;
+    if (out.ok()) {
+        entry->rel_end = out.end - out.start;
+        entry->mac_busy = out.mac_busy;
+        entry->macs = out.macs;
+        entry->violations = out.violations;
+        entry->flush_cycles = out.flush_cycles;
         entry->dram_busy = busy;
         recordIdFingerprints(*entry, tile);
         cache.insert(key.hash, std::move(entry));
     }
-    out.exec.end += backlog;
+    out.end += backlog;
     return out;
 }
 

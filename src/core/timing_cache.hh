@@ -58,10 +58,6 @@ struct TimingEntry
     std::uint64_t macs = 0;
     std::uint64_t violations = 0;
     std::uint64_t flush_cycles = 0;
-    /** Ad-hoc counter deltas surfaced through MemoizedExec::Outcome
-     *  (plain counters are not part of the stats tree). */
-    std::uint64_t check_requests = 0;
-    std::uint64_t dma_bytes = 0;
     /** DRAM channel occupancy of the op (transfer cycles), charged
      *  back to the shared channel after the op so cross-tile backlog
      *  accumulates identically on hits and live runs. */
@@ -141,31 +137,22 @@ class TimingCache
  * Memoizing execution front end for one SoC. Owns the DeltaCapture
  * over the SoC's stat tree and applies the canonicalization bracket
  * uniformly. The serve-path scheduler routes every segment execution
- * and context flush through one of these; TaskRunner offers it as an
- * opt-in (RunOptions::use_timing_cache).
+ * and context flush through one of these; it is the cache's only
+ * production caller (TaskRunner always runs live).
  */
 class MemoizedExec
 {
   public:
     explicit MemoizedExec(Soc &soc);
 
-    /** What run() yields beyond the ExecResult: deltas of the
-     *  ad-hoc (non-stats) counters callers read around a run. */
-    struct Outcome
-    {
-        ExecResult exec;
-        std::uint64_t check_requests = 0;
-        std::uint64_t dma_bytes = 0;
-        bool hit = false;
-    };
-
     /**
      * Execute @p prog on tile @p core at @p start, memoized.
      * @p va_base/@p va_bytes bound the VA window the backend context
      * fingerprint must cover (the stream's provisioned window).
      */
-    Outcome run(std::uint32_t core, Tick start, const NpuProgram &prog,
-                const ExecOptions &eo, Addr va_base, Addr va_bytes);
+    ExecResult run(std::uint32_t core, Tick start,
+                   const NpuProgram &prog, const ExecOptions &eo,
+                   Addr va_base, Addr va_bytes);
 
     /**
      * The scheduler's context switch (flush + restore of

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "sim/hashing.hh"
-#include "sim/logging.hh"
 #include "tee/hmac.hh"
 
 namespace snpu
@@ -24,32 +24,16 @@ struct CryptoBackend::CryptoStats
     stats::Scalar version_bumps;
 };
 
-CryptoBackend::CryptoBackend(stats::Group *stats,
-                             CryptoBackendParams params)
-    : ProtectionBackend("crypto", stats), params(params),
-      regions(params.regions),
-      timing(params, stats,
+CryptoBackend::CryptoBackend(stats::Group *stats)
+    : ProtectionBackend("crypto", stats),
+      timing(stats,
              {"crypto_counter_hits", "crypto_counter_misses",
               "counter cache misses (extra DRAM fetch)",
               "crypto_aes_blocks",
               "64-byte lines through the AES pipeline"})
 {
-    if (params.regions == 0)
-        fatal("crypto backend needs at least one keyed region");
-    if (params.mac_bytes_per_cycle <= 0 ||
-        params.dma_bytes_per_cycle <= 0) {
-        fatal("crypto backend throughputs must be positive");
-    }
     if (stats)
         cstats = std::make_unique<CryptoStats>(*stats);
-    mixTimingFingerprint(std::uint64_t(params.engine_latency));
-    mixTimingFingerprint(std::uint64_t(params.counter_cache_entries));
-    mixTimingFingerprint(std::uint64_t(params.counter_miss_penalty));
-    mixTimingFingerprint(std::uint64_t(params.mac_latency));
-    mixTimingFingerprint(params.mac_bytes_per_cycle);
-    mixTimingFingerprint(params.dma_bytes_per_cycle);
-    mixTimingFingerprint(std::uint64_t(params.check_latency));
-    mixTimingFingerprint(std::uint64_t(params.regions));
 }
 
 CryptoBackend::~CryptoBackend() = default;
@@ -71,7 +55,6 @@ CryptoBackend::translate(Tick when, Addr vaddr, std::uint32_t bytes,
                          MemOp op, World world)
 {
     recordCheck(bytes);
-    const Tick ready = when + params.check_latency;
 
     if (injectedDenial(when)) {
         recordDeny(bytes);
@@ -79,7 +62,7 @@ CryptoBackend::translate(Tick when, Addr vaddr, std::uint32_t bytes,
                     "injected integrity fault: ",
                     op == MemOp::read ? "read" : "write", " of ",
                     bytes, " B fails authentication");
-        return Translation{false, 0, ready};
+        return Translation{false, 0, when};
     }
 
     const KeyedRegion *region = findRegion(vaddr, bytes);
@@ -90,7 +73,7 @@ CryptoBackend::translate(Tick when, Addr vaddr, std::uint32_t bytes,
         tracer.emit(when, TraceCategory::security, trace_name,
                     "denied: no keyed region covers pa 0x", std::hex,
                     vaddr, std::dec, " +", bytes, " B");
-        return Translation{false, 0, ready};
+        return Translation{false, 0, when};
     }
     // A secure region's key is bound to the secure context; a
     // normal-world transfer against it would MAC-fail.
@@ -99,11 +82,11 @@ CryptoBackend::translate(Tick when, Addr vaddr, std::uint32_t bytes,
         tracer.emit(when, TraceCategory::security, trace_name,
                     "denied: normal-world transfer against a "
                     "secure-keyed region");
-        return Translation{false, 0, ready};
+        return Translation{false, 0, when};
     }
     // Counter-mode addressing is identity: ciphertext sits at the
     // plaintext address.
-    return Translation{true, vaddr, ready};
+    return Translation{true, vaddr, when};
 }
 
 Tick
@@ -123,12 +106,12 @@ CryptoBackend::transferOverhead(Tick when, Addr paddr,
     // plus a fixed finalize latency for tag generation/check.
     const double sha_cycles =
         std::ceil(static_cast<double>(bytes) /
-                  params.mac_bytes_per_cycle);
+                  sha_unit_bytes_per_cycle);
     const double stream_cycles =
         std::ceil(static_cast<double>(bytes) /
-                  params.dma_bytes_per_cycle);
+                  dma_bytes_per_cycle);
     const Tick mac =
-        params.mac_latency +
+        sha_unit_latency +
         static_cast<Tick>(std::max(0.0, sha_cycles - stream_cycles));
     stall += mac;
     if (cstats)

@@ -19,11 +19,14 @@
  *  - integrity uses TNPU-style per-region versioning (no tree
  *    walk): each provisioned region carries a version that write
  *    transfers bump; the MAC binds data to (region, version);
- *  - the MAC itself is an HMAC-SHA256 unit (tee/hmac.hh computes
- *    the functional region tags): a fixed finalize latency per
- *    transfer plus the throughput gap between the SHA pipeline and
- *    the DMA packet stream — this is the "crypto bandwidth" axis
- *    the evaluation contrasts with check-once translation.
+ *  - the MAC itself is the SoC's HMAC-SHA256 unit (tee/sha256.hh
+ *    holds its timing, tee/hmac.hh computes the functional region
+ *    tags): a fixed finalize latency per transfer plus the
+ *    throughput gap between the SHA pipeline and the DMA packet
+ *    stream — this is the "crypto bandwidth" axis the evaluation
+ *    contrasts with check-once translation;
+ *  - the region/version lookup is a register compare and adds no
+ *    cycle.
  *
  * Enforcement: a transfer that touches bytes outside every keyed
  * region would fail authentication on read (and corrupt silently on
@@ -35,8 +38,8 @@
 #ifndef SNPU_DMA_CRYPTO_BACKEND_HH
 #define SNPU_DMA_CRYPTO_BACKEND_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "dma/protection_backend.hh"
 #include "mem/counter_cache.hh"
@@ -44,21 +47,6 @@
 
 namespace snpu
 {
-
-/** Crypto backend geometry and latencies. */
-struct CryptoBackendParams : CounterModeParams
-{
-    /** HMAC finalize latency (tag generation/verification). */
-    Tick mac_latency = 40;
-    /** SHA-256 unit throughput absorbing the packet stream. */
-    double mac_bytes_per_cycle = 32.0;
-    /** DMA packet stream rate the MAC unit shadows (64 B/cycle). */
-    double dma_bytes_per_cycle = 64.0;
-    /** Check latency of the region/version lookup (registers). */
-    Tick check_latency = 0;
-    /** Concurrent keyed regions (one per provisioned context). */
-    std::uint32_t regions = 8;
-};
 
 /**
  * The counter-mode encryption + MAC backend. Request-granular: the
@@ -68,7 +56,12 @@ struct CryptoBackendParams : CounterModeParams
 class CryptoBackend : public ProtectionBackend
 {
   public:
-    CryptoBackend(stats::Group *stats, CryptoBackendParams params = {});
+    /** DMA packet stream rate the MAC unit shadows. */
+    static constexpr double dma_bytes_per_cycle = 64.0;
+    /** Concurrent keyed regions (one per provisioned context). */
+    static constexpr std::uint32_t keyed_regions = 8;
+
+    explicit CryptoBackend(stats::Group *stats);
     ~CryptoBackend() override;
 
     CheckGranularity granularity() const override
@@ -128,8 +121,7 @@ class CryptoBackend : public ProtectionBackend
 
     KeyedRegion *findRegion(Addr addr, std::uint32_t bytes);
 
-    CryptoBackendParams params;
-    std::vector<KeyedRegion> regions;
+    std::array<KeyedRegion, keyed_regions> regions;
     CounterModeTiming timing;
     std::uint64_t n_version_bumps = 0;
     std::uint64_t context_fp = 0; // contextFingerprint() memo

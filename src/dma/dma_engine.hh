@@ -108,11 +108,6 @@ class DmaEngine
      */
     void attachTrace(TraceSink *sink, const std::string &who);
 
-    std::uint64_t faultedTransfers() const
-    {
-        return static_cast<std::uint64_t>(faulted_requests.value());
-    }
-
     std::uint64_t totalBytes() const
     {
         return static_cast<std::uint64_t>(bytes_moved.value());

@@ -88,12 +88,6 @@ ProtectionBackend::mixTimingFingerprint(std::uint64_t v)
     timing_fp = hashMix(timing_fp, v);
 }
 
-void
-ProtectionBackend::mixTimingFingerprint(double v)
-{
-    timing_fp = hashMix(timing_fp, v);
-}
-
 bool
 ProtectionBackend::injectedDenial(Tick when)
 {

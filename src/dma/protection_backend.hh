@@ -228,9 +228,8 @@ class ProtectionBackend
     /** True when an armed protection_check fault fires now. */
     bool injectedDenial(Tick when);
     /** Fold one timing parameter into timingFingerprint(); a derived
-     *  constructor calls these once per parameter. */
+     *  constructor calls this once per parameter. */
     void mixTimingFingerprint(std::uint64_t v);
-    void mixTimingFingerprint(double v);
 
     FaultInjector *faults = nullptr;
     Tracer tracer;

@@ -68,10 +68,7 @@ class FleetController::Window
             attest_key = deriveAttestKey(monitorSealedKey());
             attest_verifier = std::make_unique<AttestVerifier>(
                 attest_key, boot->golden);
-            AttestTiming timing;
-            timing.mac_bytes_per_cycle =
-                cfg.soc.crypto_mac_bytes_per_cycle;
-            re_attest_cycles = timing.handshakeCycles(0);
+            re_attest_cycles = attestHandshakeCycles(0);
         }
     }
 
@@ -572,7 +569,7 @@ class FleetController::Window
         if (mig_inj && mig_inj->shouldInject(FaultSite::attest, now))
             return false;
         const AttestNonce nonce = attestNonceFromSeed(
-            hashMix(cfg.server.attest_seed, ++attest_serial));
+            hashMix(attest_seed, ++attest_serial));
         const AttestQuote quote =
             makeQuote(attest_key, fleet_boot_mr, nonce);
         if (!attest_verifier->verify(quote, nonce).isOk())

@@ -1,25 +1,15 @@
 #include "guarder/guarder.hh"
 
 #include "sim/hashing.hh"
-#include "sim/logging.hh"
 
 namespace snpu
 {
 
-NpuGuarder::NpuGuarder(stats::Group &stats, GuarderParams params)
-    : ProtectionBackend("guarder", &stats), params(params),
-      checking(params.checking_registers),
-      translation(params.translation_registers),
+NpuGuarder::NpuGuarder(stats::Group &stats)
+    : ProtectionBackend("guarder", &stats),
       config_violations(stats, "guarder_config_violations",
                         "register writes rejected (non-secure caller)")
 {
-    if (params.checking_registers == 0 ||
-        params.translation_registers == 0) {
-        fatal("guarder needs at least one register of each kind");
-    }
-    mixTimingFingerprint(std::uint64_t(params.checking_registers));
-    mixTimingFingerprint(std::uint64_t(params.translation_registers));
-    mixTimingFingerprint(std::uint64_t(params.check_latency));
 }
 
 const TranslationRegister *
@@ -58,7 +48,6 @@ NpuGuarder::translate(Tick when, Addr vaddr, std::uint32_t bytes,
                       MemOp op, World world)
 {
     recordCheck(bytes);
-    const Tick ready = when + params.check_latency;
 
     if (faults &&
         faults->shouldInject(FaultSite::guarder_check, when)) {
@@ -66,7 +55,7 @@ NpuGuarder::translate(Tick when, Addr vaddr, std::uint32_t bytes,
         tracer.emit(when, TraceCategory::fault, trace_name,
                     "injected check fault: request at va 0x",
                     std::hex, vaddr, std::dec, " denied");
-        return Translation{false, 0, ready};
+        return Translation{false, 0, when};
     }
 
     const TranslationRegister *tr = findTranslation(vaddr, bytes);
@@ -75,7 +64,7 @@ NpuGuarder::translate(Tick when, Addr vaddr, std::uint32_t bytes,
         tracer.emit(when, TraceCategory::guarder, trace_name,
                     "denied: no translation register covers va 0x",
                     std::hex, vaddr, std::dec, " +", bytes, " B");
-        return Translation{false, 0, ready};
+        return Translation{false, 0, when};
     }
     const Addr paddr = tr->pa_base + (vaddr - tr->va_base);
 
@@ -85,9 +74,9 @@ NpuGuarder::translate(Tick when, Addr vaddr, std::uint32_t bytes,
                     "denied: no checking window grants ",
                     op == MemOp::read ? "read" : "write", " of pa 0x",
                     std::hex, paddr, std::dec, " +", bytes, " B");
-        return Translation{false, 0, ready};
+        return Translation{false, 0, when};
     }
-    return Translation{true, paddr, ready};
+    return Translation{true, paddr, when};
 }
 
 Status

@@ -24,9 +24,9 @@
 #ifndef SNPU_GUARDER_GUARDER_HH
 #define SNPU_GUARDER_GUARDER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "dma/protection_backend.hh"
 #include "mem/address_map.hh"
@@ -66,15 +66,6 @@ struct TranslationRegister
     Addr size = 0;
 };
 
-/** Guarder geometry. */
-struct GuarderParams
-{
-    std::uint32_t checking_registers = 8;
-    std::uint32_t translation_registers = 16;
-    /** Register-file compare latency (parallel comparators). */
-    Tick check_latency = 0;
-};
-
 /**
  * The NPU Guarder, the table's backend "guarder". Request-granular
  * translation and checking; canonical checks/denials come from the
@@ -87,7 +78,13 @@ struct GuarderParams
 class NpuGuarder : public ProtectionBackend
 {
   public:
-    NpuGuarder(stats::Group &stats, GuarderParams params = {});
+    /** Register-file geometry: 8 checking and 16 translation
+     *  registers. The comparators run in parallel, so a check adds
+     *  no cycle. */
+    static constexpr std::uint32_t checking_registers = 8;
+    static constexpr std::uint32_t translation_registers = 16;
+
+    explicit NpuGuarder(stats::Group &stats);
 
     CheckGranularity granularity() const override
     {
@@ -143,15 +140,6 @@ class NpuGuarder : public ProtectionBackend
     /** Clear everything (context teardown). */
     bool clearAll(bool from_secure);
 
-    std::uint32_t checkingCapacity() const
-    {
-        return static_cast<std::uint32_t>(checking.size());
-    }
-    std::uint32_t translationCapacity() const
-    {
-        return static_cast<std::uint32_t>(translation.size());
-    }
-
     /** Rejected programming attempts from the non-secure side. */
     std::uint64_t configViolations() const
     {
@@ -164,9 +152,8 @@ class NpuGuarder : public ProtectionBackend
     const CheckingRegister *findWindow(Addr paddr, std::uint32_t bytes,
                                        MemOp op, World world) const;
 
-    GuarderParams params;
-    std::vector<CheckingRegister> checking;
-    std::vector<TranslationRegister> translation;
+    std::array<CheckingRegister, checking_registers> checking;
+    std::array<TranslationRegister, translation_registers> translation;
     std::uint64_t context_fp = 0; // contextFingerprint() memo
     bool context_fp_valid = false;
 

@@ -12,9 +12,6 @@ Iommu::Iommu(stats::Group &stats, PageTable &table, IommuParams params)
       walk_latency(stats, "iommu_walk_latency", "cycles per page walk")
 {
     mixTimingFingerprint(std::uint64_t(params.iotlb_entries));
-    mixTimingFingerprint(std::uint64_t(params.hit_latency));
-    mixTimingFingerprint(std::uint64_t(params.fill_latency));
-    mixTimingFingerprint(std::uint64_t(params.walker_occupancy));
     mixTimingFingerprint(std::uint64_t(params.walk_cache));
 }
 
@@ -37,7 +34,7 @@ Iommu::translate(Tick when, Addr vaddr, std::uint32_t bytes, MemOp op,
         tracer.emit(when, TraceCategory::fault, trace_name,
                     "injected check fault: packet at va 0x", std::hex,
                     vaddr, std::dec, " denied");
-        return Translation{false, 0, when + params.hit_latency};
+        return Translation{false, 0, when + hit_latency};
     }
 
     bool writable;
@@ -49,7 +46,7 @@ Iommu::translate(Tick when, Addr vaddr, std::uint32_t bytes, MemOp op,
         writable = e->writable;
         secure = e->secure;
         ppn = e->ppn;
-        ready = when + params.hit_latency;
+        ready = when + hit_latency;
     } else {
         Pte pte;
         ++walk_count;
@@ -57,7 +54,7 @@ Iommu::translate(Tick when, Addr vaddr, std::uint32_t bytes, MemOp op,
         // every walker_occupancy cycles; a stream of misses is
         // throughput-limited here (the IOTLB "ping-pong" cost).
         const Tick walk_start = std::max(when, walker_free);
-        walker_free = walk_start + params.walker_occupancy;
+        walker_free = walk_start + walker_occupancy;
         const Tick walk_done =
             params.walk_cache
                 ? table.walkCached(walk_start, vpn * page_bytes, pte)
@@ -71,7 +68,7 @@ Iommu::translate(Tick when, Addr vaddr, std::uint32_t bytes, MemOp op,
         secure = pte.secure;
         ppn = pte.paddr / page_bytes;
         iotlb.insert(vpn, ppn, writable, secure);
-        ready = walk_done + params.fill_latency;
+        ready = walk_done + fill_latency;
     }
 
     // Permission and TrustZone S/NS checks.

@@ -24,16 +24,6 @@ namespace snpu
 struct IommuParams
 {
     std::uint32_t iotlb_entries = 32;
-    /** IOTLB lookup latency on a hit (pipelined CAM). */
-    Tick hit_latency = 1;
-    /** Extra fill latency after a completed walk. */
-    Tick fill_latency = 2;
-    /**
-     * Walker issue occupancy: a new walk can start at most every
-     * this many cycles (the walker pipelines, but its L2 port
-     * bounds throughput). This is what throttles a thrashing IOTLB.
-     */
-    Tick walker_occupancy = 6;
     /**
      * Model a warm page-walk cache: non-leaf levels hit inside the
      * walker and only the leaf entry is a timed memory read.
@@ -49,6 +39,17 @@ struct IommuParams
 class Iommu : public ProtectionBackend
 {
   public:
+    /** IOTLB lookup latency on a hit (pipelined CAM). */
+    static constexpr Tick hit_latency = 1;
+    /** Extra fill latency after a completed walk. */
+    static constexpr Tick fill_latency = 2;
+    /**
+     * Walker issue occupancy: a new walk can start at most every
+     * this many cycles (the walker pipelines, but its L2 port
+     * bounds throughput). This is what throttles a thrashing IOTLB.
+     */
+    static constexpr Tick walker_occupancy = 6;
+
     Iommu(stats::Group &stats, PageTable &table, IommuParams params = {});
 
     CheckGranularity granularity() const override

@@ -89,9 +89,6 @@ class PageTable
     /** Root node physical address (the "page table base register"). */
     Addr root() const { return root_node; }
 
-    /** Number of table nodes allocated. */
-    std::uint32_t nodesAllocated() const { return nodes_used; }
-
     /**
      * Fingerprint of the physical layout backing [va_base,
      * va_base+bytes): the entry addresses touched by a walk of every

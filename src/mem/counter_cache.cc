@@ -58,10 +58,9 @@ struct CounterModeTiming::Exported
     stats::Scalar blocks;
 };
 
-CounterModeTiming::CounterModeTiming(const CounterModeParams &params,
-                                     stats::Group *stats,
+CounterModeTiming::CounterModeTiming(stats::Group *stats,
                                      const StatNames &names)
-    : params(params), cache(params.counter_cache_entries)
+    : cache(counter_cache_entries)
 {
     if (stats)
         exported = std::make_unique<Exported>(*stats, names);
@@ -86,7 +85,7 @@ CounterModeTiming::charge(Addr paddr, std::uint32_t bytes)
         exported->blocks +=
             static_cast<double>((bytes + line_bytes - 1) / line_bytes);
     }
-    return params.engine_latency + misses * params.counter_miss_penalty;
+    return engine_latency + misses * counter_miss_penalty;
 }
 
 } // namespace snpu

@@ -55,17 +55,6 @@ class CounterCache
     std::uint32_t n_valid = 0;
 };
 
-/** Counter-mode AES engine timing knobs. */
-struct CounterModeParams
-{
-    /** Pipelined AES fill latency, charged once per stream. */
-    Tick engine_latency = 12;
-    /** Counter cache entries (one per 4 KiB page). */
-    std::uint32_t counter_cache_entries = 64;
-    /** Cost of fetching a missing counter line from DRAM. */
-    Tick counter_miss_penalty = 110;
-};
-
 /**
  * The counter-mode timing rule: streaming a byte range through the
  * pipelined AES engine costs its fill latency once (full throughput
@@ -78,6 +67,13 @@ struct CounterModeParams
 class CounterModeTiming
 {
   public:
+    /** Pipelined AES fill latency, charged once per stream. */
+    static constexpr Tick engine_latency = 12;
+    /** Counter cache entries (one per 4 KiB page). */
+    static constexpr std::uint32_t counter_cache_entries = 64;
+    /** Cost of fetching a missing counter line from DRAM. */
+    static constexpr Tick counter_miss_penalty = 110;
+
     /** Name (and description) of each exported count. */
     struct StatNames
     {
@@ -88,8 +84,7 @@ class CounterModeTiming
         const char *blocks_desc;
     };
 
-    CounterModeTiming(const CounterModeParams &params,
-                      stats::Group *stats, const StatNames &names);
+    CounterModeTiming(stats::Group *stats, const StatNames &names);
     ~CounterModeTiming();
 
     /** Cycles to stream [paddr, paddr+bytes); @p bytes > 0. */
@@ -104,7 +99,6 @@ class CounterModeTiming
   private:
     struct Exported;
 
-    CounterModeParams params;
     CounterCache cache;
     std::uint64_t n_hits = 0;
     std::uint64_t n_misses = 0;

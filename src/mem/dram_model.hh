@@ -28,8 +28,6 @@ struct DramParams
 {
     /** Sustained channel bandwidth in bytes per cycle. */
     double bytes_per_cycle = 16.0;
-    /** Fixed access latency (row activation + CAS + on-chip wires). */
-    Tick access_latency = 100;
 };
 
 /**
@@ -39,6 +37,9 @@ struct DramParams
 class DramModel
 {
   public:
+    /** Fixed access latency (row activation + CAS + on-chip wires). */
+    static constexpr Tick access_latency = 100;
+
     DramModel(stats::Group &stats, DramParams params = {});
 
     /**
@@ -83,7 +84,7 @@ class DramModel
 
         next_free = start + transfer;
         busy_cycles += transfer;
-        return start + params.access_latency + transfer;
+        return start + access_latency + transfer;
     }
 
     /** First tick at which the channel is free again. */

@@ -30,9 +30,6 @@ struct L2Params
     std::uint64_t size_bytes = 2ULL << 20;
     std::uint32_t ways = 8;
     std::uint32_t banks = 8;
-    Tick hit_latency = 20;
-    /** Bank busy time per line access (throughput limiter). */
-    Tick bank_cycle = 2;
 };
 
 /**
@@ -50,6 +47,12 @@ struct L2Params
 class L2Cache
 {
   public:
+    /** Lookup latency: a hit completes after it, a miss then goes to
+     *  DRAM. */
+    static constexpr Tick hit_latency = 20;
+    /** Bank busy time per line access (throughput limiter). */
+    static constexpr Tick bank_cycle = 2;
+
     L2Cache(stats::Group &stats, DramModel &dram, L2Params params = {},
             MemCryptoEngine *crypto = nullptr);
 
@@ -136,7 +139,7 @@ class L2Cache
         // Bank arbitration: the access cannot start before the bank
         // frees.
         const Tick start = std::max(when, bank_free[bank]);
-        bank_free[bank] = start + params.bank_cycle;
+        bank_free[bank] = start + bank_cycle;
 
         SetState &state = sets[set];
         if (state.epoch != epoch)
@@ -152,7 +155,7 @@ class L2Cache
                 base[w].lru = ++lru_clock;
                 if (op == MemOp::write)
                     state.dirty |= std::uint64_t(1) << w;
-                return start + params.hit_latency;
+                return start + hit_latency;
             }
         }
 
@@ -174,7 +177,7 @@ class L2Cache
             }
         }
         const std::uint64_t bit = std::uint64_t(1) << victim;
-        Tick ready = start + params.hit_latency;
+        Tick ready = start + hit_latency;
         if (state.dirty & bit) {
             ++writebacks;
             Tick wb = dram.access(ready, line_bytes, MemOp::write);

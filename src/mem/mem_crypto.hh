@@ -32,7 +32,7 @@ namespace snpu
 {
 
 /** Encryption engine parameters. */
-struct MemCryptoParams : CounterModeParams
+struct MemCryptoParams
 {
     bool enabled = false;
 };

@@ -77,7 +77,6 @@ class MemSystem
     const AddressMap &map() const { return _map; }
     DramModel &dram() { return _dram; }
     L2Cache &l2() { return _l2; }
-    MemCryptoEngine &cryptoEngine() { return _crypto; }
 
     /**
      * Reset all hidden timing state (DRAM channel occupancy, L2

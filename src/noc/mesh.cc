@@ -107,7 +107,7 @@ Mesh::traverse(Tick when, std::uint32_t src, std::uint32_t dst,
         const std::size_t link = linkIndex(route[i], route[i + 1]);
         head = std::max(head, link_free[link]);
         link_free[link] = head + flits;
-        head += params.hop_latency;
+        head += hop_latency;
     }
     const Tick tail_arrival = head + flits - 1;
     packet_latency.sample(static_cast<double>(tail_arrival - when));

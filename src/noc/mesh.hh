@@ -23,7 +23,6 @@ struct MeshParams
 {
     std::uint32_t cols = 5;
     std::uint32_t rows = 2;   // 10 accelerator tiles (Table II)
-    Tick hop_latency = 1;     // router pipeline depth per hop
 };
 
 /**
@@ -34,6 +33,9 @@ struct MeshParams
 class Mesh
 {
   public:
+    /** Router pipeline depth per hop. */
+    static constexpr Tick hop_latency = 1;
+
     Mesh(stats::Group &stats, MeshParams params = {});
 
     std::uint32_t nodes() const { return params.cols * params.rows; }

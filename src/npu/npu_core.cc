@@ -25,7 +25,7 @@ NpuCore::NpuCore(stats::Group &stats, MemSystem &mem,
 {
     if (params.spad_row_bytes < params.systolic.dim)
         fatal("scratchpad row narrower than one activation row");
-    if (params.acc_row_bytes < params.systolic.dim * 4)
+    if (acc_row_bytes < params.systolic.dim * 4)
         fatal("accumulator row narrower than one int32 output row");
 
     SpadParams sp;
@@ -37,7 +37,7 @@ NpuCore::NpuCore(stats::Group &stats, MemSystem &mem,
 
     SpadParams ap;
     ap.rows = params.acc_rows;
-    ap.row_bytes = params.acc_row_bytes;
+    ap.row_bytes = acc_row_bytes;
     ap.scope = SpadScope::local;
     ap.mode = params.isolation;
     acc = std::make_unique<Scratchpad>(acc_group, ap);
@@ -48,7 +48,7 @@ NpuCore::NpuCore(stats::Group &stats, MemSystem &mem,
     if (!params.timing_only) {
         const std::uint32_t dim = params.systolic.dim;
         row_buf.resize(params.spad_row_bytes);
-        acc_buf.resize(params.acc_row_bytes);
+        acc_buf.resize(acc_row_bytes);
         tile_buf.resize(static_cast<std::size_t>(dim) * dim);
         out_buf.resize(static_cast<std::size_t>(params.acc_rows) *
                        params.spad_row_bytes);

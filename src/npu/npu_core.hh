@@ -45,9 +45,8 @@ struct NpuCoreParams
     /** Local scratchpad: 16384 x 16 B = 256 KiB (Table II). */
     std::uint32_t spad_rows = 16384;
     std::uint32_t spad_row_bytes = 16;    // 128-bit wordline
-    /** Accumulator: 1024 x 64 B (512-bit wordline). */
+    /** Accumulator rows of NpuCore::acc_row_bytes each. */
     std::uint32_t acc_rows = 1024;
-    std::uint32_t acc_row_bytes = 64;
     IsolationMode isolation = IsolationMode::id_based;
     /** Skip functional byte movement (big timing sweeps). */
     bool timing_only = false;
@@ -91,6 +90,9 @@ struct ExecResult
 class NpuCore
 {
   public:
+    /** Accumulator wordline: 64 B (512 bits). */
+    static constexpr std::uint32_t acc_row_bytes = 64;
+
     NpuCore(stats::Group &stats, MemSystem &mem,
             ProtectionBackend &ctrl, NpuCoreParams params = {});
 

@@ -7,8 +7,7 @@ namespace snpu
 
 NpuDevice::NpuDevice(stats::Group &stats, MemSystem &mem,
                      std::vector<ProtectionBackend *> controls,
-                     NpuDeviceParams p)
-    : params(p), mem(mem)
+                     NpuDeviceParams params)
 {
     if (params.tiles == 0)
         fatal("NPU device needs at least one tile");
@@ -20,18 +19,14 @@ NpuDevice::NpuDevice(stats::Group &stats, MemSystem &mem,
     _mesh = std::make_unique<Mesh>(stats, params.mesh);
     _fabric = std::make_unique<NocFabric>(stats, *_mesh, params.noc_mode);
 
-    AddrRange buffer = params.swnoc_buffer;
-    if (buffer.size == 0) {
-        // Default: carve the software-NoC bounce buffer out of the
-        // normal-world NPU arena's top end.
-        const AddrRange &arena = mem.map().npuArena(World::normal);
-        buffer = AddrRange{arena.end() - (1u << 20), 1u << 20};
-    }
-    swnoc = std::make_unique<SoftwareNoc>(stats, mem, buffer);
+    const AddrRange &arena = mem.map().npuArena(World::normal);
+    swnoc = std::make_unique<SoftwareNoc>(
+        stats, mem,
+        AddrRange{arena.end() - swnoc_buffer_bytes, swnoc_buffer_bytes});
 
     SpadParams gp;
-    gp.rows = params.global_rows;
-    gp.row_bytes = params.global_row_bytes;
+    gp.rows = global_rows;
+    gp.row_bytes = global_row_bytes;
     gp.scope = SpadScope::global;
     gp.mode = params.core.isolation;
     global_spad = std::make_unique<Scratchpad>(stats, gp);

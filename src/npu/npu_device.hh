@@ -31,12 +31,7 @@ struct NpuDeviceParams
     std::uint32_t tiles = 10;
     MeshParams mesh;
     NpuCoreParams core;
-    /** Global (shared) scratchpad geometry. */
-    std::uint32_t global_rows = 8192;
-    std::uint32_t global_row_bytes = 16;
     NocMode noc_mode = NocMode::peephole;
-    /** Shared-memory buffer used by the software NoC. */
-    AddrRange swnoc_buffer{0, 0};
 };
 
 /**
@@ -47,6 +42,13 @@ struct NpuDeviceParams
 class NpuDevice
 {
   public:
+    /** Global (shared) scratchpad: 8192 x 16 B. */
+    static constexpr std::uint32_t global_rows = 8192;
+    static constexpr std::uint32_t global_row_bytes = 16;
+    /** Software-NoC bounce buffer, carved out of the top of the
+     *  normal-world NPU arena. */
+    static constexpr Addr swnoc_buffer_bytes = 1u << 20;
+
     NpuDevice(stats::Group &stats, MemSystem &mem,
               std::vector<ProtectionBackend *> controls,
               NpuDeviceParams params = {});
@@ -58,7 +60,6 @@ class NpuDevice
     NpuCore &core(std::uint32_t i);
     Mesh &mesh() { return *_mesh; }
     NocFabric &fabric() { return *_fabric; }
-    SoftwareNoc &softwareNoc() { return *swnoc; }
     Scratchpad &globalScratchpad() { return *global_spad; }
 
     /**
@@ -78,11 +79,7 @@ class NpuDevice
                                std::uint32_t dst_row,
                                std::uint32_t nrows);
 
-    const NpuDeviceParams &deviceParams() const { return params; }
-
   private:
-    NpuDeviceParams params;
-    MemSystem &mem;
     std::unique_ptr<Mesh> _mesh;
     std::unique_ptr<NocFabric> _fabric;
     std::unique_ptr<SoftwareNoc> swnoc;

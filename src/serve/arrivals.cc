@@ -65,37 +65,6 @@ burstyArrivals(Rng &rng, double mean_gap, double burst_factor,
     return arrivals;
 }
 
-std::vector<Tick>
-replayArrivals(const std::vector<double> &gap_pattern,
-               double mean_gap, std::uint32_t count, Tick start)
-{
-    if (mean_gap <= 0.0)
-        fatal("replay mean gap must be positive");
-    if (gap_pattern.empty())
-        fatal("replay trace must carry at least one gap");
-    double pattern_sum = 0.0;
-    for (double g : gap_pattern) {
-        if (g < 0.0)
-            fatal("replay trace gaps must be non-negative");
-        pattern_sum += g;
-    }
-    if (pattern_sum <= 0.0)
-        fatal("replay trace must advance time");
-    // Renormalize so the tiled pattern offers exactly mean_gap on
-    // average no matter how the trace was recorded.
-    const double scale = mean_gap *
-                         static_cast<double>(gap_pattern.size()) /
-                         pattern_sum;
-    std::vector<Tick> arrivals;
-    arrivals.reserve(count);
-    double t = static_cast<double>(start);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        t += gap_pattern[i % gap_pattern.size()] * scale;
-        arrivals.push_back(static_cast<Tick>(t));
-    }
-    return arrivals;
-}
-
 double
 meanGapForLoad(double load, std::uint32_t tenants,
                std::uint32_t cores, double service_cycles)

@@ -60,7 +60,6 @@ struct CompiledStream
     int priority = 0;
     std::int32_t pinned_core = -1;
     Tick deadline = 0;
-    Tick queue_deadline = 0;
     /** Compiled decode-step shapes (generating streams). */
     std::vector<std::shared_ptr<const SegmentSet>> decode_code;
     std::vector<std::uint32_t> step_shape;
@@ -328,32 +327,19 @@ class Schedule
     }
 
     /**
-     * The watchdogs. A request found past its deadline at a
-     * scheduling point fails instead of running; so does a request
-     * still queued past its queue deadline, counted from when it last
-     * became dispatchable (so retries restart the clock), instead of
-     * waiting unboundedly behind a quarantined or hung tenant.
+     * The watchdog: a request found past its deadline at a
+     * scheduling point fails instead of running.
      */
     bool
     expired(std::uint32_t core, std::size_t idx)
     {
         const Request &req = requests[idx];
-        const CompiledStream &st = compiled[req.stream];
-        const Tick now = tiles[core].clock;
-        if (st.deadline > 0 && now > req.arrival + st.deadline) {
-            fail(core, idx,
-                 Status::timeout("deadline expired before segment "
-                                 "dispatch"));
-            return true;
-        }
-        if (req.core < 0 && st.queue_deadline > 0 &&
-            now > req.ready + st.queue_deadline) {
-            fail(core, idx,
-                 Status::timeout("admission-queue wait exceeded the "
-                                 "queue deadline"));
-            return true;
-        }
-        return false;
+        const Tick deadline = compiled[req.stream].deadline;
+        if (deadline == 0 || tiles[core].clock <= req.arrival + deadline)
+            return false;
+        fail(core, idx,
+             Status::timeout("deadline expired before segment dispatch"));
+        return true;
     }
 
     /** queued -> running on @p core; false when the dispatch charge
@@ -415,10 +401,9 @@ class Schedule
                 : *st.decode_code[st.step_shape[req.token - 1]];
         ExecOptions eo;
         eo.noc = NocMode::unauthorized;
-        ExecResult exec =
+        const ExecResult exec =
             memo.run(core, tile.clock, code.segments[req.next_seg], eo,
-                     st.win_base, st.win_bytes + (1u << 20))
-                .exec;
+                     st.win_base, st.win_bytes + (1u << 20));
         if (!exec.ok()) {
             if (!recovers)
                 return exec.status;
@@ -794,7 +779,6 @@ NCoreScheduler::run(const std::vector<ExecStream> &streams,
         cs.priority = streams[s].task.priority;
         cs.pinned_core = streams[s].pinned_core;
         cs.deadline = streams[s].deadline;
-        cs.queue_deadline = streams[s].queue_deadline;
         cs.live_rows = cs.code->live_rows;
         cs.win_base = cs.code->va_base;
         cs.win_bytes = cs.code->va_bytes;

@@ -78,15 +78,6 @@ struct ExecStream
      * the watchdog at arrival + deadline.
      */
     Tick deadline = 0;
-    /**
-     * Admission-queue-wait deadline, in cycles after the request
-     * became dispatchable (arrival, or retry-ready tick); 0 disables.
-     * Unlike @c deadline — which charges the whole lifetime — this
-     * bounds only the undispatched wait, so requests stuck behind a
-     * quarantined or wedged tenant fail with StatusCode::timeout
-     * instead of waiting unboundedly for a tile.
-     */
-    Tick queue_deadline = 0;
 
     /**
      * Generated tokens per request (continuous batching). 0 keeps the

@@ -257,8 +257,6 @@ void
 SnpuServer::Window::attest(std::uint32_t s)
 {
     Tenant &t = tenants[s];
-    AttestTiming timing;
-    timing.mac_bytes_per_cycle = soc.params().crypto_mac_bytes_per_cycle;
     // The model image the monitor attests is the encrypted bundle it
     // will verify at launch; the tenant knows the same bytes (it
     // provisioned them), so both sides can name the digest
@@ -268,11 +266,11 @@ SnpuServer::Window::attest(std::uint32_t s)
         BootChain::extend(soc.goldenBootMeasurement(), model_digest);
     AttestVerifier verifier(soc.monitor().attestKey(), golden);
     const AttestNonce nonce =
-        attestNonceFromSeed(hashMix(cfg.attest_seed, std::uint64_t(s)));
+        attestNonceFromSeed(hashMix(attest_seed, std::uint64_t(s)));
     const AttestQuote quote =
         soc.monitor().attestQuote(model_digest, nonce);
     const Status st = verifier.verify(quote, nonce);
-    t.attest_cost = timing.handshakeCycles(t.tpl->task.modelBytes());
+    t.attest_cost = attestHandshakeCycles(t.tpl->task.modelBytes());
     if (st.isOk()) {
         t.attest = Attest::pending;
     } else {
@@ -806,8 +804,6 @@ SnpuServer::serve(const std::vector<TenantSpec> &tenants)
         stream.arrivals = t.arrivals;
         stream.deadline =
             t.deadline ? t.deadline : cfg.default_deadline;
-        stream.queue_deadline =
-            t.queue_deadline ? t.queue_deadline : cfg.queue_deadline;
         if (t.decode_tokens > 0) {
             stream.task.model = makePrefill(t.decoder);
             DecodeSchedule plan =

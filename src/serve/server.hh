@@ -60,14 +60,6 @@ struct TenantSpec
      * ServerConfig::default_deadline (and 0 there disables).
      */
     Tick deadline = 0;
-    /**
-     * Admission-queue-wait deadline in cycles after the request
-     * became dispatchable; 0 inherits ServerConfig::queue_deadline
-     * (and 0 there disables). Bounds only the undispatched wait, so
-     * requests stuck behind a quarantined or wedged tenant time out
-     * instead of waiting unboundedly.
-     */
-    Tick queue_deadline = 0;
 
     /**
      * Generated tokens per request. 0 keeps the classic
@@ -189,7 +181,15 @@ struct ServeResult : ExecOutcome
     Tick makespan = 0;
     double utilization = 0.0;
     Tick flush_overhead = 0;
-    /** Total modeled NPU-Monitor cycles across secure tenants. */
+    /**
+     * Every cycle charged when a request was bound to a tile
+     * (NSchedResult::dispatch_overhead): each secure dispatch's
+     * NPU-Monitor launch, each attestation handshake (also in
+     * attest_overhead), and each generating tenant's prefill KV
+     * allocation in either world (also in its kv_alloc_cycles).
+     * Plus token_alloc_overhead it equals the tenants' summed
+     * monitor_cycles and kv_alloc_cycles plus attest_overhead.
+     */
     Tick monitor_overhead = 0;
     /** Cycles spent on post-fault hygiene (scrub + window revoke). */
     Tick recovery_overhead = 0;
@@ -199,6 +199,11 @@ struct ServeResult : ExecOutcome
     Tick attest_overhead = 0;
     std::vector<TenantReport> tenants;
 };
+
+/** Seed deriving each secure tenant's deterministic attestation
+ *  challenge nonce (mixed with the tenant slot), so sweeps stay
+ *  byte-identical at any job count. */
+inline constexpr std::uint64_t attest_seed = 0xa77e57a7ULL;
 
 /** Serving-engine configuration. */
 struct ServerConfig
@@ -221,8 +226,6 @@ struct ServerConfig
 
     /** Deadline for tenants that do not set one; 0 disables. */
     Tick default_deadline = 0;
-    /** Queue-wait deadline for tenants without one; 0 disables. */
-    Tick queue_deadline = 0;
     /** Retry budget per request for retryable failures. */
     std::uint32_t max_retries = 2;
     /** Base retry backoff; attempt k waits backoff << (k-1). */
@@ -261,10 +264,6 @@ struct ServerConfig
      * normal recovery machinery and re-pays the handshake.
      */
     bool attestation = false;
-    /** Seed deriving each tenant's deterministic challenge nonce
-     *  (mixed with the tenant slot), so sweeps stay byte-identical
-     *  at any job count. */
-    std::uint64_t attest_seed = 0xa77e57a7ULL;
 
     /**
      * Serve per-token KV blocks from the caching pool (the fast
@@ -289,9 +288,6 @@ class SnpuServer
      * derived from the tenant names, so reuse would double-register.
      */
     ServeResult serve(const std::vector<TenantSpec> &tenants);
-
-    /** The per-tenant stat families (valid after serve()). */
-    const ServeStats &tenantStats() const { return stats_; }
 
     /**
      * The armed fault injector (nullptr unless

@@ -16,23 +16,6 @@ worldName(World w)
 namespace logging
 {
 
-namespace
-{
-bool verbose_flag = false;
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    verbose_flag = verbose;
-}
-
-bool
-verbose()
-{
-    return verbose_flag;
-}
-
 void
 emit(const char *level, const std::string &msg)
 {

@@ -2,7 +2,7 @@
  * @file
  * Error and status reporting, following the gem5 convention:
  * panic() for simulator bugs (aborts), fatal() for user errors
- * (throws so tests can observe it), warn()/inform() for status.
+ * (throws so tests can observe it), warn() for status.
  */
 
 #ifndef SNPU_SIM_LOGGING_HH
@@ -35,10 +35,6 @@ class PanicError : public std::logic_error
 
 namespace logging
 {
-
-/** Global verbosity switch for inform(); warnings always print. */
-void setVerbose(bool verbose);
-bool verbose();
 
 void emit(const char *level, const std::string &msg);
 
@@ -79,15 +75,6 @@ void
 warn(Args &&...args)
 {
     logging::emit("warn", logging::format(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status (suppressed unless verbose). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    if (logging::verbose())
-        logging::emit("info", logging::format(std::forward<Args>(args)...));
 }
 
 } // namespace snpu

@@ -213,8 +213,6 @@ class Histogram : public StatBase
         const std::uint64_t finite = _count - _nonfinite;
         return finite ? _sum / static_cast<double>(finite) : 0.0;
     }
-    double rangeLo() const { return lo; }
-    double rangeHi() const { return hi; }
 
     /**
      * Interpolated quantile @p q in [0, 1] over all samples,

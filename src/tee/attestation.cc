@@ -119,30 +119,38 @@ AttestVerifier::verify(const AttestQuote &quote,
     return Status::ok();
 }
 
+namespace
+{
+
+/** One SHA-256 pass over @p bytes. */
 Tick
-AttestTiming::shaCycles(std::uint64_t bytes) const
+shaCycles(std::uint64_t bytes)
 {
     const auto stream = static_cast<Tick>(std::ceil(
-        static_cast<double>(bytes) / mac_bytes_per_cycle));
-    return mac_latency + stream;
+        static_cast<double>(bytes) / sha_unit_bytes_per_cycle));
+    return sha_unit_latency + stream;
 }
 
+/** One HMAC-SHA256 over @p bytes of message: an inner pass over
+ *  (ipad block ∥ message), an outer pass over (opad block ∥ inner
+ *  digest). */
 Tick
-AttestTiming::hmacCycles(std::uint64_t bytes) const
+hmacCycles(std::uint64_t bytes)
 {
-    // Inner pass over (ipad block ∥ message), outer pass over
-    // (opad block ∥ inner digest).
     return shaCycles(64 + bytes) + shaCycles(64 + 32);
 }
 
+/** Quote generation: one HMAC over measurement ∥ nonce. */
 Tick
-AttestTiming::quoteCycles() const
+quoteCycles()
 {
     return hmacCycles(sizeof(Digest) + sizeof(AttestNonce));
 }
 
+} // namespace
+
 Tick
-AttestTiming::handshakeCycles(std::uint64_t model_bytes) const
+attestHandshakeCycles(std::uint64_t model_bytes)
 {
     // Attestor: measure the model image, extend the MR, sign.
     const Tick measure = shaCycles(model_bytes);

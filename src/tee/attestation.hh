@@ -19,10 +19,10 @@
  *
  *     skey = HMAC-SHA256(attest_key, "snpu-skey" ∥ measurement ∥ nonce)
  *
- * AttestTiming prices the handshake in simulated cycles through the
- * same SHA-256 throughput model the DMA crypto backend uses, so
- * serving experiments can show attestation cost amortizing with
- * request rate.
+ * attestHandshakeCycles() prices the handshake in simulated cycles
+ * on the same SHA unit the DMA crypto backend uses, so serving
+ * experiments can show attestation cost amortizing with request
+ * rate.
  */
 
 #ifndef SNPU_TEE_ATTESTATION_HH
@@ -104,34 +104,16 @@ class AttestVerifier
 };
 
 /**
- * Cycle model of the handshake, priced like the DMA path's SHA unit
- * (CryptoParams: fixed MAC latency plus streaming throughput). An
- * HMAC is two SHA passes (inner + outer), each over one key block
- * plus its message.
+ * Cycles of the full admission handshake on the SoC's SHA unit
+ * (sha_unit_latency plus streaming at sha_unit_bytes_per_cycle, the
+ * unit the DMA crypto backend's MAC uses): measure the loaded model
+ * image (@p model_bytes of ciphertext), extend the MR, generate the
+ * quote, verify it (MAC recompute + constant-time compares) and
+ * derive the session key on both sides. The model measurement
+ * dominates — which is what makes amortization vs. request rate
+ * worth plotting.
  */
-struct AttestTiming
-{
-    /** Fixed SHA/HMAC engine latency (cycles). */
-    Tick mac_latency = 40;
-    /** SHA streaming throughput (bytes/cycle). */
-    double mac_bytes_per_cycle = 32.0;
-
-    /** One SHA-256 pass over @p bytes. */
-    Tick shaCycles(std::uint64_t bytes) const;
-    /** One HMAC-SHA256 over @p bytes of message. */
-    Tick hmacCycles(std::uint64_t bytes) const;
-    /** Quote generation: one HMAC over measurement ∥ nonce. */
-    Tick quoteCycles() const;
-    /**
-     * The full admission handshake: measure the loaded model image
-     * (@p model_bytes of ciphertext), extend the MR, generate the
-     * quote, verify it (MAC recompute + constant-time compares) and
-     * derive the session key on both sides. The model measurement
-     * dominates — which is what makes amortization vs. request
-     * rate worth plotting.
-     */
-    Tick handshakeCycles(std::uint64_t model_bytes) const;
-};
+Tick attestHandshakeCycles(std::uint64_t model_bytes);
 
 } // namespace snpu
 

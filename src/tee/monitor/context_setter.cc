@@ -35,8 +35,8 @@ ContextSetter::setSecureContext(const SecureContext &ctx,
     NpuGuarder &guard = guarder(core);
     if (!guard.clearAll(from_secure))
         return false;
-    if (windows.size() > guard.checkingCapacity() ||
-        windows.size() > guard.translationCapacity()) {
+    if (windows.size() > NpuGuarder::checking_registers ||
+        windows.size() > NpuGuarder::translation_registers) {
         return false;
     }
 

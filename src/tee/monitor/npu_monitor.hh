@@ -104,9 +104,6 @@ class NpuMonitor
      */
     CachingTrustedAllocator &kvPool() { return kv_pool; }
 
-    /** The boot-chain measurement register this monitor booted to. */
-    const Digest &bootMeasurement() const { return boot_mr; }
-
     /**
      * The symmetric attest key (derived from the sealed key). In
      * the simulation the tenant-side verifier reads it from here;

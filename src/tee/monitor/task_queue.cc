@@ -3,24 +3,6 @@
 namespace snpu
 {
 
-const char *
-secureTaskStateName(SecureTaskState s)
-{
-    switch (s) {
-      case SecureTaskState::submitted:
-        return "submitted";
-      case SecureTaskState::verified:
-        return "verified";
-      case SecureTaskState::loaded:
-        return "loaded";
-      case SecureTaskState::completed:
-        return "completed";
-      case SecureTaskState::rejected:
-        return "rejected";
-    }
-    return "?";
-}
-
 SecureTaskQueue::SecureTaskQueue(std::size_t capacity)
     : cap(capacity)
 {

@@ -41,8 +41,6 @@ enum class SecureTaskState : std::uint8_t
     rejected,
 };
 
-const char *secureTaskStateName(SecureTaskState s);
-
 /**
  * A secure ML task as submitted by the (untrusted) driver on behalf
  * of a user. The user's expectations — code measurement, model MAC,

@@ -13,11 +13,21 @@
 #include <string>
 #include <vector>
 
+#include "sim/types.hh"
+
 namespace snpu
 {
 
 /** A 256-bit digest. */
 using Digest = std::array<std::uint8_t, 32>;
+
+/**
+ * Timing of the SoC's one SHA-256/HMAC unit: a fixed finalize
+ * latency plus a streaming throughput. The crypto DMA backend's MAC
+ * and the attestation handshake are both priced with it.
+ */
+inline constexpr Tick sha_unit_latency = 40;
+inline constexpr double sha_unit_bytes_per_cycle = 32.0;
 
 /** Incremental SHA-256 context. */
 class Sha256

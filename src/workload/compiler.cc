@@ -219,7 +219,7 @@ emitLayer(const CompilerParams &cfg, const LayerSpec &layer,
             std::uint32_t row_off = 0;
             while (remaining > 0) {
                 const std::uint32_t burst =
-                    std::min(remaining, cfg.max_request_rows);
+                    std::min(remaining, TilingCompiler::max_request_rows);
                 Instr mvin;
                 mvin.op = Opcode::mvin;
                 mvin.vaddr = bufs.a_base +
@@ -261,7 +261,7 @@ emitLayer(const CompilerParams &cfg, const LayerSpec &layer,
                     std::uint32_t row_off = 0;
                     while (remaining > 0) {
                         const std::uint32_t burst = std::min(
-                            remaining, cfg.max_request_rows);
+                            remaining, TilingCompiler::max_request_rows);
                         Instr mvw;
                         mvw.op = Opcode::mvin_weight;
                         mvw.vaddr =

@@ -50,8 +50,6 @@ struct CompilerParams
     std::uint32_t acc_rows = 1024;
     /** First accumulator row this task owns. */
     std::uint32_t acc_row_base = 0;
-    /** Upper bound on rows per DMA request. */
-    std::uint32_t max_request_rows = 512;
 };
 
 /** Virtual-address layout of one layer's buffers. */
@@ -102,6 +100,9 @@ struct LayerPlan
 class TilingCompiler
 {
   public:
+    /** Upper bound on rows per DMA request. */
+    static constexpr std::uint32_t max_request_rows = 512;
+
     explicit TilingCompiler(CompilerParams params = {});
 
     /** Plan one layer (no code emitted). */

@@ -5,24 +5,6 @@
 namespace snpu
 {
 
-const char *
-layerKindName(LayerKind kind)
-{
-    switch (kind) {
-      case LayerKind::conv:
-        return "conv";
-      case LayerKind::depthwise:
-        return "depthwise";
-      case LayerKind::pointwise:
-        return "pointwise";
-      case LayerKind::fc:
-        return "fc";
-      case LayerKind::attention:
-        return "attention";
-    }
-    return "?";
-}
-
 std::uint64_t
 ModelSpec::macs() const
 {

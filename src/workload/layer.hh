@@ -25,8 +25,6 @@ enum class LayerKind : std::uint8_t
     attention,   //!< attention score / context GEMMs
 };
 
-const char *layerKindName(LayerKind kind);
-
 /** One layer in GEMM form. */
 struct LayerSpec
 {

@@ -262,16 +262,6 @@ makeDecoder(DecoderId id)
     return d;
 }
 
-DecoderId
-decoderByName(const std::string &name)
-{
-    for (DecoderId id : allDecoders()) {
-        if (name == decoderName(id))
-            return id;
-    }
-    fatal("unknown decoder: ", name);
-}
-
 namespace
 {
 

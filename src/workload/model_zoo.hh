@@ -88,9 +88,6 @@ std::vector<DecoderId> allDecoders();
 const char *decoderName(DecoderId id);
 DecoderSpec makeDecoder(DecoderId id);
 
-/** Parse a decoder name; fatal on unknown names. */
-DecoderId decoderByName(const std::string &name);
-
 /** Prefill phase: full-prompt GEMMs over every block. */
 ModelSpec makePrefill(const DecoderSpec &d);
 

@@ -252,21 +252,25 @@ TEST(MemCrypto, CounterCacheHitsAndMisses)
     stats::Group stats("g");
     MemCryptoParams p;
     p.enabled = true;
-    p.counter_cache_entries = 2;
     MemCryptoEngine engine(stats, p);
+    constexpr Tick miss_cost = CounterModeTiming::engine_latency +
+                               CounterModeTiming::counter_miss_penalty;
 
     // First touch of a page: miss; second: hit.
     const Tick miss = engine.accessPenalty(0x10000);
     const Tick hit = engine.accessPenalty(0x10040);
-    EXPECT_EQ(miss, p.engine_latency + p.counter_miss_penalty);
-    EXPECT_EQ(hit, p.engine_latency);
+    EXPECT_EQ(miss, miss_cost);
+    EXPECT_EQ(hit, CounterModeTiming::engine_latency);
 
-    // Thrash the 2-entry cache with three pages.
-    engine.accessPenalty(0x20000);
-    engine.accessPenalty(0x30000); // evicts 0x10000's page (LRU)
-    EXPECT_EQ(engine.accessPenalty(0x10000),
-              p.engine_latency + p.counter_miss_penalty);
-    EXPECT_GE(engine.counterMisses(), 4u);
+    // Thrash the cache with one page more than it holds: the last
+    // new page evicts 0x10000's (LRU).
+    constexpr std::uint32_t entries =
+        CounterModeTiming::counter_cache_entries;
+    for (std::uint32_t i = 1; i <= entries; ++i)
+        engine.accessPenalty(0x10000 + Addr(i) * page_bytes);
+    EXPECT_EQ(engine.counterMisses(), 1u + entries);
+    EXPECT_EQ(engine.accessPenalty(0x10000), miss_cost);
+    EXPECT_EQ(engine.counterMisses(), 2u + entries);
 }
 
 TEST(MemCrypto, EndToEndOverheadIsModest)

@@ -6,8 +6,7 @@
  * priority-ordered load shedding, degrade cordons, the fleet
  * migration breaker, the eviction ledger (tick-0 rejections stay
  * final, a failed pending set keeps its history), and the serve-layer
- * satellites (half-open tenant breaker, admission-queue deadlines,
- * retry jitter).
+ * satellites (half-open tenant breaker, retry jitter).
  */
 
 #include <gtest/gtest.h>
@@ -708,61 +707,6 @@ TEST(Fleet, HalfOpenTenantBreakerReadmitsAfterCooldown)
     EXPECT_EQ(rep2.breaker_probes, 0u);
     EXPECT_EQ(rep2.breaker_readmissions, 0u);
     EXPECT_EQ(rep2.failed + rep2.rejected, 6u);
-}
-
-/**
- * Admission-queue deadline: requests whose queue wait exceeds the
- * deadline fail with StatusCode::timeout instead of serving stale.
- */
-TEST(Fleet, QueueDeadlineTimesOutStaleRequests)
-{
-    const auto serve = [](Tick deadline) {
-        auto soc = buildSoc(SystemKind::snpu);
-        ServerConfig cfg;
-        cfg.num_cores = 1;
-        cfg.queue_deadline = deadline;
-        cfg.record_requests = true;
-        TenantSpec tenant;
-        tenant.name = "q";
-        tenant.task = smallTask();
-        tenant.arrivals = {0, 0, 0, 0};
-        SnpuServer server(*soc, cfg);
-        return server.serve({tenant});
-    };
-
-    ServeResult no_deadline = serve(0);
-    ASSERT_TRUE(no_deadline.ok()) << no_deadline.error();
-    EXPECT_EQ(no_deadline.tenants[0].completed, 4u);
-    EXPECT_EQ(no_deadline.tenants[0].timeouts, 0u);
-
-    // Four simultaneous arrivals on one tile: anything that waits
-    // longer than a sliver of a service time times out in queue.
-    ServeResult tight = serve(1'000);
-    ASSERT_TRUE(tight.ok()) << tight.error();
-    const TenantReport &rep = tight.tenants[0];
-    EXPECT_GE(rep.timeouts, 2u);
-    EXPECT_GE(rep.completed, 1u);
-    EXPECT_EQ(rep.completed + rep.timeouts, 4u);
-    bool any_timeout_code = false;
-    for (const RequestOutcome &o : rep.requests)
-        any_timeout_code |= o.final == StatusCode::timeout;
-    EXPECT_TRUE(any_timeout_code);
-
-    // Per-tenant override beats the server default.
-    auto soc = buildSoc(SystemKind::snpu);
-    ServerConfig cfg;
-    cfg.num_cores = 1;
-    cfg.queue_deadline = 1'000;
-    TenantSpec tenant;
-    tenant.name = "q";
-    tenant.task = smallTask();
-    tenant.arrivals = {0, 0, 0, 0};
-    tenant.queue_deadline = 1'000'000'000;
-    SnpuServer server(*soc, cfg);
-    ServeResult wide = server.serve({tenant});
-    ASSERT_TRUE(wide.ok()) << wide.error();
-    EXPECT_EQ(wide.tenants[0].completed, 4u);
-    EXPECT_EQ(wide.tenants[0].timeouts, 0u);
 }
 
 /**

@@ -113,9 +113,9 @@ TEST_F(GuarderFixture, NonSecureProgrammingRejected)
 TEST_F(GuarderFixture, BadSlotRejected)
 {
     EXPECT_FALSE(guard.setTranslationRegister(
-        guard.translationCapacity(), 0, 0, 64, true));
+        NpuGuarder::translation_registers, 0, 0, 64, true));
     EXPECT_FALSE(guard.setCheckingRegister(
-        guard.checkingCapacity(), AddrRange{0, 64}, GuardPerm::rw(),
+        NpuGuarder::checking_registers, AddrRange{0, 64}, GuardPerm::rw(),
         World::normal, true));
     EXPECT_FALSE(guard.setTranslationRegister(0, 0, 0, 0, true));
 }

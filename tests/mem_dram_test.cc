@@ -138,7 +138,7 @@ class ReferenceDram
             carry_bytes = 0;
         next_free = start + transfer;
         busy_cycles += transfer;
-        return start + params.access_latency + transfer;
+        return start + DramModel::access_latency + transfer;
     }
 
     Tick nextFree() const { return next_free; }

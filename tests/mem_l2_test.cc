@@ -62,7 +62,7 @@ TEST_F(L2Fixture, HitLatencyMatchesParameter)
 {
     MemResult miss = l2.access(0, read(0x8000'0000));
     MemResult hit = l2.access(miss.done, read(0x8000'0000));
-    EXPECT_EQ(hit.done - miss.done, smallParams().hit_latency);
+    EXPECT_EQ(hit.done - miss.done, L2Cache::hit_latency);
 }
 
 TEST_F(L2Fixture, MultiLineRequestTouchesEachLine)
@@ -126,7 +126,7 @@ TEST_F(L2Fixture, BankConflictSerializes)
     // bank cycle time; a hit in a different bank does not.
     const Tick a = l2.access(10000, read(0x8000'0000)).done;
     const Tick b = l2.access(10000, read(0x8000'0000 + 256)).done;
-    EXPECT_EQ(b - a, smallParams().bank_cycle);
+    EXPECT_EQ(b - a, L2Cache::bank_cycle);
 
     Tick warm = l2.access(20000, read(0x8000'0000 + 64)).done;
     (void)warm;
@@ -210,17 +210,17 @@ class NaiveL2
         std::vector<Line> &set = sets[line % sets.size()];
         Tick &bank = bank_free[line % p.banks];
         const Tick start = std::max(when, bank);
-        bank = start + p.bank_cycle;
+        bank = start + L2Cache::bank_cycle;
         for (Line &l : set) {
             if (l.line == line) {
                 ++hits;
                 l.last_use = ++clock;
                 l.dirty |= op == MemOp::write;
-                return start + p.hit_latency;
+                return start + L2Cache::hit_latency;
             }
         }
         ++misses;
-        const Tick ready = start + p.hit_latency;
+        const Tick ready = start + L2Cache::hit_latency;
         if (set.size() == p.ways) {
             auto lru = std::min_element(
                 set.begin(), set.end(), [](const Line &a, const Line &b) {

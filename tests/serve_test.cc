@@ -263,6 +263,47 @@ TEST(SnpuServer, SecureTenantPaysTheMonitorNormalDoesNot)
 }
 
 /**
+ * monitor_overhead is every cycle charged at dispatch: the monitor
+ * launch, the attestation handshake, and each generating tenant's
+ * prefill KV allocation in either world. With the per-token KV
+ * charges it adds up to the tenants' monitor and KV cycles plus the
+ * handshakes.
+ */
+TEST(SnpuServer, MonitorOverheadIsEveryDispatchCharge)
+{
+    auto soc = buildSoc(SystemKind::snpu);
+    ServerConfig cfg;
+    cfg.num_cores = 2;
+    cfg.attestation = true;
+    cfg.latency_hist_max = 4.0e7;
+    SnpuServer server(*soc, cfg);
+    std::vector<TenantSpec> tenants(2);
+    for (std::uint32_t t = 0; t < tenants.size(); ++t) {
+        TenantSpec &spec = tenants[t];
+        spec.name = t == 0 ? "sec" : "pub";
+        spec.task.name = spec.name;
+        spec.task.world = t == 0 ? World::secure : World::normal;
+        spec.arrivals = {0, 0};
+        spec.queue_capacity = 2;
+        spec.decode_tokens = 4;
+        spec.decoder = makeDecoder(DecoderId::tinygpt);
+    }
+    const ServeResult res = server.serve(tenants);
+    ASSERT_TRUE(res.ok()) << res.error();
+
+    Tick charged = res.attest_overhead;
+    for (const TenantReport &rep : res.tenants) {
+        EXPECT_EQ(rep.completed, 2u) << rep.name;
+        EXPECT_GT(rep.kv_alloc_cycles, 0u) << rep.name;
+        charged += rep.monitor_cycles + rep.kv_alloc_cycles;
+    }
+    EXPECT_GT(res.attest_overhead, 0u);
+    EXPECT_GT(res.token_alloc_overhead, 0u);
+    EXPECT_GT(res.monitor_overhead, res.tenants[0].monitor_cycles);
+    EXPECT_EQ(res.monitor_overhead + res.token_alloc_overhead, charged);
+}
+
+/**
  * Scans the monitor's queue on every serve trace record (each
  * admission emits one) and keeps the program handle of every secure
  * task it finds queued.

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "core/systems.hh"
-#include "core/task_runner.hh"
 #include "core/timing_cache.hh"
+#include "memo_task.hh"
 #include "sim/hashing.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
@@ -233,7 +233,7 @@ TEST(TimingCacheFingerprint, HitInstallsTheCacheOffFingerprints)
         SystemOverrides o;
         o.model_scale = 64;
         auto soc = buildSoc(SystemKind::snpu, o);
-        TaskRunner runner(*soc);
+        MemoizedExec memo(*soc);
         Run run;
         const std::uint64_t hits0 = cache.hits();
         const std::pair<ModelId, World> steps[] = {
@@ -245,10 +245,7 @@ TEST(TimingCacheFingerprint, HitInstallsTheCacheOffFingerprints)
         for (const auto &[model, world] : steps) {
             NpuTask task = NpuTask::fromModel(model, world);
             task.model = task.model.scaled(64);
-            RunOptions opts;
-            opts.use_timing_cache = use_cache;
-            const RunResult res = runner.run(task, opts);
-            EXPECT_TRUE(res.ok()) << res.error();
+            runTaskOnTile0(*soc, task, use_cache ? &memo : nullptr);
             run.fresh.push_back(tileHashes(*soc));
             run.memo.push_back(tileMemos(*soc));
         }

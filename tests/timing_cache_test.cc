@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "core/systems.hh"
-#include "core/task_runner.hh"
 #include "core/timing_cache.hh"
+#include "memo_task.hh"
 #include "serve/core_scheduler.hh"
 #include "sim/fault_injector.hh"
 #include "sim/trace.hh"
@@ -98,11 +98,12 @@ runOnce(const std::string &backend, SchedPolicy policy)
 
 /**
  * Cache-off vs cache-on registry parity across every registered
- * protection backend, through the TaskRunner opt-in (the only
- * execution front end every backend supports). Three fresh SoCs run
- * the same task: live with the cache off, live-and-record (miss),
- * and replayed (hit). All three must leave the registry — every
- * stat under the SoC root — byte-identical.
+ * protection backend, through MemoizedExec::run on a one-task tile
+ * (the serving scheduler, the other front end, cannot host the
+ * IOMMU). Three fresh SoCs run the same task: live with the cache
+ * off, live-and-record (miss), and replayed (hit). All three must
+ * leave the registry — every stat under the SoC root —
+ * byte-identical.
  */
 TEST(TimingCache, CacheOffMissAndHitRegistryJsonAgreePerBackend)
 {
@@ -119,16 +120,15 @@ TEST(TimingCache, CacheOffMissAndHitRegistryJsonAgreePerBackend)
             o.protection = backend;
             o.model_scale = 64;
             auto soc = buildSoc(kindFor(backend), o);
-            TaskRunner runner(*soc);
+            MemoizedExec memo(*soc);
             NpuTask task = NpuTask::fromModel(ModelId::mobilenet);
             task.model = task.model.scaled(64);
-            RunOptions opts;
-            opts.use_timing_cache = use_cache;
-            RunResult res = runner.run(task, opts);
-            EXPECT_TRUE(res.ok()) << backend << ": " << res.error();
+            SCOPED_TRACE(backend);
+            const Tick cycles =
+                runTaskOnTile0(*soc, task, use_cache ? &memo : nullptr);
             std::ostringstream os;
             soc->registry().dumpJson(os);
-            return std::make_pair(res.cycles, os.str());
+            return std::make_pair(cycles, os.str());
         };
 
         const auto off = one(false);
@@ -151,7 +151,7 @@ TEST(TimingCache, CacheOffMissAndHitRegistryJsonAgreePerBackend)
  * reproduce the live run's registry JSON byte for byte and report
  * the identical makespan. (The TrustZone IOMMU strawman is not
  * serving-capable — it has no per-stream VA provisioning — so it is
- * covered by the TaskRunner leg above instead.)
+ * covered by the one-task leg above instead.)
  */
 TEST(TimingCache, WarmReplayMatchesLiveRegistryJsonPerBackend)
 {
