@@ -1,6 +1,7 @@
 #include "core/area_model.hh"
 
 #include "guarder/guarder.hh"
+#include "npu/npu_core.hh"
 #include "spad/scratchpad.hh"
 
 namespace snpu
@@ -52,7 +53,8 @@ AreaModel::baselineTile() const
     // Local scratchpad + accumulator bits.
     const double spad_bits =
         static_cast<double>(cfg.spad_kib_per_tile) * 1024 * 8;
-    const double acc_bits = 1024.0 * 64 * 8;
+    const double acc_bits = static_cast<double>(NpuCoreParams{}.acc_rows) *
+                            NpuCore::acc_row_bytes * 8;
     r.ram_bits = spad_bits + acc_bits;
     return r;
 }

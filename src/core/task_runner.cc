@@ -139,7 +139,7 @@ TaskRunner::run(const NpuTask &task, const RunOptions &opts)
     const std::uint64_t checks_before =
         core.dma().controller().checkCount();
     const std::uint64_t bytes_before = core.dma().totalBytes();
-    const ExecResult exec = core.run(opts.start, program, eo);
+    const ExecResult exec = core.run(0, program, eo);
     result.check_requests =
         core.dma().controller().checkCount() - checks_before;
     result.dma_bytes = core.dma().totalBytes() - bytes_before;

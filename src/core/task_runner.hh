@@ -34,7 +34,6 @@ struct RunOptions
     /** Override the scratchpad rows visible to the compiler
      *  (0 = derive from the system's isolation mode and world). */
     std::uint32_t spad_rows_override = 0;
-    Tick start = 0;
 };
 
 /** Result of one run. */

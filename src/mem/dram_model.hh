@@ -43,24 +43,29 @@ class DramModel
     DramModel(stats::Group &stats, DramParams params = {});
 
     /**
-     * Serve an access that arrives at @p when. Inline: every L2 miss
-     * and uncached DMA packet lands here.
+     * Serve an access that arrives at @p when, adding its reads,
+     * writes, bytes and queue delay to @p t instead of the stats
+     * (commit() adds them). Inline: every L2 miss lands here.
      * @return the tick at which the last byte transfers.
      */
     Tick
-    access(Tick when, std::uint32_t bytes, MemOp op)
+    access(Tick when, std::uint32_t bytes, MemOp op, MemTally &t)
     {
         if (bytes == 0) [[unlikely]]
             panic("zero-byte DRAM access");
 
         if (op == MemOp::read)
-            ++reads;
+            ++t.dram_reads;
         else
-            ++writes;
-        bytes_moved += bytes;
+            ++t.dram_writes;
+        t.dram_bytes += bytes;
 
         const Tick start = std::max(when, next_free);
-        queue_delay.sample(static_cast<double>(start - when));
+        const Tick wait = start - when;
+        ++t.queue_count;
+        t.queue_sum += wait;
+        t.queue_min = std::min(t.queue_min, wait);
+        t.queue_max = std::max(t.queue_max, wait);
 
         // Transfer time with sub-cycle carry so long streams achieve
         // the exact configured bandwidth. The step is a pure function
@@ -85,6 +90,31 @@ class DramModel
         next_free = start + transfer;
         busy_cycles += transfer;
         return start + access_latency + transfer;
+    }
+
+    /** One access, added to the stats at once. */
+    Tick
+    access(Tick when, std::uint32_t bytes, MemOp op)
+    {
+        MemTally t;
+        const Tick done = access(when, bytes, op, t);
+        commit(t);
+        return done;
+    }
+
+    /** Add the DRAM part of @p t to the stats. */
+    void
+    commit(const MemTally &t)
+    {
+        if (t.queue_count == 0)
+            return;
+        reads += static_cast<double>(t.dram_reads);
+        writes += static_cast<double>(t.dram_writes);
+        bytes_moved += static_cast<double>(t.dram_bytes);
+        queue_delay.sampleMany(t.queue_count,
+                               static_cast<double>(t.queue_sum),
+                               static_cast<double>(t.queue_min),
+                               static_cast<double>(t.queue_max));
     }
 
     /** First tick at which the channel is free again. */

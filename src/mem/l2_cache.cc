@@ -17,8 +17,7 @@ L2Cache::L2Cache(stats::Group &stats, DramModel &dram, L2Params params,
       writebacks(stats, "l2_writebacks", "dirty lines written back")
 {
     const std::uint64_t num_lines = params.size_bytes / line_bytes;
-    // Valid and dirty state are one 64-bit mask per set.
-    if (num_lines == 0 || params.ways == 0 || params.ways > 64 ||
+    if (num_lines == 0 || params.ways == 0 || params.ways > max_ways ||
         num_lines % params.ways != 0)
         fatal("invalid L2 geometry");
     num_sets = static_cast<std::uint32_t>(num_lines / params.ways);
@@ -26,7 +25,6 @@ L2Cache::L2Cache(stats::Group &stats, DramModel &dram, L2Params params,
         set_mask = num_sets - 1;
     if (std::has_single_bit(params.banks))
         bank_mask = params.banks - 1;
-    tags.resize(num_lines);
     sets.resize(num_sets);
     bank_free.assign(params.banks, 0);
 }
@@ -34,15 +32,22 @@ L2Cache::L2Cache(stats::Group &stats, DramModel &dram, L2Params params,
 MemResult
 L2Cache::access(Tick when, const MemRequest &req)
 {
-    const std::uint64_t hits_before =
-        static_cast<std::uint64_t>(hit_count.value());
+    MemTally t;
     MemResult result;
-    result.done = accessTime(when, req);
+    result.done = accessLines(when, req.paddr, req.bytes, req.op, t);
+    commit(t);
     result.ok = true;
-    result.l2_hit =
-        static_cast<std::uint64_t>(miss_count.value()) == 0 ||
-        static_cast<std::uint64_t>(hit_count.value()) > hits_before;
+    result.l2_hit = misses() == 0 || t.l2_hits > 0;
     return result;
+}
+
+void
+L2Cache::commit(MemTally t)
+{
+    hit_count += static_cast<double>(t.l2_hits);
+    miss_count += static_cast<double>(t.l2_misses);
+    writebacks += static_cast<double>(t.l2_writebacks);
+    dram.commit(t);
 }
 
 void

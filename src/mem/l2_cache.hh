@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mem/dram_model.hh"
@@ -28,6 +29,7 @@ namespace snpu
 struct L2Params
 {
     std::uint64_t size_bytes = 2ULL << 20;
+    /** At most L2Cache::max_ways. */
     std::uint32_t ways = 8;
     std::uint32_t banks = 8;
 };
@@ -39,10 +41,14 @@ struct L2Params
  * request reaches the L2, so a line never needs a world tag and no
  * flush-on-switch is needed.
  *
- * Tags are stored set-major: one {tag, lru} pair per way, contiguous
- * per set, plus one per-set {epoch, valid mask, dirty mask} record,
- * so an 8-way lookup reads 128 bytes of tags and one 24-byte record.
- * Set and bank come from a mask when their counts are powers of two.
+ * Each set is one 64-byte host record: eight 32-bit line tags, a
+ * recency list of way numbers, an epoch and the valid and dirty
+ * masks, so a lookup touches one host cache line. Set and bank come
+ * from a mask when their counts are powers of two.
+ *
+ * One inline line kernel serves every entry point. It adds its stat
+ * increments to a caller-owned MemTally, and each entry point adds
+ * the tally to the stats once (commit()).
  */
 class L2Cache
 {
@@ -52,6 +58,8 @@ class L2Cache
     static constexpr Tick hit_latency = 20;
     /** Bank busy time per line access (throughput limiter). */
     static constexpr Tick bank_cycle = 2;
+    /** Ways a set record holds (one nibble each in the recency list). */
+    static constexpr std::uint32_t max_ways = 8;
 
     L2Cache(stats::Group &stats, DramModel &dram, L2Params params = {},
             MemCryptoEngine *crypto = nullptr);
@@ -65,28 +73,39 @@ class L2Cache
     MemResult access(Tick when, const MemRequest &req);
 
     /**
-     * access() without the hit flag: the completion tick only. The
-     * DMA packet path calls this once per packet, so it and the line
-     * lookup are inline.
+     * The line kernel over every line of [@p paddr, @p paddr +
+     * @p bytes), arriving at @p when: stat increments go to @p t.
+     * @return the completion tick of the last line.
      */
-    Tick
-    accessTime(Tick when, const MemRequest &req)
+    [[gnu::always_inline]] Tick
+    accessLines(Tick when, Addr paddr, std::uint32_t bytes, MemOp op,
+                MemTally &t)
     {
-        if (req.bytes == 0) [[unlikely]]
+        if (bytes == 0) [[unlikely]]
             panic("zero-byte L2 access");
-        const Addr last = (req.paddr + req.bytes - 1) / line_bytes;
+        const Addr last = (paddr + bytes - 1) / line_bytes;
+        if (last > max_line) [[unlikely]]
+            panic("L2 line 0x", std::hex, last,
+                  " is beyond the 32-bit tag range");
         Tick done = when;
-        for (Addr tag = req.paddr / line_bytes; tag <= last; ++tag)
-            done = std::max(done, accessLine(when, tag, req.op));
+        for (Addr line = paddr / line_bytes; line <= last; ++line)
+            done = std::max(done, accessLine(when, line, op, t));
         return done;
     }
 
     /**
+     * Add @p t's L2 and DRAM increments to the stats. By value, so
+     * the caller's tally never escapes and stays in registers through
+     * the kernel loop.
+     */
+    void commit(MemTally t);
+
+    /**
      * Drop all cached lines (write-backs are not simulated here) and
      * clear the bank occupancy, O(1): invalidation bumps the cache
-     * epoch and a set's valid mask counts only while its epoch
-     * matches. The timing-memoization brackets call this around
-     * every cached op, so it must not walk 4k sets each time.
+     * epoch and a set's record counts only while its epoch matches.
+     * The timing-memoization brackets call this around every cached
+     * op, so it must not walk 4k sets each time.
      */
     void invalidateAll();
 
@@ -100,102 +119,137 @@ class L2Cache
     }
 
   private:
-    /** One way of a set: its line tag and last-use stamp. */
-    struct Way
-    {
-        Addr tag = 0;
-        std::uint64_t lru = 0;
-    };
+    /** Largest line number a 32-bit tag holds (PAs below 256 GiB). */
+    static constexpr Addr max_line = 0xffff'ffff;
+    /** The recency list of a fresh set: way w at position w. */
+    static constexpr std::uint32_t fresh_order = 0x7654'3210;
 
     /**
-     * Per-set validity. A way is valid iff its bit is set in @c valid
+     * One set. Way w holds line tag[w] iff bit w of @c valid is set
      * and @c epoch matches the cache epoch; a stale record is reset
-     * on the set's first touch after invalidateAll(). A miss fills
-     * the lowest invalid way and nothing clears a single bit, so
-     * @c valid is always a low prefix: ways [0, countr_one(valid))
-     * hold lines, and a way past it may carry a stale LRU stamp
-     * from before the last epoch bump.
+     * on the set's first touch after invalidateAll(). Nibble i of
+     * @c order is the way used i-th most recently, over all eight
+     * ways. A miss fills the lowest invalid way, so @c valid is a low
+     * prefix and the valid ways lead the list in recency order; in a
+     * full set the victim is the nibble at position ways - 1.
      */
-    struct SetState
+    struct alignas(64) Set
     {
+        std::uint32_t tag[max_ways] = {};
         std::uint64_t epoch = 0;
-        std::uint64_t valid = 0;
-        std::uint64_t dirty = 0;
+        std::uint32_t order = fresh_order;
+        std::uint8_t valid = 0;
+        std::uint8_t dirty = 0;
     };
+    static_assert(sizeof(Set) == 64, "one host cache line per set");
 
     /**
-     * Look up (and on a miss fill) line number @p tag. Forced inline:
-     * GCC otherwise keeps it out of line, and the DMA packet loop is
-     * measurably faster with the whole line kernel in it.
+     * The valid ways of @p s holding line @p tag, as a bit mask (at
+     * most one bit: a line fills only on a miss). Two four-lane
+     * compares, in GCC/Clang vector extensions.
+     */
+    static std::uint32_t
+    matchWays(const Set &s, std::uint32_t tag)
+    {
+        using Lanes = std::uint32_t
+            __attribute__((vector_size(4 * sizeof(std::uint32_t))));
+        Lanes lo;
+        Lanes hi;
+        std::memcpy(&lo, s.tag, sizeof lo);
+        std::memcpy(&hi, s.tag + 4, sizeof hi);
+        const Lanes bits = ((lo == tag) & Lanes{1, 2, 4, 8}) |
+                           ((hi == tag) & Lanes{16, 32, 64, 128});
+        return (bits[0] | bits[1] | bits[2] | bits[3]) & s.valid;
+    }
+
+    /** @p order with way @p way moved to the front. */
+    static std::uint32_t
+    toFront(std::uint32_t order, std::uint32_t way)
+    {
+        // The lowest zero nibble of order ^ way-in-every-nibble is
+        // way's position; the borrow trick flags it exactly.
+        const std::uint32_t x = order ^ (way * 0x1111'1111u);
+        const std::uint32_t zero = (x - 0x1111'1111u) & ~x & 0x8888'8888u;
+        const std::uint32_t shift =
+            static_cast<std::uint32_t>(std::countr_zero(zero)) & ~3u;
+        const std::uint64_t wide = order;
+        const std::uint64_t below =
+            wide & ((std::uint64_t(1) << shift) - 1);
+        const std::uint64_t above = wide >> (shift + 4) << (shift + 4);
+        return static_cast<std::uint32_t>(above | below << 4 | way);
+    }
+
+    /**
+     * Look up (and on a miss fill) line number @p line. Forced
+     * inline: GCC otherwise keeps it out of line, and the packet
+     * loops are measurably faster with the whole kernel in them.
      */
     [[gnu::always_inline]] Tick
-    accessLine(Tick when, Addr tag, MemOp op)
+    accessLine(Tick when, Addr line, MemOp op, MemTally &t)
     {
         const std::uint32_t set = static_cast<std::uint32_t>(
-            set_mask ? tag & set_mask : tag % num_sets);
+            set_mask ? line & set_mask : line % num_sets);
         const std::uint32_t bank = static_cast<std::uint32_t>(
-            bank_mask ? tag & bank_mask : tag % params.banks);
+            bank_mask ? line & bank_mask : line % params.banks);
+        const std::uint32_t tag = static_cast<std::uint32_t>(line);
 
         // Bank arbitration: the access cannot start before the bank
         // frees.
         const Tick start = std::max(when, bank_free[bank]);
         bank_free[bank] = start + bank_cycle;
 
-        SetState &state = sets[set];
-        if (state.epoch != epoch)
-            state = SetState{epoch, 0, 0};
-        Way *base = &tags[static_cast<std::size_t>(set) * params.ways];
+        Set &s = sets[set];
+        if (s.epoch != epoch) {
+            s.epoch = epoch;
+            s.order = fresh_order;
+            s.valid = 0;
+            s.dirty = 0;
+        }
 
-        // A hit scans the valid prefix's tags and nothing else.
-        const std::uint32_t filled =
-            static_cast<std::uint32_t>(std::countr_one(state.valid));
-        for (std::uint32_t w = 0; w < filled; ++w) {
-            if (base[w].tag == tag) {
-                ++hit_count;
-                base[w].lru = ++lru_clock;
-                if (op == MemOp::write)
-                    state.dirty |= std::uint64_t(1) << w;
-                return start + hit_latency;
-            }
+        const std::uint32_t match = matchWays(s, tag);
+        if (match) {
+            const std::uint32_t way =
+                static_cast<std::uint32_t>(std::countr_zero(match));
+            ++t.l2_hits;
+            // A stream's next packet often hits the line its last
+            // packet ended in, which already leads the list.
+            if ((s.order & 0xf) != way)
+                s.order = toFront(s.order, way);
+            if (op == MemOp::write)
+                s.dirty |= static_cast<std::uint8_t>(match);
+            return start + hit_latency;
         }
 
         // Miss: fill the first invalid way if there is one, else evict
-        // the least recently used way (stamps are unique, and a full
-        // set's stamps all postdate the epoch), writing it back if
-        // dirty; then fill from DRAM. The oldest stamp is carried in a
-        // register so the scan's loads do not wait on each other.
-        ++miss_count;
-        std::uint32_t victim = filled;
-        if (victim >= params.ways) {
-            victim = 0;
-            std::uint64_t oldest = base[0].lru;
-            for (std::uint32_t w = 1; w < params.ways; ++w) {
-                if (base[w].lru < oldest) {
-                    oldest = base[w].lru;
-                    victim = w;
-                }
-            }
-        }
-        const std::uint64_t bit = std::uint64_t(1) << victim;
+        // the least recently used way, writing it back if dirty; then
+        // fill from DRAM.
+        ++t.l2_misses;
+        const std::uint32_t filled =
+            static_cast<std::uint32_t>(std::countr_one(s.valid));
+        const std::uint32_t victim =
+            filled < params.ways ? filled
+                                 : s.order >> (4 * (params.ways - 1)) & 0xf;
+        const auto bit = static_cast<std::uint8_t>(1u << victim);
         Tick ready = start + hit_latency;
-        if (state.dirty & bit) {
-            ++writebacks;
-            Tick wb = dram.access(ready, line_bytes, MemOp::write);
+        if (s.dirty & bit) {
+            ++t.l2_writebacks;
+            Tick wb = dram.access(ready, line_bytes, MemOp::write, t);
             if (crypto)
-                wb += crypto->accessPenalty(base[victim].tag * line_bytes);
+                wb += crypto->accessPenalty(Addr(s.tag[victim]) *
+                                            line_bytes);
             (void)wb; // write-back is off the critical path
         }
-        ready = dram.access(ready, line_bytes, MemOp::read);
+        ready = dram.access(ready, line_bytes, MemOp::read, t);
         if (crypto)
-            ready += crypto->accessPenalty(tag * line_bytes);
+            ready += crypto->accessPenalty(line * line_bytes);
 
-        state.valid |= bit;
+        s.valid |= bit;
         if (op == MemOp::write)
-            state.dirty |= bit;
+            s.dirty |= bit;
         else
-            state.dirty &= ~bit;
-        base[victim].tag = tag;
-        base[victim].lru = ++lru_clock;
+            s.dirty &= static_cast<std::uint8_t>(~bit);
+        s.tag[victim] = tag;
+        s.order = toFront(s.order, victim);
         return ready;
     }
 
@@ -207,10 +261,8 @@ class L2Cache
     /** num_sets - 1 / banks - 1 when a power of two, else 0 (use %). */
     std::uint32_t set_mask = 0;
     std::uint32_t bank_mask = 0;
-    std::vector<Way> tags;             // num_sets * ways, set-major
-    std::vector<SetState> sets;        // num_sets
+    std::vector<Set> sets;             // num_sets
     std::vector<Tick> bank_free;       // per-bank next-free tick
-    std::uint64_t lru_clock = 0;
     std::uint64_t epoch = 0;           // sets live iff epochs match
 
     stats::Scalar hit_count;

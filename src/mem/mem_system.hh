@@ -9,8 +9,10 @@
 #ifndef SNPU_MEM_MEM_SYSTEM_HH
 #define SNPU_MEM_MEM_SYSTEM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 
 #include "mem/address_map.hh"
 #include "mem/dram_model.hh"
@@ -33,6 +35,21 @@ struct MemSystemParams
 };
 
 /**
+ * A run of @c count packets of @c bytes each, back to back in PA from
+ * @c paddr and issued one per cycle from @c issue: one entry of the
+ * packet schedule a request-granular agent hands to
+ * MemSystem::accessPackets().
+ */
+struct PacketRun
+{
+    Tick issue = 0;
+    Addr paddr = 0;
+    std::uint32_t bytes = 0;
+    std::uint32_t count = 0;
+    MemOp op = MemOp::read;
+};
+
+/**
  * Shared SoC memory system. The memory protection engine sits here:
  * an access whose issuing world may not touch the target region is
  * rejected before any timing or data side effect occurs.
@@ -47,28 +64,44 @@ class MemSystem
     MemResult access(Tick when, const MemRequest &req);
 
     /**
-     * Pure partition check over [paddr, paddr+bytes): no stats, no
-     * timing. Every sub-range of an allowed range is allowed, so a
-     * stream whose whole range passes may issue its packets through
-     * accessUnchecked().
+     * access() whose L2 and DRAM increments go to @p t, for a packet
+     * loop that adds them once with commit(). l2_hit stays false.
      */
-    bool
-    rangeAllowed(World w, Addr paddr, Addr bytes) const
+    MemResult access(Tick when, const MemRequest &req, MemTally &t);
+
+    /** Add a tally from access(when, req, t) to the stats. */
+    void commit(MemTally t) { _l2.commit(t); }
+
+    /**
+     * How far world @p w may go into [@p paddr, @p paddr + @p bytes)
+     * in packets of @p packet_bytes from its start: the offset of the
+     * first packet the partition would deny, or @p bytes when the
+     * whole range passes. Pure: no stats, no timing.
+     */
+    Addr
+    allowedBytes(World w, Addr paddr, Addr bytes,
+                 std::uint32_t packet_bytes) const
     {
-        return _map.accessAllowed(w, paddr, bytes);
+        if (_map.accessAllowed(w, paddr, bytes))
+            return bytes;
+        // Some packet holds a denied byte, so the scan stops.
+        Addr offset = 0;
+        while (_map.accessAllowed(
+            w, paddr + offset, std::min<Addr>(packet_bytes, bytes - offset)))
+            offset += packet_bytes;
+        return offset;
     }
 
     /**
-     * Check-free timed access, for a request inside a range that
-     * passed rangeAllowed(). Counts mem_accesses exactly as access()
-     * does and returns the completion tick.
+     * Issue a packet schedule through the L2 in order, one memory
+     * access per packet, and add the stats once. Every packet lies in
+     * a range that allowedBytes() passed; @p denied says the schedule
+     * stopped at a packet the partition rejects, which counts one
+     * access and one violation, as access() would, and has no timing
+     * or data effect.
+     * @return the latest packet completion tick (0 for no packets).
      */
-    Tick
-    accessUnchecked(Tick when, const MemRequest &req)
-    {
-        ++accesses;
-        return _l2.accessTime(when, req);
-    }
+    Tick accessPackets(std::span<const PacketRun> runs, bool denied);
 
     /** Functional data path (no timing, no checks). */
     PhysMem &data() { return mem; }

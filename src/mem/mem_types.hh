@@ -40,6 +40,27 @@ struct MemRequest
     World world = World::normal;
 };
 
+/**
+ * Stat increments of one memory-system call, tallied by the inline
+ * line kernel (L2Cache, DramModel) and added to the stats once per
+ * call by L2Cache::commit(). Every field is an integer count or tick
+ * sum, so adding them once equals adding them line by line.
+ */
+struct MemTally
+{
+    std::uint64_t l2_hits = 0;
+    std::uint64_t l2_misses = 0;
+    std::uint64_t l2_writebacks = 0;
+    std::uint64_t dram_reads = 0;
+    std::uint64_t dram_writes = 0;
+    std::uint64_t dram_bytes = 0;
+    /** DRAM queue delay: one sample per DRAM access. */
+    std::uint64_t queue_count = 0;
+    Tick queue_sum = 0;
+    Tick queue_min = max_tick;
+    Tick queue_max = 0;
+};
+
 /** Outcome of a timed memory access. */
 struct MemResult
 {

@@ -24,6 +24,9 @@
 namespace snpu
 {
 
+/** Width of one scratchpad wordline: 128 bits (Table II). */
+constexpr std::uint32_t spad_wordline_bytes = 16;
+
 /** NPU opcodes. */
 enum class Opcode : std::uint8_t
 {

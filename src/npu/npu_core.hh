@@ -44,7 +44,7 @@ struct NpuCoreParams
     SystolicParams systolic;
     /** Local scratchpad: 16384 x 16 B = 256 KiB (Table II). */
     std::uint32_t spad_rows = 16384;
-    std::uint32_t spad_row_bytes = 16;    // 128-bit wordline
+    std::uint32_t spad_row_bytes = spad_wordline_bytes;
     /** Accumulator rows of NpuCore::acc_row_bytes each. */
     std::uint32_t acc_rows = 1024;
     IsolationMode isolation = IsolationMode::id_based;

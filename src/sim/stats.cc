@@ -108,14 +108,14 @@ Scalar::captureDelta(StatDelta &out) const
 }
 
 void
-Average::sampleWindow(double v)
+Average::sampleWindow(double lo, double hi)
 {
     if (_count == cap_count) {
-        win_min = v;
-        win_max = v;
+        win_min = lo;
+        win_max = hi;
     } else {
-        win_min = std::min(win_min, v);
-        win_max = std::max(win_max, v);
+        win_min = std::min(win_min, lo);
+        win_max = std::max(win_max, hi);
     }
 }
 

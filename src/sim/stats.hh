@@ -148,9 +148,34 @@ class Average : public StatBase
             _max = std::max(_max, v);
         }
         if (cap_armed)
-            sampleWindow(v);
+            sampleWindow(v, v);
         _sum += v;
         ++_count;
+    }
+
+    /**
+     * Record @p n samples at once, given their @p sum, @p lo (min)
+     * and @p hi (max): the batch entry of the memory path, which
+     * tallies integer tick samples and adds them once per call. It
+     * lands on the same state as the n sample() calls whenever the
+     * sums are exact, as they are for integers below 2^53.
+     */
+    void
+    sampleMany(std::uint64_t n, double sum, double lo, double hi)
+    {
+        if (n == 0)
+            return;
+        if (_count == 0) {
+            _min = lo;
+            _max = hi;
+        } else {
+            _min = std::min(_min, lo);
+            _max = std::max(_max, hi);
+        }
+        if (cap_armed)
+            sampleWindow(lo, hi);
+        _sum += sum;
+        _count += n;
     }
 
     std::uint64_t count() const { return _count; }
@@ -169,7 +194,7 @@ class Average : public StatBase
 
   private:
     /** Track the capture window's extrema (before _count moves). */
-    void sampleWindow(double v);
+    void sampleWindow(double lo, double hi);
 
     std::uint64_t _count = 0;
     double _sum = 0;

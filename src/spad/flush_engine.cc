@@ -38,26 +38,16 @@ FlushEngine::stream(Tick when, std::uint32_t rows, Addr area, MemOp op,
                     World world)
 {
     // The rows are contiguous in both the scratchpad and the save
-    // area, so one partition check covers the whole stream; only a
-    // range that fails it goes row by row, to deny the same row.
+    // area and issue one per cycle: one packet run, cut at the first
+    // row the partition denies.
     const std::uint32_t row_bytes = spad.rowBytes();
     const std::size_t bytes = static_cast<std::size_t>(rows) * row_bytes;
-    const bool prechecked = mem.rangeAllowed(world, area, bytes);
-    Tick t = when;
-    Tick done = when;
-    for (std::uint32_t row = 0; row < rows; ++row) {
-        MemRequest req{area + static_cast<Addr>(row) * row_bytes,
-                       row_bytes, op, world};
-        if (prechecked) {
-            done = std::max(done, mem.accessUnchecked(t, req));
-        } else {
-            MemResult res = mem.access(t, req);
-            if (!res.ok)
-                fatal("flush engine denied by the world partition");
-            done = std::max(done, res.done);
-        }
-        t += 1; // one row issued per cycle
-    }
+    const auto allowed = static_cast<std::uint32_t>(
+        mem.allowedBytes(world, area, bytes, row_bytes) / row_bytes);
+    const PacketRun run{when, area, row_bytes, allowed, op};
+    const Tick done = mem.accessPackets({&run, 1}, allowed < rows);
+    if (allowed < rows)
+        fatal("flush engine denied by the world partition");
 
     // Functional movement of the context bytes.
     if (rows > 0 && op == MemOp::write)
@@ -65,7 +55,7 @@ FlushEngine::stream(Tick when, std::uint32_t rows, Addr area, MemOp op,
     else if (rows > 0)
         mem.data().read(area, spad.rawRow(0), bytes);
     bytes_moved += bytes;
-    return std::max(done, t);
+    return std::max(done, when + rows);
 }
 
 Tick

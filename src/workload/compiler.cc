@@ -12,7 +12,7 @@ TilingCompiler::TilingCompiler(CompilerParams params)
 {
     if (cfg.dim == 0 || cfg.spad_rows == 0 || cfg.acc_rows == 0)
         fatal("compiler needs nonzero geometry");
-    if (cfg.spad_row_bytes < cfg.dim)
+    if (spad_wordline_bytes < cfg.dim)
         fatal("scratchpad row narrower than one activation row");
 }
 
@@ -225,7 +225,7 @@ emitLayer(const CompilerParams &cfg, const LayerSpec &layer,
                 mvin.vaddr = bufs.a_base +
                              (static_cast<Addr>(kt) * layer.m + m0 +
                               row_off) *
-                                 cfg.spad_row_bytes;
+                                 spad_wordline_bytes;
                 mvin.spad_row = a_row_base + kt * p.tm + row_off;
                 mvin.rows = burst;
                 out.emit(mvin);
@@ -270,7 +270,7 @@ emitLayer(const CompilerParams &cfg, const LayerSpec &layer,
                                  dim +
                              static_cast<Addr>(kt0) * dim +
                              row_off) *
-                                cfg.spad_row_bytes;
+                                spad_wordline_bytes;
                         mvw.spad_row = w_row_base + row_off;
                         mvw.rows = burst;
                         out.emit(mvw);
@@ -308,7 +308,7 @@ emitLayer(const CompilerParams &cfg, const LayerSpec &layer,
                 mvout.op = Opcode::mvout;
                 mvout.vaddr = bufs.c_base +
                               (static_cast<Addr>(nt) * layer.m + m0) *
-                                  cfg.spad_row_bytes;
+                                  spad_wordline_bytes;
                 mvout.spad_row = acc_base;
                 mvout.rows = rows;
                 out.emit(mvout);
@@ -375,11 +375,11 @@ TilingCompiler::compileModel(const ModelSpec &model, Addr va_base,
         const std::uint32_t n_tiles =
             ceilDiv(std::max(layer.n, 1u), cfg.dim);
         const Addr a_bytes = static_cast<Addr>(k_tiles) * layer.m *
-                             cfg.spad_row_bytes;
+                             spad_wordline_bytes;
         const Addr w_bytes = static_cast<Addr>(n_tiles) * k_tiles *
-                             cfg.dim * cfg.spad_row_bytes;
+                             cfg.dim * spad_wordline_bytes;
         const Addr c_bytes = static_cast<Addr>(n_tiles) * layer.m *
-                             cfg.spad_row_bytes;
+                             spad_wordline_bytes;
 
         if (i == 0) {
             bufs.a_base = opts.input_base ? opts.input_base

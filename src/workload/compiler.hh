@@ -44,8 +44,6 @@ struct CompilerParams
     std::uint32_t spad_rows = 16384;
     /** First scratchpad row this task owns (static partition). */
     std::uint32_t spad_row_base = 0;
-    /** Scratchpad row width in bytes. */
-    std::uint32_t spad_row_bytes = 16;
     /** Accumulator rows available. */
     std::uint32_t acc_rows = 1024;
     /** First accumulator row this task owns. */

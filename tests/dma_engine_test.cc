@@ -10,10 +10,13 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dma/dma_engine.hh"
+#include "guarder/guarder.hh"
 #include "mem/mem_system.hh"
+#include "sim/random.hh"
 #include "sim/stats.hh"
 
 namespace snpu
@@ -753,6 +756,293 @@ TEST_F(DmaFixture, BatchScratchReuseMatchesFreshEngine)
         fresh_stats.dumpJson(want_json);
         EXPECT_EQ(got_json.str(), want_json.str());
     }
+}
+
+/**
+ * One side of the Guarder exactness test: a memory system and a
+ * Guarder whose one translation register maps VA guarded_va onward
+ * onto all of DRAM and whose one window grants it to either world, so
+ * the Guarder passes every request inside the map and only the world
+ * partition denies.
+ */
+struct GuardedSoc
+{
+    static constexpr Addr guarded_va = 0x4000'0000;
+
+    GuardedSoc() : stats("soc"), mem(stats), guard(stats)
+    {
+        const AddrRange dram = mem.map().dram();
+        EXPECT_TRUE(guard.setTranslationRegister(0, guarded_va, dram.base,
+                                                 dram.size, true));
+        EXPECT_TRUE(guard.setCheckingRegister(0, dram, GuardPerm::rw(),
+                                              World::normal, true));
+    }
+
+    /** The value of the scalar stat @p name in this SoC's tree. */
+    double
+    scalar(const std::string &name) const
+    {
+        const auto *s =
+            dynamic_cast<const stats::Scalar *>(stats.find(name));
+        EXPECT_NE(s, nullptr) << name;
+        return s ? s->value() : -1;
+    }
+
+    stats::Group stats;
+    MemSystem mem;
+    NpuGuarder guard;
+};
+
+/**
+ * The request-granular engine as it was written before the packet
+ * schedule: one MemSystem::access() per 64-B packet, issued as the
+ * loop goes. transfer() moves the bytes once every packet issued;
+ * batch() moves each packet's bytes as it issues. It counts the
+ * engine's packets and bytes itself.
+ */
+class PacketLoopDma
+{
+  public:
+    PacketLoopDma(MemSystem &mem, ProtectionBackend &ctrl)
+        : mem(mem), ctrl(ctrl)
+    {
+    }
+
+    DmaResult
+    transfer(Tick when, const DmaRequest &req,
+             std::vector<std::uint8_t> *buffer)
+    {
+        if (req.bytes == 0)
+            return DmaResult{when, true, false, 0};
+        if (buffer && req.op == MemOp::read)
+            buffer->assign(req.bytes, 0);
+        const Translation xl =
+            ctrl.translate(when, req.vaddr, req.bytes, req.op, req.world);
+        if (!xl.ok)
+            return DmaResult{when, false, false, 0};
+        DmaResult result;
+        Tick issue = xl.ready;
+        for (std::uint32_t offset = 0; offset < req.bytes; offset += 64) {
+            const std::uint32_t chunk =
+                std::min<std::uint32_t>(64, req.bytes - offset);
+            const MemResult mres = mem.access(
+                issue, MemRequest{xl.paddr + offset, chunk, req.op,
+                                  req.world});
+            if (!mres.ok) {
+                packets += result.packets;
+                bytes += offset;
+                result.ok = false;
+                result.done = issue;
+                return result;
+            }
+            ++result.packets;
+            result.done = std::max(result.done, mres.done);
+            issue += 1;
+        }
+        copy(buffer, req.op, xl.paddr, 0, req.bytes);
+        packets += result.packets;
+        bytes += req.bytes;
+        result.done = std::max(result.done, issue);
+        result.done +=
+            ctrl.transferOverhead(result.done, xl.paddr, req.bytes, req.op);
+        return result;
+    }
+
+    DmaResult
+    batch(Tick when, const std::vector<DmaRequest> &reqs,
+          const std::vector<std::vector<std::uint8_t> *> &buffers)
+    {
+        DmaResult result;
+        result.done = when;
+        struct Stream
+        {
+            std::size_t i;
+            Translation xl;
+            std::uint32_t offset;
+        };
+        std::vector<Stream> streams;
+        for (std::size_t i = 0; i < reqs.size(); ++i) {
+            const DmaRequest &req = reqs[i];
+            if (req.bytes == 0)
+                continue;
+            if (buffers[i] && req.op == MemOp::read)
+                buffers[i]->assign(req.bytes, 0);
+            const Translation xl = ctrl.translate(when, req.vaddr,
+                                                  req.bytes, req.op,
+                                                  req.world);
+            if (!xl.ok) {
+                result.ok = false;
+                return result;
+            }
+            streams.push_back(Stream{i, xl, 0});
+        }
+
+        Tick issue = when;
+        std::size_t live = streams.size();
+        std::size_t rr = 0;
+        while (live > 0) {
+            Stream &s = streams[rr++ % streams.size()];
+            const DmaRequest &req = reqs[s.i];
+            if (s.offset >= req.bytes)
+                continue;
+            const std::uint32_t chunk =
+                std::min<std::uint32_t>(64, req.bytes - s.offset);
+            if (s.offset == 0)
+                issue = std::max(issue, s.xl.ready);
+            const Addr pa = s.xl.paddr + s.offset;
+            const MemResult mres =
+                mem.access(issue, MemRequest{pa, chunk, req.op, req.world});
+            if (!mres.ok) {
+                result.ok = false;
+                result.done = issue;
+                return result;
+            }
+            copy(buffers[s.i], req.op, pa, s.offset, chunk);
+            ++result.packets;
+            ++packets;
+            bytes += chunk;
+            result.done = std::max(result.done, mres.done);
+            issue += 1;
+            s.offset += chunk;
+            if (s.offset >= req.bytes)
+                --live;
+        }
+        result.done = std::max(result.done, issue);
+        Tick tail = 0;
+        for (const Stream &s : streams) {
+            const DmaRequest &req = reqs[s.i];
+            tail = std::max(tail, ctrl.transferOverhead(
+                                      result.done, s.xl.paddr, req.bytes,
+                                      req.op));
+        }
+        result.done += tail;
+        return result;
+    }
+
+    std::uint64_t packets = 0;
+    std::uint64_t bytes = 0;
+
+  private:
+    void
+    copy(std::vector<std::uint8_t> *buffer, MemOp op, Addr pa,
+         std::uint32_t offset, std::uint32_t n)
+    {
+        if (buffer && op == MemOp::read)
+            mem.data().read(pa, buffer->data() + offset, n);
+        else if (buffer)
+            mem.data().write(pa, buffer->data() + offset, n);
+    }
+
+    MemSystem &mem;
+    ProtectionBackend &ctrl;
+};
+
+/**
+ * Random transfer() and transferBatch() traffic on a Guarder: 64-B
+ * aligned and 16-B misaligned PAs, 16 B to 4 KiB per request, 1 to 16
+ * streams, reads and writes from both worlds, some ranges straddling
+ * into the secure partition and a few outside the translation map.
+ * Each call must match the per-packet loop on a twin, field by field:
+ * the result, the bytes, and every DMA, partition, L2 and DRAM stat.
+ */
+TEST(DmaGuarderExactness, OneCallScheduleMatchesPacketLoop)
+{
+    GuardedSoc got;
+    DmaEngine engine(got.stats, got.mem, got.guard);
+    GuardedSoc want;
+    PacketLoopDma ref(want.mem, want.guard);
+
+    const AddrRange dram = got.mem.map().dram();
+    const Addr secure = got.mem.map().secureRegion().base;
+    Rng rng(42);
+    // PAs cluster in 16 aliases of a 32 KiB window, 256 KiB (the L2's
+    // set span) apart, so later requests hit what earlier ones cached,
+    // read what they wrote, and evict dirty lines.
+    const auto request = [&] {
+        DmaRequest req;
+        req.bytes = static_cast<std::uint32_t>(16 + rng.below(4096 - 15));
+        Addr pa = dram.base + 0x10'0000 + rng.below(16) * 256 * 1024 +
+                  rng.below(32 * 1024);
+        if (rng.chance(0.15))
+            pa = secure - rng.below(2 * req.bytes);
+        pa = pa / 64 * 64 + (rng.chance(0.5) ? 16 * rng.below(4) : 0);
+        req.vaddr = GuardedSoc::guarded_va + (pa - dram.base);
+        if (rng.chance(0.03))
+            req.vaddr = GuardedSoc::guarded_va - 0x10'0000;
+        req.op = rng.chance(0.4) ? MemOp::write : MemOp::read;
+        req.world = rng.chance(0.3) ? World::secure : World::normal;
+        return req;
+    };
+    const auto filled = [&](const DmaRequest &req) {
+        std::vector<std::uint8_t> buf(req.bytes);
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng.next());
+        return buf;
+    };
+
+    Tick when = 0;
+    std::size_t denied = 0;
+    for (int round = 0; round < 400; ++round) {
+        SCOPED_TRACE(testing::Message() << "round " << round);
+        const std::size_t n = rng.chance(0.3) ? 1 : 1 + rng.below(16);
+        std::vector<DmaRequest> reqs;
+        std::vector<std::vector<std::uint8_t>> got_data;
+        for (std::size_t i = 0; i < n; ++i) {
+            reqs.push_back(request());
+            got_data.push_back(filled(reqs.back()));
+        }
+        std::vector<std::vector<std::uint8_t>> want_data = got_data;
+
+        DmaResult g;
+        DmaResult w;
+        if (n == 1 && rng.chance(0.7)) {
+            g = engine.transfer(when, reqs[0], &got_data[0]);
+            w = ref.transfer(when, reqs[0], &want_data[0]);
+        } else {
+            std::vector<std::vector<std::uint8_t> *> got_bufs;
+            std::vector<std::vector<std::uint8_t> *> want_bufs;
+            for (std::size_t i = 0; i < n; ++i) {
+                got_bufs.push_back(&got_data[i]);
+                want_bufs.push_back(&want_data[i]);
+            }
+            g = engine.transferBatch(when, reqs, got_bufs);
+            w = ref.batch(when, reqs, want_bufs);
+        }
+        denied += !w.ok;
+        ASSERT_EQ(g.done, w.done);
+        ASSERT_EQ(g.ok, w.ok);
+        ASSERT_EQ(g.packets, w.packets);
+        ASSERT_EQ(got_data, want_data);
+
+        ASSERT_EQ(got.scalar("dma_packets"),
+                  static_cast<double>(ref.packets));
+        ASSERT_EQ(got.scalar("dma_bytes"), static_cast<double>(ref.bytes));
+        for (const char *name :
+             {"mem_accesses", "mem_violations", "l2_hits", "l2_misses",
+              "l2_writebacks", "dram_reads", "dram_writes", "dram_bytes"})
+            ASSERT_EQ(got.scalar(name), want.scalar(name)) << name;
+        const auto *gq = dynamic_cast<const stats::Average *>(
+            got.stats.find("dram_queue_delay"));
+        const auto *wq = dynamic_cast<const stats::Average *>(
+            want.stats.find("dram_queue_delay"));
+        ASSERT_NE(gq, nullptr);
+        ASSERT_NE(wq, nullptr);
+        ASSERT_EQ(gq->count(), wq->count());
+        ASSERT_EQ(gq->sum(), wq->sum());
+        ASSERT_EQ(gq->min(), wq->min());
+        ASSERT_EQ(gq->max(), wq->max());
+
+        // Back to back, inside the DRAM backlog, or after a gap.
+        const std::uint64_t gap = rng.below(3);
+        when = gap == 0 ? w.done : gap == 1 ? when + (w.done - when) / 2
+                                            : w.done + rng.below(500);
+    }
+    // The mix reached every path: hits, write-backs, queueing and
+    // partition denials partway.
+    EXPECT_GT(want.scalar("l2_hits"), 0);
+    EXPECT_GT(want.scalar("l2_writebacks"), 0);
+    EXPECT_GT(want.scalar("mem_violations"), 0);
+    EXPECT_GT(denied, 0u);
 }
 
 } // namespace

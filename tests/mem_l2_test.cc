@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "mem/l2_cache.hh"
@@ -149,8 +150,22 @@ TEST(L2Geometry, BadGeometryIsFatal)
     p.ways = 3;
     EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
     p.size_bytes = 128 * line_bytes;
-    p.ways = 128; // wider than the per-set valid mask
+    p.ways = 128; // wider than a set record
     EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
+    p.size_bytes = 9 * 16 * line_bytes;
+    p.ways = 9; // one way past the eight a record holds
+    EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
+}
+
+TEST_F(L2Fixture, LineBeyondTheTagRangePanics)
+{
+    // A tag is a 32-bit line number: the last line below 256 GiB is
+    // cached, the first line at 256 GiB panics, even as the second
+    // line of a request.
+    const Addr limit = Addr(1) << 38;
+    EXPECT_NO_THROW(l2.access(0, read(limit - line_bytes)));
+    EXPECT_THROW(l2.access(0, read(limit)), PanicError);
+    EXPECT_THROW(l2.access(0, read(limit - 32)), PanicError);
 }
 
 /**
@@ -243,6 +258,58 @@ class NaiveL2
     std::uint64_t clock = 0;
 };
 
+/**
+ * Drive 3000 random accesses of up to 200 B (so some span lines)
+ * over @p footprint bytes, with an occasional invalidateAll(), through
+ * an L2 of geometry @p p and through NaiveL2, access by access.
+ * @return the reference model's hit and miss counts.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+expectMatchesNaive(const L2Params &p, std::uint64_t footprint,
+                   std::uint64_t seed)
+{
+    stats::Group stats("g");
+    DramModel dram(stats);
+    L2Cache l2(stats, dram, p);
+    stats::Group ref_stats("ref");
+    DramModel ref_dram(ref_stats);
+    NaiveL2 ref(ref_dram, p);
+
+    Rng rng(seed);
+    Tick when = 0;
+    for (int i = 0; i < 3000; ++i) {
+        if (rng.chance(0.01)) {
+            l2.invalidateAll();
+            ref.invalidateAll();
+            continue;
+        }
+        const MemRequest req{
+            0x8000'0000 + rng.below(footprint),
+            static_cast<std::uint32_t>(1 + rng.below(200)),
+            rng.chance(0.4) ? MemOp::write : MemOp::read, World::normal};
+        const MemResult got = l2.access(when, req);
+        const MemResult want = ref.access(when, req);
+        EXPECT_EQ(got.done, want.done) << "access " << i;
+        EXPECT_EQ(got.l2_hit, want.l2_hit) << "access " << i;
+        if (got.done != want.done || got.l2_hit != want.l2_hit)
+            break;
+        // Same-tick bursts contend for banks; gaps let them drain.
+        when += rng.chance(0.5) ? 0 : rng.below(300);
+    }
+    EXPECT_EQ(l2.hits(), ref.hits);
+    EXPECT_EQ(l2.misses(), ref.misses);
+    const auto *wb =
+        dynamic_cast<const stats::Scalar *>(stats.find("l2_writebacks"));
+    EXPECT_NE(wb, nullptr);
+    if (wb) {
+        EXPECT_EQ(static_cast<std::uint64_t>(wb->value()),
+                  ref.writebacks);
+    }
+    EXPECT_GT(ref.writebacks, 0u);
+    EXPECT_GT(ref.hits, 0u);
+    return {ref.hits, ref.misses};
+}
+
 TEST(L2ReferenceModel, MatchesNaiveLruAcrossGeometries)
 {
     std::uint64_t seed = 1;
@@ -257,48 +324,15 @@ TEST(L2ReferenceModel, MatchesNaiveLruAcrossGeometries)
                 p.banks = banks;
                 p.size_bytes =
                     std::uint64_t(num_sets) * ways * line_bytes;
-
-                stats::Group stats("g");
-                DramModel dram(stats);
-                L2Cache l2(stats, dram, p);
-                stats::Group ref_stats("ref");
-                DramModel ref_dram(ref_stats);
-                NaiveL2 ref(ref_dram, p);
-
-                // A footprint of three times the capacity keeps every
-                // set evicting; requests of up to 200 B span lines.
-                const std::uint64_t footprint =
-                    std::uint64_t(num_sets) * ways * 3 * line_bytes;
-                Rng rng(seed++);
-                Tick when = 0;
-                for (int i = 0; i < 3000; ++i) {
-                    if (rng.chance(0.01)) {
-                        l2.invalidateAll();
-                        ref.invalidateAll();
-                        continue;
-                    }
-                    const MemRequest req{
-                        0x8000'0000 + rng.below(footprint),
-                        static_cast<std::uint32_t>(1 + rng.below(200)),
-                        rng.chance(0.4) ? MemOp::write : MemOp::read,
-                        World::normal};
-                    const MemResult got = l2.access(when, req);
-                    const MemResult want = ref.access(when, req);
-                    ASSERT_EQ(got.done, want.done) << "access " << i;
-                    ASSERT_EQ(got.l2_hit, want.l2_hit) << "access " << i;
-                    // Same-tick bursts contend for banks; gaps let
-                    // them drain.
-                    when += rng.chance(0.5) ? 0 : rng.below(300);
-                }
-                EXPECT_EQ(l2.hits(), ref.hits);
-                EXPECT_EQ(l2.misses(), ref.misses);
-                const auto *wb = dynamic_cast<const stats::Scalar *>(
-                    stats.find("l2_writebacks"));
-                ASSERT_NE(wb, nullptr);
-                EXPECT_EQ(static_cast<std::uint64_t>(wb->value()),
-                          ref.writebacks);
-                EXPECT_GT(ref.writebacks, 0u);
-                EXPECT_GT(ref.hits, 0u);
+                // Three times the capacity keeps every set evicting.
+                expectMatchesNaive(p, 3 * p.size_bytes, seed);
+                // A quarter more than the capacity makes most
+                // accesses hit in full sets, so hits reorder the
+                // recency list.
+                const auto [hits, misses] = expectMatchesNaive(
+                    p, p.size_bytes * 5 / 4, seed + 100);
+                EXPECT_GT(hits, misses);
+                ++seed;
             }
         }
     }
@@ -332,7 +366,7 @@ TEST(L2ReferenceModel, StaleStampsNeverPickTheVictim)
     };
 
     // Fill the set with dirty lines 0-3, then make line 0 the most
-    // recently used, so ways 1-3 hold the oldest stamps.
+    // recently used, so ways 1-3 are the least recently used.
     for (std::uint32_t k = 0; k < 4; ++k)
         touch(k, MemOp::write);
     touch(0, MemOp::read);
@@ -340,12 +374,12 @@ TEST(L2ReferenceModel, StaleStampsNeverPickTheVictim)
     ref.invalidateAll();
 
     // Refill half the set. Ways 2 and 3 keep stale tags (lines 2 and
-    // 3) and stamps older than anything filled since.
+    // 3) and their places at the back of the old recency list.
     touch(10, MemOp::read);
     touch(11, MemOp::read);
     touch(2, MemOp::read); // a stale tag must not hit
     // The set is full again (10, 11, 2 and now 12): the next misses
-    // evict 10, then 11, never a way by its pre-epoch stamp.
+    // evict 10, then 11, never a way by its pre-epoch recency.
     touch(12, MemOp::read);
     touch(13, MemOp::read);
     touch(14, MemOp::read);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -46,6 +47,84 @@ TEST(Stats, AverageTracksMinMaxMean)
     a.reset();
     EXPECT_EQ(a.count(), 0u);
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
+}
+
+/**
+ * Feed @p batch to one Average by sample() and to another by one
+ * sampleMany(), each after the same @p before samples and, when
+ * @p capture, inside a captureBegin()/captureDelta() window opened
+ * after @p before; the two must agree on every field and delta.
+ */
+void
+expectSampleManyMatches(const std::vector<double> &before,
+                        const std::vector<double> &batch, bool capture)
+{
+    stats::Group group("g");
+    stats::Average one(group, "one", "sampled one by one");
+    stats::Average many(group, "many", "sampled at once");
+    for (double v : before) {
+        one.sample(v);
+        many.sample(v);
+    }
+    if (capture) {
+        one.captureBegin();
+        many.captureBegin();
+    }
+    double sum = 0;
+    for (double v : batch) {
+        one.sample(v);
+        sum += v;
+    }
+    many.sampleMany(batch.size(), sum,
+                    *std::min_element(batch.begin(), batch.end()),
+                    *std::max_element(batch.begin(), batch.end()));
+    EXPECT_EQ(many.count(), one.count());
+    EXPECT_EQ(many.sum(), one.sum());
+    EXPECT_EQ(many.min(), one.min());
+    EXPECT_EQ(many.max(), one.max());
+    if (capture) {
+        stats::StatDelta d_one;
+        stats::StatDelta d_many;
+        ASSERT_TRUE(one.captureDelta(d_one));
+        ASSERT_TRUE(many.captureDelta(d_many));
+        EXPECT_EQ(d_many.a, d_one.a);
+        EXPECT_EQ(d_many.b, d_one.b);
+        EXPECT_EQ(d_many.c, d_one.c);
+        EXPECT_EQ(d_many.d, d_one.d);
+    }
+}
+
+TEST(Stats, AverageSampleManyEqualsSamples)
+{
+    const std::vector<double> batch = {7, 3, 12, 3, 0, 9};
+    {
+        SCOPED_TRACE("empty stat");
+        expectSampleManyMatches({}, batch, false);
+    }
+    {
+        SCOPED_TRACE("non-empty stat, batch inside its range");
+        expectSampleManyMatches({-1, 40}, batch, false);
+    }
+    {
+        SCOPED_TRACE("non-empty stat, batch widens both extrema");
+        expectSampleManyMatches({5, 6}, batch, false);
+    }
+    {
+        SCOPED_TRACE("capture window");
+        expectSampleManyMatches({-1, 40, 5}, batch, true);
+    }
+    {
+        SCOPED_TRACE("capture window on an empty stat");
+        expectSampleManyMatches({}, batch, true);
+    }
+
+    // No samples change nothing, not even an empty stat's extrema.
+    stats::Group group("g");
+    stats::Average a(group, "a", "an average");
+    a.sampleMany(0, 0, -5, 5);
+    EXPECT_EQ(a.count(), 0u);
+    EXPECT_EQ(a.min(), 0.0);
+    EXPECT_EQ(a.max(), 0.0);
 }
 
 TEST(Stats, HistogramBucketsSamples)

@@ -229,7 +229,7 @@ TEST(Compiler, ModelCodeIsExactSizeAndMatchesLayerByLayer)
             const LayerSpec &layer = model.layers[i];
             const Addr k_tiles = tiles(layer.k);
             const Addr n_tiles = tiles(layer.n);
-            const Addr row = cp.spad_row_bytes;
+            const Addr row = spad_wordline_bytes;
             LayerBuffers bufs;
             if (i == 0) {
                 bufs.a_base = cursor;
