@@ -12,21 +12,21 @@ namespace
 
 /** Packet (beat) size in bytes. */
 constexpr std::uint32_t packet_bytes = 64;
-/** Issue rate: cycles between consecutive packet issues. */
-constexpr Tick issue_interval = 1;
-static_assert(issue_interval == 1, "a PacketRun issues one per cycle");
 
 /**
- * The next packet of a per-packet stream at @p va with @p left bytes
- * to go. A per-packet translation must not straddle a page, so the
- * packet stops at the page end (hardware DMA engines split bursts
- * the same way).
+ * The next packet of a stream at @p va with @p left bytes to go. A
+ * per-packet translation must not straddle a page, so @p clamp stops
+ * the packet at the page end (hardware DMA engines split bursts the
+ * same way).
  */
 std::uint32_t
-packetBytes(Addr va, std::uint32_t left)
+packetBytes(Addr va, std::uint32_t left, bool clamp)
 {
-    return static_cast<std::uint32_t>(std::min<Addr>(
-        std::min(packet_bytes, left), page_bytes - (va & (page_bytes - 1))));
+    const std::uint32_t chunk = std::min(packet_bytes, left);
+    if (!clamp)
+        return chunk;
+    return static_cast<std::uint32_t>(
+        std::min<Addr>(chunk, page_bytes - (va & (page_bytes - 1))));
 }
 
 } // namespace
@@ -83,78 +83,6 @@ DmaEngine::copyBytes(std::vector<std::uint8_t> *buffer, MemOp op,
         mem.data().write(pa, buffer->data() + offset, bytes);
 }
 
-bool
-DmaEngine::issueStreams(Tick when, DmaResult &result)
-{
-    schedule.clear();
-    run_streams.clear();
-    live.clear();
-    for (Stream &s : streams) {
-        s.allowed = static_cast<std::uint32_t>(mem.allowedBytes(
-            s.req->world, s.req_xl.paddr, s.req->bytes, packet_bytes));
-        live.push_back(&s);
-    }
-
-    // Round-robin packet issue across the streams that still have
-    // bytes to move, in stream order; a stream leaves the live list
-    // when it drains. The last live stream issues the rest of its
-    // full packets back to back, as one run.
-    Tick issue = when;
-    std::uint64_t bytes = 0;
-    bool denied = false;
-    std::size_t next = 0;
-    while (!live.empty()) {
-        if (next == live.size())
-            next = 0;
-        Stream &s = *live[next];
-        if (s.offset == 0)
-            issue = std::max(issue, s.req_xl.ready);
-        if (s.offset == s.allowed) {
-            denied = true;
-            break;
-        }
-        const std::uint32_t left = s.allowed - s.offset;
-        const std::uint32_t chunk = std::min(packet_bytes, left);
-        const std::uint32_t count =
-            live.size() == 1 ? std::max(left / packet_bytes, 1u) : 1;
-        schedule.push_back(PacketRun{issue, s.req_xl.paddr + s.offset,
-                                     chunk, count, s.req->op});
-        run_streams.push_back(&s);
-        result.packets += count;
-        bytes += static_cast<std::uint64_t>(chunk) * count;
-        issue += count * issue_interval;
-        s.offset += chunk * count;
-        if (s.offset == s.req->bytes)
-            live.erase(live.begin() + static_cast<std::ptrdiff_t>(next));
-        else
-            ++next;
-    }
-
-    const Tick mem_done = mem.accessPackets(schedule, denied);
-    packets_issued += result.packets;
-    bytes_moved += static_cast<double>(bytes);
-    if (denied) {
-        ++denied_requests;
-        result.ok = false;
-        result.done = issue;
-        return false;
-    }
-    result.done = std::max(mem_done, issue);
-    return true;
-}
-
-void
-DmaEngine::copyScheduled()
-{
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const PacketRun &run = schedule[i];
-        const Stream &s = *run_streams[i];
-        copyBytes(s.buffer, s.req->op, run.paddr,
-                  static_cast<std::uint32_t>(run.paddr - s.req_xl.paddr),
-                  run.count * run.bytes);
-    }
-}
-
 DmaResult
 DmaEngine::transfer(Tick when, const DmaRequest &req,
                     std::vector<std::uint8_t> *buffer)
@@ -177,36 +105,26 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
     if (buffer && req.op == MemOp::write && buffer->size() < req.bytes)
         panic("DMA write buffer smaller than request");
 
-    DmaResult result;
-    if (control.granularity() == CheckGranularity::request) {
-        const Translation xl = translate(when, req, req.vaddr, req.bytes);
-        if (!xl.ok) {
+    // A request-granular controller translates the whole request up
+    // front; its physical range is contiguous by construction.
+    const bool per_request =
+        control.granularity() == CheckGranularity::request;
+    Translation req_xl{true, 0, when};
+    if (per_request) {
+        req_xl = translate(when, req, req.vaddr, req.bytes);
+        if (!req_xl.ok) {
             ++denied_requests;
             tracer.emit(when, TraceCategory::dma, trace_name,
                         "request denied by access control at va 0x",
                         std::hex, req.vaddr);
             return DmaResult{when, false, false, 0};
         }
-        streams.clear();
-        streams.push_back(Stream{&req, buffer, xl});
-        if (!issueStreams(when, result))
-            return result;
-        copyScheduled();
-        stall_cycles.sample(0.0);
-        result.done += control.transferOverhead(result.done, xl.paddr,
-                                                 req.bytes, req.op);
-        tracer.emit(result.done, TraceCategory::dma, trace_name,
-                    req.op == MemOp::read ? "read" : "write", " of ",
-                    req.bytes, " B done: ", result.packets,
-                    " packets, one request-granular check");
-        return result;
     }
 
-    // Packet-granular: each packet is translated at its issue tick
-    // and cannot issue before its translation is available.
-    Tick issue = when;
+    DmaResult result;
+    Tick issue = req_xl.ready;
     Tick total_stall = 0;
-    Addr first_pa = 0;
+    Addr first_pa = req_xl.paddr;
     std::uint32_t offset = 0;
     MemTally tally;
     // Stops the transfer at the current packet, keeping the partial
@@ -223,31 +141,39 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
 
     while (offset < req.bytes) {
         const Addr va = req.vaddr + offset;
-        const std::uint32_t chunk = packetBytes(va, req.bytes - offset);
-        const Translation xl = translate(issue, req, va, chunk);
-        if (!xl.ok) {
-            tracer.emit(issue, TraceCategory::dma, trace_name,
-                        "packet denied by access control at va 0x",
-                        std::hex, va);
-            return deny();
+        const std::uint32_t chunk =
+            packetBytes(va, req.bytes - offset, !per_request);
+        Addr packet_pa = req_xl.paddr + offset;
+        if (!per_request) {
+            // The packet cannot issue before its translation is
+            // available.
+            const Translation xl = translate(issue, req, va, chunk);
+            if (!xl.ok) {
+                tracer.emit(issue, TraceCategory::dma, trace_name,
+                            "packet denied by access control at va 0x",
+                            std::hex, va);
+                return deny();
+            }
+            total_stall += xl.ready - issue;
+            issue = xl.ready;
+            packet_pa = xl.paddr;
+            if (offset == 0)
+                first_pa = packet_pa;
         }
-        total_stall += xl.ready - issue;
-        issue = xl.ready;
-        if (offset == 0)
-            first_pa = xl.paddr;
 
-        const MemResult mres =
-            mem.access(issue, MemRequest{xl.paddr, chunk, req.op,
-                                         req.world},
-                       tally);
+        const MemResult mres = mem.access(
+            issue, MemRequest{packet_pa, chunk, req.op, req.world}, tally);
         if (!mres.ok)
             return deny();
-        copyBytes(buffer, req.op, xl.paddr, offset, chunk);
+        if (!per_request)
+            copyBytes(buffer, req.op, packet_pa, offset, chunk);
         ++result.packets;
         result.done = std::max(result.done, mres.done);
-        issue += issue_interval;
+        issue += packet_issue_interval;
         offset += chunk;
     }
+    if (per_request)
+        copyBytes(buffer, req.op, req_xl.paddr, 0, req.bytes);
 
     mem.commit(tally);
     packets_issued += result.packets;
@@ -258,10 +184,17 @@ DmaEngine::transfer(Tick when, const DmaRequest &req,
     // transfer does not complete until the controller releases it.
     result.done += control.transferOverhead(result.done, first_pa,
                                              req.bytes, req.op);
-    tracer.emit(result.done, TraceCategory::dma, trace_name,
-                req.op == MemOp::read ? "read" : "write", " of ",
-                req.bytes, " B done: ", result.packets, " packets, ",
-                total_stall, " stall cycles");
+    if (per_request) {
+        tracer.emit(result.done, TraceCategory::dma, trace_name,
+                    req.op == MemOp::read ? "read" : "write", " of ",
+                    req.bytes, " B done: ", result.packets,
+                    " packets, one request-granular check");
+    } else {
+        tracer.emit(result.done, TraceCategory::dma, trace_name,
+                    req.op == MemOp::read ? "read" : "write", " of ",
+                    req.bytes, " B done: ", result.packets, " packets, ",
+                    total_stall, " stall cycles");
+    }
     return result;
 }
 
@@ -303,7 +236,9 @@ DmaEngine::transferBatch(
             buffers[i]->size() < req.bytes) {
             panic("DMA write buffer smaller than request");
         }
-        Stream s{&req, buffers[i], Translation{true, 0, when}};
+        Stream s;
+        s.req = &req;
+        s.buffer = buffers[i];
         if (per_request) {
             s.req_xl = translate(when, req, req.vaddr, req.bytes);
             if (!s.req_xl.ok) {
@@ -320,36 +255,6 @@ DmaEngine::transferBatch(
         streams.push_back(s);
     }
 
-    // A batch moves the bytes of every packet issued, also when the
-    // partition denied a later one.
-    if (per_request) {
-        const bool ok = issueStreams(when, result);
-        copyScheduled();
-        if (!ok)
-            return result;
-    } else if (!issuePacketStreams(when, result)) {
-        return result;
-    }
-
-    // Per-transfer controller overhead: the streams share one
-    // pipelined engine, so their tails overlap — the batch completes
-    // when the slowest stream's overhead drains.
-    Tick tail = 0;
-    for (const Stream &s : streams) {
-        tail = std::max(tail, control.transferOverhead(
-                                  result.done, s.first_pa,
-                                  s.req->bytes, s.req->op));
-    }
-    result.done += tail;
-    tracer.emit(result.done, TraceCategory::dma, trace_name,
-                "batch of ", streams.size(), " streams done: ",
-                result.packets, " packets");
-    return result;
-}
-
-bool
-DmaEngine::issuePacketStreams(Tick when, DmaResult &result)
-{
     // Round-robin packet issue across the streams that still have
     // bytes to move, in stream order; a stream leaves the live list
     // when it drains. Translation requests enter the controller one
@@ -372,7 +277,7 @@ DmaEngine::issuePacketStreams(Tick when, DmaResult &result)
         bytes_moved += static_cast<double>(bytes);
         result.ok = false;
         result.done = at;
-        return false;
+        return result;
     };
     while (!live.empty()) {
         if (next == live.size())
@@ -381,26 +286,33 @@ DmaEngine::issuePacketStreams(Tick when, DmaResult &result)
 
         const Addr va = s.req->vaddr + s.offset;
         const std::uint32_t chunk =
-            packetBytes(va, s.req->bytes - s.offset);
-        const Translation xl = translate(t_req, *s.req, va, chunk);
-        t_req += 1;
-        if (!xl.ok)
-            return deny(t_req);
-        issue = std::max(issue, xl.ready);
-        if (s.offset == 0)
-            s.first_pa = xl.paddr;
+            packetBytes(va, s.req->bytes - s.offset, !per_request);
+        Addr packet_pa;
+        if (per_request) {
+            packet_pa = s.req_xl.paddr + s.offset;
+            if (s.offset == 0)
+                issue = std::max(issue, s.req_xl.ready);
+        } else {
+            const Translation xl = translate(t_req, *s.req, va, chunk);
+            t_req += 1;
+            if (!xl.ok)
+                return deny(t_req);
+            issue = std::max(issue, xl.ready);
+            packet_pa = xl.paddr;
+            if (s.offset == 0)
+                s.first_pa = packet_pa;
+        }
 
-        const MemResult mres =
-            mem.access(issue, MemRequest{xl.paddr, chunk, s.req->op,
-                                         s.req->world},
-                       tally);
+        const MemResult mres = mem.access(
+            issue, MemRequest{packet_pa, chunk, s.req->op, s.req->world},
+            tally);
         if (!mres.ok)
             return deny(issue);
-        copyBytes(s.buffer, s.req->op, xl.paddr, s.offset, chunk);
+        copyBytes(s.buffer, s.req->op, packet_pa, s.offset, chunk);
         ++result.packets;
         bytes += chunk;
         result.done = std::max(result.done, mres.done);
-        issue += issue_interval;
+        issue += packet_issue_interval;
         s.offset += chunk;
         if (s.offset >= s.req->bytes)
             live.erase(live.begin() + static_cast<std::ptrdiff_t>(next));
@@ -410,8 +322,22 @@ DmaEngine::issuePacketStreams(Tick when, DmaResult &result)
     mem.commit(tally);
     packets_issued += result.packets;
     bytes_moved += static_cast<double>(bytes);
+
     result.done = std::max(result.done, issue);
-    return true;
+    // Per-transfer controller overhead: the streams share one
+    // pipelined engine, so their tails overlap — the batch completes
+    // when the slowest stream's overhead drains.
+    Tick tail = 0;
+    for (const Stream &s : streams) {
+        tail = std::max(tail, control.transferOverhead(
+                                  result.done, s.first_pa,
+                                  s.req->bytes, s.req->op));
+    }
+    result.done += tail;
+    tracer.emit(result.done, TraceCategory::dma, trace_name,
+                "batch of ", streams.size(), " streams done: ",
+                result.packets, " packets");
+    return result;
 }
 
 } // namespace snpu

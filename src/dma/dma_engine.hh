@@ -70,15 +70,14 @@ class DmaEngine
      * to req.bytes); for writes @p buffer supplies the bytes.
      * @p buffer may be nullptr for timing-only experiments.
      *
-     * A request-granular controller (Guarder, crypto, pass-through)
-     * is asked once for the whole request. Its packets are not
-     * clamped at page ends, so their schedule is known up front and
-     * goes to memory in one MemSystem::accessPackets() call; the
-     * bytes move once every packet issued, so a partition denial
-     * partway moves none. A packet-granular controller (IOMMU) is
-     * asked once per packet at the packet's issue tick, and its page
-     * walks read memory through the same L2 between packets, so it
-     * keeps a per-packet loop: each packet stops at its page end,
+     * One packet loop serves both check granularities, and adds its
+     * memory-system stats once per transfer (MemSystem::commit()). A
+     * request-granular controller (Guarder, crypto, pass-through) is
+     * asked once for the whole request; its packets are not clamped
+     * at page ends, and the bytes move in one copy after every packet
+     * issued, so a partition denial partway moves none. A
+     * packet-granular controller (IOMMU) is asked once per packet at
+     * the packet's issue tick; each packet stops at its page end,
      * moves its bytes as it issues, and adds its wait to the stall.
      */
     DmaResult transfer(Tick when, const DmaRequest &req,
@@ -91,9 +90,7 @@ class DmaEngine
      * With a packet-granular controller (IOMMU) the interleaving is
      * what produces IOTLB ping-pong when the stream count exceeds
      * the entry count. @p buffers parallels @p reqs (entries may be
-     * null). With a request-granular one the interleaved schedule
-     * goes to memory in one call, as in transfer(), and the bytes of
-     * every packet issued move in issue order.
+     * null).
      */
     DmaResult transferBatch(
         Tick when, const std::vector<DmaRequest> &reqs,
@@ -137,7 +134,7 @@ class DmaEngine
     void copyBytes(std::vector<std::uint8_t> *buffer, MemOp op, Addr pa,
                    std::uint32_t offset, std::uint32_t bytes);
 
-    /** One request of a transfer and its progress. */
+    /** One request of a transferBatch() and its progress. */
     struct Stream
     {
         const DmaRequest *req;
@@ -145,33 +142,7 @@ class DmaEngine
         Translation req_xl;          // request-level translation
         Addr first_pa = 0;           // PA of the first packet
         std::uint32_t offset = 0;
-        std::uint32_t allowed = 0;   // bytes before a partition denial
     };
-
-    /**
-     * Build the round-robin packet schedule of @c streams, which a
-     * request-granular controller translated, from @p when: each
-     * stream's first packet waits for its translation, every packet
-     * takes the next issue cycle, and the schedule stops at the
-     * first packet the partition would deny. Hand it to memory in
-     * one call. Fills @p result's done tick and packet count; false
-     * when a denial cut the schedule (the stats and @p result already
-     * say so). Nothing moves bytes; copyScheduled() does.
-     */
-    bool issueStreams(Tick when, DmaResult &result);
-
-    /** Move the bytes of every packet issueStreams() scheduled, in
-     *  issue order. */
-    void copyScheduled();
-
-    /**
-     * The packet-granular batch loop over @c streams from @p when:
-     * one translation per packet, each issued through
-     * MemSystem::access() as it goes. Fills @p result's done tick and
-     * packet count; false when a denial stopped it (the stats and
-     * @p result already say so).
-     */
-    bool issuePacketStreams(Tick when, DmaResult &result);
 
     MemSystem &mem;
     ProtectionBackend &control;
@@ -179,15 +150,13 @@ class DmaEngine
     Tracer tracer;
     std::string trace_name;
     /**
-     * Transfer scratch: every stream, the ones still moving bytes,
-     * and the packet schedule with each run's stream. Cleared per
-     * transfer and never shrunk, so a transfer allocates nothing
-     * once they have grown; the engine is driven by one thread.
+     * transferBatch() scratch: every stream, then the ones still
+     * moving bytes. Cleared per batch and never shrunk, so a batch
+     * allocates nothing once they have grown; the engine is driven
+     * by one thread.
      */
     std::vector<Stream> streams;
     std::vector<Stream *> live;
-    std::vector<PacketRun> schedule;
-    std::vector<const Stream *> run_streams;
 
     stats::Scalar requests;
     stats::Scalar packets_issued;

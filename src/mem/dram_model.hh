@@ -92,16 +92,6 @@ class DramModel
         return start + access_latency + transfer;
     }
 
-    /** One access, added to the stats at once. */
-    Tick
-    access(Tick when, std::uint32_t bytes, MemOp op)
-    {
-        MemTally t;
-        const Tick done = access(when, bytes, op, t);
-        commit(t);
-        return done;
-    }
-
     /** Add the DRAM part of @p t to the stats. */
     void
     commit(const MemTally &t)

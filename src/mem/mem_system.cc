@@ -34,38 +34,4 @@ MemSystem::access(Tick when, const MemRequest &req)
     return _l2.access(when, req);
 }
 
-MemResult
-MemSystem::access(Tick when, const MemRequest &req, MemTally &t)
-{
-    if (!check(req))
-        return MemResult{when, false, false};
-    return MemResult{
-        _l2.accessLines(when, req.paddr, req.bytes, req.op, t), true,
-        false};
-}
-
-Tick
-MemSystem::accessPackets(std::span<const PacketRun> runs, bool denied)
-{
-    MemTally t;
-    Tick done = 0;
-    std::uint64_t packets = 0;
-    for (const PacketRun &run : runs) {
-        Addr pa = run.paddr;
-        Tick at = run.issue;
-        for (std::uint32_t k = 0; k < run.count; ++k) {
-            done = std::max(done,
-                            _l2.accessLines(at, pa, run.bytes, run.op, t));
-            pa += run.bytes;
-            ++at;
-        }
-        packets += run.count;
-    }
-    _l2.commit(t);
-    accesses += static_cast<double>(packets + (denied ? 1 : 0));
-    if (denied)
-        ++violations;
-    return done;
-}
-
 } // namespace snpu

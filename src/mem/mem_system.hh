@@ -9,10 +9,8 @@
 #ifndef SNPU_MEM_MEM_SYSTEM_HH
 #define SNPU_MEM_MEM_SYSTEM_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
 
 #include "mem/address_map.hh"
 #include "mem/dram_model.hh"
@@ -35,21 +33,6 @@ struct MemSystemParams
 };
 
 /**
- * A run of @c count packets of @c bytes each, back to back in PA from
- * @c paddr and issued one per cycle from @c issue: one entry of the
- * packet schedule a request-granular agent hands to
- * MemSystem::accessPackets().
- */
-struct PacketRun
-{
-    Tick issue = 0;
-    Addr paddr = 0;
-    std::uint32_t bytes = 0;
-    std::uint32_t count = 0;
-    MemOp op = MemOp::read;
-};
-
-/**
  * Shared SoC memory system. The memory protection engine sits here:
  * an access whose issuing world may not touch the target region is
  * rejected before any timing or data side effect occurs.
@@ -64,44 +47,32 @@ class MemSystem
     MemResult access(Tick when, const MemRequest &req);
 
     /**
-     * access() whose L2 and DRAM increments go to @p t, for a packet
-     * loop that adds them once with commit(). l2_hit stays false.
+     * access() whose mem_accesses, L2 and DRAM increments go to
+     * @p t, for a packet loop that adds them once with commit(). A
+     * denied request still counts one access, and its violation at
+     * once. l2_hit stays false.
      */
-    MemResult access(Tick when, const MemRequest &req, MemTally &t);
-
-    /** Add a tally from access(when, req, t) to the stats. */
-    void commit(MemTally t) { _l2.commit(t); }
-
-    /**
-     * How far world @p w may go into [@p paddr, @p paddr + @p bytes)
-     * in packets of @p packet_bytes from its start: the offset of the
-     * first packet the partition would deny, or @p bytes when the
-     * whole range passes. Pure: no stats, no timing.
-     */
-    Addr
-    allowedBytes(World w, Addr paddr, Addr bytes,
-                 std::uint32_t packet_bytes) const
+    [[gnu::always_inline]] MemResult
+    access(Tick when, const MemRequest &req, MemTally &t)
     {
-        if (_map.accessAllowed(w, paddr, bytes))
-            return bytes;
-        // Some packet holds a denied byte, so the scan stops.
-        Addr offset = 0;
-        while (_map.accessAllowed(
-            w, paddr + offset, std::min<Addr>(packet_bytes, bytes - offset)))
-            offset += packet_bytes;
-        return offset;
+        ++t.mem_accesses;
+        if (!_map.accessAllowed(req.world, req.paddr, req.bytes))
+            [[unlikely]] {
+            ++violations;
+            return MemResult{when, false, false};
+        }
+        return MemResult{
+            _l2.accessLines(when, req.paddr, req.bytes, req.op, t), true,
+            false};
     }
 
-    /**
-     * Issue a packet schedule through the L2 in order, one memory
-     * access per packet, and add the stats once. Every packet lies in
-     * a range that allowedBytes() passed; @p denied says the schedule
-     * stopped at a packet the partition rejects, which counts one
-     * access and one violation, as access() would, and has no timing
-     * or data effect.
-     * @return the latest packet completion tick (0 for no packets).
-     */
-    Tick accessPackets(std::span<const PacketRun> runs, bool denied);
+    /** Add a tally from access(when, req, t) to the stats. */
+    void
+    commit(MemTally t)
+    {
+        accesses += static_cast<double>(t.mem_accesses);
+        _l2.commit(t);
+    }
 
     /** Functional data path (no timing, no checks). */
     PhysMem &data() { return mem; }

@@ -19,6 +19,12 @@ constexpr std::uint32_t line_bytes = 64;
 /** Page size used by the IOMMU page tables. */
 constexpr std::uint32_t page_bytes = 4096;
 
+/**
+ * Cycles between consecutive packet issues of a streaming agent: the
+ * DMA engine's packets and the flush engine's rows.
+ */
+constexpr Tick packet_issue_interval = 1;
+
 /** Kinds of memory access. */
 enum class MemOp : std::uint8_t
 {
@@ -42,12 +48,13 @@ struct MemRequest
 
 /**
  * Stat increments of one memory-system call, tallied by the inline
- * line kernel (L2Cache, DramModel) and added to the stats once per
- * call by L2Cache::commit(). Every field is an integer count or tick
+ * line kernel (L2Cache, DramModel) and by MemSystem's tallied access(),
+ * and added to the stats once per call by MemSystem::commit(). Every field is an integer count or tick
  * sum, so adding them once equals adding them line by line.
  */
 struct MemTally
 {
+    std::uint64_t mem_accesses = 0;
     std::uint64_t l2_hits = 0;
     std::uint64_t l2_misses = 0;
     std::uint64_t l2_writebacks = 0;

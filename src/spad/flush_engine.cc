@@ -37,17 +37,26 @@ Tick
 FlushEngine::stream(Tick when, std::uint32_t rows, Addr area, MemOp op,
                     World world)
 {
-    // The rows are contiguous in both the scratchpad and the save
-    // area and issue one per cycle: one packet run, cut at the first
-    // row the partition denies.
+    // One packet per row, issued one per cycle; the rows are
+    // contiguous in both the scratchpad and the save area.
     const std::uint32_t row_bytes = spad.rowBytes();
     const std::size_t bytes = static_cast<std::size_t>(rows) * row_bytes;
-    const auto allowed = static_cast<std::uint32_t>(
-        mem.allowedBytes(world, area, bytes, row_bytes) / row_bytes);
-    const PacketRun run{when, area, row_bytes, allowed, op};
-    const Tick done = mem.accessPackets({&run, 1}, allowed < rows);
-    if (allowed < rows)
-        fatal("flush engine denied by the world partition");
+    MemTally tally;
+    Tick t = when;
+    Tick done = when;
+    for (std::uint32_t row = 0; row < rows; ++row) {
+        const MemResult res = mem.access(
+            t, MemRequest{area + static_cast<Addr>(row) * row_bytes,
+                          row_bytes, op, world},
+            tally);
+        if (!res.ok) {
+            mem.commit(tally);
+            fatal("flush engine denied by the world partition");
+        }
+        done = std::max(done, res.done);
+        t += packet_issue_interval;
+    }
+    mem.commit(tally);
 
     // Functional movement of the context bytes.
     if (rows > 0 && op == MemOp::write)
@@ -55,7 +64,7 @@ FlushEngine::stream(Tick when, std::uint32_t rows, Addr area, MemOp op,
     else if (rows > 0)
         mem.data().read(area, spad.rawRow(0), bytes);
     bytes_moved += bytes;
-    return std::max(done, when + rows);
+    return std::max(done, t);
 }
 
 Tick

@@ -794,11 +794,11 @@ struct GuardedSoc
 };
 
 /**
- * The request-granular engine as it was written before the packet
- * schedule: one MemSystem::access() per 64-B packet, issued as the
- * loop goes. transfer() moves the bytes once every packet issued;
- * batch() moves each packet's bytes as it issues. It counts the
- * engine's packets and bytes itself.
+ * The request-granular engine written plainly: one MemSystem::access()
+ * per 64-B packet, each adding to the stats as it goes (the engine
+ * tallies them and adds them once per call). transfer() moves the
+ * bytes once every packet issued; batch() moves each packet's bytes
+ * as it issues. It counts the engine's packets and bytes itself.
  */
 class PacketLoopDma
 {
@@ -945,7 +945,7 @@ class PacketLoopDma
  * Each call must match the per-packet loop on a twin, field by field:
  * the result, the bytes, and every DMA, partition, L2 and DRAM stat.
  */
-TEST(DmaGuarderExactness, OneCallScheduleMatchesPacketLoop)
+TEST(DmaGuarderExactness, TalliedLoopMatchesPacketLoop)
 {
     GuardedSoc got;
     DmaEngine engine(got.stats, got.mem, got.guard);

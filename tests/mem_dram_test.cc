@@ -19,21 +19,31 @@ namespace snpu
 namespace
 {
 
+/** One DRAM access, added to the stats at once. */
+Tick
+dramAccess(DramModel &dram, Tick when, std::uint32_t bytes, MemOp op)
+{
+    MemTally t;
+    const Tick done = dram.access(when, bytes, op, t);
+    dram.commit(t);
+    return done;
+}
+
 TEST(Dram, SingleAccessPaysLatencyPlusTransfer)
 {
     stats::Group stats("g");
     DramModel dram(stats);
     // 64 bytes at 16 B/cycle: 4 transfer cycles + 100 latency.
-    EXPECT_EQ(dram.access(0, 64, MemOp::read), 104u);
+    EXPECT_EQ(dramAccess(dram, 0, 64, MemOp::read), 104u);
 }
 
 TEST(Dram, BackToBackAccessesQueue)
 {
     stats::Group stats("g");
     DramModel dram(stats);
-    dram.access(0, 64, MemOp::read);
+    dramAccess(dram, 0, 64, MemOp::read);
     // Channel busy until tick 4; second access starts there.
-    EXPECT_EQ(dram.access(0, 64, MemOp::read), 108u);
+    EXPECT_EQ(dramAccess(dram, 0, 64, MemOp::read), 108u);
     EXPECT_EQ(dram.nextFree(), 8u);
 }
 
@@ -41,25 +51,25 @@ TEST(Dram, IdleChannelDoesNotQueue)
 {
     stats::Group stats("g");
     DramModel dram(stats);
-    dram.access(0, 64, MemOp::read);
-    EXPECT_EQ(dram.access(1000, 64, MemOp::write), 1104u);
+    dramAccess(dram, 0, 64, MemOp::read);
+    EXPECT_EQ(dramAccess(dram, 1000, 64, MemOp::write), 1104u);
 }
 
 TEST(Dram, ResetClearsQueueState)
 {
     stats::Group stats("g");
     DramModel dram(stats);
-    dram.access(0, 4096, MemOp::read);
+    dramAccess(dram, 0, 4096, MemOp::read);
     dram.reset();
     EXPECT_EQ(dram.nextFree(), 0u);
-    EXPECT_EQ(dram.access(0, 64, MemOp::read), 104u);
+    EXPECT_EQ(dramAccess(dram, 0, 64, MemOp::read), 104u);
 }
 
 TEST(Dram, ZeroByteAccessPanics)
 {
     stats::Group stats("g");
     DramModel dram(stats);
-    EXPECT_THROW(dram.access(0, 0, MemOp::read), PanicError);
+    EXPECT_THROW(dramAccess(dram, 0, 0, MemOp::read), PanicError);
 }
 
 TEST(Dram, BadBandwidthIsFatal)
@@ -78,7 +88,7 @@ TEST(Dram, SustainedStreamAchievesConfiguredBandwidth)
     const std::uint64_t total = 1u << 20;
     Tick done = 0;
     for (std::uint64_t off = 0; off < total; off += 64)
-        done = dram.access(0, 64, MemOp::read);
+        done = dramAccess(dram, 0, 64, MemOp::read);
     // Effective bandwidth = total / busy-time; latency amortizes.
     const double cycles = static_cast<double>(dram.nextFree());
     const double bpc = static_cast<double>(total) / cycles;
@@ -94,7 +104,7 @@ TEST(Dram, FractionalBandwidthConserved)
     DramModel dram(stats, params);
     const std::uint64_t total = 64000;
     for (std::uint64_t off = 0; off < total; off += 64)
-        dram.access(0, 64, MemOp::read);
+        dramAccess(dram, 0, 64, MemOp::read);
     const double bpc =
         static_cast<double>(total) / static_cast<double>(dram.nextFree());
     EXPECT_NEAR(bpc, 6.4, 0.1);
@@ -190,7 +200,8 @@ TEST_P(DramStepMemoTest, MatchesUnmemoizedArithmetic)
         }
         when += rng.below(6);
         const MemOp op = rng.below(4) == 0 ? MemOp::write : MemOp::read;
-        ASSERT_EQ(got.access(when, bytes, op), want.access(when, bytes, op))
+        ASSERT_EQ(dramAccess(got, when, bytes, op),
+                  want.access(when, bytes, op))
             << "access " << i << " of " << bytes << " B";
         ASSERT_EQ(got.nextFree(), want.nextFree()) << "access " << i;
         ASSERT_EQ(got.busyCycles(), want.busyCycles()) << "access " << i;
@@ -221,7 +232,7 @@ TEST_P(DramPropertyTest, CompletionMonotonicAndBandwidthBounded)
         when += rng.below(8);
         const auto size =
             static_cast<std::uint32_t>(8 + rng.below(512));
-        const Tick done = dram.access(when, size, MemOp::read);
+        const Tick done = dramAccess(dram, when, size, MemOp::read);
         EXPECT_GE(done, when + 100) << "latency floor violated";
         EXPECT_GE(done, prev_done > 100 ? prev_done - 100 : 0);
         prev_done = done;

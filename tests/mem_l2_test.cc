@@ -19,6 +19,16 @@ namespace snpu
 namespace
 {
 
+/** One DRAM access, added to the stats at once. */
+Tick
+dramAccess(DramModel &dram, Tick when, std::uint32_t bytes, MemOp op)
+{
+    MemTally t;
+    const Tick done = dram.access(when, bytes, op, t);
+    dram.commit(t);
+    return done;
+}
+
 struct L2Fixture : ::testing::Test
 {
     L2Fixture()
@@ -243,12 +253,12 @@ class NaiveL2
                 });
             if (lru->dirty) {
                 ++writebacks;
-                dram.access(ready, line_bytes, MemOp::write);
+                dramAccess(dram, ready, line_bytes, MemOp::write);
             }
             set.erase(lru);
         }
         set.push_back(Line{line, op == MemOp::write, ++clock});
-        return dram.access(ready, line_bytes, MemOp::read);
+        return dramAccess(dram, ready, line_bytes, MemOp::read);
     }
 
     DramModel &dram;
