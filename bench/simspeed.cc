@@ -281,7 +281,9 @@ BM_MemSystemAccess(benchmark::State &state)
     for (auto _ : state) {
         MemRequest req{base + (i++ % 4096) * 64, 64, MemOp::read,
                        World::normal};
-        MemResult res = mem.access(t, req);
+        MemTally tally;
+        MemResult res = mem.access(t, req, tally);
+        mem.commit(tally);
         benchmark::DoNotOptimize(res);
         t = res.done;
     }

@@ -43,9 +43,10 @@ main(int argc, char **argv)
     table.row({"mesh geometry",
                std::to_string(soc.npu().mesh().cols()) + " x " +
                    std::to_string(soc.npu().mesh().meshRows())});
+    const L2Params l2;
     table.row({"shared L2 size",
-               std::to_string(p.l2_mib) + " MiB"});
-    table.row({"shared L2 banks", std::to_string(p.l2_banks)});
+               std::to_string(l2.size_bytes >> 20) + " MiB"});
+    table.row({"shared L2 banks", std::to_string(l2.banks)});
     table.row({"DRAM bandwidth", num(p.dram_gbps, 0) + " GB/s"});
     table.row({"frequency", num(p.freq_ghz, 0) + " GHz"});
     table.row({"access control (sNPU)", "NPU Guarder"});

@@ -85,9 +85,6 @@ Soc::Soc(SocParams params)
     // Memory system with Table II timing.
     MemSystemParams mem_params;
     mem_params.dram.bytes_per_cycle = cfg.dramBytesPerCycle();
-    mem_params.l2.size_bytes =
-        static_cast<std::uint64_t>(cfg.l2_mib) << 20;
-    mem_params.l2.banks = cfg.l2_banks;
     mem_params.crypto.enabled = cfg.memory_encryption;
     mem_system = std::make_unique<MemSystem>(stat_group, AddressMap{},
                                              mem_params);

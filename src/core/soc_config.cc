@@ -53,7 +53,8 @@ SocParams::describe() const
     std::ostringstream os;
     os << systemKindName(system) << ": tiles=" << tiles
        << " dim=" << systolic_dim << " spad=" << spad_kib_per_tile
-       << "KiB l2=" << l2_mib << "MiB dram=" << dram_gbps << "GB/s";
+       << "KiB l2=" << (L2Params{}.size_bytes >> 20)
+       << "MiB dram=" << dram_gbps << "GB/s";
     if (protection == "passthrough")
         os << " ac=none";
     else if (protection == "iommu")

@@ -37,8 +37,7 @@ struct SocParams
     std::uint32_t tiles = 10;
     std::uint32_t systolic_dim = 16;
     std::uint32_t spad_kib_per_tile = 256;
-    std::uint32_t l2_mib = 2;
-    std::uint32_t l2_banks = 8;
+    // The shared L2 is L2Params{}: 2 MiB, 8 banks.
     double dram_gbps = 16.0;
     double freq_ghz = 1.0;
 

@@ -283,10 +283,11 @@ TaskRunner::runPipeline(const NpuTask &task,
                 // Software NoC: the memory round trip already lives
                 // in the programs (mvout then mvin); add only the
                 // synchronization flag handshake through memory.
-                MemRequest flag{arena.base, 64, MemOp::write,
-                                task.world};
-                MemResult res = soc.mem().access(t, flag);
-                t = res.done;
+                const MemRequest flag{arena.base, 64, MemOp::write,
+                                      task.world};
+                MemTally tally;
+                t = soc.mem().access(t, flag, tally).done;
+                soc.mem().commit(tally);
             }
         }
     }

@@ -59,8 +59,10 @@ socConfigFingerprint(const SocParams &p)
     h = hashMix(h, std::uint64_t(p.tiles));
     h = hashMix(h, std::uint64_t(p.systolic_dim));
     h = hashMix(h, std::uint64_t(p.spad_kib_per_tile));
-    h = hashMix(h, std::uint64_t(p.l2_mib));
-    h = hashMix(h, std::uint64_t(p.l2_banks));
+    // The L2 geometry (MiB, banks) is fixed but still hashed: the
+    // fingerprint seeds the boot images (makeBootChain).
+    h = hashMix(h, std::uint64_t(L2Params{}.size_bytes >> 20));
+    h = hashMix(h, std::uint64_t(L2Params{}.banks));
     h = hashMix(h, p.dram_gbps);
     h = hashMix(h, p.freq_ghz);
     h = hashMix(h, p.protection);

@@ -55,10 +55,8 @@ Iommu::translate(Tick when, Addr vaddr, std::uint32_t bytes, MemOp op,
         // throughput-limited here (the IOTLB "ping-pong" cost).
         const Tick walk_start = std::max(when, walker_free);
         walker_free = walk_start + walker_occupancy;
-        const Tick walk_done =
-            params.walk_cache
-                ? table.walkCached(walk_start, vpn * page_bytes, pte)
-                : table.walk(walk_start, vpn * page_bytes, pte);
+        const Tick walk_done = table.walk(walk_start, vpn * page_bytes,
+                                          params.walk_cache, pte);
         walk_latency.sample(static_cast<double>(walk_done - when));
         if (!pte.valid) {
             recordDeny(bytes);

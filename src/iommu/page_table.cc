@@ -153,30 +153,6 @@ PageTable::lookup(Addr vaddr) const
     return pte;
 }
 
-Tick
-PageTable::walkCached(Tick when, Addr vaddr, Pte &pte)
-{
-    // Resolve the non-leaf levels functionally (they hit the walk
-    // cache); charge a timed read for the leaf entry only.
-    Addr node = root_node;
-    for (int level = 0; level < levels - 1; ++level) {
-        const Addr ea = entryAddr(node, index(vaddr, level));
-        Pte inner = Pte::decode(mem.data().read64(ea));
-        if (!inner.valid) {
-            pte = Pte{};
-            return when + 1;
-        }
-        node = inner.paddr;
-    }
-    const Addr leaf = entryAddr(node, index(vaddr, levels - 1));
-    MemRequest req{leaf, 8, MemOp::read, World::secure};
-    MemResult res = mem.access(when, req);
-    pte = Pte::decode(mem.data().read64(leaf));
-    if (pte.valid)
-        pte.paddr &= ~Addr(page_bytes - 1);
-    return res.done;
-}
-
 std::uint64_t
 PageTable::layoutFingerprint(Addr va_base, Addr bytes) const
 {
@@ -217,23 +193,30 @@ PageTable::layoutFingerprint(Addr va_base, Addr bytes) const
 }
 
 Tick
-PageTable::walk(Tick when, Addr vaddr, Pte &pte)
+PageTable::walk(Tick when, Addr vaddr, bool warm, Pte &pte)
 {
+    MemTally tally;
     Addr node = root_node;
     Tick t = when;
     for (int level = 0; level < levels; ++level) {
         const Addr ea = entryAddr(node, index(vaddr, level));
-        // Each level is a dependent 8-byte read through the cache
+        const bool leaf = level == levels - 1;
+        // A warm walk cache serves the non-leaf levels; every other
+        // level is a dependent 8-byte read through the cache
         // hierarchy — this is where IOTLB misses get their cost.
-        MemRequest req{ea, 8, MemOp::read, World::secure};
-        MemResult res = mem.access(t, req);
-        t = res.done;
+        if (leaf || !warm) {
+            const MemRequest req{ea, 8, MemOp::read, World::secure};
+            t = mem.access(t, req, tally).done;
+        }
         pte = Pte::decode(mem.data().read64(ea));
-        if (!pte.valid)
-            return t;
+        if (!pte.valid) {
+            if (!leaf && warm)
+                t = when + 1; // the walk cache answers the fault
+            break;
+        }
         node = pte.paddr;
     }
-    pte.paddr &= ~Addr(page_bytes - 1);
+    mem.commit(tally);
     return t;
 }
 

@@ -72,19 +72,17 @@ class PageTable
     Pte lookup(Addr vaddr) const;
 
     /**
-     * Timed walk as the IOMMU performs it: one memory read per level.
+     * Timed walk as the IOMMU performs it: one dependent memory read
+     * per level, whose stats are added once when the walk ends. With
+     * @p warm (a warm page-walk cache, the steady-state walk cost of
+     * a production IOMMU) the non-leaf levels hit the walker's
+     * internal cache: they are read functionally, and an invalid one
+     * ends the walk at @p when + 1 with no memory access; only the
+     * leaf entry is a timed read.
      * @param[out] pte    the leaf entry (valid=false on fault)
      * @return tick at which the walk completes
      */
-    Tick walk(Tick when, Addr vaddr, Pte &pte);
-
-    /**
-     * Timed walk with a warm page-walk cache: the non-leaf levels
-     * hit the walker's internal cache, so only the leaf entry is a
-     * timed memory read. This is the steady-state walk cost of a
-     * production IOMMU.
-     */
-    Tick walkCached(Tick when, Addr vaddr, Pte &pte);
+    Tick walk(Tick when, Addr vaddr, bool warm, Pte &pte);
 
     /** Root node physical address (the "page table base register"). */
     Addr root() const { return root_node; }

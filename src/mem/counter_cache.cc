@@ -1,22 +1,15 @@
 #include "mem/counter_cache.hh"
 
 #include "mem/mem_types.hh"
-#include "sim/logging.hh"
 
 namespace snpu
 {
 
-CounterCache::CounterCache(std::uint32_t entries) : entries(entries)
-{
-    if (entries == 0)
-        fatal("counter cache needs at least one entry");
-}
-
 bool
 CounterCache::lookup(Addr page)
 {
-    Entry *victim = &entries[0];
-    for (Entry &entry : entries) {
+    Entry *victim = &lines[0];
+    for (Entry &entry : lines) {
         if (entry.valid && entry.page == page) {
             entry.lru = ++clock;
             return true;
@@ -39,7 +32,7 @@ CounterCache::invalidateAll()
 {
     if (n_valid == 0)
         return;
-    for (Entry &entry : entries)
+    for (Entry &entry : lines)
         entry.valid = false;
     n_valid = 0;
 }
@@ -60,7 +53,6 @@ struct CounterModeTiming::Exported
 
 CounterModeTiming::CounterModeTiming(stats::Group *stats,
                                      const StatNames &names)
-    : cache(counter_cache_entries)
 {
     if (stats)
         exported = std::make_unique<Exported>(*stats, names);

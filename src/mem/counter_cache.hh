@@ -11,9 +11,9 @@
 #ifndef SNPU_MEM_COUNTER_CACHE_HH
 #define SNPU_MEM_COUNTER_CACHE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -24,8 +24,8 @@ namespace snpu
 class CounterCache
 {
   public:
-    /** @p entries must be positive (fatal otherwise). */
-    explicit CounterCache(std::uint32_t entries);
+    /** Counter lines held (one per 4 KiB page). */
+    static constexpr std::uint32_t entries = 64;
 
     /**
      * Look up the counter line of @p page. A miss installs it in a
@@ -49,9 +49,9 @@ class CounterCache
         std::uint64_t lru = 0;
     };
 
-    std::vector<Entry> entries;
+    std::array<Entry, entries> lines{};
     std::uint64_t clock = 0;
-    /** Valid entries in @c entries. */
+    /** Valid entries in @c lines. */
     std::uint32_t n_valid = 0;
 };
 
@@ -69,8 +69,6 @@ class CounterModeTiming
   public:
     /** Pipelined AES fill latency, charged once per stream. */
     static constexpr Tick engine_latency = 12;
-    /** Counter cache entries (one per 4 KiB page). */
-    static constexpr std::uint32_t counter_cache_entries = 64;
     /** Cost of fetching a missing counter line from DRAM. */
     static constexpr Tick counter_miss_penalty = 110;
 

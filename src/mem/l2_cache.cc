@@ -17,28 +17,15 @@ L2Cache::L2Cache(stats::Group &stats, DramModel &dram, L2Params params,
       writebacks(stats, "l2_writebacks", "dirty lines written back")
 {
     const std::uint64_t num_lines = params.size_bytes / line_bytes;
-    if (num_lines == 0 || params.ways == 0 || params.ways > max_ways ||
-        num_lines % params.ways != 0)
+    if (num_lines == 0 || num_lines % ways != 0 || params.banks == 0)
         fatal("invalid L2 geometry");
-    num_sets = static_cast<std::uint32_t>(num_lines / params.ways);
+    num_sets = static_cast<std::uint32_t>(num_lines / ways);
     if (std::has_single_bit(num_sets))
         set_mask = num_sets - 1;
     if (std::has_single_bit(params.banks))
         bank_mask = params.banks - 1;
     sets.resize(num_sets);
     bank_free.assign(params.banks, 0);
-}
-
-MemResult
-L2Cache::access(Tick when, const MemRequest &req)
-{
-    MemTally t;
-    MemResult result;
-    result.done = accessLines(when, req.paddr, req.bytes, req.op, t);
-    commit(t);
-    result.ok = true;
-    result.l2_hit = misses() == 0 || t.l2_hits > 0;
-    return result;
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared banked L2 cache timing model (2 MiB, 8 banks in the Table II
- * configuration). Tags are tracked functionally; data bytes live in
- * PhysMem, so the cache only decides hit/miss latency and generates
- * write-back traffic toward DRAM.
+ * Shared banked 8-way L2 cache timing model (2 MiB, 8 banks in the
+ * Table II configuration). Tags are tracked functionally; data bytes
+ * live in PhysMem, so the cache only decides hit/miss latency and
+ * generates write-back traffic toward DRAM.
  */
 
 #ifndef SNPU_MEM_L2_CACHE_HH
@@ -25,19 +25,23 @@
 namespace snpu
 {
 
-/** L2 geometry and timing parameters. */
+/**
+ * L2 geometry. The defaults are Table II's; the associativity is
+ * fixed (L2Cache::ways), and only tests pick a smaller size or
+ * another bank count.
+ */
 struct L2Params
 {
+    /** A whole number of 8-way sets. */
     std::uint64_t size_bytes = 2ULL << 20;
-    /** At most L2Cache::max_ways. */
-    std::uint32_t ways = 8;
+    /** At least one. */
     std::uint32_t banks = 8;
 };
 
 /**
- * Set-associative write-back L2 with per-bank occupancy queues and
- * LRU replacement. The cache keeps no security-world state: the
- * secure/normal partition is enforced by MemSystem::check before a
+ * 8-way set-associative write-back L2 with per-bank occupancy queues
+ * and LRU replacement. The cache keeps no security-world state: the
+ * secure/normal partition is enforced by MemSystem::access before a
  * request reaches the L2, so a line never needs a world tag and no
  * flush-on-switch is needed.
  *
@@ -46,9 +50,9 @@ struct L2Params
  * masks, so a lookup touches one host cache line. Set and bank come
  * from a mask when their counts are powers of two.
  *
- * One inline line kernel serves every entry point. It adds its stat
- * increments to a caller-owned MemTally, and each entry point adds
- * the tally to the stats once (commit()).
+ * The inline line kernel (accessLines()) is the cache's only timed
+ * path. It adds its stat increments to a caller-owned MemTally, and
+ * each caller adds the tally to the stats once (commit()).
  */
 class L2Cache
 {
@@ -58,19 +62,12 @@ class L2Cache
     static constexpr Tick hit_latency = 20;
     /** Bank busy time per line access (throughput limiter). */
     static constexpr Tick bank_cycle = 2;
-    /** Ways a set record holds (one nibble each in the recency list). */
-    static constexpr std::uint32_t max_ways = 8;
+    /** Ways per set: a set record holds eight tags, one nibble each
+     *  in the recency list. */
+    static constexpr std::uint32_t ways = 8;
 
     L2Cache(stats::Group &stats, DramModel &dram, L2Params params = {},
             MemCryptoEngine *crypto = nullptr);
-
-    /**
-     * Serve a line-granular access arriving at @p when.
-     * @p req.bytes may span multiple lines; each line is looked up.
-     * @return completion tick of the last line, and whether the
-     * access hit.
-     */
-    MemResult access(Tick when, const MemRequest &req);
 
     /**
      * The line kernel over every line of [@p paddr, @p paddr +
@@ -131,11 +128,11 @@ class L2Cache
      * @c order is the way used i-th most recently, over all eight
      * ways. A miss fills the lowest invalid way, so @c valid is a low
      * prefix and the valid ways lead the list in recency order; in a
-     * full set the victim is the nibble at position ways - 1.
+     * full set the victim is the last nibble.
      */
     struct alignas(64) Set
     {
-        std::uint32_t tag[max_ways] = {};
+        std::uint32_t tag[ways] = {};
         std::uint64_t epoch = 0;
         std::uint32_t order = fresh_order;
         std::uint8_t valid = 0;
@@ -226,9 +223,7 @@ class L2Cache
         ++t.l2_misses;
         const std::uint32_t filled =
             static_cast<std::uint32_t>(std::countr_one(s.valid));
-        const std::uint32_t victim =
-            filled < params.ways ? filled
-                                 : s.order >> (4 * (params.ways - 1)) & 0xf;
+        const std::uint32_t victim = filled < ways ? filled : s.order >> 28;
         const auto bit = static_cast<std::uint8_t>(1u << victim);
         Tick ready = start + hit_latency;
         if (s.dirty & bit) {

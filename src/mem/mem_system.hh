@@ -2,8 +2,10 @@
  * @file
  * The combined memory system: world-partition enforcement in front of
  * a shared L2 backed by the DRAM model, plus the functional byte
- * store. This is the single memory entry point every agent (DMA
- * engines, page walkers, flush engine, software NoC) goes through.
+ * store. Its one timed access is the memory entry point every agent
+ * (DMA engines, page walker, flush engine, software NoC, pipeline
+ * flag) goes through; each agent tallies its accesses and adds them
+ * to the stats once per call (commit()).
  */
 
 #ifndef SNPU_MEM_MEM_SYSTEM_HH
@@ -27,7 +29,6 @@ namespace snpu
 struct MemSystemParams
 {
     DramParams dram;
-    L2Params l2;
     /** Optional DRAM encryption (the TNPU-style complement, ablation). */
     MemCryptoParams crypto;
 };
@@ -43,14 +44,12 @@ class MemSystem
     MemSystem(stats::Group &stats, AddressMap map = {},
               MemSystemParams params = {});
 
-    /** Timed access; also counts partition violations. */
-    MemResult access(Tick when, const MemRequest &req);
-
     /**
-     * access() whose mem_accesses, L2 and DRAM increments go to
-     * @p t, for a packet loop that adds them once with commit(). A
-     * denied request still counts one access, and its violation at
-     * once. l2_hit stays false.
+     * The one timed access. Timing state (L2 tags, bank and DRAM
+     * occupancy) updates at once; the mem_accesses, L2 and DRAM stat
+     * increments go to @p t, which the caller adds once per call
+     * with commit(). A denied request still counts one access, and
+     * its violation at once.
      */
     [[gnu::always_inline]] MemResult
     access(Tick when, const MemRequest &req, MemTally &t)
@@ -59,14 +58,13 @@ class MemSystem
         if (!_map.accessAllowed(req.world, req.paddr, req.bytes))
             [[unlikely]] {
             ++violations;
-            return MemResult{when, false, false};
+            return MemResult{when, false};
         }
         return MemResult{
-            _l2.accessLines(when, req.paddr, req.bytes, req.op, t), true,
-            false};
+            _l2.accessLines(when, req.paddr, req.bytes, req.op, t), true};
     }
 
-    /** Add a tally from access(when, req, t) to the stats. */
+    /** Add a tally from access() to the stats. */
     void
     commit(MemTally t)
     {
@@ -104,8 +102,6 @@ class MemSystem
     }
 
   private:
-    bool check(const MemRequest &req);
-
     AddressMap _map;
     PhysMem mem;
     DramModel _dram;

@@ -48,9 +48,10 @@ struct MemRequest
 
 /**
  * Stat increments of one memory-system call, tallied by the inline
- * line kernel (L2Cache, DramModel) and by MemSystem's tallied access(),
- * and added to the stats once per call by MemSystem::commit(). Every field is an integer count or tick
- * sum, so adding them once equals adding them line by line.
+ * line kernel (L2Cache, DramModel) and by MemSystem::access(), and
+ * added to the stats once per call by MemSystem::commit(). Every
+ * field is an integer count or tick sum, so adding them once equals
+ * adding them line by line.
  */
 struct MemTally
 {
@@ -75,8 +76,6 @@ struct MemResult
     Tick done = 0;
     /** False when the world partition rejected the access. */
     bool ok = true;
-    /** True when the access was served by the L2 cache. */
-    bool l2_hit = false;
 };
 
 } // namespace snpu

@@ -23,7 +23,6 @@ SoftwareNoc::transfer(Tick when, Scratchpad &src, Scratchpad &dst,
                       std::uint32_t nrows, World world)
 {
     ++transfers;
-    NocResult result;
 
     const std::uint32_t row_bytes = src.rowBytes();
     const std::uint32_t total = nrows * row_bytes;
@@ -31,26 +30,27 @@ SoftwareNoc::transfer(Tick when, Scratchpad &src, Scratchpad &dst,
         fatal("software NoC buffer too small for transfer");
     }
 
+    // The buffer's memory accesses add to one tally, added to the
+    // stats once on every way out.
+    MemTally tally;
+    const auto deny = [&](Tick at) {
+        mem.commit(tally);
+        ++denied;
+        return NocResult{at, false};
+    };
+
     // Phase 1: source streams its rows to the shared buffer.
     std::vector<std::uint8_t> row(row_bytes);
     Tick t = when;
     Tick done = when;
     for (std::uint32_t i = 0; i < nrows; ++i) {
-        if (src.read(world, src_row + i, row.data()) != SpadStatus::ok) {
-            ++denied;
-            result.ok = false;
-            result.done = t;
-            return result;
-        }
+        if (src.read(world, src_row + i, row.data()) != SpadStatus::ok)
+            return deny(t);
         MemRequest store{buffer.base + static_cast<Addr>(i) * row_bytes,
                          row_bytes, MemOp::write, world};
-        MemResult res = mem.access(t, store);
-        if (!res.ok) {
-            ++denied;
-            result.ok = false;
-            result.done = t;
-            return result;
-        }
+        MemResult res = mem.access(t, store, tally);
+        if (!res.ok)
+            return deny(t);
         mem.data().write(store.paddr, row.data(), row_bytes);
         done = std::max(done, res.done);
         t += 1;
@@ -64,28 +64,19 @@ SoftwareNoc::transfer(Tick when, Scratchpad &src, Scratchpad &dst,
     for (std::uint32_t i = 0; i < nrows; ++i) {
         MemRequest load{buffer.base + static_cast<Addr>(i) * row_bytes,
                         row_bytes, MemOp::read, world};
-        MemResult res = mem.access(t, load);
-        if (!res.ok) {
-            ++denied;
-            result.ok = false;
-            result.done = t;
-            return result;
-        }
+        MemResult res = mem.access(t, load, tally);
+        if (!res.ok)
+            return deny(t);
         mem.data().read(load.paddr, row.data(), row_bytes);
-        if (dst.write(world, dst_row + i, row.data()) != SpadStatus::ok) {
-            ++denied;
-            result.ok = false;
-            result.done = t;
-            return result;
-        }
+        if (dst.write(world, dst_row + i, row.data()) != SpadStatus::ok)
+            return deny(t);
         done = std::max(done, res.done);
         t += 1;
     }
 
+    mem.commit(tally);
     bytes_moved += total;
-    result.done = std::max(done, t);
-    result.flits = 0;
-    return result;
+    return NocResult{std::max(done, t)};
 }
 
 } // namespace snpu

@@ -16,6 +16,7 @@
 #include "dma/dma_engine.hh"
 #include "guarder/guarder.hh"
 #include "mem/mem_system.hh"
+#include "mem_access.hh"
 #include "sim/random.hh"
 #include "sim/stats.hh"
 
@@ -214,7 +215,7 @@ TEST_F(DmaFixture, BatchOverheadSeesPhysicalAddress)
 
 /**
  * The engine's two entry points written the plainest way: every
- * packet through MemSystem::access, one stat bump per packet. Its
+ * packet through timedAccess(), one stat bump per packet. Its
  * stats register under the engine's names and in the engine's order,
  * so the two stat trees dump the same JSON when they agree. The
  * controllers used with it charge no transfer overhead.
@@ -300,8 +301,9 @@ class ReferenceDma
                 issue = std::max(issue, xl.ready);
                 pa = xl.paddr;
             }
-            const MemResult mres = mem.access(
-                issue, MemRequest{pa, chunk, s.req->op, s.req->world});
+            const MemResult mres =
+                timedAccess(mem, issue,
+                            MemRequest{pa, chunk, s.req->op, s.req->world});
             if (!mres.ok) {
                 ++denied;
                 result.ok = false;
@@ -363,9 +365,9 @@ class ReferenceDma
         for (std::uint32_t offset = 0; offset < req.bytes; offset += 64) {
             const std::uint32_t chunk =
                 std::min<std::uint32_t>(64, req.bytes - offset);
-            const MemResult mres = mem.access(
-                issue, MemRequest{xl.paddr + offset, chunk, req.op,
-                                  req.world});
+            const MemResult mres = timedAccess(
+                mem, issue,
+                MemRequest{xl.paddr + offset, chunk, req.op, req.world});
             if (!mres.ok) {
                 ++denied;
                 result.ok = false;
@@ -419,8 +421,9 @@ class ReferenceDma
             issue = xl.ready;
             if (offset == 0)
                 first_pa = xl.paddr;
-            const MemResult mres = mem.access(
-                issue, MemRequest{xl.paddr, chunk, req.op, req.world});
+            const MemResult mres = timedAccess(
+                mem, issue,
+                MemRequest{xl.paddr, chunk, req.op, req.world});
             if (!mres.ok) {
                 ++denied;
                 result.ok = false;
@@ -794,8 +797,8 @@ struct GuardedSoc
 };
 
 /**
- * The request-granular engine written plainly: one MemSystem::access()
- * per 64-B packet, each adding to the stats as it goes (the engine
+ * The request-granular engine written plainly: one timedAccess() per
+ * 64-B packet, each adding to the stats as it goes (the engine
  * tallies them and adds them once per call). transfer() moves the
  * bytes once every packet issued; batch() moves each packet's bytes
  * as it issues. It counts the engine's packets and bytes itself.
@@ -825,9 +828,9 @@ class PacketLoopDma
         for (std::uint32_t offset = 0; offset < req.bytes; offset += 64) {
             const std::uint32_t chunk =
                 std::min<std::uint32_t>(64, req.bytes - offset);
-            const MemResult mres = mem.access(
-                issue, MemRequest{xl.paddr + offset, chunk, req.op,
-                                  req.world});
+            const MemResult mres = timedAccess(
+                mem, issue,
+                MemRequest{xl.paddr + offset, chunk, req.op, req.world});
             if (!mres.ok) {
                 packets += result.packets;
                 bytes += offset;
@@ -891,7 +894,8 @@ class PacketLoopDma
                 issue = std::max(issue, s.xl.ready);
             const Addr pa = s.xl.paddr + s.offset;
             const MemResult mres =
-                mem.access(issue, MemRequest{pa, chunk, req.op, req.world});
+                timedAccess(mem, issue,
+                            MemRequest{pa, chunk, req.op, req.world});
             if (!mres.ok) {
                 result.ok = false;
                 result.done = issue;

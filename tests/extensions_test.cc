@@ -264,8 +264,7 @@ TEST(MemCrypto, CounterCacheHitsAndMisses)
 
     // Thrash the cache with one page more than it holds: the last
     // new page evicts 0x10000's (LRU).
-    constexpr std::uint32_t entries =
-        CounterModeTiming::counter_cache_entries;
+    constexpr std::uint32_t entries = CounterCache::entries;
     for (std::uint32_t i = 1; i <= entries; ++i)
         engine.accessPenalty(0x10000 + Addr(i) * page_bytes);
     EXPECT_EQ(engine.counterMisses(), 1u + entries);

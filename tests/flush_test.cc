@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "mem/mem_system.hh"
+#include "mem_access.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "spad/flush_engine.hh"
@@ -107,7 +108,7 @@ TEST_F(FlushFixture, LiveRowsClampedToSpadSize)
 
 /**
  * FlushEngine's save/restore stream against the plainest per-row
- * loop: every row through MemSystem::access, one partition check per
+ * loop: every row through timedAccess(), one partition check per
  * row, one row issued per cycle. The scratchpad's stats live in their
  * own group; the memory system's and the engine's register in the
  * same order on both sides, so their JSON must match.
@@ -136,9 +137,10 @@ TEST(FlushReference, StreamMatchesPerRowLoop)
             Tick t = when;
             Tick done = when;
             for (std::uint32_t row = 0; row < rows; ++row) {
-                const MemResult res = want_mem.access(
-                    t, MemRequest{area + Addr(row) * row_bytes,
-                                  row_bytes, op, world});
+                const MemResult res = timedAccess(
+                    want_mem, t,
+                    MemRequest{area + Addr(row) * row_bytes, row_bytes,
+                               op, world});
                 if (!res.ok)
                     throw FatalError("denied");
                 done = std::max(done, res.done);

@@ -41,6 +41,23 @@ struct IommuFixture : ::testing::Test
         return Iommu(group, table, p);
     }
 
+    /** Memory-system accesses counted so far. */
+    std::uint64_t
+    memAccesses() const
+    {
+        const auto *s = dynamic_cast<const stats::Scalar *>(
+            stats.find("mem_accesses"));
+        EXPECT_NE(s, nullptr);
+        return s ? static_cast<std::uint64_t>(s->value()) : 0;
+    }
+
+    /** L2 lookups (hits plus misses) counted so far. */
+    std::uint64_t
+    l2Lookups()
+    {
+        return mem.l2().hits() + mem.l2().misses();
+    }
+
     stats::Group stats;
     MemSystem mem;
     PageTable table;
@@ -124,10 +141,36 @@ TEST_F(IommuFixture, TimedWalkCostsMemoryAccesses)
 {
     ASSERT_TRUE(table.map(0x40000, data_base, true, false));
     Pte pte;
-    const Tick done = table.walk(1000, 0x40000, pte);
+    const Tick done = table.walk(1000, 0x40000, false, pte);
     EXPECT_TRUE(pte.valid);
+    EXPECT_EQ(pte.paddr, data_base);
     // Three dependent reads: strictly positive, at least 3 L2 hits.
     EXPECT_GE(done - 1000, 3 * 20u);
+    EXPECT_EQ(memAccesses(), 3u);
+    EXPECT_EQ(l2Lookups(), 3u);
+
+    // Warm: the walk cache serves the two upper levels, and the leaf
+    // read hits the line the cold walk brought in.
+    Pte warm;
+    const Tick warm_done = table.walk(done, 0x40000, true, warm);
+    EXPECT_TRUE(warm.valid);
+    EXPECT_EQ(warm.paddr, data_base);
+    EXPECT_EQ(warm_done, done + L2Cache::hit_latency);
+    EXPECT_EQ(memAccesses(), 4u);
+    EXPECT_EQ(l2Lookups(), 4u);
+
+    // Unmapped (its second-level entry is invalid): a warm walk
+    // faults a cycle later with no memory access; a cold one reads
+    // the two levels down to the invalid entry.
+    Pte none;
+    EXPECT_EQ(table.walk(5000, 0xbad000, true, none), 5001u);
+    EXPECT_FALSE(none.valid);
+    EXPECT_EQ(memAccesses(), 4u);
+    EXPECT_EQ(l2Lookups(), 4u);
+    table.walk(6000, 0xbad000, false, none);
+    EXPECT_FALSE(none.valid);
+    EXPECT_EQ(memAccesses(), 6u);
+    EXPECT_EQ(l2Lookups(), 6u);
 }
 
 TEST_F(IommuFixture, TranslateHitIsFast)

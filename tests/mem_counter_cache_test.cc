@@ -6,17 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/counter_cache.hh"
-#include "sim/logging.hh"
 
 namespace snpu
 {
 namespace
 {
 
+constexpr Addr entries = CounterCache::entries;
+
 TEST(CounterCache, HitAfterMiss)
 {
-    CounterCache cache(4);
+    CounterCache cache;
     EXPECT_FALSE(cache.lookup(7));
     EXPECT_TRUE(cache.lookup(7));
     EXPECT_FALSE(cache.lookup(8));
@@ -26,51 +29,67 @@ TEST(CounterCache, HitAfterMiss)
 
 TEST(CounterCache, EvictsLeastRecentlyUsed)
 {
-    CounterCache cache(2);
-    EXPECT_FALSE(cache.lookup(1));
-    EXPECT_FALSE(cache.lookup(2));
+    CounterCache cache;
+    // Pages 1..entries fill the cache exactly: every one stays.
+    for (Addr page = 1; page <= entries; ++page)
+        EXPECT_FALSE(cache.lookup(page));
+    for (Addr page = 1; page <= entries; ++page)
+        EXPECT_TRUE(cache.lookup(page));
     // Touch 1, so 2 is now the least recently used entry.
     EXPECT_TRUE(cache.lookup(1));
-    EXPECT_FALSE(cache.lookup(3)); // evicts 2
+    EXPECT_FALSE(cache.lookup(entries + 1)); // evicts 2
     EXPECT_TRUE(cache.lookup(1));
-    EXPECT_TRUE(cache.lookup(3));
-    EXPECT_FALSE(cache.lookup(2)); // evicts 1, the LRU of {1, 3}
-    EXPECT_TRUE(cache.lookup(3));
-    EXPECT_FALSE(cache.lookup(1));
+    EXPECT_TRUE(cache.lookup(entries + 1));
+    EXPECT_FALSE(cache.lookup(2)); // evicts 3, the LRU
+    EXPECT_TRUE(cache.lookup(4));
+    EXPECT_FALSE(cache.lookup(3)); // evicts 5, not the just-used 4
+    EXPECT_TRUE(cache.lookup(4));
+    EXPECT_FALSE(cache.lookup(5)); // evicts 6
+    for (Addr page = 7; page <= entries; ++page)
+        EXPECT_TRUE(cache.lookup(page));
+    for (Addr page : {Addr(1), entries + 1, Addr(2), Addr(3), Addr(4),
+                      Addr(5)})
+        EXPECT_TRUE(cache.lookup(page));
+    EXPECT_FALSE(cache.lookup(6));
 }
 
 TEST(CounterCache, InvalidateAllForgetsEveryPage)
 {
-    CounterCache cache(3);
-    for (Addr page : {10, 11, 12})
+    CounterCache cache;
+    for (Addr page = 10; page < 10 + entries; ++page)
         EXPECT_FALSE(cache.lookup(page));
     cache.invalidateAll();
-    for (Addr page : {10, 11, 12})
+    for (Addr page = 10; page < 10 + entries; ++page)
         EXPECT_FALSE(cache.lookup(page));
     // Refilled after the flush: every page hits again.
-    for (Addr page : {10, 11, 12})
+    for (Addr page = 10; page < 10 + entries; ++page)
         EXPECT_TRUE(cache.lookup(page));
-}
-
-TEST(CounterCache, ZeroEntriesIsFatal)
-{
-    EXPECT_THROW(CounterCache(0), FatalError);
 }
 
 TEST(CounterCache, InvalidatingAnEmptyCacheChangesNothing)
 {
     // Redundant invalidations (on a fresh cache and right after a
     // real one) leave a cache that answers a lookup stream exactly
-    // like a fresh one, LRU victim choice included.
-    const Addr stream[] = {1, 2, 1, 3, 2, 1};
-    CounterCache cache(2);
+    // like a fresh one, LRU victim choice included: the stream
+    // cycles over 97 pages, more than the cache holds, so it both
+    // hits and evicts.
+    std::vector<Addr> stream;
+    for (Addr i = 0; i < 400; ++i)
+        stream.push_back(i * 7 % 97 < 80 ? i * 7 % 97 : i % 5);
+    CounterCache cache;
     cache.invalidateAll();
-    CounterCache fresh(2);
-    for (Addr page : stream)
-        EXPECT_EQ(cache.lookup(page), fresh.lookup(page));
+    CounterCache fresh;
+    std::uint32_t hits = 0;
+    for (Addr page : stream) {
+        const bool hit = cache.lookup(page);
+        EXPECT_EQ(hit, fresh.lookup(page));
+        hits += hit ? 1 : 0;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, stream.size());
     cache.invalidateAll();
     cache.invalidateAll();
-    CounterCache fresh_again(2);
+    CounterCache fresh_again;
     for (Addr page : stream)
         EXPECT_EQ(cache.lookup(page), fresh_again.lookup(page));
 }

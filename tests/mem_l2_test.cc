@@ -29,6 +29,23 @@ dramAccess(DramModel &dram, Tick when, std::uint32_t bytes, MemOp op)
     return done;
 }
 
+/** A timed L2 access: its completion tick and its stat increments. */
+struct L2Access
+{
+    Tick done = 0;
+    MemTally tally;
+};
+
+/** One timed L2 access, added to the stats at once. */
+L2Access
+l2Access(L2Cache &l2, Tick when, const MemRequest &req)
+{
+    L2Access a;
+    a.done = l2.accessLines(when, req.paddr, req.bytes, req.op, a.tally);
+    l2.commit(a.tally);
+    return a;
+}
+
 struct L2Fixture : ::testing::Test
 {
     L2Fixture()
@@ -40,8 +57,7 @@ struct L2Fixture : ::testing::Test
     smallParams()
     {
         L2Params p;
-        p.size_bytes = 16 * 1024; // 16 KiB: 256 lines
-        p.ways = 4;
+        p.size_bytes = 16 * 1024; // 16 KiB: 256 lines, 32 sets
         p.banks = 4;
         return p;
     }
@@ -52,6 +68,12 @@ struct L2Fixture : ::testing::Test
         return MemRequest{addr, bytes, MemOp::read, World::normal};
     }
 
+    L2Access
+    access(Tick when, const MemRequest &req)
+    {
+        return l2Access(l2, when, req);
+    }
+
     stats::Group stats;
     DramModel dram;
     L2Cache l2;
@@ -59,96 +81,97 @@ struct L2Fixture : ::testing::Test
 
 TEST_F(L2Fixture, FirstAccessMissesSecondHits)
 {
-    MemResult r1 = l2.access(0, read(0x8000'0000));
+    const L2Access r1 = access(0, read(0x8000'0000));
     EXPECT_EQ(l2.misses(), 1u);
-    EXPECT_FALSE(r1.l2_hit);
+    EXPECT_EQ(r1.tally.l2_misses, 1u);
+    EXPECT_EQ(r1.tally.l2_hits, 0u);
 
-    MemResult r2 = l2.access(r1.done, read(0x8000'0000));
+    const L2Access r2 = access(r1.done, read(0x8000'0000));
     EXPECT_EQ(l2.hits(), 1u);
-    EXPECT_TRUE(r2.l2_hit);
+    EXPECT_EQ(r2.tally.l2_hits, 1u);
+    EXPECT_EQ(r2.tally.l2_misses, 0u);
     EXPECT_LT(r2.done - r1.done, r1.done); // hit is much faster
 }
 
 TEST_F(L2Fixture, HitLatencyMatchesParameter)
 {
-    MemResult miss = l2.access(0, read(0x8000'0000));
-    MemResult hit = l2.access(miss.done, read(0x8000'0000));
+    const L2Access miss = access(0, read(0x8000'0000));
+    const L2Access hit = access(miss.done, read(0x8000'0000));
     EXPECT_EQ(hit.done - miss.done, L2Cache::hit_latency);
 }
 
 TEST_F(L2Fixture, MultiLineRequestTouchesEachLine)
 {
-    l2.access(0, read(0x8000'0000, 256)); // 4 lines
+    access(0, read(0x8000'0000, 256)); // 4 lines
     EXPECT_EQ(l2.misses(), 4u);
 }
 
 TEST_F(L2Fixture, LruEvictsOldest)
 {
-    // 4 ways per set; the set repeats every 64 sets * 64 B = 4 KiB.
+    // 8 ways per set; the set repeats every 32 sets * 64 B = 2 KiB.
     const Addr base = 0x8000'0000;
-    const Addr stride = 4096;
-    // Fill all four ways of set 0.
+    const Addr stride = 2048;
+    // Fill all eight ways of set 0.
     Tick t = 0;
-    for (int w = 0; w < 4; ++w)
-        t = l2.access(t, read(base + w * stride)).done;
+    for (int w = 0; w < 8; ++w)
+        t = access(t, read(base + w * stride)).done;
     // Touch way 0 so way 1 becomes LRU.
-    t = l2.access(t, read(base)).done;
-    // Insert a fifth line: evicts way 1.
-    t = l2.access(t, read(base + 4 * stride)).done;
-    // Way 0 still hits; way 1 misses again.
+    t = access(t, read(base)).done;
+    // Insert a ninth line: evicts way 1.
+    t = access(t, read(base + 8 * stride)).done;
+    // Ways 0 and 2-7 still hit; way 1 misses again.
     const std::uint64_t misses_before = l2.misses();
-    t = l2.access(t, read(base)).done;
+    t = access(t, read(base)).done;
+    for (int w = 2; w < 8; ++w)
+        t = access(t, read(base + w * stride)).done;
     EXPECT_EQ(l2.misses(), misses_before);
-    l2.access(t, read(base + stride));
+    access(t, read(base + stride));
     EXPECT_EQ(l2.misses(), misses_before + 1);
 }
 
 TEST_F(L2Fixture, DirtyEvictionWritesBack)
 {
     const Addr base = 0x8000'0000;
-    const Addr stride = 4096;
+    const Addr stride = 2048;
     Tick t = 0;
     // Dirty one line.
-    t = l2.access(t, MemRequest{base, 64, MemOp::write,
-                                World::normal})
-            .done;
+    t = access(t, MemRequest{base, 64, MemOp::write, World::normal}).done;
     const std::uint64_t dram_writes_before =
         static_cast<std::uint64_t>(dram.totalBytes());
     // Evict it by filling the set.
-    for (int w = 1; w <= 4; ++w)
-        t = l2.access(t, read(base + w * stride)).done;
+    for (int w = 1; w <= 8; ++w)
+        t = access(t, read(base + w * stride)).done;
     EXPECT_GT(dram.totalBytes(), dram_writes_before);
 }
 
 TEST_F(L2Fixture, InvalidateAllForcesMisses)
 {
-    Tick t = l2.access(0, read(0x8000'0000)).done;
+    Tick t = access(0, read(0x8000'0000)).done;
     l2.invalidateAll();
-    l2.access(t, read(0x8000'0000));
+    access(t, read(0x8000'0000));
     EXPECT_EQ(l2.misses(), 2u);
 }
 
 TEST_F(L2Fixture, BankConflictSerializes)
 {
     // Two lines in the same bank (stride = banks * line = 256 B).
-    Tick t = l2.access(0, read(0x8000'0000)).done;
-    t = l2.access(t, read(0x8000'0000 + 256)).done;
+    Tick t = access(0, read(0x8000'0000)).done;
+    t = access(t, read(0x8000'0000 + 256)).done;
     // Both warm: same-tick hits to the same bank serialize by the
     // bank cycle time; a hit in a different bank does not.
-    const Tick a = l2.access(10000, read(0x8000'0000)).done;
-    const Tick b = l2.access(10000, read(0x8000'0000 + 256)).done;
+    const Tick a = access(10000, read(0x8000'0000)).done;
+    const Tick b = access(10000, read(0x8000'0000 + 256)).done;
     EXPECT_EQ(b - a, L2Cache::bank_cycle);
 
-    Tick warm = l2.access(20000, read(0x8000'0000 + 64)).done;
-    (void)warm;
-    const Tick c = l2.access(30000, read(0x8000'0000)).done;
-    const Tick d = l2.access(30000, read(0x8000'0000 + 64)).done;
+    access(20000, read(0x8000'0000 + 64));
+    const Tick c = access(30000, read(0x8000'0000)).done;
+    const Tick d = access(30000, read(0x8000'0000 + 64)).done;
     EXPECT_EQ(c, d);
 }
 
 TEST_F(L2Fixture, ZeroByteAccessPanics)
 {
-    EXPECT_THROW(l2.access(0, read(0x8000'0000, 0)), PanicError);
+    EXPECT_THROW(access(0, read(0x8000'0000, 0)), PanicError);
 }
 
 TEST(L2Geometry, BadGeometryIsFatal)
@@ -156,14 +179,15 @@ TEST(L2Geometry, BadGeometryIsFatal)
     stats::Group stats("g");
     DramModel dram(stats);
     L2Params p;
-    p.size_bytes = 100; // not line-divisible into ways
-    p.ways = 3;
+    p.size_bytes = 0; // no lines at all
     EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
-    p.size_bytes = 128 * line_bytes;
-    p.ways = 128; // wider than a set record
+    p.size_bytes = 100; // one line, not a whole 8-way set
     EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
-    p.size_bytes = 9 * 16 * line_bytes;
-    p.ways = 9; // one way past the eight a record holds
+    p.size_bytes = 12 * line_bytes; // one and a half sets
+    EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
+    p.size_bytes = 16 * line_bytes; // two sets
+    EXPECT_NO_THROW(L2Cache(stats, dram, p));
+    p.banks = 0; // would divide by zero picking a line's bank
     EXPECT_THROW(L2Cache(stats, dram, p), FatalError);
 }
 
@@ -173,9 +197,9 @@ TEST_F(L2Fixture, LineBeyondTheTagRangePanics)
     // cached, the first line at 256 GiB panics, even as the second
     // line of a request.
     const Addr limit = Addr(1) << 38;
-    EXPECT_NO_THROW(l2.access(0, read(limit - line_bytes)));
-    EXPECT_THROW(l2.access(0, read(limit)), PanicError);
-    EXPECT_THROW(l2.access(0, read(limit - 32)), PanicError);
+    EXPECT_NO_THROW(access(0, read(limit - line_bytes)));
+    EXPECT_THROW(access(0, read(limit)), PanicError);
+    EXPECT_THROW(access(0, read(limit - 32)), PanicError);
 }
 
 /**
@@ -189,23 +213,26 @@ class NaiveL2
   public:
     NaiveL2(DramModel &dram, const L2Params &p)
         : dram(dram), p(p),
-          sets(p.size_bytes / line_bytes / p.ways),
+          sets(p.size_bytes / line_bytes / L2Cache::ways),
           bank_free(p.banks, 0)
     {
     }
 
-    MemResult
+    /** done, and the hit, miss and write-back counts it added. */
+    L2Access
     access(Tick when, const MemRequest &req)
     {
+        L2Access r;
         const std::uint64_t hits_before = hits;
-        Tick done = when;
+        const std::uint64_t misses_before = misses;
+        const std::uint64_t writebacks_before = writebacks;
+        r.done = when;
         for (Addr line = req.paddr / line_bytes;
              line <= (req.paddr + req.bytes - 1) / line_bytes; ++line)
-            done = std::max(done, accessLine(when, line, req.op));
-        MemResult r;
-        r.done = done;
-        r.ok = true;
-        r.l2_hit = misses == 0 || hits > hits_before;
+            r.done = std::max(r.done, accessLine(when, line, req.op));
+        r.tally.l2_hits = hits - hits_before;
+        r.tally.l2_misses = misses - misses_before;
+        r.tally.l2_writebacks = writebacks - writebacks_before;
         return r;
     }
 
@@ -246,7 +273,7 @@ class NaiveL2
         }
         ++misses;
         const Tick ready = start + L2Cache::hit_latency;
-        if (set.size() == p.ways) {
+        if (set.size() == L2Cache::ways) {
             auto lru = std::min_element(
                 set.begin(), set.end(), [](const Line &a, const Line &b) {
                     return a.last_use < b.last_use;
@@ -269,9 +296,28 @@ class NaiveL2
 };
 
 /**
+ * Expect @p got to match the reference access @p want: the same
+ * completion tick and the same hit, miss and write-back increments.
+ * @return whether it does.
+ */
+bool
+expectSameAccess(const L2Access &got, const L2Access &want)
+{
+    EXPECT_EQ(got.done, want.done);
+    EXPECT_EQ(got.tally.l2_hits, want.tally.l2_hits);
+    EXPECT_EQ(got.tally.l2_misses, want.tally.l2_misses);
+    EXPECT_EQ(got.tally.l2_writebacks, want.tally.l2_writebacks);
+    return got.done == want.done &&
+           got.tally.l2_hits == want.tally.l2_hits &&
+           got.tally.l2_misses == want.tally.l2_misses &&
+           got.tally.l2_writebacks == want.tally.l2_writebacks;
+}
+
+/**
  * Drive 3000 random accesses of up to 200 B (so some span lines)
  * over @p footprint bytes, with an occasional invalidateAll(), through
- * an L2 of geometry @p p and through NaiveL2, access by access.
+ * an L2 of geometry @p p and through NaiveL2, access by access: each
+ * access's tick and stat increments must match.
  * @return the reference model's hit and miss counts.
  */
 std::pair<std::uint64_t, std::uint64_t>
@@ -297,11 +343,9 @@ expectMatchesNaive(const L2Params &p, std::uint64_t footprint,
             0x8000'0000 + rng.below(footprint),
             static_cast<std::uint32_t>(1 + rng.below(200)),
             rng.chance(0.4) ? MemOp::write : MemOp::read, World::normal};
-        const MemResult got = l2.access(when, req);
-        const MemResult want = ref.access(when, req);
-        EXPECT_EQ(got.done, want.done) << "access " << i;
-        EXPECT_EQ(got.l2_hit, want.l2_hit) << "access " << i;
-        if (got.done != want.done || got.l2_hit != want.l2_hit)
+        SCOPED_TRACE(testing::Message() << "access " << i);
+        if (!expectSameAccess(l2Access(l2, when, req),
+                              ref.access(when, req)))
             break;
         // Same-tick bursts contend for banks; gaps let them drain.
         when += rng.chance(0.5) ? 0 : rng.below(300);
@@ -323,38 +367,32 @@ expectMatchesNaive(const L2Params &p, std::uint64_t footprint,
 TEST(L2ReferenceModel, MatchesNaiveLruAcrossGeometries)
 {
     std::uint64_t seed = 1;
-    for (std::uint32_t ways : {1u, 3u, 4u, 8u}) {
-        for (std::uint32_t num_sets : {16u, 12u}) {
-            for (std::uint32_t banks : {1u, 3u, 8u}) {
-                SCOPED_TRACE(testing::Message()
-                             << ways << " ways, " << num_sets
-                             << " sets, " << banks << " banks");
-                L2Params p;
-                p.ways = ways;
-                p.banks = banks;
-                p.size_bytes =
-                    std::uint64_t(num_sets) * ways * line_bytes;
-                // Three times the capacity keeps every set evicting.
-                expectMatchesNaive(p, 3 * p.size_bytes, seed);
-                // A quarter more than the capacity makes most
-                // accesses hit in full sets, so hits reorder the
-                // recency list.
-                const auto [hits, misses] = expectMatchesNaive(
-                    p, p.size_bytes * 5 / 4, seed + 100);
-                EXPECT_GT(hits, misses);
-                ++seed;
-            }
+    for (std::uint32_t num_sets : {1u, 2u, 12u, 16u}) {
+        for (std::uint32_t banks : {1u, 3u, 8u}) {
+            SCOPED_TRACE(testing::Message()
+                         << num_sets << " sets, " << banks << " banks");
+            L2Params p;
+            p.banks = banks;
+            p.size_bytes =
+                std::uint64_t(num_sets) * L2Cache::ways * line_bytes;
+            // Three times the capacity keeps every set evicting.
+            expectMatchesNaive(p, 3 * p.size_bytes, seed);
+            // A quarter more than the capacity makes most accesses
+            // hit in full sets, so hits reorder the recency list.
+            const auto [hits, misses] =
+                expectMatchesNaive(p, p.size_bytes * 5 / 4, seed + 100);
+            EXPECT_GT(hits, misses);
+            ++seed;
         }
     }
 }
 
 TEST(L2ReferenceModel, StaleStampsNeverPickTheVictim)
 {
-    // One set of four ways, one bank: line k * 16 maps to set 0.
+    // One set of eight ways, one bank: every line maps to it.
     L2Params p;
-    p.ways = 4;
     p.banks = 1;
-    p.size_bytes = 16 * 4 * line_bytes;
+    p.size_bytes = L2Cache::ways * line_bytes;
     stats::Group stats("g");
     DramModel dram(stats);
     L2Cache l2(stats, dram, p);
@@ -365,46 +403,51 @@ TEST(L2ReferenceModel, StaleStampsNeverPickTheVictim)
     Tick when = 0;
     std::vector<bool> hits;
     const auto touch = [&](std::uint32_t k, MemOp op) {
-        const MemRequest req{0x8000'0000 + Addr(k) * 16 * line_bytes,
+        SCOPED_TRACE(testing::Message() << "line " << k);
+        const MemRequest req{0x8000'0000 + Addr(k) * line_bytes,
                              line_bytes, op, World::normal};
-        const MemResult got = l2.access(when, req);
-        const MemResult want = ref.access(when, req);
-        EXPECT_EQ(got.done, want.done) << "line " << k;
-        EXPECT_EQ(got.l2_hit, want.l2_hit) << "line " << k;
-        hits.push_back(got.l2_hit);
+        const L2Access got = l2Access(l2, when, req);
+        const L2Access want = ref.access(when, req);
+        expectSameAccess(got, want);
+        hits.push_back(got.tally.l2_hits == 1);
         when = want.done;
     };
 
-    // Fill the set with dirty lines 0-3, then make line 0 the most
-    // recently used, so ways 1-3 are the least recently used.
-    for (std::uint32_t k = 0; k < 4; ++k)
+    // Fill the set with dirty lines 0-7, then make line 0 the most
+    // recently used, so ways 1-7 are the least recently used.
+    for (std::uint32_t k = 0; k < 8; ++k)
         touch(k, MemOp::write);
     touch(0, MemOp::read);
     l2.invalidateAll();
     ref.invalidateAll();
 
-    // Refill half the set. Ways 2 and 3 keep stale tags (lines 2 and
-    // 3) and their places at the back of the old recency list.
+    // Refill most of the set. Ways 6 and 7 keep stale tags (lines 6
+    // and 7) and their places at the back of the old recency list.
+    for (std::uint32_t k = 10; k < 16; ++k)
+        touch(k, MemOp::read);
+    touch(6, MemOp::read); // a stale tag must not hit
+    // The set is full again (10-15, 6 and now 16): the next misses
+    // evict 10, 11 and 12, never a way by its pre-epoch recency.
+    touch(16, MemOp::read);
+    touch(17, MemOp::read);
+    touch(18, MemOp::read);
+    touch(19, MemOp::read);
+    touch(6, MemOp::read);
+    touch(16, MemOp::read);
+    // 10 evicts 13 (6 and 16 were just used); 11 and 13 are gone, so
+    // they miss and evict 14 and 15.
     touch(10, MemOp::read);
     touch(11, MemOp::read);
-    touch(2, MemOp::read); // a stale tag must not hit
-    // The set is full again (10, 11, 2 and now 12): the next misses
-    // evict 10, then 11, never a way by its pre-epoch recency.
-    touch(12, MemOp::read);
     touch(13, MemOp::read);
-    touch(14, MemOp::read);
-    touch(2, MemOp::read);
-    touch(12, MemOp::read);
-    // 10 evicts 13 (2 and 12 were just used); 11 is gone, so it
-    // misses and evicts 14.
-    touch(10, MemOp::read);
-    touch(11, MemOp::read);
-    touch(14, MemOp::read);
+    touch(17, MemOp::read);
 
-    const std::vector<bool> want_hits = {false, false, false, false, true,
-                                         false, false, false, false,
-                                         false, false, true,  true,
-                                         false, false, false};
+    std::vector<bool> want_hits(8, false);
+    want_hits.push_back(true);                 // 0
+    want_hits.insert(want_hits.end(), 7, false); // 10-15, 6
+    want_hits.insert(want_hits.end(), 4, false); // 16-19
+    want_hits.insert(want_hits.end(), 2, true);  // 6, 16
+    want_hits.insert(want_hits.end(), 3, false); // 10, 11, 13
+    want_hits.push_back(true);                 // 17
     EXPECT_EQ(hits, want_hits);
     EXPECT_EQ(l2.hits(), ref.hits);
     EXPECT_EQ(l2.misses(), ref.misses);

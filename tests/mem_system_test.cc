@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/mem_system.hh"
+#include "mem_access.hh"
 #include "sim/stats.hh"
 
 namespace snpu
@@ -26,7 +27,7 @@ TEST_F(MemSystemFixture, NormalAccessToNormalMemorySucceeds)
 {
     MemRequest req{mem.map().dram().base, 64, MemOp::read,
                    World::normal};
-    MemResult res = mem.access(0, req);
+    MemResult res = timedAccess(mem, 0, req);
     EXPECT_TRUE(res.ok);
     EXPECT_GT(res.done, 0u);
     EXPECT_EQ(mem.partitionViolations(), 0u);
@@ -36,7 +37,7 @@ TEST_F(MemSystemFixture, NormalAccessToSecureMemoryDenied)
 {
     MemRequest req{mem.map().secureRegion().base, 64, MemOp::read,
                    World::normal};
-    MemResult res = mem.access(0, req);
+    MemResult res = timedAccess(mem, 0, req);
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(mem.partitionViolations(), 1u);
 }
@@ -45,14 +46,14 @@ TEST_F(MemSystemFixture, SecureAccessToSecureMemorySucceeds)
 {
     MemRequest req{mem.map().secureRegion().base, 64, MemOp::write,
                    World::secure};
-    EXPECT_TRUE(mem.access(0, req).ok);
+    EXPECT_TRUE(timedAccess(mem, 0, req).ok);
 }
 
 TEST_F(MemSystemFixture, StraddlingAccessDenied)
 {
     const Addr boundary = mem.map().secureRegion().base;
     MemRequest req{boundary - 32, 64, MemOp::read, World::normal};
-    EXPECT_FALSE(mem.access(0, req).ok);
+    EXPECT_FALSE(timedAccess(mem, 0, req).ok);
 }
 
 TEST_F(MemSystemFixture, DeniedAccessHasNoTimingSideEffect)
@@ -60,7 +61,7 @@ TEST_F(MemSystemFixture, DeniedAccessHasNoTimingSideEffect)
     const Tick free_before = mem.dram().nextFree();
     MemRequest req{mem.map().secureRegion().base, 64, MemOp::read,
                    World::normal};
-    mem.access(0, req);
+    timedAccess(mem, 0, req);
     EXPECT_EQ(mem.dram().nextFree(), free_before);
 }
 
@@ -68,8 +69,8 @@ TEST_F(MemSystemFixture, CachedPathUsesL2)
 {
     MemRequest req{mem.map().dram().base, 64, MemOp::read,
                    World::normal};
-    MemResult miss = mem.access(0, req);
-    MemResult hit = mem.access(miss.done, req);
+    MemResult miss = timedAccess(mem, 0, req);
+    MemResult hit = timedAccess(mem, miss.done, req);
     EXPECT_EQ(mem.l2().misses(), 1u);
     EXPECT_EQ(mem.l2().hits(), 1u);
     EXPECT_LT(hit.done - miss.done, miss.done);

@@ -190,6 +190,16 @@ struct SwNocFixture : ::testing::Test
         dst = std::make_unique<Scratchpad>(*dst_group, p);
     }
 
+    /** The value of the memory-system count @p name. */
+    std::uint64_t
+    count(const char *name) const
+    {
+        const auto *s =
+            dynamic_cast<const stats::Scalar *>(stats.find(name));
+        EXPECT_NE(s, nullptr) << name;
+        return s ? static_cast<std::uint64_t>(s->value()) : 0;
+    }
+
     stats::Group stats;
     MemSystem mem;
     SoftwareNoc swnoc;
@@ -246,6 +256,53 @@ TEST_F(SwNocFixture, WorldRulesStillApplyToScratchpads)
     NocResult res = swnoc.transfer(0, *src, *dst, 0, 0, 1,
                                    World::normal);
     EXPECT_FALSE(res.ok);
+}
+
+TEST_F(SwNocFixture, PartialDenialCommitsItsAccesses)
+{
+    // A global-scope destination whose row 5 the secure world owns:
+    // a normal-world transfer of 8 rows stores all 8 to the buffer,
+    // loads rows 0-5 back, and is denied writing row 5.
+    SpadParams p;
+    p.rows = 256;
+    p.row_bytes = 16;
+    p.scope = SpadScope::global;
+    stats::Group global_group(stats, "global");
+    Scratchpad global_dst(global_group, p);
+    std::uint8_t buf[16] = {1};
+    ASSERT_EQ(global_dst.write(World::secure, 5, buf), SpadStatus::ok);
+    for (std::uint32_t r = 0; r < 16; ++r)
+        src->write(World::normal, r, buf);
+
+    EXPECT_FALSE(swnoc.transfer(0, *src, global_dst, 0, 0, 8,
+                                World::normal)
+                     .ok);
+    // 14 rows issued, each inside one line of the 128-B buffer
+    // window: its two lines miss once (filled from DRAM), the other
+    // twelve rows hit, and nothing is written back.
+    EXPECT_EQ(count("mem_accesses"), 14u);
+    EXPECT_EQ(mem.l2().misses(), 2u);
+    EXPECT_EQ(mem.l2().hits(), 12u);
+    EXPECT_EQ(count("dram_reads"), 2u);
+    EXPECT_EQ(count("dram_writes"), 0u);
+    EXPECT_EQ(count("dram_bytes"), 2u * line_bytes);
+    EXPECT_EQ(count("swnoc_denied"), 1u);
+    EXPECT_EQ(swnoc.bytesMoved(), 0u);
+
+    // Denied reading source row 3 (secure-owned): three stores issue.
+    src->write(World::secure, 3, buf);
+    EXPECT_FALSE(
+        swnoc.transfer(1000, *src, *dst, 0, 0, 8, World::normal).ok);
+    EXPECT_EQ(count("mem_accesses"), 17u);
+    EXPECT_EQ(mem.l2().hits() + mem.l2().misses(), 17u);
+
+    // A whole transfer adds its 16 rows.
+    EXPECT_TRUE(
+        swnoc.transfer(2000, *src, *dst, 8, 0, 8, World::normal).ok);
+    EXPECT_EQ(count("mem_accesses"), 33u);
+    EXPECT_EQ(mem.l2().hits() + mem.l2().misses(), 33u);
+    EXPECT_EQ(count("dram_reads"), mem.l2().misses());
+    EXPECT_EQ(count("swnoc_denied"), 2u);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/systems.hh"
 #include "core/task_runner.hh"
 
@@ -48,6 +50,28 @@ TEST(Pipeline, DirectNocFasterThanSoftwareNoc)
     ASSERT_TRUE(software.ok()) << software.error();
 
     EXPECT_LT(direct.cycles, software.cycles);
+}
+
+TEST(Pipeline, SoftwareNocFlagsAreMemoryAccesses)
+{
+    // Under the software NoC a stage's traffic is its DMA packets
+    // plus one flag write to memory per handoff, so a four-stage
+    // pipeline counts three accesses beyond its packets.
+    auto soc = buildSoc(SystemKind::snpu);
+    PipelineResult res = TaskRunner(*soc).runPipeline(
+        smallTask(), {0, 1, 2, 3}, NocMode::software);
+    ASSERT_TRUE(res.ok()) << res.error();
+    const auto count = [&](const std::string &name) {
+        const auto *s = dynamic_cast<const stats::Scalar *>(
+            soc->stats().find(name));
+        EXPECT_NE(s, nullptr) << name;
+        return s ? static_cast<std::uint64_t>(s->value()) : 0;
+    };
+    std::uint64_t packets = 0;
+    for (int c = 0; c < 4; ++c)
+        packets += count("core" + std::to_string(c) + ".dma_packets");
+    EXPECT_GT(packets, 0u);
+    EXPECT_EQ(count("mem_accesses"), packets + 3);
 }
 
 TEST(Pipeline, PeepholeCostsAlmostNothingOverUnauthorized)

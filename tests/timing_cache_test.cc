@@ -97,6 +97,20 @@ runOnce(const std::string &backend, SchedPolicy policy)
 }
 
 /**
+ * The configuration fingerprint seeds the boot images
+ * (makeBootChain), so it must not move when a field it hashes
+ * becomes a constant: every golden boot measurement hangs on it.
+ */
+TEST(TimingCache, ConfigFingerprintIsPinned)
+{
+    EXPECT_EQ(socConfigFingerprint(SocParams{}), 0x33dafa4ba72980d3u);
+    EXPECT_EQ(socConfigFingerprint(makeSystem(SystemKind::normal_npu)),
+              0x8610a12950ef3f1au);
+    EXPECT_EQ(socConfigFingerprint(makeSystem(SystemKind::trustzone_npu)),
+              0xd650c8bc2db36c1bu);
+}
+
+/**
  * Cache-off vs cache-on registry parity across every registered
  * protection backend, through MemoizedExec::run on a one-task tile
  * (the serving scheduler, the other front end, cannot host the
